@@ -7,24 +7,29 @@ Supported varieties and their data:
 * ``poisson``       (l, r, k):     p*y, x*q and the bracket action k_p(y)
 * ``cpoisson``      (l, k):        r is the commutative mirror of l
 
-Sign conventions are pinned here, once, and every conversion below depends
-on this table:
+Sign conventions are pinned here, once, in the ``slots`` of the variety
+records (``_VARIETIES``); both directions of the action/morphism
+correspondence read them:
 
 * a morphism value on x in the Leibniz weak actor is the pair
-  ``(-r_x, l_x)``; unpacking therefore reads ``r = -component 0`` and
-  ``l = component 1``;
+  ``(-r_x, l_x)``, in the associative one ``(l_x, r_x)``, in the Poisson
+  one ``(l_x, r_x, k_x)`` and in the commutative Poisson one ``(l_x, k_x)``;
 * the bracket built from a morphism is
   ``[(x,a),(y,b)] = ([x,y], [a,b] + l_x(b) + r_y(a))``, which coincides with
   the semidirect bracket of the unpacked action;
-* in the Poisson variety the morphism value is ``(l_p, r-slot_p, k_p)`` and
-  the semidirect operations are
+* the Poisson semidirect operations are
   ``(p,x)(q,y) = (pq, xy + p*y + x*q)`` and
   ``{(p,x),(q,y)} = ([p,q], [x,y] + k_p(y) - k_q(x))``.
 
 Validation labels follow the classical condition lists: L1..L6 for Leibniz,
 A1..A6 for associative (the same list that reappears inside P1), and
-P1.1..P1.6, P2.1, P2.2, P3..P8 for Poisson.  Every condition is multilinear
-in its algebra arguments, so evaluating it on basis tuples is exhaustive.
+P1.1..P1.6, P2.1, P2.2, P3..P8 for Poisson.  The lists live in
+:mod:`algact.laws`: the conditions on two kernel elements are the weak
+actor's defining laws evaluated on l_x, r_x and k_x (L1-L3 the biderivation
+laws, A1-A3 the bimultiplier laws, P2.1, P6, P7, P8 the Poisson actor laws),
+and the rest are written there once in the same term format.  Every
+condition is multilinear in its algebra arguments, so evaluating it on basis
+tuples is exhaustive.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from . import linalg
+from . import laws, linalg
 from .algebra import Algebra, IdentityReport, check_identity, is_homomorphism
 from .errors import (
     BudgetExceeded,
@@ -70,23 +75,48 @@ __all__ = [
     "zero_action",
 ]
 
-VARIETIES = ("associative", "leibniz", "poisson", "cpoisson")
 
-_ACTOR_KINDS = {
-    "associative": "bimultipliers",
-    "leibniz": "biderivations",
-    "poisson": "usga-poisson",
-    "cpoisson": "usga-cpoisson",
+@dataclass(frozen=True)
+class _Variety:
+    """A variety's weak actor and how its actions meet it.
+
+    The morphism value of an acting element x is the tuple of the operators
+    named in ``slots``, where ``"-r"`` stands for -r_x.  ``conditions`` lists
+    (label, law) in canonical label order.
+    """
+
+    kind: str
+    slots: tuple
+    num_ops: int
+    conditions: tuple
+
+    @property
+    def operators(self) -> tuple:
+        return tuple(laws.signed_slot(s)[1] for s in self.slots)
+
+
+_VARIETIES = {
+    "associative": _Variety("bimultipliers", ("l", "r"), 1, laws.ASSOCIATIVE),
+    "leibniz": _Variety("biderivations", ("-r", "l"), 1, laws.LEIBNIZ),
+    "poisson": _Variety("usga-poisson", ("l", "r", "k"), 2, laws.POISSON),
+    # r mirrors l, so the Poisson conditions apply unchanged
+    "cpoisson": _Variety("usga-cpoisson", ("l", "k"), 2, laws.POISSON),
 }
+
+VARIETIES = tuple(_VARIETIES)
 
 DEFAULT_BUDGET = 3 ** 10
 
 
-def weak_actor_kind(variety: str) -> str:
+def _variety(variety: str) -> _Variety:
     try:
-        return _ACTOR_KINDS[variety]
-    except KeyError:
+        return _VARIETIES[variety]
+    except (KeyError, TypeError):
         raise InputError(f"unknown variety {variety!r}") from None
+
+
+def weak_actor_kind(variety: str) -> str:
+    return _variety(variety).kind
 
 
 def weak_actor(X: Algebra, variety: str) -> OperatorSpace:
@@ -100,7 +130,7 @@ def _zero_tensor(field, a, b, c):
 
 def _canon_tensor(field, tensor, a, b, c, what):
     if tensor is None:
-        return None
+        return _zero_tensor(field, a, b, c)
     if len(tensor) != a or any(len(row) != b for row in tensor):
         raise ShapeMismatch(f"{what} tensor must be {a}x{b}x{c}")
     out = []
@@ -124,8 +154,7 @@ class ActionData:
     """
 
     def __init__(self, variety, acting: Algebra, kernel: Algebra, l, r=None, bracket=None):
-        if variety not in VARIETIES:
-            raise InputError(f"unknown variety {variety!r}")
+        operators = _variety(variety).operators
         if acting.field != kernel.field:
             raise ShapeMismatch("acting and kernel algebras live over different fields")
         f = acting.field
@@ -134,20 +163,14 @@ class ActionData:
         self.acting = acting
         self.kernel = kernel
         self.l = _canon_tensor(f, l, nb, nx, nx, "l")
-        if self.l is None:
-            self.l = _zero_tensor(f, nb, nx, nx)
-        if variety == "cpoisson":
+        if "r" not in operators:
             if r is not None:
-                raise ShapeMismatch("cpoisson actions derive r from l; do not supply it")
+                raise ShapeMismatch(f"{variety} actions derive r from l; do not supply it")
             self.r = None
         else:
             self.r = _canon_tensor(f, r, nx, nb, nx, "r")
-            if self.r is None:
-                self.r = _zero_tensor(f, nx, nb, nx)
-        if variety in ("poisson", "cpoisson"):
+        if "k" in operators:
             self.bracket = _canon_tensor(f, bracket, nb, nx, nx, "bracket_action")
-            if self.bracket is None:
-                self.bracket = _zero_tensor(f, nb, nx, nx)
         else:
             if bracket is not None:
                 raise ShapeMismatch(f"{variety} actions carry no bracket tensor")
@@ -178,24 +201,13 @@ class ActionData:
             return list(self.l[q][x])
         return list(self.r[x][q])
 
-    def _sum_matrices(self, mats, coeffs):
-        f, nx = self.field, self.kernel.dim
-        out = linalg.mat_zero(f, nx, nx)
-        for c, M in zip(coeffs, mats):
-            if f.is_zero(c):
-                continue
-            out = linalg.mat_add(f, out, [[f.mul(c, x) for x in row] for row in M])
-        return out
-
-    def l_of(self, bvec):
-        """Matrix of y -> l(b, y) for an arbitrary element b of B."""
-        return self._sum_matrices([self.l_matrix(p) for p in range(self.acting.dim)], bvec)
-
-    def r_of(self, bvec):
-        return self._sum_matrices([self.r_matrix(q) for q in range(self.acting.dim)], bvec)
-
-    def k_of(self, bvec):
-        return self._sum_matrices([self.k_matrix(p) for p in range(self.acting.dim)], bvec)
+    def operators(self) -> dict:
+        """The matrices of l_x, r_x and, with a bracket part, k_x, each
+        listed over the basis elements x of B."""
+        views = {"l": self.l_matrix, "r": self.r_matrix}
+        if self.bracket is not None:
+            views["k"] = self.k_matrix
+        return {name: [view(p) for p in range(self.acting.dim)] for name, view in views.items()}
 
     # -- serialization -------------------------------------------------------
 
@@ -218,9 +230,9 @@ class ActionData:
             "kernel": self.kernel.to_json_dict(),
             "l": self._sparse(self.l),
         }
-        if self.variety != "cpoisson":
+        if self.r is not None:
             data["r"] = self._sparse(self.r)
-        if self.variety in ("poisson", "cpoisson"):
+        if self.bracket is not None:
             data["bracket_action"] = self._sparse(self.bracket)
         return data
 
@@ -231,8 +243,8 @@ class ActionData:
             variety = data["variety"]
             acting = load_algebra(data["acting"])
             kernel = load_algebra(data["kernel"])
-        except KeyError as exc:
-            raise InputError(f"action description missing {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed action description: {exc}") from exc
         f = acting.field
         nb, nx = acting.dim, kernel.dim
 
@@ -240,10 +252,13 @@ class ActionData:
             if entries is None:
                 return None
             t = [[[f.zero] * c for _ in range(b)] for _ in range(a)]
-            for i, j, k, v in entries:
-                if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
-                    raise ShapeMismatch(f"tensor entry ({i},{j},{k}) out of range")
-                t[i][j][k] = f.of(v)
+            try:
+                for i, j, k, v in entries:
+                    if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
+                        raise ShapeMismatch(f"tensor entry ({i},{j},{k}) out of range")
+                    t[i][j][k] = f.of(v)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"malformed action tensor entry: {exc}") from exc
             return t
 
         return cls(
@@ -257,17 +272,19 @@ class ActionData:
 
     def canonical_key(self):
         f = self.field
+
+        def key(tensor):
+            if tensor is None:
+                return None
+            return tuple(tuple(tuple(f.to_str(c) for c in vec) for vec in row) for row in tensor)
+
         return (
             self.variety,
             self.acting.canonical_key(),
             self.kernel.canonical_key(),
-            tuple(tuple(tuple(f.to_str(c) for c in vec) for vec in row) for row in self.l),
-            tuple(tuple(tuple(f.to_str(c) for c in vec) for vec in row) for row in self.r)
-            if self.r is not None
-            else None,
-            tuple(tuple(tuple(f.to_str(c) for c in vec) for vec in row) for row in self.bracket)
-            if self.bracket is not None
-            else None,
+            key(self.l),
+            key(self.r),
+            key(self.bracket),
         )
 
     def __eq__(self, other):
@@ -326,188 +343,6 @@ class ValidationReport:
         return {"variety": self.variety, "pass": self.passed, "conditions": conds}
 
 
-def _evaluate(label, indices, defect_fn, field):
-    witness = None
-    defect = None
-    for idx in indices:
-        d = defect_fn(*idx)
-        if not linalg.vec_is_zero(field, d):
-            witness, defect = idx, d
-            break
-    return ConditionResult(label, witness is None, witness, defect)
-
-
-def _leibniz_conditions(a: ActionData):
-    B, X, f = a.acting, a.kernel, a.field
-    nb, nx = B.dim, X.dim
-    brB, brX = B.bracket_op, X.bracket_op
-    L = [a.l_matrix(p) for p in range(nb)]
-    R = [a.r_matrix(q) for q in range(nb)]
-    unit = X.unit
-
-    def bx(u, v):
-        return X.multiply(brX, u, v)
-
-    def mv(M, v):
-        return linalg.mat_vec(f, M, v)
-
-    bxx = [(x, aa, bb) for x in range(nb) for aa in range(nx) for bb in range(nx)]
-    bba = [(x, y, aa) for x in range(nb) for y in range(nb) for aa in range(nx)]
-
-    def l1(x, aa, bb):
-        lhs = mv(R[x], X.mul_basis(brX, aa, bb))
-        rhs = linalg.vec_add(f, bx(mv(R[x], unit(aa)), unit(bb)), bx(unit(aa), mv(R[x], unit(bb))))
-        return linalg.vec_sub(f, lhs, rhs)
-
-    def l2(x, aa, bb):
-        lhs = mv(L[x], X.mul_basis(brX, aa, bb))
-        rhs = linalg.vec_sub(f, bx(mv(L[x], unit(aa)), unit(bb)), bx(mv(L[x], unit(bb)), unit(aa)))
-        return linalg.vec_sub(f, lhs, rhs)
-
-    def l3(x, aa, bb):
-        s = linalg.vec_add(f, mv(R[x], unit(bb)), mv(L[x], unit(bb)))
-        return bx(unit(aa), s)
-
-    def l4(x, y, aa):
-        Rxy = a.r_of(B.mul_basis(brB, x, y))
-        rhs = linalg.vec_sub(
-            f, mv(R[y], mv(R[x], unit(aa))), mv(R[x], mv(R[y], unit(aa)))
-        )
-        return linalg.vec_sub(f, mv(Rxy, unit(aa)), rhs)
-
-    def l5(x, y, aa):
-        Lxy = a.l_of(B.mul_basis(brB, x, y))
-        rhs = linalg.vec_sub(
-            f, mv(R[y], mv(L[x], unit(aa))), mv(L[x], mv(R[y], unit(aa)))
-        )
-        return linalg.vec_sub(f, mv(Lxy, unit(aa)), rhs)
-
-    def l6(x, y, aa):
-        s = linalg.vec_add(f, mv(L[y], unit(aa)), mv(R[y], unit(aa)))
-        return mv(L[x], s)
-
-    yield "L1", bxx, l1
-    yield "L2", bxx, l2
-    yield "L3", bxx, l3
-    yield "L4", bba, l4
-    yield "L5", bba, l5
-    yield "L6", bba, l6
-
-
-def _associative_conditions(a: ActionData, labels=("A1", "A2", "A3", "A4", "A5", "A6")):
-    B, X, f = a.acting, a.kernel, a.field
-    nb, nx = B.dim, X.dim
-    L = [a.l_matrix(p) for p in range(nb)]
-    R = [a.r_matrix(q) for q in range(nb)]
-    unit = X.unit
-
-    def px(u, v):
-        return X.multiply(0, u, v)
-
-    def mv(M, v):
-        return linalg.mat_vec(f, M, v)
-
-    axy = [(p, x, y) for p in range(nb) for x in range(nx) for y in range(nx)]
-    abx = [(p, q, x) for p in range(nb) for q in range(nb) for x in range(nx)]
-
-    def a1(p, x, y):  # p*(xy) = (p*x)y
-        return linalg.vec_sub(f, mv(L[p], X.mul_basis(0, x, y)), px(mv(L[p], unit(x)), unit(y)))
-
-    def a2(p, x, y):  # (xy)*p = x(y*p)
-        return linalg.vec_sub(f, mv(R[p], X.mul_basis(0, x, y)), px(unit(x), mv(R[p], unit(y))))
-
-    def a3(p, x, y):  # x(p*y) = (x*p)y
-        return linalg.vec_sub(f, px(unit(x), mv(L[p], unit(y))), px(mv(R[p], unit(x)), unit(y)))
-
-    def a4(p, q, x):  # (p*x)*q = p*(x*q)
-        return linalg.vec_sub(f, mv(R[q], mv(L[p], unit(x))), mv(L[p], mv(R[q], unit(x))))
-
-    def a5(p, q, x):  # (pq)*x = p*(q*x)
-        Lpq = a.l_of(B.mul_basis(0, p, q))
-        return linalg.vec_sub(f, mv(Lpq, unit(x)), mv(L[p], mv(L[q], unit(x))))
-
-    def a6(p, q, x):  # x*(pq) = (x*p)*q
-        Rpq = a.r_of(B.mul_basis(0, p, q))
-        return linalg.vec_sub(f, mv(Rpq, unit(x)), mv(R[q], mv(R[p], unit(x))))
-
-    for label, idx, fn in zip(labels, (axy, axy, axy, abx, abx, abx), (a1, a2, a3, a4, a5, a6)):
-        yield label, idx, fn
-
-
-def _poisson_conditions(a: ActionData):
-    B, X, f = a.acting, a.kernel, a.field
-    nb, nx = B.dim, X.dim
-    L = [a.l_matrix(p) for p in range(nb)]
-    R = [a.r_matrix(q) for q in range(nb)]
-    K = [a.k_matrix(p) for p in range(nb)]
-    unit = X.unit
-
-    def px(u, v):
-        return X.multiply(0, u, v)
-
-    def bx(u, v):
-        return X.multiply(1, u, v)
-
-    def mv(M, v):
-        return linalg.mat_vec(f, M, v)
-
-    yield from _associative_conditions(
-        a, labels=("P1.1", "P1.2", "P1.3", "P1.4", "P1.5", "P1.6")
-    )
-
-    pxy = [(p, x, y) for p in range(nb) for x in range(nx) for y in range(nx)]
-    pqx = [(p, q, x) for p in range(nb) for q in range(nb) for x in range(nx)]
-
-    def p21(p, x, y):  # k_p[x,y] = [k_p x, y] + [x, k_p y]
-        lhs = mv(K[p], X.mul_basis(1, x, y))
-        rhs = linalg.vec_add(f, bx(mv(K[p], unit(x)), unit(y)), bx(unit(x), mv(K[p], unit(y))))
-        return linalg.vec_sub(f, lhs, rhs)
-
-    def p22(p, q, x):  # k_{[p,q]} = k_p k_q - k_q k_p
-        Kpq = a.k_of(B.mul_basis(B.bracket_op, p, q))
-        rhs = linalg.vec_sub(f, mv(K[p], mv(K[q], unit(x))), mv(K[q], mv(K[p], unit(x))))
-        return linalg.vec_sub(f, mv(Kpq, unit(x)), rhs)
-
-    def p3(p, q, x):  # k_{pq} = l_p k_q + r-slot: k_{pq}(x) = p*k_q(x) + k_p(x)*q
-        Kpq = a.k_of(B.mul_basis(0, p, q))
-        rhs = linalg.vec_add(f, mv(L[p], mv(K[q], unit(x))), mv(R[q], mv(K[p], unit(x))))
-        return linalg.vec_sub(f, mv(Kpq, unit(x)), rhs)
-
-    def p4(p, q, x):  # [p,q]*x = p*k_q(x) - k_q(p*x)
-        Lpq = a.l_of(B.mul_basis(B.bracket_op, p, q))
-        rhs = linalg.vec_sub(f, mv(L[p], mv(K[q], unit(x))), mv(K[q], mv(L[p], unit(x))))
-        return linalg.vec_sub(f, mv(Lpq, unit(x)), rhs)
-
-    def p5(p, q, x):  # x*[p,q] = k_q(x)*p - k_q(x*p)
-        Rpq = a.r_of(B.mul_basis(B.bracket_op, p, q))
-        rhs = linalg.vec_sub(f, mv(R[p], mv(K[q], unit(x))), mv(K[q], mv(R[p], unit(x))))
-        return linalg.vec_sub(f, mv(Rpq, unit(x)), rhs)
-
-    def p6(p, x, y):  # p*[x,y] = [p*x, y] - k_p(y) . x
-        lhs = mv(L[p], X.mul_basis(1, x, y))
-        rhs = linalg.vec_sub(f, bx(mv(L[p], unit(x)), unit(y)), px(mv(K[p], unit(y)), unit(x)))
-        return linalg.vec_sub(f, lhs, rhs)
-
-    def p7(p, x, y):  # [x,y]*p = [x*p, y] - x . k_p(y)
-        lhs = mv(R[p], X.mul_basis(1, x, y))
-        rhs = linalg.vec_sub(f, bx(mv(R[p], unit(x)), unit(y)), px(unit(x), mv(K[p], unit(y))))
-        return linalg.vec_sub(f, lhs, rhs)
-
-    def p8(p, x, y):  # k_p(x . y) = k_p(x) . y + x . k_p(y)
-        lhs = mv(K[p], X.mul_basis(0, x, y))
-        rhs = linalg.vec_add(f, px(mv(K[p], unit(x)), unit(y)), px(unit(x), mv(K[p], unit(y))))
-        return linalg.vec_sub(f, lhs, rhs)
-
-    yield "P2.1", pxy, p21
-    yield "P2.2", pqx, p22
-    yield "P3", pqx, p3
-    yield "P4", pqx, p4
-    yield "P5", pqx, p5
-    yield "P6", pxy, p6
-    yield "P7", pxy, p7
-    yield "P8", pxy, p8
-
-
 def validate_action(a: ActionData) -> ValidationReport:
     """Evaluate the variety's condition list on all relevant basis tuples.
 
@@ -515,15 +350,16 @@ def validate_action(a: ActionData) -> ValidationReport:
     a, b in X, and for L4-L6 they are (x, y, a); associative/Poisson
     witnesses follow the same pattern for their lists.
     """
-    if a.variety == "leibniz":
-        gens = _leibniz_conditions(a)
-    elif a.variety == "associative":
-        gens = _associative_conditions(a)
-    else:
-        gens = _poisson_conditions(a)
-    results = [
-        _evaluate(label, idx, fn, a.field) for label, idx, fn in gens
-    ]
+    v = _variety(a.variety)
+    B, X = a.acting, a.kernel
+    if B.num_ops < v.num_ops or X.num_ops < v.num_ops:
+        raise ShapeMismatch("operation count of B or X does not match the variety")
+    operators = a.operators()
+    results = []
+    for label, law in v.conditions:
+        hit = laws.condition_defect(B, X, law, operators)
+        witness, defect = hit or (None, None)
+        results.append(ConditionResult(label, hit is None, witness, defect))
     return ValidationReport(a.variety, results)
 
 
@@ -657,11 +493,6 @@ class SplitExtension:
         return problems
 
 
-def _action_ops_variety(variety):
-    # operation count of the algebras participating in each variety
-    return 2 if variety in ("poisson", "cpoisson") else 1
-
-
 def _label_pullback(field, total_labels, matrix):
     """Labels transported along a map whose columns are basis vectors of the
     total algebra; None as soon as any column is not a unit vector."""
@@ -689,7 +520,7 @@ def semidirect_algebra(a: ActionData) -> Algebra:
     B, X, f = a.acting, a.kernel, a.field
     nb, nx = B.dim, X.dim
     n = nb + nx
-    num_ops = _action_ops_variety(a.variety)
+    num_ops = _variety(a.variety).num_ops
     if B.num_ops != num_ops or X.num_ops != num_ops:
         raise ShapeMismatch("operation count of B or X does not match the variety")
     op_entries = []
@@ -759,8 +590,7 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
     images with kernel images inside the total algebra and re-expressing
     the result in kernel coordinates.
     """
-    if variety not in VARIETIES:
-        raise InputError(f"unknown variety {variety!r}")
+    v = _variety(variety)
     f = E.field
     nb, nx = E.base_dim, E.kernel_dim
     ps = linalg.mat_mul(f, E.retraction, E.section)
@@ -770,8 +600,7 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
         raise KernelMismatch("kernel image does not lie in the kernel of the retraction")
     if linalg.mat_rank(f, E.kernel_inj) != nx or nb + nx != E.total.dim:
         raise KernelMismatch("kernel injection does not span the retraction kernel")
-    num_ops = _action_ops_variety(variety)
-    if E.total.num_ops != num_ops:
+    if E.total.num_ops != v.num_ops:
         raise ShapeMismatch("operation count of the total algebra does not match the variety")
     B = E.base_algebra()
     X = E.kernel_algebra()
@@ -786,24 +615,24 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
             raise KernelMismatch(f"{what} does not land in the kernel image")
         return coords
 
-    prod_op = 0
-    br_op = E.total.bracket_op
-    main_op = prod_op if variety in ("associative", "poisson", "cpoisson") else br_op
+    # l and r come from operation 0: the product, or the Leibniz bracket of a
+    # one-operation total algebra
     l = [
-        [kernel_coords(E.total.multiply(main_op, s_cols[p], i_cols[y]), "l value") for y in range(nx)]
+        [kernel_coords(E.total.multiply(0, s_cols[p], i_cols[y]), "l value") for y in range(nx)]
         for p in range(nb)
     ]
     r = [
-        [kernel_coords(E.total.multiply(main_op, i_cols[x], s_cols[q]), "r value") for q in range(nb)]
+        [kernel_coords(E.total.multiply(0, i_cols[x], s_cols[q]), "r value") for q in range(nb)]
         for x in range(nx)
     ]
     bracket = None
-    if variety in ("poisson", "cpoisson"):
+    if "k" in v.operators:
+        br_op = E.total.bracket_op
         bracket = [
             [kernel_coords(E.total.multiply(br_op, s_cols[p], i_cols[y]), "bracket value") for y in range(nx)]
             for p in range(nb)
         ]
-    if variety == "cpoisson":
+    if "r" not in v.operators:
         # r must be the commutative mirror of l; anything else is not a
         # commutative split extension
         for x in range(nx):
@@ -817,21 +646,8 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
 # -- morphisms into the weak actor ---------------------------------------------
 
 
-def _action_tuples(a: ActionData):
-    """The operator tuple of each acting basis element, per the pinned
-    convention table."""
-    f = a.field
-    tuples = []
-    for p in range(a.acting.dim):
-        if a.variety == "leibniz":
-            tuples.append((linalg.mat_neg(f, a.r_matrix(p)), a.l_matrix(p)))
-        elif a.variety == "associative":
-            tuples.append((a.l_matrix(p), a.r_matrix(p)))
-        elif a.variety == "poisson":
-            tuples.append((a.l_matrix(p), a.r_matrix(p), a.k_matrix(p)))
-        else:  # cpoisson
-            tuples.append((a.l_matrix(p), a.k_matrix(p)))
-    return tuples
+def _signed(f, sign, M):
+    return M if sign > 0 else linalg.mat_neg(f, M)
 
 
 @dataclass
@@ -853,8 +669,12 @@ def action_to_morphism(a: ActionData, space: Optional[OperatorSpace] = None) -> 
     actor basis, with the homomorphism property verified and reported."""
     if space is None:
         space = weak_actor(a.kernel, a.variety)
+    slots = [laws.signed_slot(s) for s in _variety(a.variety).slots]
+    operators = a.operators()
     cols = []
-    for p, tup in enumerate(_action_tuples(a)):
+    for p in range(a.acting.dim):
+        # the operator tuple of e_p, per the variety's slots
+        tup = tuple(_signed(a.field, sign, operators[name][p]) for sign, name in slots)
         coords = space.coords(tup)
         if coords is None:
             raise TupleNotInSpace(
@@ -890,39 +710,24 @@ def morphism_to_action(
     X: Algebra,
     variety: str,
     space: Optional[OperatorSpace] = None,
-    _skip_hom_check: bool = False,
 ) -> ActionData:
     """Unpack a morphism into action tensors (inverse of
     :func:`action_to_morphism` on its image)."""
+    v = _variety(variety)
     if space is None:
         space = weak_actor(X, variety)
-    if not _skip_hom_check:
-        _require_hom(matrix, B, space)
-    f = B.field
-    nb, nx = B.dim, X.dim
-    tuples = _morphism_tuples(matrix, B, space)
-    l = [[None] * nx for _ in range(nb)]
-    r = [[None] * nb for _ in range(nx)] if variety != "cpoisson" else None
-    bracket = [[None] * nx for _ in range(nb)] if variety in ("poisson", "cpoisson") else None
-    for p, tup in enumerate(tuples):
-        if variety == "leibniz":
-            Rm, Lm = linalg.mat_neg(f, tup[0]), tup[1]
-        elif variety == "associative":
-            Lm, Rm = tup[0], tup[1]
-        elif variety == "poisson":
-            Lm, Rm, Km = tup[0], tup[1], tup[2]
-        else:
-            Lm, Km = tup[0], tup[1]
-            Rm = None
-        for y in range(nx):
-            l[p][y] = linalg.mat_col(Lm, y)
-        if r is not None:
-            for x in range(nx):
-                r[x][p] = linalg.mat_col(Rm, x)
-        if bracket is not None:
-            for y in range(nx):
-                bracket[p][y] = linalg.mat_col(Km, y)
-    return ActionData(variety, B, X, l, r, bracket)
+    _require_hom(matrix, B, space)
+    f, nx = B.field, X.dim
+    mats = {name: [] for name in v.operators}  # operator name -> one matrix per p
+    for tup in _morphism_tuples(matrix, B, space):
+        for slot, M in zip(v.slots, tup):
+            sign, name = laws.signed_slot(slot)
+            mats[name].append(_signed(f, sign, M))
+    # l[p][y] is column y of l_p, r[x][q] column x of r_q
+    l = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["l"]]
+    r = [[linalg.mat_col(M, x) for M in mats["r"]] for x in range(nx)] if "r" in mats else None
+    k = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["k"]] if "k" in mats else None
+    return ActionData(variety, B, X, l, r, k)
 
 
 @dataclass
@@ -1009,15 +814,6 @@ def is_acting_morphism(
 # -- exhaustive enumeration (small prime fields) -------------------------------
 
 
-def _entry_slots(variety, nb, nx):
-    slots = nb * nx * nx  # l
-    if variety != "cpoisson":
-        slots += nx * nb * nx  # r
-    if variety in ("poisson", "cpoisson"):
-        slots += nb * nx * nx  # bracket action
-    return slots
-
-
 def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
     """All valid actions of B on X, by exhausting every tensor assignment
     over the prime field and validating each; output is sorted canonically
@@ -1026,41 +822,25 @@ def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAUL
     if not isinstance(f, PrimeField):
         raise InputError("exhaustive enumeration needs a prime field")
     nb, nx = B.dim, X.dim
-    slots = _entry_slots(variety, nb, nx)
+    names = [name for name in ("l", "r", "k") if name in _variety(variety).operators]
+    slots = len(names) * nb * nx * nx
     needed = f.p ** slots
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    nl = nb * nx * nx
-    nr = 0 if variety == "cpoisson" else nx * nb * nx
+    # the assignment holds l[p][y], then r[x][q], then k[p][y], row-major
+    shapes = [(nx, nb) if name == "r" else (nb, nx) for name in names]
     found = []
     for assignment in iproduct(range(f.p), repeat=slots):
-        l = r = bracket = None
-        if nl:
-            l = [
-                [
-                    [assignment[(p * nx + y) * nx + k] for k in range(nx)]
-                    for y in range(nx)
-                ]
-                for p in range(nb)
+        tensors = {}
+        off = 0
+        for name, (rows, cols) in zip(names, shapes):
+            tensors[name] = [
+                [list(assignment[off + (i * cols + j) * nx : off + (i * cols + j + 1) * nx])
+                 for j in range(cols)]
+                for i in range(rows)
             ]
-        if nr:
-            r = [
-                [
-                    [assignment[nl + (x * nb + q) * nx + k] for k in range(nx)]
-                    for q in range(nb)
-                ]
-                for x in range(nx)
-            ]
-        if variety in ("poisson", "cpoisson"):
-            off = nl + nr
-            bracket = [
-                [
-                    [assignment[off + (p * nx + y) * nx + k] for k in range(nx)]
-                    for y in range(nx)
-                ]
-                for p in range(nb)
-            ]
-        a = ActionData(variety, B, X, l, r, bracket)
+            off += rows * cols * nx
+        a = ActionData(variety, B, X, tensors["l"], tensors.get("r"), tensors.get("k"))
         if validate_action(a).passed:
             found.append(a)
     found.sort(key=lambda act: act.canonical_key())

@@ -119,10 +119,6 @@ class Algebra:
         return len(self.ops)
 
     @property
-    def product_op(self) -> int:
-        return 0
-
-    @property
     def bracket_op(self) -> int:
         """Index of the bracket: op 1 when two operations, op 0 otherwise."""
         return 1 if len(self.ops) == 2 else 0
@@ -173,26 +169,6 @@ class Algebra:
         n, value = self.dim, self.ops[op_index].value
         return [[value(i, a)[m] for i in range(n)] for m in range(n)]
 
-    def left_matrix(self, op_index: int, u):
-        f, n = self.field, self.dim
-        out = linalg.mat_zero(f, n, n)
-        for a, ua in enumerate(u):
-            if f.is_zero(ua):
-                continue
-            La = self.left_matrix_basis(op_index, a)
-            out = linalg.mat_add(f, out, [[f.mul(ua, x) for x in row] for row in La])
-        return out
-
-    def right_matrix(self, op_index: int, u):
-        f, n = self.field, self.dim
-        out = linalg.mat_zero(f, n, n)
-        for a, ua in enumerate(u):
-            if f.is_zero(ua):
-                continue
-            Ra = self.right_matrix_basis(op_index, a)
-            out = linalg.mat_add(f, out, [[f.mul(ua, x) for x in row] for row in Ra])
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -222,14 +198,23 @@ class Algebra:
             raw_ops = data["ops"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed algebra description: {exc}") from exc
+        labels = data.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise InputError("algebra labels must be a list of strings")
         ops = []
-        for pos, op in enumerate(raw_ops):
-            entries = [
-                ((int(i), int(j), int(k)), field.of(c)) for i, j, k, c in op.get("entries", [])
-            ]
-            name = op.get("name") or ("bracket" if pos == 1 else "mul")
-            ops.append(BilinearOp(field, dim, entries, name))
-        return cls(field, dim, ops, data.get("labels"))
+        try:
+            for pos, op in enumerate(raw_ops):
+                entries = [
+                    ((int(i), int(j), int(k)), field.of(c))
+                    for i, j, k, c in op.get("entries", [])
+                ]
+                name = op.get("name") or ("bracket" if pos == 1 else "mul")
+                ops.append(BilinearOp(field, dim, entries, name))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed algebra operation: {exc}") from exc
+        return cls(field, dim, ops, labels)
 
     def canonical_key(self):
         f = self.field
@@ -288,11 +273,11 @@ def multiply(A: Algebra, op_index: int, x, y):
     return A.multiply(op_index, x, y)
 
 
-def _first_defect(A, tuples, defect_fn):
-    f = A.field
+def first_defect(field, tuples, defect_fn):
+    """The first (tuple, defect) with a nonzero defect, or None."""
     for idx in tuples:
         d = defect_fn(*idx)
-        if not linalg.vec_is_zero(f, d):
+        if not linalg.vec_is_zero(field, d):
             return idx, d
     return None
 
@@ -318,18 +303,18 @@ def _check_simple(A, tag):
     f, n = A.field, A.dim
     br = A.bracket_op
     if tag == "associative":
-        hit = _first_defect(A, _triples(n), _assoc_defect(A, 0))
+        hit = first_defect(f, _triples(n), _assoc_defect(A, 0))
     elif tag == "commutative":
-        hit = _first_defect(
-            A,
+        hit = first_defect(
+            f,
             _pairs(n),
             lambda i, j: linalg.vec_sub(f, A.mul_basis(0, i, j), A.mul_basis(0, j, i)),
         )
     elif tag == "anticommutative":
         # includes the diagonal: [e_i, e_i] + [e_i, e_i] = 2 [e_i, e_i],
         # nonzero iff [e_i, e_i] is (char != 2)
-        hit = _first_defect(
-            A,
+        hit = first_defect(
+            f,
             _pairs(n),
             lambda i, j: linalg.vec_add(f, A.mul_basis(br, i, j), A.mul_basis(br, j, i)),
         )
@@ -341,7 +326,7 @@ def _check_simple(A, tag):
             t2 = A.multiply(br, A.unit(i), A.mul_basis(br, j, k))
             return linalg.vec_sub(f, lhs, linalg.vec_add(f, t1, t2))
 
-        hit = _first_defect(A, _triples(n), defect)
+        hit = first_defect(f, _triples(n), defect)
     elif tag == "jacobi":
 
         def defect(i, j, k):
@@ -350,7 +335,7 @@ def _check_simple(A, tag):
             t3 = A.multiply(br, A.mul_basis(br, k, i), A.unit(j))
             return linalg.vec_add(f, t1, linalg.vec_add(f, t2, t3))
 
-        hit = _first_defect(A, _triples(n), defect)
+        hit = first_defect(f, _triples(n), defect)
     else:  # pragma: no cover - guarded by dispatch table
         raise InputError(f"unknown identity tag {tag!r}")
     if hit is None:
@@ -368,7 +353,7 @@ def _check_poisson_compat(A):
         t2 = A.multiply(0, A.unit(j), A.mul_basis(1, i, k))
         return linalg.vec_sub(f, lhs, linalg.vec_add(f, t1, t2))
 
-    hit = _first_defect(A, _triples(n), defect)
+    hit = first_defect(f, _triples(n), defect)
     if hit is None:
         return IdentityReport("poisson", True)
     return IdentityReport("poisson", False, failed_part="poisson_compat", witness=hit[0], defect=hit[1])

@@ -171,8 +171,11 @@ class MorphismData:
     images: list  # one tuple of matrices per acting basis element
 
     def matrix(self, space):
+        n, width = self.kernel.dim, len(space.components)
         cols = []
         for p, tup in enumerate(self.images):
+            if len(tup) != width or any(len(M) != n or any(len(row) != n for row in M) for M in tup):
+                raise InputError(f"image of basis element {p} is not {width} {n}x{n} matrices")
             coords = space.coords(tup)
             if coords is None:
                 raise InputError(f"image of basis element {p} escapes the actor space")

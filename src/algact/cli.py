@@ -17,6 +17,7 @@ from .algebra import Algebra, IDENTITY_TAGS, check_identity
 from .actions import (
     ActionData,
     DEFAULT_BUDGET,
+    VARIETIES,
     SplitExtension,
     enumerate_actions,
     extract_action,
@@ -214,12 +215,15 @@ def _cmd_enumerate(args, out) -> int:
         variety = data["variety"]
         acting = Algebra.from_json_dict(data["acting"])
         kernel = Algebra.from_json_dict(data["kernel"])
-    except KeyError as exc:
-        raise InputError(f"pair file missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed pair file: {exc}") from exc
     budget = args.budget
     if budget is None:
         env = os.environ.get("ALGACT_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise InputError(f"ALGACT_BUDGET must be an integer, got {env!r}") from None
     found = enumerate_actions(acting, kernel, variety, budget=budget)
     if args.json:
         out.write(
@@ -272,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ae = action_sub.add_parser("extract")
     p_ae.add_argument("file")
-    p_ae.add_argument("--variety", required=True,
-                      choices=("associative", "leibniz", "poisson", "cpoisson"))
+    p_ae.add_argument("--variety", required=True, choices=VARIETIES)
     p_ae.add_argument("-o", "--output")
     p_ae.add_argument("--json", action="store_true")
     p_ae.set_defaults(fn=_cmd_action_extract)

@@ -101,7 +101,9 @@ class Field:
         if data == "Q":
             return Q
         if isinstance(data, dict) and set(data) == {"p"}:
-            return GF(int(data["p"]))
+            p = data["p"]
+            if isinstance(p, int) and not isinstance(p, bool):
+                return GF(p)
         raise InputError(f"unrecognized field description: {data!r}")
 
 
@@ -214,9 +216,6 @@ class PrimeField(Field):
                 raise DivisionByZero(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * self.inv(x.denominator % self.p) % self.p
         raise FieldMismatch(f"{x!r} is not an F_{self.p} scalar")
-
-    def elements(self):
-        return range(self.p)
 
     def to_str(self, a) -> str:
         return str(a)

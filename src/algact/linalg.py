@@ -32,10 +32,6 @@ def vec_neg(field: Field, v) -> list:
     return [field.neg(a) for a in v]
 
 
-def vec_scale(field: Field, c, v) -> list:
-    return [field.mul(c, a) for a in v]
-
-
 def vec_eq(field: Field, u, v) -> bool:
     return len(u) == len(v) and all(field.eq(a, b) for a, b in zip(u, v))
 

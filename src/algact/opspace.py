@@ -1,7 +1,9 @@
 """Operator spaces cut out by linear identities, with their induced operations.
 
 Each space is the exact nullspace of a homogeneous linear system over the
-unknown entries of a tuple of n x n matrices:
+unknown entries of a tuple of n x n matrices.  The defining laws are the
+templates of :mod:`algact.laws`; each kind lists which of them its
+components satisfy:
 
 * ``derivations``        d:            d[x,y] = [dx,y] + [x,dy]
 * ``antiderivations``    D:            D[x,y] = [Dx,y] - [Dy,x]
@@ -16,9 +18,12 @@ unknown entries of a tuple of n x n matrices:
 * ``usga-cpoisson``      (f,d):        f a multiplier, d a derivation of both
                                        operations, f[x,y] = [fx,y] - d(y)x
 
-Every identity above is bilinear in the two algebra arguments, so imposing
-it on all basis pairs is equivalent to imposing it everywhere; that is the
-soundness argument for assembling the systems from basis pairs only.
+One record per kind (``_KINDS``) holds the components, the check on the base
+algebra, the laws, the induced operations and the inner tuples.  The same
+laws give the rows of the system (:func:`algact.laws.law_rows`) and the
+self-check (:func:`defining_defects`), which evaluates them directly on every
+computed basis tuple.  Every law is bilinear in the two algebra arguments,
+so imposing it on all basis pairs is equivalent to imposing it everywhere.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple), each induced operation is stored as a structure-constant
@@ -29,9 +34,10 @@ re-verified on the computed basis during construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Optional
 
-from . import linalg
+from . import laws, linalg
 from .algebra import Algebra, check_identity, is_homomorphism
 from .errors import (
     ClosureError,
@@ -44,6 +50,7 @@ from .errors import (
     OpArityMismatch,
 )
 from .fields import Field
+from .laws import BRACKET, PRODUCT
 
 __all__ = [
     "LinearSystem",
@@ -66,26 +73,6 @@ __all__ = [
     "cpoisson_diagonal_report",
     "DiagonalReport",
 ]
-
-SPACE_KINDS = (
-    "derivations",
-    "antiderivations",
-    "biderivations",
-    "bimultipliers",
-    "multipliers",
-    "usga-poisson",
-    "usga-cpoisson",
-)
-
-_COMPONENTS = {
-    "derivations": ("d",),
-    "antiderivations": ("D",),
-    "biderivations": ("d", "D"),
-    "bimultipliers": ("f", "F"),
-    "multipliers": ("f",),
-    "usga-poisson": ("f", "F", "d"),
-    "usga-cpoisson": ("f", "d"),
-}
 
 
 @dataclass
@@ -117,169 +104,6 @@ def nullspace(system: LinearSystem):
         system.field, system.dense_rows(), system.unknowns
     )
     return basis
-
-
-# -- sparse linear forms over the unknown matrix entries ---------------------
-#
-# A "form vector" is a length-n list of {unknown-index: coefficient} dicts,
-# one linear form per output coordinate.  Unknown matrix number b occupies
-# the index block [b*n*n, (b+1)*n*n) in row-major order.
-
-
-def _u_apply(field, block, n, vec):
-    """Forms of (unknown matrix #block) applied to a known vector."""
-    off = block * n * n
-    out = []
-    for m in range(n):
-        form = {}
-        for j, c in enumerate(vec):
-            if not field.is_zero(c):
-                form[off + m * n + j] = c
-        out.append(form)
-    return out
-
-
-def _k_apply(field, K, fv):
-    """Forms of a known matrix applied to a form vector."""
-    out = []
-    for m in range(len(K)):
-        acc: dict = {}
-        row = K[m]
-        for j, form in enumerate(fv):
-            c = row[j]
-            if field.is_zero(c):
-                continue
-            for idx, s in form.items():
-                v = field.add(acc.get(idx, field.zero), field.mul(c, s))
-                if field.is_zero(v):
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = v
-        out.append(acc)
-    return out
-
-
-def _fv_combine(field, fvs, signs):
-    out = []
-    for parts in zip(*fvs):
-        acc: dict = {}
-        for form, sign in zip(parts, signs):
-            for idx, s in form.items():
-                s = s if sign > 0 else field.neg(s)
-                v = field.add(acc.get(idx, field.zero), s)
-                if field.is_zero(v):
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = v
-        out.append(acc)
-    return out
-
-
-def _emit(system, fv):
-    for form in fv:
-        system.add_form(form)
-
-
-def _derivation_rows(system, A, op, block):
-    """d(e_i . e_j) - d(e_i) . e_j - e_i . d(e_j) = 0 over all basis pairs."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        Li = A.left_matrix_basis(op, i)
-        d_ei = _u_apply(f, block, n, A.unit(i))
-        for j in range(n):
-            Rj = A.right_matrix_basis(op, j)
-            t1 = _u_apply(f, block, n, A.mul_basis(op, i, j))
-            t2 = _k_apply(f, Rj, d_ei)
-            t3 = _k_apply(f, Li, _u_apply(f, block, n, A.unit(j)))
-            _emit(system, _fv_combine(f, (t1, t2, t3), (1, -1, -1)))
-
-
-def _antiderivation_rows(system, A, op, block):
-    """D(e_i . e_j) - D(e_i) . e_j + D(e_j) . e_i = 0 over all basis pairs."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        Ri = A.right_matrix_basis(op, i)
-        D_ei = _u_apply(f, block, n, A.unit(i))
-        for j in range(n):
-            Rj = A.right_matrix_basis(op, j)
-            t1 = _u_apply(f, block, n, A.mul_basis(op, i, j))
-            t2 = _k_apply(f, Rj, D_ei)
-            t3 = _k_apply(f, Ri, _u_apply(f, block, n, A.unit(j)))
-            _emit(system, _fv_combine(f, (t1, t2, t3), (1, -1, 1)))
-
-
-def _bider_compat_rows(system, A, op, block_d, block_D):
-    """e_i . (d(e_j) - D(e_j)) = 0 over all basis pairs."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        Li = A.left_matrix_basis(op, i)
-        for j in range(n):
-            diff = _fv_combine(
-                f,
-                (_u_apply(f, block_d, n, A.unit(j)), _u_apply(f, block_D, n, A.unit(j))),
-                (1, -1),
-            )
-            _emit(system, _k_apply(f, Li, diff))
-
-
-def _left_multiplier_rows(system, A, op, block):
-    """f(e_i . e_j) - f(e_i) . e_j = 0."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        f_ei = _u_apply(f, block, n, A.unit(i))
-        for j in range(n):
-            t1 = _u_apply(f, block, n, A.mul_basis(op, i, j))
-            t2 = _k_apply(f, A.right_matrix_basis(op, j), f_ei)
-            _emit(system, _fv_combine(f, (t1, t2), (1, -1)))
-
-
-def _right_multiplier_rows(system, A, op, block):
-    """F(e_i . e_j) - e_i . F(e_j) = 0."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        Li = A.left_matrix_basis(op, i)
-        for j in range(n):
-            t1 = _u_apply(f, block, n, A.mul_basis(op, i, j))
-            t2 = _k_apply(f, Li, _u_apply(f, block, n, A.unit(j)))
-            _emit(system, _fv_combine(f, (t1, t2), (1, -1)))
-
-
-def _bim_mixed_rows(system, A, op, block_f, block_F):
-    """e_i . f(e_j) - F(e_i) . e_j = 0."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        Li = A.left_matrix_basis(op, i)
-        F_ei = _u_apply(f, block_F, n, A.unit(i))
-        for j in range(n):
-            t1 = _k_apply(f, Li, _u_apply(f, block_f, n, A.unit(j)))
-            t2 = _k_apply(f, A.right_matrix_basis(op, j), F_ei)
-            _emit(system, _fv_combine(f, (t1, t2), (1, -1)))
-
-
-def _v1_rows(system, A, br, prod, block_f, block_d):
-    """f([e_i,e_j]) - [f(e_i),e_j] + d(e_j).e_i = 0."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        f_ei = _u_apply(f, block_f, n, A.unit(i))
-        Rp_i = A.right_matrix_basis(prod, i)
-        for j in range(n):
-            t1 = _u_apply(f, block_f, n, A.mul_basis(br, i, j))
-            t2 = _k_apply(f, A.right_matrix_basis(br, j), f_ei)
-            t3 = _k_apply(f, Rp_i, _u_apply(f, block_d, n, A.unit(j)))
-            _emit(system, _fv_combine(f, (t1, t2, t3), (1, -1, 1)))
-
-
-def _v2_rows(system, A, br, prod, block_F, block_d):
-    """F([e_i,e_j]) - [F(e_i),e_j] + e_i.d(e_j) = 0."""
-    f, n = A.field, A.dim
-    for i in range(n):
-        F_ei = _u_apply(f, block_F, n, A.unit(i))
-        Lp_i = A.left_matrix_basis(prod, i)
-        for j in range(n):
-            t1 = _u_apply(f, block_F, n, A.mul_basis(br, i, j))
-            t2 = _k_apply(f, A.right_matrix_basis(br, j), F_ei)
-            t3 = _k_apply(f, Lp_i, _u_apply(f, block_d, n, A.unit(j)))
-            _emit(system, _fv_combine(f, (t1, t2, t3), (1, -1, 1)))
 
 
 # -- operator space ----------------------------------------------------------
@@ -375,14 +199,173 @@ class OperatorSpace:
             data["ops"] = self.as_algebra().to_json_dict()["ops"]
         return data
 
+# -- space kinds ---------------------------------------------------------------
 
-def _require_associative(A: Algebra, op: int):
-    rep = check_identity(A, "associative") if op == 0 else None
-    if rep is not None and not rep.holds:
+
+def _require_associative(A: Algebra):
+    rep = check_identity(A, "associative")
+    if not rep.holds:
         raise NotAssociative(f"base product is not associative: witness {rep.witness}")
 
 
-def _tensor_of(space_field, fn, tuples, flatten, coords):
+def _require_commutative(A: Algebra):
+    _require_associative(A)
+    if not check_identity(A, "commutative").holds:
+        raise NotCommutative("multipliers need a commutative base product")
+
+
+def _require_poisson(A: Algebra):
+    if A.num_ops != 2:
+        raise OpArityMismatch("a Poisson algebra carries two operations")
+    rep = check_identity(A, "poisson")
+    if not rep.holds:
+        raise NotPoisson(f"base fails {rep.failed_part} at {rep.witness}")
+
+
+def _require_cpoisson(A: Algebra):
+    if A.num_ops != 2:
+        raise OpArityMismatch("a Poisson algebra carries two operations")
+    if not check_identity(A, "poisson").holds or not check_identity(A, "commutative").holds:
+        raise NotCommutativePoisson("base must be a commutative Poisson algebra")
+
+
+def _mm(f, a, b):
+    return linalg.mat_mul(f, a, b)
+
+
+def _comm(f, a, b):
+    return linalg.mat_sub(f, linalg.mat_mul(f, a, b), linalg.mat_mul(f, b, a))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """An operator space kind.
+
+    ``laws`` lists (label, law) in the order of the rows and of the
+    self-check; ``ops`` lists (name, fn(field, t, u)) for the induced
+    operations; ``inner(A, a)`` is the tuple of the basis element e_a.
+    """
+
+    components: tuple
+    laws: tuple
+    ops: tuple = ()
+    precondition: Callable = lambda A: None
+    inner: Optional[Callable] = None
+
+
+_BIMULTIPLIER_LAWS = (
+    ("left", laws.left_multiplier("f")),
+    ("right", laws.right_multiplier("F")),
+    ("mixed", laws.mixed("f", "F")),
+)
+
+_KINDS = {
+    "derivations": _Kind(
+        ("d",),
+        (("derivation", laws.derivation("d", BRACKET)),),
+        ops=(("bracket", lambda f, t, u: (_comm(f, t[0], u[0]),)),),
+    ),
+    "antiderivations": _Kind(
+        ("D",),
+        (("antiderivation", laws.antiderivation("D", BRACKET)),),
+    ),
+    "biderivations": _Kind(
+        ("d", "D"),
+        (
+            ("derivation", laws.derivation("d", BRACKET)),
+            ("antiderivation", laws.antiderivation("D", BRACKET)),
+            ("compatibility", laws.compatibility("d", "D")),
+        ),
+        # [(d,D),(d',D')] = (d d' - d' d, D d' - d' D)
+        ops=(("bracket", lambda f, t, u: (_comm(f, t[0], u[0]), _comm(f, t[1], u[0]))),),
+        inner=lambda A, a: (
+            linalg.mat_neg(A.field, A.right_matrix_basis(A.bracket_op, a)),
+            A.left_matrix_basis(A.bracket_op, a),
+        ),
+    ),
+    "bimultipliers": _Kind(
+        ("f", "F"),
+        _BIMULTIPLIER_LAWS,
+        # (f,F)(f',F') = (f f', F' F): the second slot composes oppositely
+        ops=(("mul", lambda f, t, u: (_mm(f, t[0], u[0]), _mm(f, u[1], t[1]))),),
+        precondition=_require_associative,
+        inner=lambda A, a: (A.left_matrix_basis(0, a), A.right_matrix_basis(0, a)),
+    ),
+    "multipliers": _Kind(
+        ("f",),
+        (("multiplier", laws.left_multiplier("f")),),
+        ops=(("mul", lambda f, t, u: (_mm(f, t[0], u[0]),)),),
+        precondition=_require_commutative,
+        inner=lambda A, a: (A.left_matrix_basis(0, a),),
+    ),
+    "usga-poisson": _Kind(
+        ("f", "F", "d"),
+        tuple(("bim." + label, law) for label, law in _BIMULTIPLIER_LAWS)
+        + (
+            ("lie_derivation", laws.derivation("d", BRACKET)),
+            ("V3", laws.derivation("d", PRODUCT)),
+            ("V1", laws.v1("f", "d")),
+            ("V2", laws.v2("F", "d")),
+        ),
+        ops=(
+            (
+                "mul",
+                lambda f, t, u: (
+                    _mm(f, t[0], u[0]),
+                    _mm(f, u[1], t[1]),
+                    linalg.mat_add(f, _mm(f, t[0], u[2]), _mm(f, u[1], t[2])),
+                ),
+            ),
+            (
+                "bracket",
+                lambda f, t, u: (
+                    _comm(f, t[0], u[2]),
+                    _comm(f, t[1], u[2]),
+                    _comm(f, t[2], u[2]),
+                ),
+            ),
+        ),
+        precondition=_require_poisson,
+        inner=lambda A, a: (
+            A.left_matrix_basis(0, a),
+            A.right_matrix_basis(0, a),
+            A.left_matrix_basis(1, a),
+        ),
+    ),
+    "usga-cpoisson": _Kind(
+        ("f", "d"),
+        (
+            ("multiplier", laws.left_multiplier("f")),
+            ("lie_derivation", laws.derivation("d", BRACKET)),
+            ("V2", laws.derivation("d", PRODUCT)),
+            ("V1", laws.v1("f", "d")),
+        ),
+        ops=(
+            (
+                "mul",
+                lambda f, t, u: (
+                    _mm(f, t[0], u[0]),
+                    linalg.mat_add(f, _mm(f, t[0], u[1]), _mm(f, u[0], t[1])),
+                ),
+            ),
+            ("bracket", lambda f, t, u: (_comm(f, t[0], u[1]), _comm(f, t[1], u[1]))),
+        ),
+        precondition=_require_cpoisson,
+        inner=lambda A, a: (A.left_matrix_basis(0, a), A.left_matrix_basis(1, a)),
+    ),
+}
+
+SPACE_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise InputError(f"unknown operator space kind {kind!r}") from None
+
+
+def _tensor_of(space_field, fn, tuples, coords):
     tensor = {}
     for a, ta in enumerate(tuples):
         for b, tb in enumerate(tuples):
@@ -397,218 +380,35 @@ def _tensor_of(space_field, fn, tuples, flatten, coords):
     return tensor
 
 
-def _comm(f, a, b):
-    return linalg.mat_sub(f, linalg.mat_mul(f, a, b), linalg.mat_mul(f, b, a))
-
-
-def _space_ops(kind: str, f: Field):
-    mm = lambda a, b: linalg.mat_mul(f, a, b)
-    add = lambda a, b: linalg.mat_add(f, a, b)
-    if kind == "derivations":
-        return [("bracket", lambda t, u: (_comm(f, t[0], u[0]),))]
-    if kind == "antiderivations":
-        return []
-    if kind == "biderivations":
-        # [(d,D),(d',D')] = (d d' - d' d, D d' - d' D)
-        return [
-            (
-                "bracket",
-                lambda t, u: (
-                    _comm(f, t[0], u[0]),
-                    linalg.mat_sub(f, mm(t[1], u[0]), mm(u[0], t[1])),
-                ),
-            )
-        ]
-    if kind == "bimultipliers":
-        # (f,F)(f',F') = (f f', F' F): the second slot composes oppositely
-        return [("mul", lambda t, u: (mm(t[0], u[0]), mm(u[1], t[1])))]
-    if kind == "multipliers":
-        return [("mul", lambda t, u: (mm(t[0], u[0]),))]
-    if kind == "usga-poisson":
-        return [
-            (
-                "mul",
-                lambda t, u: (
-                    mm(t[0], u[0]),
-                    mm(u[1], t[1]),
-                    add(mm(t[0], u[2]), mm(u[1], t[2])),
-                ),
-            ),
-            (
-                "bracket",
-                lambda t, u: (
-                    linalg.mat_sub(f, mm(t[0], u[2]), mm(u[2], t[0])),
-                    linalg.mat_sub(f, mm(t[1], u[2]), mm(u[2], t[1])),
-                    _comm(f, t[2], u[2]),
-                ),
-            ),
-        ]
-    if kind == "usga-cpoisson":
-        return [
-            (
-                "mul",
-                lambda t, u: (
-                    mm(t[0], u[0]),
-                    add(mm(t[0], u[1]), mm(u[0], t[1])),
-                ),
-            ),
-            (
-                "bracket",
-                lambda t, u: (
-                    linalg.mat_sub(f, mm(t[0], u[1]), mm(u[1], t[0])),
-                    _comm(f, t[1], u[1]),
-                ),
-            ),
-        ]
-    raise InputError(f"unknown operator space kind {kind!r}")
-
-
 def defining_defects(kind: str, A: Algebra, tup):
-    """Direct evaluation of the defining identities of ``kind`` on a raw
-    matrix tuple, independent of the assembled linear system.
+    """Direct evaluation of the defining laws of ``kind`` on a raw matrix
+    tuple, independent of the assembled linear system.
 
     Yields (label, (i, j), defect vector) for every violated instance; used
     as the post-construction self-check and by membership diagnostics.
     """
+    spec = _kind(kind)
+    operators = dict(zip(spec.components, tup))
+    for label, law in spec.laws:
+        for pair, defect in laws.law_defects(A, law, operators):
+            yield label, pair, defect
+
+
+def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
+    """The operator space of ``kind`` on ``A``, built from its laws."""
+    spec = _kind(kind)
+    spec.precondition(A)
     f, n = A.field, A.dim
-    br = A.bracket_op
-    prod = 0
-
-    def apply(M, v):
-        return linalg.mat_vec(f, M, v)
-
-    def pairs():
-        return ((i, j) for i in range(n) for j in range(n))
-
-    def der(label, M, op):
-        for i, j in pairs():
-            lhs = apply(M, A.mul_basis(op, i, j))
-            rhs = linalg.vec_add(
-                f,
-                A.multiply(op, apply(M, A.unit(i)), A.unit(j)),
-                A.multiply(op, A.unit(i), apply(M, A.unit(j))),
-            )
-            d = linalg.vec_sub(f, lhs, rhs)
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def antider(label, M, op):
-        for i, j in pairs():
-            lhs = apply(M, A.mul_basis(op, i, j))
-            rhs = linalg.vec_sub(
-                f,
-                A.multiply(op, apply(M, A.unit(i)), A.unit(j)),
-                A.multiply(op, apply(M, A.unit(j)), A.unit(i)),
-            )
-            d = linalg.vec_sub(f, lhs, rhs)
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def lmul(label, M, op):
-        for i, j in pairs():
-            d = linalg.vec_sub(
-                f,
-                apply(M, A.mul_basis(op, i, j)),
-                A.multiply(op, apply(M, A.unit(i)), A.unit(j)),
-            )
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def rmul(label, M, op):
-        for i, j in pairs():
-            d = linalg.vec_sub(
-                f,
-                apply(M, A.mul_basis(op, i, j)),
-                A.multiply(op, A.unit(i), apply(M, A.unit(j))),
-            )
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def mixed(label, Mf, MF, op):
-        for i, j in pairs():
-            d = linalg.vec_sub(
-                f,
-                A.multiply(op, A.unit(i), apply(Mf, A.unit(j))),
-                A.multiply(op, apply(MF, A.unit(i)), A.unit(j)),
-            )
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def v1(label, Mf, Md):
-        for i, j in pairs():
-            lhs = apply(Mf, A.mul_basis(br, i, j))
-            rhs = linalg.vec_sub(
-                f,
-                A.multiply(br, apply(Mf, A.unit(i)), A.unit(j)),
-                A.multiply(prod, apply(Md, A.unit(j)), A.unit(i)),
-            )
-            d = linalg.vec_sub(f, lhs, rhs)
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def v2(label, MF, Md):
-        for i, j in pairs():
-            lhs = apply(MF, A.mul_basis(br, i, j))
-            rhs = linalg.vec_sub(
-                f,
-                A.multiply(br, apply(MF, A.unit(i)), A.unit(j)),
-                A.multiply(prod, A.unit(i), apply(Md, A.unit(j))),
-            )
-            d = linalg.vec_sub(f, lhs, rhs)
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    def compat(label, Md, MD):
-        for i, j in pairs():
-            d = linalg.vec_sub(
-                f,
-                A.multiply(br, A.unit(i), apply(Md, A.unit(j))),
-                A.multiply(br, A.unit(i), apply(MD, A.unit(j))),
-            )
-            if not linalg.vec_is_zero(f, d):
-                yield label, (i, j), d
-
-    if kind == "derivations":
-        yield from der("derivation", tup[0], br)
-    elif kind == "antiderivations":
-        yield from antider("antiderivation", tup[0], br)
-    elif kind == "biderivations":
-        yield from der("derivation", tup[0], br)
-        yield from antider("antiderivation", tup[1], br)
-        yield from compat("compatibility", tup[0], tup[1])
-    elif kind == "bimultipliers":
-        yield from lmul("left", tup[0], prod)
-        yield from rmul("right", tup[1], prod)
-        yield from mixed("mixed", tup[0], tup[1], prod)
-    elif kind == "multipliers":
-        yield from lmul("multiplier", tup[0], prod)
-    elif kind == "usga-poisson":
-        yield from lmul("bim.left", tup[0], prod)
-        yield from rmul("bim.right", tup[1], prod)
-        yield from mixed("bim.mixed", tup[0], tup[1], prod)
-        yield from der("lie_derivation", tup[2], br)
-        yield from der("V3", tup[2], prod)
-        yield from v1("V1", tup[0], tup[2])
-        yield from v2("V2", tup[1], tup[2])
-    elif kind == "usga-cpoisson":
-        yield from lmul("multiplier", tup[0], prod)
-        yield from der("lie_derivation", tup[1], br)
-        yield from der("V2", tup[1], prod)
-        yield from v1("V1", tup[0], tup[1])
-    else:
-        raise InputError(f"unknown operator space kind {kind!r}")
-
-
-def _build_space(A: Algebra, kind: str, fill_rows: Callable) -> OperatorSpace:
-    f, n = A.field, A.dim
-    ncomp = len(_COMPONENTS[kind])
-    system = LinearSystem(f, ncomp * n * n)
-    fill_rows(system)
+    system = LinearSystem(f, len(spec.components) * n * n)
+    blocks = {name: b for b, name in enumerate(spec.components)}
+    for _, law in spec.laws:
+        for form in laws.law_rows(A, law, blocks):
+            system.add_form(form)
     vec_basis, pivots = linalg.nullspace_basis(f, system.dense_rows(), system.unknowns)
     space = OperatorSpace(
         base=A,
         kind=kind,
-        components=_COMPONENTS[kind],
+        components=spec.components,
         basis=[],
         vec_basis=vec_basis,
         pivots=pivots,
@@ -621,20 +421,14 @@ def _build_space(A: Algebra, kind: str, fill_rows: Callable) -> OperatorSpace:
             raise ClosureError(
                 f"computed {kind} basis tuple violates {bad[0]} at {bad[1]}"
             )
-    for name, fn in _space_ops(kind, f):
-        tensor = _tensor_of(f, fn, space.basis, space.flatten, space.coords)
-        space.ops.append((name, tensor))
+    for name, fn in spec.ops:
+        space.ops.append((name, _tensor_of(f, partial(fn, f), space.basis, space.coords)))
     return space
 
 
 def derivations(A: Algebra) -> OperatorSpace:
     """Derivation space with the commutator bracket (a Lie algebra)."""
-    br = A.bracket_op
-
-    def rows(system):
-        _derivation_rows(system, A, br, 0)
-
-    return _build_space(A, "derivations", rows)
+    return space_of_kind(A, "derivations")
 
 
 def anti_derivations(A: Algebra) -> OperatorSpace:
@@ -643,51 +437,25 @@ def anti_derivations(A: Algebra) -> OperatorSpace:
     It carries no internal bilinear operation of its own; the module action
     of the derivation space on it is exposed via :func:`der_module_action`.
     """
-    br = A.bracket_op
-
-    def rows(system):
-        _antiderivation_rows(system, A, br, 0)
-
-    return _build_space(A, "antiderivations", rows)
+    return space_of_kind(A, "antiderivations")
 
 
 def biderivations(A: Algebra) -> OperatorSpace:
     """Pairs (d, D) of a derivation and an antiderivation with
     [x, d(y)] = [x, D(y)]; a Leibniz algebra under its bracket, and the weak
     actor in the Leibniz variety."""
-    br = A.bracket_op
-
-    def rows(system):
-        _derivation_rows(system, A, br, 0)
-        _antiderivation_rows(system, A, br, 1)
-        _bider_compat_rows(system, A, br, 0, 1)
-
-    return _build_space(A, "biderivations", rows)
+    return space_of_kind(A, "biderivations")
 
 
 def bimultipliers(A: Algebra) -> OperatorSpace:
     """Bimultiplier pairs (f, F) of an associative algebra; the weak actor
     in the associative variety."""
-    _require_associative(A, 0)
-
-    def rows(system):
-        _left_multiplier_rows(system, A, 0, 0)
-        _right_multiplier_rows(system, A, 0, 1)
-        _bim_mixed_rows(system, A, 0, 0, 1)
-
-    return _build_space(A, "bimultipliers", rows)
+    return space_of_kind(A, "bimultipliers")
 
 
 def multipliers(A: Algebra) -> OperatorSpace:
     """Multipliers f(xy) = f(x)y of a commutative associative algebra."""
-    _require_associative(A, 0)
-    if not check_identity(A, "commutative").holds:
-        raise NotCommutative("multipliers need a commutative base product")
-
-    def rows(system):
-        _left_multiplier_rows(system, A, 0, 0)
-
-    return _build_space(A, "multipliers", rows)
+    return space_of_kind(A, "multipliers")
 
 
 def poisson_usga(V: Algebra) -> OperatorSpace:
@@ -696,62 +464,14 @@ def poisson_usga(V: Algebra) -> OperatorSpace:
     both operations, and the two coupling identities; carries the product
     (f,F,d)(f',F',d') = (ff', F'F, fd' + F'd) and the bracket
     [(f,F,d),(f',F',d')] = (fd' - d'f, Fd' - d'F, dd' - d'd)."""
-    if V.num_ops != 2:
-        raise OpArityMismatch("a Poisson algebra carries two operations")
-    rep = check_identity(V, "poisson")
-    if not rep.holds:
-        raise NotPoisson(f"base fails {rep.failed_part} at {rep.witness}")
-    br = 1
-
-    def rows(system):
-        _left_multiplier_rows(system, V, 0, 0)
-        _right_multiplier_rows(system, V, 0, 1)
-        _bim_mixed_rows(system, V, 0, 0, 1)
-        _derivation_rows(system, V, br, 2)
-        _derivation_rows(system, V, 0, 2)
-        _v1_rows(system, V, br, 0, 0, 2)
-        _v2_rows(system, V, br, 0, 1, 2)
-
-    return _build_space(V, "usga-poisson", rows)
+    return space_of_kind(V, "usga-poisson")
 
 
 def comm_poisson_usga(V: Algebra) -> OperatorSpace:
     """Commutative-Poisson analogue: pairs (f, d) with f a multiplier, d a
     derivation of both operations, and f[x,y] = [fx,y] - d(y)x; product
     (f,d)(f',d') = (ff', fd' + f'd), bracket (fd' - d'f, dd' - d'd)."""
-    if V.num_ops != 2:
-        raise OpArityMismatch("a Poisson algebra carries two operations")
-    rep = check_identity(V, "poisson")
-    if not rep.holds or not check_identity(V, "commutative").holds:
-        raise NotCommutativePoisson("base must be a commutative Poisson algebra")
-    br = 1
-
-    def rows(system):
-        _left_multiplier_rows(system, V, 0, 0)
-        _derivation_rows(system, V, br, 1)
-        _derivation_rows(system, V, 0, 1)
-        _v1_rows(system, V, br, 0, 0, 1)
-
-    return _build_space(V, "usga-cpoisson", rows)
-
-
-_SPACE_BUILDERS = {
-    "derivations": derivations,
-    "antiderivations": anti_derivations,
-    "biderivations": biderivations,
-    "bimultipliers": bimultipliers,
-    "multipliers": multipliers,
-    "usga-poisson": poisson_usga,
-    "usga-cpoisson": comm_poisson_usga,
-}
-
-
-def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
-    try:
-        builder = _SPACE_BUILDERS[kind]
-    except KeyError:
-        raise InputError(f"unknown operator space kind {kind!r}") from None
-    return builder(A)
+    return space_of_kind(V, "usga-cpoisson")
 
 
 # -- inner elements ----------------------------------------------------------
@@ -759,24 +479,10 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
 
 def inner_tuple(A: Algebra, kind: str, a: int) -> tuple:
     """The operator tuple induced by left/right multiplication by e_a."""
-    f = A.field
-    br = A.bracket_op
-    if kind == "biderivations":
-        Ra = A.right_matrix_basis(br, a)
-        return (linalg.mat_neg(f, Ra), A.left_matrix_basis(br, a))
-    if kind == "bimultipliers":
-        return (A.left_matrix_basis(0, a), A.right_matrix_basis(0, a))
-    if kind == "multipliers":
-        return (A.left_matrix_basis(0, a),)
-    if kind == "usga-poisson":
-        return (
-            A.left_matrix_basis(0, a),
-            A.right_matrix_basis(0, a),
-            A.left_matrix_basis(1, a),
-        )
-    if kind == "usga-cpoisson":
-        return (A.left_matrix_basis(0, a), A.left_matrix_basis(1, a))
-    raise InputError(f"no inner elements defined for kind {kind!r}")
+    spec = _KINDS.get(kind)
+    if spec is None or spec.inner is None:
+        raise InputError(f"no inner elements defined for kind {kind!r}")
+    return spec.inner(A, a)
 
 
 @dataclass
@@ -916,8 +622,8 @@ def cpoisson_diagonal_report(
     def embed(tup):
         return (tup[0], tup[0], tup[1])
 
-    cp_fns = dict(_space_ops("usga-cpoisson", f))
-    p_fns = dict(_space_ops("usga-poisson", f))
+    cp_fns = {name: partial(fn, f) for name, fn in _KINDS["usga-cpoisson"].ops}
+    p_fns = {name: partial(fn, f) for name, fn in _KINDS["usga-poisson"].ops}
     for a, ta in enumerate(cspace.basis):
         for b, tb in enumerate(cspace.basis):
             via_c = embed(cp_fns["mul"](ta, tb))

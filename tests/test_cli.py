@@ -207,3 +207,46 @@ def test_check_json_output_roundtrips(files):
     assert data["holds"] is False
     assert data["witness"] == [1, 1]
     assert data["defect"] == ["2", "0"]
+
+
+F1_GF3 = builtin("abelian(1)", GF(3)).to_json_dict()
+
+# (id, command, input file contents, environment)
+BAD_INPUTS = [
+    ("algebra-entry-with-3-fields", "check",
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0]]}]}, {}),
+    ("labels-not-a-list", "check", {**F1_GF3, "labels": 5}, {}),
+    ("prime-given-as-string", "check", {**F1_GF3, "field": {"p": "5"}}, {}),
+    ("action-entry-with-2-fields", "validate",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[0, 0]]}, {}),
+    ("budget-not-an-integer", "enumerate",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3}, {"ALGACT_BUDGET": "abc"}),
+    ("action-file-not-an-object", "validate", [], {}),
+    ("pair-file-not-an-object", "enumerate", [], {}),
+    ("morphism-image-too-short", "morphism",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "images": [[[[1]]]]}, {}),
+    ("morphism-image-wrong-size", "morphism",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3,
+      "images": [[[[1, 0], [0, 1]], [[1]]]]}, {}),
+]
+
+ARGV = {
+    "check": ("check", "FILE", "--identity", "lie"),
+    "validate": ("action", "validate", "FILE"),
+    "enumerate": ("enumerate", "FILE"),
+    "morphism": ("morphism", "check", "FILE"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,data,env", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exits_2(command, data, env, tmp_path, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if arg == "FILE" else arg for arg in ARGV[command]]
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert "error [" in err
