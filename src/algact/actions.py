@@ -30,6 +30,14 @@ laws, A1-A3 the bimultiplier laws, P2.1, P6, P7, P8 the Poisson actor laws),
 and the rest are written there once in the same term format.  Every
 condition is multilinear in its algebra arguments, so evaluating it on basis
 tuples is exhaustive.
+
+Enumeration over a prime field goes through the weak actor only: the
+candidates are the homomorphisms from B into the weak actor of X.  The
+actions are the unpacked candidates that validate; the acting morphisms are
+the candidates whose operators satisfy the variety's acting law
+(``laws.L6`` for Leibniz, ``laws.PERMUTABLE`` otherwise).  Validation reads
+the whole condition list and the acting test only that law, so comparing
+the two on the same candidates tests the paper's criterion.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import laws, linalg
-from .algebra import Algebra, IdentityReport, check_identity, is_homomorphism
+from .algebra import Algebra, IdentityReport, is_homomorphism
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -82,13 +90,15 @@ class _Variety:
 
     The morphism value of an acting element x is the tuple of the operators
     named in ``slots``, where ``"-r"`` stands for -r_x.  ``conditions`` lists
-    (label, law) in canonical label order.
+    (label, law) in canonical label order; ``acting`` is the law that picks
+    the acting morphisms among the homomorphisms into the weak actor.
     """
 
     kind: str
     slots: tuple
     num_ops: int
     conditions: tuple
+    acting: tuple
 
     @property
     def operators(self) -> tuple:
@@ -96,11 +106,11 @@ class _Variety:
 
 
 _VARIETIES = {
-    "associative": _Variety("bimultipliers", ("l", "r"), 1, laws.ASSOCIATIVE),
-    "leibniz": _Variety("biderivations", ("-r", "l"), 1, laws.LEIBNIZ),
-    "poisson": _Variety("usga-poisson", ("l", "r", "k"), 2, laws.POISSON),
-    # r mirrors l, so the Poisson conditions apply unchanged
-    "cpoisson": _Variety("usga-cpoisson", ("l", "k"), 2, laws.POISSON),
+    "associative": _Variety("bimultipliers", ("l", "r"), 1, laws.ASSOCIATIVE, laws.PERMUTABLE),
+    "leibniz": _Variety("biderivations", ("-r", "l"), 1, laws.LEIBNIZ, laws.L6),
+    "poisson": _Variety("usga-poisson", ("l", "r", "k"), 2, laws.POISSON, laws.PERMUTABLE),
+    # r mirrors l, so the Poisson laws apply unchanged
+    "cpoisson": _Variety("usga-cpoisson", ("l", "k"), 2, laws.POISSON, laws.PERMUTABLE),
 }
 
 VARIETIES = tuple(_VARIETIES)
@@ -754,126 +764,59 @@ def is_acting_morphism(
     """Whether a homomorphism into the weak actor arises from a split
     extension.
 
-    The criterion is the permutability law for associative and Poisson
-    varieties (the left action of one element commutes with the right
-    action of another) and, for Leibniz, the vanishing of
-    l_x(l_y(a) + r_y(a)); a non-homomorphism input is an error rather
-    than a "not acting" verdict.
+    The criterion is the variety's acting law on the unpacked operators:
+    permutability (l_x r_y = r_y l_x) for associative and Poisson varieties
+    and, for Leibniz, the vanishing of l_x(l_y(a) + r_y(a)).  Witnesses are
+    (x, y, a); a non-homomorphism input is an error rather than a "not
+    acting" verdict.
     """
-    if space is None:
-        space = weak_actor(X, variety)
-    _require_hom(matrix, B, space)
-    f = B.field
-    nb, nx = B.dim, X.dim
-    tuples = _morphism_tuples(matrix, B, space)
-    if variety == "leibniz":
-
-        def defect(x, y, aa):
-            Ax, Bx = tuples[x]
-            Ay, By = tuples[y]
-            inner = linalg.vec_sub(
-                f,
-                linalg.mat_vec(f, By, X.unit(aa)),
-                linalg.mat_vec(f, Ay, X.unit(aa)),
-            )
-            return linalg.mat_vec(f, Bx, inner)
-
-    elif variety == "cpoisson":
-
-        def defect(x, y, aa):
-            fx = tuples[x][0]
-            fy = tuples[y][0]
-            u = X.unit(aa)
-            return linalg.vec_sub(
-                f,
-                linalg.mat_vec(f, fx, linalg.mat_vec(f, fy, u)),
-                linalg.mat_vec(f, fy, linalg.mat_vec(f, fx, u)),
-            )
-
-    else:  # associative and poisson share the permutability criterion
-
-        def defect(x, y, aa):
-            fx = tuples[x][0]
-            Fy = tuples[y][1]
-            u = X.unit(aa)
-            return linalg.vec_sub(
-                f,
-                linalg.mat_vec(f, fx, linalg.mat_vec(f, Fy, u)),
-                linalg.mat_vec(f, Fy, linalg.mat_vec(f, fx, u)),
-            )
-
-    for x in range(nb):
-        for y in range(nb):
-            for aa in range(nx):
-                d = defect(x, y, aa)
-                if not linalg.vec_is_zero(f, d):
-                    return ActingReport(False, witness=(x, y, aa), defect=d)
-    return ActingReport(True)
+    a = morphism_to_action(matrix, B, X, variety, space=space)
+    hit = laws.condition_defect(B, X, _variety(variety).acting, a.operators())
+    return ActingReport(True) if hit is None else ActingReport(False, *hit)
 
 
 # -- exhaustive enumeration (small prime fields) -------------------------------
 
 
+def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
+    """The weak actor of X and every homomorphism from B into it, found by
+    trying each matrix over the prime field in lexicographic order."""
+    f = B.field
+    if not isinstance(f, PrimeField):
+        raise InputError("exhaustive enumeration needs a prime field")
+    if f != X.field:
+        raise ShapeMismatch("acting and kernel algebras live over different fields")
+    space = weak_actor(X, variety)
+    nb, ne = B.dim, space.dim
+    needed = f.p ** (ne * nb)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
+    actor = space.as_algebra()
+    matrices = (
+        [list(flat[t * nb : (t + 1) * nb]) for t in range(ne)]
+        for flat in iproduct(range(f.p), repeat=ne * nb)
+    )
+    return space, [m for m in matrices if is_homomorphism(m, B, actor).holds]
+
+
 def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
-    """All valid actions of B on X, by exhausting every tensor assignment
-    over the prime field and validating each; output is sorted canonically
-    so it is independent of enumeration order."""
-    f = B.field
-    if not isinstance(f, PrimeField):
-        raise InputError("exhaustive enumeration needs a prime field")
-    nb, nx = B.dim, X.dim
-    names = [name for name in ("l", "r", "k") if name in _variety(variety).operators]
-    slots = len(names) * nb * nx * nx
-    needed = f.p ** slots
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
-    # the assignment holds l[p][y], then r[x][q], then k[p][y], row-major
-    shapes = [(nx, nb) if name == "r" else (nb, nx) for name in names]
-    found = []
-    for assignment in iproduct(range(f.p), repeat=slots):
-        tensors = {}
-        off = 0
-        for name, (rows, cols) in zip(names, shapes):
-            tensors[name] = [
-                [list(assignment[off + (i * cols + j) * nx : off + (i * cols + j + 1) * nx])
-                 for j in range(cols)]
-                for i in range(rows)
-            ]
-            off += rows * cols * nx
-        a = ActionData(variety, B, X, tensors["l"], tensors.get("r"), tensors.get("k"))
-        if validate_action(a).passed:
-            found.append(a)
-    found.sort(key=lambda act: act.canonical_key())
-    return found
+    """All valid actions of B on X over a prime field, sorted canonically.
+
+    The candidates are the homomorphisms from B into the weak actor E of X,
+    and each one whose unpacked action validates is kept.  Every valid
+    action is reached: the conditions on two kernel elements are the laws of
+    E, and L4-L5, A5-A6 (P1.5-P1.6), P2.2 and P3-P5 say that the map into E
+    is a homomorphism.  ``budget`` bounds the matrices tried,
+    p**(dim E * dim B).
+    """
+    space, homs = _homomorphisms(B, X, variety, budget)
+    actions = (morphism_to_action(m, B, X, variety, space=space) for m in homs)
+    return sorted((a for a in actions if validate_action(a).passed), key=ActionData.canonical_key)
 
 
-def enumerate_acting_morphisms(
-    B: Algebra,
-    X: Algebra,
-    variety: str,
-    budget: int = DEFAULT_BUDGET,
-    space: Optional[OperatorSpace] = None,
-):
+def enumerate_acting_morphisms(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
     """All acting homomorphisms from B into the weak actor of X, enumerated
-    entry by entry over the prime field; returns (space, sorted matrices)."""
-    f = B.field
-    if not isinstance(f, PrimeField):
-        raise InputError("exhaustive enumeration needs a prime field")
-    if space is None:
-        space = weak_actor(X, variety)
-    slots = space.dim * B.dim
-    needed = f.p ** slots
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
-    actor_alg = space.as_algebra()
-    found = []
-    for assignment in iproduct(range(f.p), repeat=slots):
-        matrix = [
-            [assignment[t * B.dim + p] for p in range(B.dim)] for t in range(space.dim)
-        ]
-        if not is_homomorphism(matrix, B, actor_alg).holds:
-            continue
-        if is_acting_morphism(matrix, B, X, variety, space=space).acting:
-            found.append(matrix)
-    found.sort(key=lambda m: tuple(tuple(row) for row in m))
-    return space, found
+    entry by entry over the prime field; returns (space, matrices) with the
+    matrices in lexicographic order."""
+    space, homs = _homomorphisms(B, X, variety, budget)
+    return space, [m for m in homs if is_acting_morphism(m, B, X, variety, space=space).acting]

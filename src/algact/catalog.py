@@ -700,6 +700,8 @@ def open_problem_search(field: PrimeField, dim: int, samples: int, seed: int) ->
         raise InputError("the search runs over a prime field")
     if dim < 0 or dim > 4:
         raise InputError("search dimension is limited to 0..4")
+    if samples < 0:
+        raise InputError("the number of samples must be non-negative")
     p = field.p
     entries_per_tensor = dim ** 3
     findings = []

@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="exhaust all valid actions of a pair")
     p_enum.add_argument("pairfile")
     p_enum.add_argument("--budget", type=int, default=None,
-                        help="assignment budget (default: ALGACT_BUDGET or 3^10)")
+                        help="most matrices into the weak actor to try, p^(dim E * dim B) "
+                        "(default: ALGACT_BUDGET or 3^10)")
     p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(fn=_cmd_enumerate)
 

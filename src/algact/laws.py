@@ -116,6 +116,12 @@ def v2(F, d):
 # -- action conditions -------------------------------------------------------------
 #
 # For x, y in B and a, b in X: l_x(a) = x*a, r_x(a) = a*x and k_x(a) = {x, a}.
+# A homomorphism into the weak actor comes from an action exactly when its
+# operators satisfy the acting law: L6 for Leibniz algebras, PERMUTABLE for
+# associative and Poisson algebras.
+
+L6 = _law((1, S_X_T_Y, "l", "l"), (1, S_X_T_Y, "l", "r"))  # l_x (l_y + r_y) = 0
+PERMUTABLE = _law((1, S_X_T_Y, "l", "r"), (-1, S_Y_T_X, "r", "l"))  # l_x r_y = r_y l_x
 
 LEIBNIZ = (
     ("L1", derivation("r", BRACKET)),
@@ -125,8 +131,7 @@ LEIBNIZ = (
     ("L4", _law((1, S_XY, "r", BRACKET), (-1, S_Y_T_X, "r", "r"), (1, S_X_T_Y, "r", "r"))),
     # l_[x,y] = r_y l_x - l_x r_y
     ("L5", _law((1, S_XY, "l", BRACKET), (-1, S_Y_T_X, "r", "l"), (1, S_X_T_Y, "l", "r"))),
-    # l_x (l_y + r_y) = 0
-    ("L6", _law((1, S_X_T_Y, "l", "l"), (1, S_X_T_Y, "l", "r"))),
+    ("L6", L6),
 )
 
 _ASSOCIATIVE = (

@@ -1,12 +1,42 @@
 """Independent brute-force oracle over small prime fields.
 
-Everything here works on plain int tuples mod p and checks the defining
+The space counts work on plain int tuples mod p and check the defining
 identities directly from their definitions, sharing no code with the
-package's linear-system path.  Used to confirm that exhaustive enumeration
+package's linear-system path.  They confirm that exhaustive enumeration
 counts equal p**(nullspace dimension).
+
+:func:`brute_force_actions` tries every action tensor and keeps those that
+the package's validator passes.  It shares the validator with the package
+but not the weak actor, through which the package enumerates actions.
 """
 
 from itertools import product
+
+# the action tensors of each variety; r is the mirror of l in cpoisson
+ACTION_TENSORS = {"leibniz": "lr", "associative": "lr", "poisson": "lrk", "cpoisson": "lk"}
+
+
+def brute_force_actions(B, X, variety):
+    """All valid actions of B on X over GF(p), sorted canonically, by
+    validating every assignment of the tensors l[p][y], r[x][q], k[p][y]."""
+    from algact.actions import ActionData, validate_action
+
+    nb, nx = B.dim, X.dim
+    shapes = {"l": (nb, nx), "r": (nx, nb), "k": (nb, nx)}
+    names = ACTION_TENSORS[variety]
+    slots = sum(shapes[name][0] * shapes[name][1] * nx for name in names)
+    found = []
+    for flat in product(range(B.field.p), repeat=slots):
+        entries = iter(flat)
+        tensors = {}
+        for name in names:
+            rows, cols = shapes[name]
+            tensors[name] = [[[next(entries) for _ in range(nx)] for _ in range(cols)]
+                             for _ in range(rows)]
+        a = ActionData(variety, B, X, tensors["l"], tensors.get("r"), tensors.get("k"))
+        if validate_action(a).passed:
+            found.append(a)
+    return sorted(found, key=ActionData.canonical_key)
 
 
 def tables(A):

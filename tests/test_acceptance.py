@@ -27,7 +27,6 @@ from algact.algebra import check_identity
 from algact.catalog import builtin, catalog_actions, catalog_algebras, repro_suite
 from algact.cli import main as cli_main
 from algact.errors import (
-    BudgetExceeded,
     NotAssociative,
     NotCommutative,
     NotCommutativePoisson,
@@ -164,45 +163,43 @@ def test_criterion_2_checker_equivalence():
 # -- criterion 3 ----------------------------------------------------------------
 
 
+def _roundtrip_keys(B, X, variety, acts):
+    """Canonical keys of the unpacked acting morphisms, after checking that
+    each action's morphism is one of them and unpacks to the action again."""
+    space, homs = enumerate_acting_morphisms(B, X, variety)
+    hom_set = {canonical([[str(x) for x in row] for row in m]) for m in homs}
+    for act in acts:
+        mor = action_to_morphism(act, space=space)
+        assert canonical([[str(x) for x in row] for row in mor.matrix]) in hom_set
+        assert morphism_to_action(mor.matrix, B, X, variety, space=space) == act
+    return sorted(
+        morphism_to_action(m, B, X, variety, space=space).canonical_key() for m in homs
+    )
+
+
 def test_criterion_3_enumeration_bijection():
     t0 = time.perf_counter()
     field = GF(3)
     F1 = builtin("abelian(1)", field)
     L2 = builtin("leibniz_2dim_nonlie", field)
-    pairs = [(F1, F1), (F1, L2), (L2, F1), (L2, L2)]
-    checked = 0
-    for B, X in pairs:
-        try:
-            acts = enumerate_actions(B, X, "leibniz")
-        except BudgetExceeded:
-            # (L2, L2) needs 3^16 assignments: outside the default budget
-            assert (B.dim, X.dim) == (2, 2)
-            continue
-        space, homs = enumerate_acting_morphisms(B, X, "leibniz")
-        assert len(acts) == len(homs)
-        keys_from_homs = sorted(
-            morphism_to_action(m, B, X, "leibniz", space=space).canonical_key()
-            for m in homs
-        )
-        assert keys_from_homs == [a.canonical_key() for a in acts]
-        hom_set = {canonical([[str(x) for x in row] for row in m]) for m in homs}
-        for act in acts:
-            mor = action_to_morphism(act, space=space)
-            key = canonical([[str(x) for x in row] for row in mor.matrix])
-            assert key in hom_set
-        checked += 1
-    # the same bijection in the two-operation varieties on the line
     P1 = builtin("poisson_abelian(1)", field)
-    for variety in ("poisson", "cpoisson"):
-        acts = enumerate_actions(P1, P1, variety)
-        space, homs = enumerate_acting_morphisms(P1, P1, variety)
-        assert sorted(
-            morphism_to_action(m, P1, P1, variety, space=space).canonical_key()
-            for m in homs
-        ) == [a.canonical_key() for a in acts]
+    # the pairs brute force can afford: at most 3^8 tensor assignments
+    affordable = [(F1, F1, "leibniz"), (F1, L2, "leibniz"), (L2, F1, "leibniz"),
+                  (P1, P1, "poisson"), (P1, P1, "cpoisson")]
+    checked = 0
+    for B, X, variety in affordable:
+        keys = [a.canonical_key() for a in oracle.brute_force_actions(B, X, variety)]
+        acts = enumerate_actions(B, X, variety)
+        assert [a.canonical_key() for a in acts] == keys
+        assert _roundtrip_keys(B, X, variety, acts) == keys
         checked += 1
+    # (L2, L2) needs 3^16 tensor assignments, but only 3^6 actor matrices
+    acts = enumerate_actions(L2, L2, "leibniz")
+    assert len(acts) == 15
+    assert _roundtrip_keys(L2, L2, "leibniz", acts) == [a.canonical_key() for a in acts]
+    checked += 1
     elapsed = time.perf_counter() - t0
-    assert checked == 5
+    assert checked == 6
     assert elapsed < 120.0, f"bijection sweep took {elapsed:.2f}s (budget 120s)"
     print(
         f"criterion 3 (action/morphism bijection on {checked} pairs, "

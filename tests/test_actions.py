@@ -37,6 +37,8 @@ from algact.errors import (
 )
 from algact.fields import GF, Q
 
+import oracle
+
 
 def F(x):
     return Fraction(x)
@@ -428,9 +430,11 @@ def test_eqpois_every_hom_is_acting_on_line():
 
 
 def test_enumerate_budget_guard():
+    # a 2-dimensional B into the 3-dimensional actor of L2: 3^6 matrices
     L2 = builtin("leibniz_2dim_nonlie", GF(3))
     with pytest.raises(BudgetExceeded):
-        enumerate_actions(L2, L2, "leibniz")
+        enumerate_actions(L2, L2, "leibniz", budget=3 ** 6 - 1)
+    assert len(enumerate_actions(L2, L2, "leibniz", budget=3 ** 6)) == 15
 
 
 def test_enumerate_zero_dims():
@@ -504,6 +508,7 @@ def test_enumeration_bijection_unital_poisson_line():
                 for m in homs
             )
             assert keys == [a.canonical_key() for a in acts]
+            assert acts == oracle.brute_force_actions(U, X, variety)
 
 
 def test_enumeration_bijection_associative_triangular():
@@ -518,6 +523,7 @@ def test_enumeration_bijection_associative_triangular():
         for m in homs
     )
     assert keys == [a.canonical_key() for a in acts]
+    assert acts == oracle.brute_force_actions(T, Z1, "associative")
 
 
 def test_enumerate_deterministic():

@@ -169,6 +169,16 @@ def test_enumerate_pairfile(files):
     assert out2 == out
 
 
+def test_enumerate_beyond_tensor_brute_force(tmp_path):
+    # 3^16 action tensors, but only 3^6 matrices into the weak actor
+    L2 = builtin("leibniz_2dim_nonlie", GF(3)).to_json_dict()
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"variety": "leibniz", "acting": L2, "kernel": L2}))
+    code, out, _ = run_cli("enumerate", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 15
+
+
 def test_enumerate_budget_env(files, monkeypatch):
     monkeypatch.setenv("ALGACT_BUDGET", "2")
     code, _, err = run_cli("enumerate", files["pair.json"])
@@ -210,6 +220,8 @@ def test_check_json_output_roundtrips(files):
 
 
 F1_GF3 = builtin("abelian(1)", GF(3)).to_json_dict()
+P1_GF3 = builtin("poisson_abelian(1)", GF(3)).to_json_dict()
+LIE2_GF3 = builtin("lie_2dim_nonabelian", GF(3)).to_json_dict()
 
 # (id, command, input file contents, environment)
 BAD_INPUTS = [
@@ -228,6 +240,11 @@ BAD_INPUTS = [
     ("morphism-image-wrong-size", "morphism",
      {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3,
       "images": [[[[1, 0], [0, 1]], [[1]]]]}, {}),
+    ("negative-sample-count", "hunt", {}, {}),
+    ("associative-pair-with-non-associative-kernel", "enumerate",
+     {"variety": "associative", "acting": F1_GF3, "kernel": LIE2_GF3}, {}),
+    ("two-operation-acting-algebra-in-leibniz-pair", "enumerate",
+     {"variety": "leibniz", "acting": P1_GF3, "kernel": F1_GF3}, {}),
 ]
 
 ARGV = {
@@ -235,6 +252,7 @@ ARGV = {
     "validate": ("action", "validate", "FILE"),
     "enumerate": ("enumerate", "FILE"),
     "morphism": ("morphism", "check", "FILE"),
+    "hunt": ("hunt", "--p", "3", "--dim", "2", "--samples", "-5", "--json"),
 }
 
 
