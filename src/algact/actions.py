@@ -47,7 +47,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import laws, linalg
-from .algebra import Algebra, IdentityReport, is_homomorphism
+from .algebra import Algebra, IdentityReport, is_homomorphism, json_int
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -247,12 +247,11 @@ class ActionData:
         return data
 
     @classmethod
-    def from_json_dict(cls, data: dict, load_algebra=None) -> "ActionData":
-        load_algebra = load_algebra or Algebra.from_json_dict
+    def from_json_dict(cls, data: dict) -> "ActionData":
         try:
             variety = data["variety"]
-            acting = load_algebra(data["acting"])
-            kernel = load_algebra(data["kernel"])
+            acting = Algebra.from_json_dict(data["acting"])
+            kernel = Algebra.from_json_dict(data["kernel"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed action description: {exc}") from exc
         f = acting.field
@@ -264,6 +263,7 @@ class ActionData:
             t = [[[f.zero] * c for _ in range(b)] for _ in range(a)]
             try:
                 for i, j, k, v in entries:
+                    i, j, k = (json_int(x, "tensor entry index") for x in (i, j, k))
                     if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
                         raise ShapeMismatch(f"tensor entry ({i},{j},{k}) out of range")
                     t[i][j][k] = f.of(v)
@@ -424,52 +424,44 @@ class SplitExtension:
 
     # -- derived algebras ----------------------------------------------------
 
+    def _pullback(self, matrix, dim, rule) -> Algebra:
+        """The algebra of dimension ``dim`` whose operation op sends (e_i, e_j)
+        to ``rule(op, i, j, u_i . u_j)``, with u_i column i of ``matrix`` and
+        the product taken in the total algebra."""
+        f, total = self.field, self.total
+        cols = [linalg.mat_col(matrix, j) for j in range(dim)]
+        return Algebra.from_products(
+            f, dim, [op.name for op in total.ops],
+            lambda op, i, j: rule(op, i, j, total.multiply(op, cols[i], cols[j])),
+            labels=_label_pullback(f, total.labels, matrix),
+        )
+
+    def _kernel_coords(self, v, failure: str):
+        """Coordinates of v in the kernel injection's columns; raises
+        KernelMismatch(failure) when v is outside its image."""
+        f = self.field
+        coords = linalg.solve(f, self.kernel_inj, v)
+        if coords is None or not linalg.vec_eq(f, linalg.mat_vec(f, self.kernel_inj, coords), v):
+            raise KernelMismatch(failure)
+        return coords
+
     def base_algebra(self) -> Algebra:
         """Base structure transported along the section: b_i . b_j is the
         retraction of s(b_i) . s(b_j)."""
-        f, k = self.field, self.base_dim
-        cols = [linalg.mat_col(self.section, j) for j in range(k)]
-        op_entries = []
-        for op in range(self.total.num_ops):
-            entries = {}
-            for i in range(k):
-                for j in range(k):
-                    v = linalg.mat_vec(
-                        f, self.retraction, self.total.multiply(op, cols[i], cols[j])
-                    )
-                    for m, c in enumerate(v):
-                        if not f.is_zero(c):
-                            entries[(i, j, m)] = c
-            op_entries.append(entries)
-        names = [op.name for op in self.total.ops]
-        labels = _label_pullback(f, self.total.labels, self.section)
-        return Algebra.from_entries(f, k, op_entries, names=names, labels=labels)
+        return self._pullback(
+            self.section, self.base_dim,
+            lambda op, i, j, v: linalg.mat_vec(self.field, self.retraction, v),
+        )
 
     def kernel_algebra(self) -> Algebra:
         """Kernel structure pulled back along the injection; raises
         KernelMismatch when the image of i is not closed."""
-        f, m = self.field, self.kernel_dim
-        cols = [linalg.mat_col(self.kernel_inj, j) for j in range(m)]
-        op_entries = []
-        for op in range(self.total.num_ops):
-            entries = {}
-            for i in range(m):
-                for j in range(m):
-                    v = self.total.multiply(op, cols[i], cols[j])
-                    coords = linalg.solve(f, self.kernel_inj, v)
-                    if coords is None or not linalg.vec_eq(
-                        f, linalg.mat_vec(f, self.kernel_inj, coords), v
-                    ):
-                        raise KernelMismatch(
-                            f"kernel image is not closed under operation {op} at ({i},{j})"
-                        )
-                    for kk, c in enumerate(coords):
-                        if not f.is_zero(c):
-                            entries[(i, j, kk)] = c
-            op_entries.append(entries)
-        names = [op.name for op in self.total.ops]
-        labels = _label_pullback(f, self.total.labels, self.kernel_inj)
-        return Algebra.from_entries(f, m, op_entries, names=names, labels=labels)
+        return self._pullback(
+            self.kernel_inj, self.kernel_dim,
+            lambda op, i, j, v: self._kernel_coords(
+                v, f"kernel image is not closed under operation {op} at ({i},{j})"
+            ),
+        )
 
     def validate(self) -> list:
         """All structural defects, as human-readable strings (empty = valid)."""
@@ -528,49 +520,26 @@ def semidirect_algebra(a: ActionData) -> Algebra:
     the variety) is the correspondence the validation suite tests.
     """
     B, X, f = a.acting, a.kernel, a.field
-    nb, nx = B.dim, X.dim
-    n = nb + nx
+    nb = B.dim
     num_ops = _variety(a.variety).num_ops
     if B.num_ops != num_ops or X.num_ops != num_ops:
         raise ShapeMismatch("operation count of B or X does not match the variety")
-    op_entries = []
-    names = []
-    for op in range(num_ops):
-        entries = {}
+    zero_b, zero_x = [f.zero] * nb, [f.zero] * X.dim
 
-        def put(i, j, vec, offset):
-            for k, c in enumerate(vec):
-                if not f.is_zero(c):
-                    entries[(i, j, offset + k)] = c
+    def product(op, i, j):
+        # op 1 of a two-operation variety is the bracket, where B acts by k
+        # on the left and -k on the right; otherwise by l and r
+        if i < nb and j < nb:
+            return B.mul_basis(op, i, j) + zero_x
+        if i >= nb and j >= nb:
+            return zero_b + X.mul_basis(op, i - nb, j - nb)
+        if op == 1:
+            k = a.bracket[i][j - nb] if i < nb else linalg.vec_neg(f, list(a.bracket[j][i - nb]))
+            return zero_b + list(k)
+        return zero_b + (list(a.l[i][j - nb]) if i < nb else a.r_value(i - nb, j))
 
-        for i in range(nb):
-            for j in range(nb):
-                put(i, j, B.mul_basis(op, i, j), 0)
-        for i in range(nx):
-            for j in range(nx):
-                put(nb + i, nb + j, X.mul_basis(op, i, j), nb)
-        is_bracket_of_poisson = num_ops == 2 and op == 1
-        if not is_bracket_of_poisson:
-            # product slot (or the Leibniz/associative single operation)
-            for p in range(nb):
-                for y in range(nx):
-                    put(p, nb + y, a.l[p][y], nb)
-            for x in range(nx):
-                for q in range(nb):
-                    put(nb + x, q, a.r_value(x, q), nb)
-        else:
-            for p in range(nb):
-                for y in range(nx):
-                    put(p, nb + y, a.bracket[p][y], nb)
-            for x in range(nx):
-                for q in range(nb):
-                    put(nb + x, q, linalg.vec_neg(f, list(a.bracket[q][x])), nb)
-        op_entries.append(entries)
-        names.append(B.ops[op].name)
-    labels = None
-    if B.labels is not None and X.labels is not None:
-        labels = B.labels + X.labels
-    return Algebra.from_entries(f, n, op_entries, names=names, labels=labels)
+    labels = B.labels + X.labels if B.labels is not None and X.labels is not None else None
+    return Algebra.from_products(f, nb + X.dim, [op.name for op in B.ops], product, labels=labels)
 
 
 def semidirect(a: ActionData) -> SplitExtension:
@@ -616,32 +585,25 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
     X = E.kernel_algebra()
     s_cols = [linalg.mat_col(E.section, j) for j in range(nb)]
     i_cols = [linalg.mat_col(E.kernel_inj, j) for j in range(nx)]
-
-    def kernel_coords(v, what):
-        coords = linalg.solve(f, E.kernel_inj, v)
-        if coords is None or not linalg.vec_eq(
-            f, linalg.mat_vec(f, E.kernel_inj, coords), v
-        ):
-            raise KernelMismatch(f"{what} does not land in the kernel image")
-        return coords
-
     # l and r come from operation 0: the product, or the Leibniz bracket of a
-    # one-operation total algebra
-    l = [
-        [kernel_coords(E.total.multiply(0, s_cols[p], i_cols[y]), "l value") for y in range(nx)]
-        for p in range(nb)
-    ]
-    r = [
-        [kernel_coords(E.total.multiply(0, i_cols[x], s_cols[q]), "r value") for q in range(nb)]
-        for x in range(nx)
-    ]
-    bracket = None
+    # one-operation total algebra.  l[p][y] and bracket[p][y] are read off
+    # s_p . i_y, and r[x][q] off i_x . s_q.
+    reads = [("l", 0, s_cols, i_cols), ("r", 0, i_cols, s_cols)]
     if "k" in v.operators:
-        br_op = E.total.bracket_op
-        bracket = [
-            [kernel_coords(E.total.multiply(br_op, s_cols[p], i_cols[y]), "bracket value") for y in range(nx)]
-            for p in range(nb)
+        reads.append(("bracket", E.total.bracket_op, s_cols, i_cols))
+    parts = {
+        name: [
+            [
+                E._kernel_coords(
+                    E.total.multiply(op, u, w), f"{name} value does not land in the kernel image"
+                )
+                for w in right
+            ]
+            for u in left
         ]
+        for name, op, left, right in reads
+    }
+    l, r = parts["l"], parts["r"]
     if "r" not in v.operators:
         # r must be the commutative mirror of l; anything else is not a
         # commutative split extension
@@ -649,8 +611,8 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
             for q in range(nb):
                 if not linalg.vec_eq(f, r[x][q], l[q][x]):
                     raise KernelMismatch("extension is not commutative: r is not the mirror of l")
-        return ActionData(variety, B, X, l, None, bracket)
-    return ActionData(variety, B, X, l, r, bracket)
+        r = None
+    return ActionData(variety, B, X, l, r, parts.get("bracket"))
 
 
 # -- morphisms into the weak actor ---------------------------------------------
@@ -696,11 +658,6 @@ def action_to_morphism(a: ActionData, space: Optional[OperatorSpace] = None) -> 
     return ActorMorphism(a.variety, a.acting, a.kernel, space, matrix, hom)
 
 
-def _morphism_tuples(matrix, B: Algebra, space: OperatorSpace):
-    cols = [linalg.mat_col(matrix, p) for p in range(B.dim)]
-    return [space.tuple_from_coords(c) for c in cols]
-
-
 def _require_hom(matrix, B: Algebra, space: OperatorSpace):
     if len(matrix) != space.dim or (matrix and len(matrix[0]) != B.dim):
         raise ShapeMismatch(
@@ -711,7 +668,23 @@ def _require_hom(matrix, B: Algebra, space: OperatorSpace):
         raise NotAHomomorphism(
             f"not a homomorphism into the weak actor: defect at {hom.witness}"
         )
-    return hom
+
+
+def _unpack(matrix, B: Algebra, X: Algebra, variety: str, space: OperatorSpace) -> ActionData:
+    """The action tensors of a matrix already known to be a homomorphism
+    from B into the weak actor ``space``."""
+    v = _variety(variety)
+    f, nx = B.field, X.dim
+    mats = {name: [] for name in v.operators}  # operator name -> one matrix per p
+    for p in range(B.dim):
+        for slot, M in zip(v.slots, space.tuple_from_coords(linalg.mat_col(matrix, p))):
+            sign, name = laws.signed_slot(slot)
+            mats[name].append(_signed(f, sign, M))
+    # l[p][y] is column y of l_p, r[x][q] column x of r_q
+    l = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["l"]]
+    r = [[linalg.mat_col(M, x) for M in mats["r"]] for x in range(nx)] if "r" in mats else None
+    k = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["k"]] if "k" in mats else None
+    return ActionData(variety, B, X, l, r, k)
 
 
 def morphism_to_action(
@@ -723,21 +696,11 @@ def morphism_to_action(
 ) -> ActionData:
     """Unpack a morphism into action tensors (inverse of
     :func:`action_to_morphism` on its image)."""
-    v = _variety(variety)
+    _variety(variety)  # an unknown variety fails before the shape checks
     if space is None:
         space = weak_actor(X, variety)
     _require_hom(matrix, B, space)
-    f, nx = B.field, X.dim
-    mats = {name: [] for name in v.operators}  # operator name -> one matrix per p
-    for tup in _morphism_tuples(matrix, B, space):
-        for slot, M in zip(v.slots, tup):
-            sign, name = laws.signed_slot(slot)
-            mats[name].append(_signed(f, sign, M))
-    # l[p][y] is column y of l_p, r[x][q] column x of r_q
-    l = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["l"]]
-    r = [[linalg.mat_col(M, x) for M in mats["r"]] for x in range(nx)] if "r" in mats else None
-    k = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["k"]] if "k" in mats else None
-    return ActionData(variety, B, X, l, r, k)
+    return _unpack(matrix, B, X, variety, space)
 
 
 @dataclass
@@ -770,8 +733,12 @@ def is_acting_morphism(
     (x, y, a); a non-homomorphism input is an error rather than a "not
     acting" verdict.
     """
-    a = morphism_to_action(matrix, B, X, variety, space=space)
-    hit = laws.condition_defect(B, X, _variety(variety).acting, a.operators())
+    return _acting(morphism_to_action(matrix, B, X, variety, space=space))
+
+
+def _acting(a: ActionData) -> ActingReport:
+    """The variety's acting law evaluated on the operators of ``a``."""
+    hit = laws.condition_defect(a.acting, a.kernel, _variety(a.variety).acting, a.operators())
     return ActingReport(True) if hit is None else ActingReport(False, *hit)
 
 
@@ -810,7 +777,7 @@ def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAUL
     p**(dim E * dim B).
     """
     space, homs = _homomorphisms(B, X, variety, budget)
-    actions = (morphism_to_action(m, B, X, variety, space=space) for m in homs)
+    actions = (_unpack(m, B, X, variety, space) for m in homs)
     return sorted((a for a in actions if validate_action(a).passed), key=ActionData.canonical_key)
 
 
@@ -819,4 +786,4 @@ def enumerate_acting_morphisms(B: Algebra, X: Algebra, variety: str, budget: int
     entry by entry over the prime field; returns (space, matrices) with the
     matrices in lexicographic order."""
     space, homs = _homomorphisms(B, X, variety, budget)
-    return space, [m for m in homs if is_acting_morphism(m, B, X, variety, space=space).acting]
+    return space, [m for m in homs if _acting(_unpack(m, B, X, variety, space)).acting]

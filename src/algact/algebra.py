@@ -114,6 +114,26 @@ class Algebra:
         ]
         return cls(field, dim, ops, labels)
 
+    @classmethod
+    def from_products(cls, field, dim, names, product, labels=None):
+        """The algebra whose operation ``op`` (named ``names[op]``) sends
+        (e_i, e_j) to the coordinate vector ``product(op, i, j)``.
+
+        The rule is called for op, then i, then j, each in increasing order,
+        so the first error it raises is the one at the first such triple.
+        """
+        op_entries = [
+            [
+                ((i, j, k), c)
+                for i in range(dim)
+                for j in range(dim)
+                for k, c in enumerate(product(op, i, j))
+                if not field.is_zero(c)
+            ]
+            for op in range(len(names))
+        ]
+        return cls.from_entries(field, dim, op_entries, names=names, labels=labels)
+
     @property
     def num_ops(self) -> int:
         return len(self.ops)
@@ -194,9 +214,9 @@ class Algebra:
     def from_json_dict(cls, data: dict) -> "Algebra":
         try:
             field = Field.from_json(data["field"])
-            dim = int(data["dim"])
+            dim = json_int(data["dim"], "dim")
             raw_ops = data["ops"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed algebra description: {exc}") from exc
         labels = data.get("labels")
         if labels is not None and not (
@@ -207,7 +227,7 @@ class Algebra:
         try:
             for pos, op in enumerate(raw_ops):
                 entries = [
-                    ((int(i), int(j), int(k)), field.of(c))
+                    (tuple(json_int(x, "entry index") for x in (i, j, k)), field.of(c))
                     for i, j, k, c in op.get("entries", [])
                 ]
                 name = op.get("name") or ("bracket" if pos == 1 else "mul")
@@ -266,6 +286,13 @@ class IdentityReport:
             data["witness"] = list(self.witness)
             data["defect"] = [field.to_str(c) for c in self.defect]
         return data
+
+
+def json_int(x, what: str) -> int:
+    """``x`` itself if it is a JSON integer (not a bool, float or string)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise InputError(f"{what} must be a JSON integer, got {x!r}")
 
 
 def multiply(A: Algebra, op_index: int, x, y):

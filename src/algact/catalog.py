@@ -195,11 +195,10 @@ class MorphismData:
         }
 
     @classmethod
-    def from_json_dict(cls, data, load_algebra=None):
-        load_algebra = load_algebra or Algebra.from_json_dict
+    def from_json_dict(cls, data):
         try:
-            acting = load_algebra(data["acting"])
-            kernel = load_algebra(data["kernel"])
+            acting = Algebra.from_json_dict(data["acting"])
+            kernel = Algebra.from_json_dict(data["kernel"])
             f = acting.field
             images = [
                 tuple([[f.of(x) for x in row] for row in comp] for comp in tup)
@@ -512,8 +511,7 @@ def _fact_e(field):
         linalg.mat_mul(f, u[1], t[1]),
         linalg.mat_add(f, linalg.mat_mul(f, t[0], u[2]), linalg.mat_mul(f, u[1], t[2])),
     )
-    from_tensor = space.ops[0][1].get((a, b), [f.zero] * space.dim)
-    c.expect("product_formula_matches", space.coords(raw) == list(from_tensor), True)
+    c.expect("product_formula_matches", space.coords(raw) == alg.mul_basis(0, a, b), True)
     return c.result()
 
 
@@ -702,30 +700,16 @@ def open_problem_search(field: PrimeField, dim: int, samples: int, seed: int) ->
         raise InputError("search dimension is limited to 0..4")
     if samples < 0:
         raise InputError("the number of samples must be non-negative")
-    p = field.p
-    entries_per_tensor = dim ** 3
     findings = []
     n_poisson = n_eqpois = n_ok = 0
     for index in range(samples):
-        raw = _counter_bytes(seed, index, 2 * entries_per_tensor)
-        prod = {}
-        br = {}
-        pos = 0
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    c = raw[pos] % p
-                    pos += 1
-                    if c:
-                        prod[(i, j, k)] = c
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    c = raw[pos] % p
-                    pos += 1
-                    if c:
-                        br[(i, j, k)] = c
-        V = Algebra.from_entries(field, dim, [prod, br])
+        raw = _counter_bytes(seed, index, 2 * dim ** 3)
+
+        def product(op, i, j):
+            s = ((op * dim + i) * dim + j) * dim
+            return [c % field.p for c in raw[s : s + dim]]
+
+        V = Algebra.from_products(field, dim, ["mul", "bracket"], product)
         if not check_identity(V, "poisson").holds:
             continue
         n_poisson += 1
@@ -747,7 +731,7 @@ def open_problem_search(field: PrimeField, dim: int, samples: int, seed: int) ->
                 }
             )
     return SearchReport(
-        p=p,
+        p=field.p,
         dim=dim,
         samples=samples,
         seed=seed,

@@ -92,17 +92,18 @@ def _cmd_check(args, out) -> int:
 def _cmd_space(args, out) -> int:
     A = _load_algebra(args.file)
     space = space_of_kind(A, args.kind)
+    alg = space.algebra
     if args.output:
-        if not space.ops:
+        if alg is None:
             raise InputError(
                 f"the {args.kind} space has no induced operations; "
                 "use --json to export its basis"
             )
-        _write_output(args.output, space.as_algebra().to_json_dict())
+        _write_output(args.output, alg.to_json_dict())
     if args.json:
         out.write(_dump_json(space.to_json_dict()))
     else:
-        ops = ", ".join(name for name, _ in space.ops) or "none"
+        ops = ", ".join(op.name for op in alg.ops) if alg is not None else "none"
         out.write(f"{args.kind}: dimension {space.dim}, induced operations: {ops}\n")
     return OK
 

@@ -26,15 +26,16 @@ computed basis tuple.  Every law is bilinear in the two algebra arguments,
 so imposing it on all basis pairs is equivalent to imposing it everywhere.
 
 The computed basis is canonical (reduced row echelon over the flattened
-matrix tuple), each induced operation is stored as a structure-constant
-tensor in that basis, and closure plus the defining identities are
-re-verified on the computed basis during construction.
+matrix tuple).  The induced operations are stored once, as the space's
+``algebra``: a structure-constant :class:`~algact.algebra.Algebra` in that
+basis, built from the kind's operations on basis tuples.  Closure and the
+defining identities are re-verified on the computed basis during
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import Callable, Optional
 
 from . import laws, linalg
@@ -111,11 +112,11 @@ def nullspace(system: LinearSystem):
 
 @dataclass
 class OperatorSpace:
-    """Canonical basis of operator tuples plus induced structure constants.
+    """Canonical basis of operator tuples plus the induced algebra.
 
-    ``basis[t]`` is a tuple of matrices on the base algebra; ``ops`` maps an
-    operation name to the tensor of the induced operation expressed in this
-    basis, making the space directly reusable as an :class:`Algebra`.
+    ``basis[t]`` is a tuple of matrices on the base algebra; ``algebra`` is
+    the space with its induced operations as an :class:`Algebra` on this
+    basis, or None for a kind without induced operations.
     """
 
     base: Algebra
@@ -124,8 +125,7 @@ class OperatorSpace:
     basis: list
     vec_basis: list
     pivots: list
-    ops: list  # [(name, {(a, b): coords})]
-    _alg_cache: Optional[Algebra] = dc_field(default=None, repr=False, compare=False)
+    algebra: Optional[Algebra] = None
 
     @property
     def dim(self) -> int:
@@ -163,25 +163,11 @@ class OperatorSpace:
 
     def as_algebra(self) -> Algebra:
         """The space as a structure-constant algebra in its own basis."""
-        if not self.ops:
+        if self.algebra is None:
             raise OpArityMismatch(
                 f"the {self.kind} space carries no internal bilinear operation"
             )
-        if self._alg_cache is not None:
-            return self._alg_cache
-        f = self.field
-        op_entries = []
-        names = []
-        for name, tensor in self.ops:
-            entries = {}
-            for (a, b), coords in tensor.items():
-                for k, c in enumerate(coords):
-                    if not f.is_zero(c):
-                        entries[(a, b, k)] = c
-            op_entries.append(entries)
-            names.append(name)
-        self._alg_cache = Algebra.from_entries(f, self.dim, op_entries, names=names)
-        return self._alg_cache
+        return self.algebra
 
     def to_json_dict(self) -> dict:
         f = self.field
@@ -195,8 +181,8 @@ class OperatorSpace:
                 for tup in self.basis
             ],
         }
-        if self.ops:
-            data["ops"] = self.as_algebra().to_json_dict()["ops"]
+        if self.algebra is not None:
+            data["ops"] = self.algebra.to_json_dict()["ops"]
         return data
 
 # -- space kinds ---------------------------------------------------------------
@@ -365,21 +351,6 @@ def _kind(kind: str) -> _Kind:
         raise InputError(f"unknown operator space kind {kind!r}") from None
 
 
-def _tensor_of(space_field, fn, tuples, coords):
-    tensor = {}
-    for a, ta in enumerate(tuples):
-        for b, tb in enumerate(tuples):
-            raw = fn(ta, tb)
-            c = coords(raw)
-            if c is None:
-                raise ClosureError(
-                    f"induced operation escaped the span at basis pair ({a}, {b})"
-                )
-            if any(not space_field.is_zero(x) for x in c):
-                tensor[(a, b)] = c
-    return tensor
-
-
 def defining_defects(kind: str, A: Algebra, tup):
     """Direct evaluation of the defining laws of ``kind`` on a raw matrix
     tuple, independent of the assembled linear system.
@@ -412,7 +383,6 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
         basis=[],
         vec_basis=vec_basis,
         pivots=pivots,
-        ops=[],
     )
     space.basis = [space.unflatten(v) for v in vec_basis]
     for tup in space.basis:
@@ -421,8 +391,16 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
             raise ClosureError(
                 f"computed {kind} basis tuple violates {bad[0]} at {bad[1]}"
             )
-    for name, fn in spec.ops:
-        space.ops.append((name, _tensor_of(f, partial(fn, f), space.basis, space.coords)))
+    if spec.ops:
+        names, rules = zip(*spec.ops)
+
+        def product(op, a, b):
+            coords = space.coords(rules[op](f, space.basis[a], space.basis[b]))
+            if coords is None:
+                raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
+            return coords
+
+        space.algebra = Algebra.from_products(f, space.dim, names, product)
     return space
 
 
@@ -527,30 +505,21 @@ class CommutationReport:
     holds: bool
     witness: Optional[tuple] = None
 
-    def to_json_dict(self) -> dict:
-        data = {"holds": self.holds}
-        if not self.holds:
-            data["witness"] = list(self.witness)
-        return data
-
 
 def check_bim_commutation(V: Algebra, bim: Optional[OperatorSpace] = None) -> CommutationReport:
     """Test f o F' = F' o f across all pairs of bimultiplier basis tuples.
 
-    Both sides are bilinear in the pair, so basis pairs suffice.  When this
-    holds, every morphism into the Poisson actor space arises from a split
-    extension.
+    This is the acting law ``laws.PERMUTABLE`` with l and r the f and F
+    components of the basis tuples; both sides are bilinear in the pair, so
+    basis pairs suffice.  When this holds, every morphism into the Poisson
+    actor space arises from a split extension.  The witness is the first
+    failing pair (s, t) of basis indices.
     """
     if bim is None:
         bim = bimultipliers(V)
-    f = V.field
-    for s, ts in enumerate(bim.basis):
-        for t, tt in enumerate(bim.basis):
-            lhs = linalg.mat_mul(f, ts[0], tt[1])
-            rhs = linalg.mat_mul(f, tt[1], ts[0])
-            if not linalg.mat_eq(f, lhs, rhs):
-                return CommutationReport(False, witness=(s, t))
-    return CommutationReport(True)
+    operators = {"l": [t[0] for t in bim.basis], "r": [t[1] for t in bim.basis]}
+    hit = laws.condition_defect(bim.as_algebra(), V, laws.PERMUTABLE, operators)
+    return CommutationReport(True) if hit is None else CommutationReport(False, hit[0][:2])
 
 
 def der_module_action(
@@ -622,18 +591,18 @@ def cpoisson_diagonal_report(
     def embed(tup):
         return (tup[0], tup[0], tup[1])
 
-    cp_fns = {name: partial(fn, f) for name, fn in _KINDS["usga-cpoisson"].ops}
-    p_fns = {name: partial(fn, f) for name, fn in _KINDS["usga-poisson"].ops}
+    cp_fns = dict(_KINDS["usga-cpoisson"].ops)
+    p_fns = dict(_KINDS["usga-poisson"].ops)
     for a, ta in enumerate(cspace.basis):
         for b, tb in enumerate(cspace.basis):
-            via_c = embed(cp_fns["mul"](ta, tb))
-            via_p = p_fns["mul"](embed(ta), embed(tb))
+            via_c = embed(cp_fns["mul"](f, ta, tb))
+            via_p = p_fns["mul"](f, embed(ta), embed(tb))
             if not all(linalg.mat_eq(f, x, y) for x, y in zip(via_c, via_p)):
                 product_ok = False
                 if witness is None:
                     witness = (a, b)
-            via_cb = embed(cp_fns["bracket"](ta, tb))
-            via_pb = p_fns["bracket"](embed(ta), embed(tb))
+            via_cb = embed(cp_fns["bracket"](f, ta, tb))
+            via_pb = p_fns["bracket"](f, embed(ta), embed(tb))
             if not all(linalg.mat_eq(f, x, y) for x, y in zip(via_cb, via_pb)):
                 bracket_ok = False
     return DiagonalReport(True, bracket_ok, product_ok, witness=witness)

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from algact.catalog import biadjoint_action, builtin
+from algact.catalog import MorphismData, biadjoint_action, builtin, catalog_algebras
 from algact.cli import main
+from algact.errors import AlgactError
 from algact.fields import GF, Q
+from algact.opspace import SPACE_KINDS, space_of_kind
 
 
 def run_cli(*argv):
@@ -81,6 +83,41 @@ def test_morphism_check_metere(files):
     assert "(L6)" in out and "defect [2]" in out
 
 
+def test_morphism_check_metere_json(files):
+    code, out, _ = run_cli("morphism", "check", files["metere.json"], "--json")
+    assert code == 1
+    assert out == (
+        '{"acting":false,"defect":["2"],"failed_conditions":["L6"],"witness":[0,0,0]}\n'
+    )
+
+
+def test_morphism_check_zero_morphism_json(tmp_path):
+    F1 = builtin("abelian(1)")
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(MorphismData("leibniz", F1, F1, [([[0]], [[0]])]).to_json_dict()))
+    code, out, _ = run_cli("morphism", "check", str(path), "--json")
+    assert code == 0
+    assert out == '{"acting":true}\n'
+
+
+@pytest.mark.parametrize("field", [Q, GF(3)], ids=["Q", "GF3"])
+def test_space_json_matches_library(field, tmp_path):
+    path = tmp_path / "algebra.json"
+    checked = 0
+    for name, A, _ in catalog_algebras(field):
+        path.write_text(json.dumps(A.to_json_dict()))
+        for kind in SPACE_KINDS:
+            try:
+                expected = space_of_kind(A, kind).to_json_dict()
+            except AlgactError:
+                continue
+            code, out, _ = run_cli("space", str(path), "--kind", kind, "--json")
+            assert code == 0, (name, kind)
+            assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+            checked += 1
+    assert checked > len(SPACE_KINDS)
+
+
 def test_morphism_check_poisson_inner_acting(tmp_path):
     from algact.catalog import MorphismData
     from algact.opspace import inner_tuple
@@ -101,6 +138,15 @@ def test_action_validate_pass_and_fail(files):
     code, out, _ = run_cli("action", "validate", files["metere_action.json"])
     assert code == 1
     assert "(L6) FAILS" in out
+
+
+def test_action_validate_json_metere(files):
+    code, out, _ = run_cli("action", "validate", files["metere_action.json"], "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    failed = {label: c for label, c in report["conditions"].items() if not c["holds"]}
+    assert failed == {"L6": {"holds": False, "witness": [0, 0, 0], "defect": ["2"]}}
 
 
 def test_action_semidirect_extract_roundtrip(files, tmp_path):
@@ -228,6 +274,14 @@ BAD_INPUTS = [
     ("algebra-entry-with-3-fields", "check",
      {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0]]}]}, {}),
     ("labels-not-a-list", "check", {**F1_GF3, "labels": 5}, {}),
+    ("dim-given-as-float", "check", {**F1_GF3, "dim": 2.7}, {}),
+    ("dim-given-as-bool", "check", {**F1_GF3, "dim": True}, {}),
+    ("algebra-entry-index-float", "check",
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0.5, 0, 0, "1"]]}]}, {}),
+    ("algebra-entry-index-string", "check",
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [["0", 0, 0, "1"]]}]}, {}),
+    ("action-entry-index-bool", "validate",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[False, 0, 0, "1"]]}, {}),
     ("prime-given-as-string", "check", {**F1_GF3, "field": {"p": "5"}}, {}),
     ("action-entry-with-2-fields", "validate",
      {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[0, 0]]}, {}),

@@ -103,7 +103,8 @@ def test_zero_dimensional_base():
     for kind in ("derivations", "biderivations", "bimultipliers", "usga-poisson"):
         space = space_of_kind(V, kind)
         assert space.dim == 0
-        assert space.ops == [] or all(t == {} for _, t in space.ops)
+        assert space.as_algebra().dim == 0
+        assert all(op.entries == {} for op in space.as_algebra().ops)
 
 
 # -- preconditions ----------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_induced_tensor_matches_raw_composition():
     A = builtin("sl2")
     space = derivations(A)
     f = A.field
-    name, tensor = space.ops[0]
+    alg = space.as_algebra()
     for a, ta in enumerate(space.basis):
         for b, tb in enumerate(space.basis):
             raw = linalg.mat_sub(
@@ -204,8 +205,7 @@ def test_induced_tensor_matches_raw_composition():
                 linalg.mat_mul(f, tb[0], ta[0]),
             )
             coords = space.coords((raw,))
-            expected = list(tensor.get((a, b), [f.zero] * space.dim))
-            assert coords == expected
+            assert coords == alg.mul_basis(0, a, b)
 
 
 # -- inner embeddings --------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Digests of full validation, operator-space, acting and enumeration reports.
+"""Digests of full validation, operator-space, acting, enumeration,
+split-extension, search and commutation reports.
 
 Criterion 2 compares only verdicts.  These digests pin the report contents
 (labels, witnesses, defect values, canonical bases, induced tensors and the
 errors of refused inputs), so that a change to how the defining laws are
 assembled or evaluated cannot alter any of them unnoticed.  The validation
 and space digests were recorded before the laws moved into one table; the
-acting and enumeration digests before enumeration moved onto the weak actor.
+acting and enumeration digests before enumeration moved onto the weak actor;
+the extension, hunt and commutation digests before derived algebras were
+built from their product rule.
 """
 
 import hashlib
@@ -18,13 +21,23 @@ from itertools import product
 from fractions import Fraction as F
 
 from algact import linalg
-from algact.actions import ActionData, is_acting_morphism, validate_action, weak_actor
-from algact.algebra import Algebra, is_homomorphism
+from algact.actions import (
+    VARIETIES,
+    ActionData,
+    SplitExtension,
+    extract_action,
+    is_acting_morphism,
+    semidirect,
+    semidirect_algebra,
+    validate_action,
+    weak_actor,
+)
+from algact.algebra import Algebra, check_identity, is_homomorphism
 from algact.catalog import builtin, catalog_actions, catalog_algebras
 from algact.cli import main
 from algact.errors import AlgactError
 from algact.fields import GF, Q
-from algact.opspace import SPACE_KINDS, defining_defects, space_of_kind
+from algact.opspace import SPACE_KINDS, check_bim_commutation, defining_defects, space_of_kind
 
 FIELDS = (Q, GF(3), GF(5))
 MUTATIONS_PER_ACTION = 20
@@ -33,6 +46,9 @@ VALIDATION_DIGEST = "5e99e6fa41de4c3883d8fd493633d22b713a04c45d88a17262b9c03ce95
 SPACE_DIGEST = "1d6112c67f736d9c0b1462eb39d0d5512b78aac870943739d0b40ee4f925a316"
 ACTING_DIGEST = "9bfd08d1f21bc544b4f9fd96a6cef1e287077d6507ffd3adce0b9bf3fc2cff4a"
 ENUMERATE_DIGEST = "3170579470609fee50488c7466cad958f6a9503f1716ede12e62fa183f1b2b3b"
+EXTENSION_DIGEST = "849408cfcfd10c2131c62c1fa573ad7b82a23d4a8a4e16edc30b3c74ade8a86b"
+HUNT_DIGEST = "27adb92ba0d70fbbd8388ae06a9da811bcec3750fff0e95e718fe16706cd7a43"
+COMMUTATION_DIGEST = "5b47a0d563928f3a54dd5be76232798c6a355d9316ad0ab0ba779f26f1a87101"
 
 
 def _digest(items) -> str:
@@ -186,3 +202,141 @@ def _enumerate_outputs(tmp_path):
 
 def test_enumerate_outputs_digest(tmp_path):
     assert _digest(_enumerate_outputs(tmp_path)) == ENUMERATE_DIGEST
+
+
+def _outcome(fn):
+    """The value of fn(), or the class and message of the error it raises."""
+    try:
+        return fn()
+    except AlgactError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _extension_report(E):
+    report = {"validate": E.validate()}
+    for variety in VARIETIES:
+        report[variety] = _outcome(lambda: extract_action(E, variety).to_json_dict())
+    return report
+
+
+def _perturb(rng, E):
+    """A copy of E with one entry of the kernel injection or the section changed."""
+    f = E.field
+    inj = [list(row) for row in E.kernel_inj]
+    sec = [list(row) for row in E.section]
+    M = rng.choice([M for M in (inj, sec) if M and M[0]])
+    i, j = rng.randrange(len(M)), rng.randrange(len(M[0]))
+    M[i][j] = f.add(M[i][j], f.of(rng.choice((1, 2, -1))))
+    return SplitExtension(E.total, inj, E.retraction, sec)
+
+
+def _hand_built_extensions(field):
+    """Extensions that reach the refusals no catalog action reaches."""
+    one, zero = field.one, field.zero
+    lie2 = builtin("lie_2dim_nonabelian", field)
+    sl2 = builtin("sl2", field)
+    return [
+        # the retraction does not split: zero section
+        ("zero-section", SplitExtension(lie2, [[zero], [one]], [[one, zero]], [[zero], [zero]])),
+        # the retraction is zero, so it is not surjective
+        ("zero-retraction", SplitExtension(lie2, [[zero], [one]], [[zero, zero]], [[one], [zero]])),
+        # base 1 + kernel 0 against a total of dimension 2
+        ("dimensions-do-not-add-up", SplitExtension(lie2, [[], []], [[one, zero]], [[one], [zero]])),
+        # [e1, e2] = e1 leaves span{e2}: l value outside the kernel image
+        ("bracket-leaves-kernel", SplitExtension(lie2, [[zero], [one]], [[one, zero]], [[one], [zero]])),
+        # span{e, f} in sl2 is not closed: [e, f] = h
+        ("kernel-not-closed", SplitExtension(
+            sl2, [[one, zero], [zero, one], [zero, zero]], [[zero, zero, one]],
+            [[zero], [zero], [one]])),
+    ]
+
+
+def _extension_reports():
+    rng = random.Random(20261018)
+    reports = []
+    for field in FIELDS:
+        named = catalog_actions(field) + [("metere_action", builtin("metere_action", field))]
+        for name, act in named:
+            entry = {"field": repr(field), "action": name,
+                     "semidirect_algebra": semidirect_algebra(act).to_json_dict(),
+                     "semidirect": _outcome(lambda: semidirect(act).to_json_dict())}
+            if "error" not in entry["semidirect"]:
+                E = semidirect(act)
+                entry["extension"] = _extension_report(E)
+                entry["perturbed"] = [_extension_report(_perturb(rng, E)) for _ in range(4)]
+            reports.append(entry)
+        for name, E in _hand_built_extensions(field):
+            reports.append({"field": repr(field), "hand_built": name,
+                            "report": _extension_report(E)})
+    return reports
+
+
+def test_extension_reports_digest():
+    reports = _extension_reports()
+    messages = Counter(
+        r[v]["message"]
+        for entry in reports
+        for r in [entry.get("report")] + [entry.get("extension")] + entry.get("perturbed", [])
+        if r is not None
+        for v in VARIETIES
+        if "error" in r[v]
+    )
+    # the digest only guards what the inputs reach: every refusal of
+    # extract_action is among the reports
+    for needle in ("retraction . section", "kernel image does not lie",
+                   "does not span", "operation count", "l value", "not commutative"):
+        assert any(needle in m for m in messages), (needle, messages)
+    problems = {p for entry in reports for r in [entry.get("report"), entry.get("extension")]
+                + entry.get("perturbed", []) if r is not None for p in r["validate"]}
+    assert any("not closed under operation" in p for p in problems), problems
+    assert _digest(reports) == EXTENSION_DIGEST
+
+
+HUNT_RUNS = ((3, 2, 3000, 0), (3, 1, 200, 1), (5, 1, 300, 2), (3, 3, 800, 3),
+             (5, 2, 1500, 4), (3, 0, 5, 0), (7, 4, 40, 5))
+
+
+def test_hunt_outputs_digest():
+    outputs = []
+    for p, dim, samples, seed in HUNT_RUNS:
+        out = io.StringIO()
+        argv = ["hunt", "--p", str(p), "--dim", str(dim), "--samples", str(samples),
+                "--seed", str(seed), "--json"]
+        assert main(argv, out=out, err=io.StringIO()) == 0
+        outputs.append(out.getvalue())
+    assert _digest(outputs) == HUNT_DIGEST
+
+
+def _random_associative(rng, field, dim):
+    """A seeded sparse random product that happens to be associative."""
+    while True:
+        entries = {(i, j, k): rng.randrange(1, field.p)
+                   for i, j, k in product(range(dim), repeat=3) if rng.randrange(2 * dim) == 0}
+        A = Algebra.from_entries(field, dim, [entries])
+        if check_identity(A, "associative").holds:
+            return A
+
+
+def _commutation_reports():
+    reports = []
+    for field in FIELDS:
+        for name, A, _ in catalog_algebras(field):
+            rep = _outcome(lambda: vars(check_bim_commutation(A)))
+            reports.append({"field": repr(field), "algebra": name, "report": rep})
+    rng = random.Random(20261019)
+    for field in (GF(3), GF(5)):
+        for dim in (1, 2, 3):
+            for _ in range(20):
+                A = _random_associative(rng, field, dim)
+                rep = check_bim_commutation(A)
+                reports.append({"field": repr(field), "algebra": A.to_json_dict(),
+                                "report": vars(rep)})
+    return reports
+
+
+def test_commutation_reports_digest():
+    reports = _commutation_reports()
+    verdicts = Counter(r["report"].get("holds") for r in reports)
+    # the digest only guards what the inputs reach: both verdicts occur
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+    assert _digest(reports) == COMMUTATION_DIGEST
