@@ -480,14 +480,13 @@ class SplitExtension:
             problems.append("kernel injection is not injective")
         if linalg.mat_rank(f, self.retraction) != k:
             problems.append("retraction is not surjective")
+        # kernel_algebra pulls products back along the injection, so i is a
+        # homomorphism whenever the kernel image is closed
         try:
-            X = self.kernel_algebra()
+            self.kernel_algebra()
         except KernelMismatch as exc:
             problems.append(str(exc))
-            X = None
         B = self.base_algebra()
-        if X is not None and not is_homomorphism(self.kernel_inj, X, self.total).holds:
-            problems.append("kernel injection is not a homomorphism")
         if not is_homomorphism(self.retraction, self.total, B).holds:
             problems.append("retraction is not a homomorphism")
         if not is_homomorphism(self.section, B, self.total).holds:

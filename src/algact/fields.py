@@ -81,7 +81,7 @@ class Field:
         return a == b
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a  # scalars are canonical, so only zero is falsy
 
     def contains(self, a) -> bool:
         raise NotImplementedError
@@ -127,13 +127,8 @@ class Rationals(Field):
             raise DivisionByZero("inverse of zero")
         return 1 / Fraction(a)
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def contains(self, a) -> bool:
         return isinstance(a, (Fraction, int)) and not isinstance(a, bool)
@@ -192,13 +187,8 @@ class PrimeField(Field):
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def contains(self, a) -> bool:
         return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p

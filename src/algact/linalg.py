@@ -1,12 +1,20 @@
-"""Dense exact linear algebra over a Field.
+"""Exact linear algebra over a Field.
 
 Vectors are lists of scalars, matrices are lists of rows.  Everything here
 is deterministic: reduced row echelon form is unique for a given row space,
 so every subspace in the package has one canonical basis and subspace
 equality is literal equality of bases.
+
+:func:`rref`, under every nullspace and span in the package, takes and
+returns dense rows but eliminates on sparse integer rows inside: over Q
+fraction-free on primitive integer rows, dividing only in the final
+normalisation; over GF(p) on residues reduced once per row operation.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .fields import Field
@@ -126,35 +134,98 @@ def rref(field: Field, rows) -> tuple[list, list]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     The RREF of a row space is unique, which is what makes every basis in
-    this package canonical.
+    this package canonical.  Rows are eliminated as sparse integer dicts:
+    each row is reduced at its smallest column by the row that leads there
+    until it leads at a new column, then back-substitution runs in
+    decreasing pivot order.  Over Q the rows are primitive integer rows and
+    only the final normalisation divides; over GF(p) they are monic residue
+    rows.
     """
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][c]):
-                pr = i
+    p = field.char
+    ncols = len(rows[0]) if rows else 0
+    echelon: dict[int, dict] = {}  # pivot column -> the row that leads there
+    for row in rows:
+        if len(echelon) == ncols:
+            break  # full rank: every further row reduces to zero
+        r = _int_row(row, p)
+        while r:
+            c = min(r)
+            lead = echelon.get(c)
+            if lead is None:
+                echelon[c] = _normalise_lead(r, c, p)
                 break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i == r:
-                continue
-            f = m[i][c]
-            if field.is_zero(f):
-                continue
-            m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+            _eliminate(r, lead, c, p)
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        r = echelon[c]
+        for k in [k for k in r if k != c and k in echelon]:
+            _eliminate(r, echelon[k], k, p)
+    out = []
+    for c in pivots:
+        dense = [field.zero] * ncols
+        r = echelon[c]
+        if p:
+            for k, v in r.items():
+                dense[k] = v
+        else:
+            a = r[c]
+            for k, v in r.items():
+                dense[k] = Fraction(v, a)
+        out.append(dense)
+    return out, pivots
+
+
+def _int_row(row, p: int) -> dict:
+    """The nonzero entries of a dense row as {column: int}: residues over
+    GF(p), a primitive integer multiple of the row over Q (p = 0)."""
+    if p:
+        return {c: v for c, x in enumerate(row) if (v := x % p)}
+    r = {c: x for c, x in enumerate(row) if x}
+    if not r:
+        return r
+    den = lcm(*(x.denominator for x in r.values()))
+    r = {c: x.numerator * (den // x.denominator) for c, x in r.items()}
+    g = gcd(*r.values())
+    return {c: x // g for c, x in r.items()} if g != 1 else r
+
+
+def _normalise_lead(r: dict, c: int, p: int) -> dict:
+    """r scaled so its entry at column c is 1 over GF(p), positive over Q."""
+    if p:
+        inv = pow(r[c], p - 2, p)
+        return {k: v * inv % p for k, v in r.items()}
+    return {k: -v for k, v in r.items()} if r[c] < 0 else r
+
+
+def _eliminate(r: dict, lead: dict, c: int, p: int) -> None:
+    """Clear column c of r, in place, with the row ``lead`` whose smallest
+    column is c.  Over Q, r becomes a primitive multiple of
+    lead[c] r - r[c] lead."""
+    if p:
+        b = r[c]
+        for k, v in lead.items():
+            x = (r.get(k, 0) - b * v) % p
+            if x:
+                r[k] = x
+            else:
+                r.pop(k, None)
+        return
+    a, b = lead[c], r[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in r:
+            r[k] *= a
+    for k, v in lead.items():
+        x = r.get(k, 0) - b * v
+        if x:
+            r[k] = x
+        else:
+            r.pop(k, None)
+    g = gcd(*r.values())
+    if g > 1:
+        for k in r:
+            r[k] //= g
 
 
 def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:

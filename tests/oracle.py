@@ -8,6 +8,10 @@ counts equal p**(nullspace dimension).
 :func:`brute_force_actions` tries every action tensor and keeps those that
 the package's validator passes.  It shares the validator with the package
 but not the weak actor, through which the package enumerates actions.
+
+:func:`dense_rref` is the textbook Gauss-Jordan elimination on dense rows,
+one ``Field`` call per scalar; the package's sparse integer RREF is tested
+against it.
 """
 
 from itertools import product
@@ -247,3 +251,35 @@ def count_space(kind, A, p=3):
                     total += (masks[fi] & v2mask).bit_count()
         return total
     raise ValueError(kind)
+
+
+def dense_rref(field, rows):
+    """Reduced row echelon form of dense rows by Gauss-Jordan elimination
+    with Field arithmetic; returns (nonzero rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(m)):
+            if not field.is_zero(m[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i == r:
+                continue
+            f = m[i][c]
+            if field.is_zero(f):
+                continue
+            m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
