@@ -12,7 +12,6 @@ from .algebra import (
     check_identity,
     is_homomorphism,
     leibniz_kernel,
-    multiply,
     product_subspace,
 )
 from .opspace import (
@@ -23,12 +22,9 @@ from .opspace import (
     bimultipliers,
     check_bim_commutation,
     comm_poisson_usga,
-    cpoisson_diagonal_report,
-    der_module_action,
     derivations,
     inner_embedding,
     multipliers,
-    nullspace,
     poisson_usga,
     space_of_kind,
 )

@@ -6,12 +6,13 @@ operations stored as sparse tensors ``c[i][j][k]``, meaning
 Leibniz, Lie and Jordan algebras; two operations (product first, bracket
 second) cover Poisson-type algebras.
 
-Identity checking is exhaustive over basis tuples: every identity handled
-here is multilinear in each argument (the Jordan identity, cubic in one
-variable, is checked through all of its multihomogeneous components), so
-vanishing on basis tuples is equivalent to vanishing everywhere.  Failing
-checks always return the lexicographically first witness tuple together
-with its nonzero defect, so reports are reproducible.
+Identity checking is exhaustive over basis tuples.  Every identity but
+Jordan's is a multilinear law of :mod:`algact.laws`, evaluated there on all
+basis tuples, so vanishing on basis tuples is equivalent to vanishing
+everywhere.  The Jordan identity, cubic in one variable, is written here and
+checked through all of its multihomogeneous components.  Failing checks
+always return the lexicographically first witness tuple together with its
+nonzero defect, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Optional
 
-from . import linalg
+from . import laws, linalg
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -35,7 +36,6 @@ __all__ = [
     "Algebra",
     "IdentityReport",
     "Centers",
-    "multiply",
     "check_identity",
     "leibniz_kernel",
     "centers",
@@ -44,18 +44,6 @@ __all__ = [
     "is_homomorphism",
     "IDENTITY_TAGS",
 ]
-
-IDENTITY_TAGS = (
-    "associative",
-    "commutative",
-    "anticommutative",
-    "leibniz_right",
-    "jacobi",
-    "lie",
-    "poisson",
-    "jordan",
-)
-
 
 class BilinearOp:
     """One structure-constant tensor, stored sparse, evaluated dense."""
@@ -257,7 +245,9 @@ class Algebra:
         )
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        # what __eq__ compares: operation names are left out
+        ops = tuple(frozenset(op.entries.items()) for op in self.ops)
+        return hash((self.field, self.dim, ops))
 
     def __repr__(self):
         kinds = "+".join(op.name for op in self.ops)
@@ -295,97 +285,6 @@ def json_int(x, what: str) -> int:
     raise InputError(f"{what} must be a JSON integer, got {x!r}")
 
 
-def multiply(A: Algebra, op_index: int, x, y):
-    """Bilinear extension of the structure constants to coordinate vectors."""
-    return A.multiply(op_index, x, y)
-
-
-def first_defect(field, tuples, defect_fn):
-    """The first (tuple, defect) with a nonzero defect, or None."""
-    for idx in tuples:
-        d = defect_fn(*idx)
-        if not linalg.vec_is_zero(field, d):
-            return idx, d
-    return None
-
-
-def _pairs(n):
-    return ((i, j) for i in range(n) for j in range(n))
-
-
-def _triples(n):
-    return ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-
-
-def _assoc_defect(A, op):
-    def defect(i, j, k):
-        lhs = A.multiply(op, A.mul_basis(op, i, j), A.unit(k))
-        rhs = A.multiply(op, A.unit(i), A.mul_basis(op, j, k))
-        return linalg.vec_sub(A.field, lhs, rhs)
-
-    return defect
-
-
-def _check_simple(A, tag):
-    f, n = A.field, A.dim
-    br = A.bracket_op
-    if tag == "associative":
-        hit = first_defect(f, _triples(n), _assoc_defect(A, 0))
-    elif tag == "commutative":
-        hit = first_defect(
-            f,
-            _pairs(n),
-            lambda i, j: linalg.vec_sub(f, A.mul_basis(0, i, j), A.mul_basis(0, j, i)),
-        )
-    elif tag == "anticommutative":
-        # includes the diagonal: [e_i, e_i] + [e_i, e_i] = 2 [e_i, e_i],
-        # nonzero iff [e_i, e_i] is (char != 2)
-        hit = first_defect(
-            f,
-            _pairs(n),
-            lambda i, j: linalg.vec_add(f, A.mul_basis(br, i, j), A.mul_basis(br, j, i)),
-        )
-    elif tag == "leibniz_right":
-
-        def defect(i, j, k):
-            lhs = A.multiply(br, A.mul_basis(br, i, j), A.unit(k))
-            t1 = A.multiply(br, A.mul_basis(br, i, k), A.unit(j))
-            t2 = A.multiply(br, A.unit(i), A.mul_basis(br, j, k))
-            return linalg.vec_sub(f, lhs, linalg.vec_add(f, t1, t2))
-
-        hit = first_defect(f, _triples(n), defect)
-    elif tag == "jacobi":
-
-        def defect(i, j, k):
-            t1 = A.multiply(br, A.mul_basis(br, i, j), A.unit(k))
-            t2 = A.multiply(br, A.mul_basis(br, j, k), A.unit(i))
-            t3 = A.multiply(br, A.mul_basis(br, k, i), A.unit(j))
-            return linalg.vec_add(f, t1, linalg.vec_add(f, t2, t3))
-
-        hit = first_defect(f, _triples(n), defect)
-    else:  # pragma: no cover - guarded by dispatch table
-        raise InputError(f"unknown identity tag {tag!r}")
-    if hit is None:
-        return IdentityReport(tag, True)
-    return IdentityReport(tag, False, failed_part=tag, witness=hit[0], defect=hit[1])
-
-
-def _check_poisson_compat(A):
-    """The compatibility law [p, q t] = [p, q] t + q [p, t] on basis triples."""
-    f, n = A.field, A.dim
-
-    def defect(i, j, k):
-        lhs = A.multiply(1, A.unit(i), A.mul_basis(0, j, k))
-        t1 = A.multiply(0, A.mul_basis(1, i, j), A.unit(k))
-        t2 = A.multiply(0, A.unit(j), A.mul_basis(1, i, k))
-        return linalg.vec_sub(f, lhs, linalg.vec_add(f, t1, t2))
-
-    hit = first_defect(f, _triples(n), defect)
-    if hit is None:
-        return IdentityReport("poisson", True)
-    return IdentityReport("poisson", False, failed_part="poisson_compat", witness=hit[0], defect=hit[1])
-
-
 def _check_jordan(A):
     """Jordan law (xy)(xx) = x(y(xx)) as a formal identity.
 
@@ -412,6 +311,27 @@ def _check_jordan(A):
     return IdentityReport("jordan", True)
 
 
+# the parts of each identity tag, in checking order: (failed_part, law)
+_IDENTITIES = {
+    "associative": (("associative", laws.ASSOCIATIVITY),),
+    "commutative": (("commutative", laws.COMMUTATIVITY),),
+    "anticommutative": (("anticommutative", laws.ANTICOMMUTATIVITY),),
+    "leibniz_right": (("leibniz_right", laws.RIGHT_LEIBNIZ),),
+    "jacobi": (("jacobi", laws.JACOBI),),
+    "lie": (("anticommutative", laws.ANTICOMMUTATIVITY), ("jacobi", laws.JACOBI)),
+    "poisson": (
+        ("associative", laws.ASSOCIATIVITY),
+        ("anticommutative", laws.ANTICOMMUTATIVITY),
+        ("jacobi", laws.JACOBI),
+        ("poisson_compat", laws.POISSON_COMPAT),
+    ),
+    # commutativity first, then the cubic law itself (_check_jordan)
+    "jordan": (("commutative", laws.COMMUTATIVITY),),
+}
+
+IDENTITY_TAGS = tuple(_IDENTITIES)
+
+
 def check_identity(A: Algebra, tag: str) -> IdentityReport:
     """Exhaustively test a named identity of ``A``.
 
@@ -420,31 +340,15 @@ def check_identity(A: Algebra, tag: str) -> IdentityReport:
     ``poisson`` requires both operations: associativity of the product, Lie
     axioms for the bracket and the compatibility law between them.
     """
-    if tag not in IDENTITY_TAGS:
+    if tag not in _IDENTITIES:
         raise InputError(f"unknown identity tag {tag!r}")
-    if tag == "poisson":
-        if A.num_ops != 2:
-            raise OpArityMismatch("the poisson tag needs a product and a bracket")
-        for part in ("associative", "anticommutative", "jacobi"):
-            rep = _check_simple(A, part)
-            if not rep.holds:
-                return IdentityReport("poisson", False, failed_part=part,
-                                      witness=rep.witness, defect=rep.defect)
-        return _check_poisson_compat(A)
-    if tag == "lie":
-        for part in ("anticommutative", "jacobi"):
-            rep = _check_simple(A, part)
-            if not rep.holds:
-                return IdentityReport("lie", False, failed_part=part,
-                                      witness=rep.witness, defect=rep.defect)
-        return IdentityReport("lie", True)
-    if tag == "jordan":
-        rep = _check_simple(A, "commutative")
-        if not rep.holds:
-            return IdentityReport("jordan", False, failed_part="commutative",
-                                  witness=rep.witness, defect=rep.defect)
-        return _check_jordan(A)
-    return _check_simple(A, tag)
+    if tag == "poisson" and A.num_ops != 2:
+        raise OpArityMismatch("the poisson tag needs a product and a bracket")
+    for part, law in _IDENTITIES[tag]:
+        hit = laws.identity_defect(A, law)
+        if hit is not None:
+            return IdentityReport(tag, False, part, *hit)
+    return _check_jordan(A) if tag == "jordan" else IdentityReport(tag, True)
 
 
 def leibniz_kernel(A: Algebra):

@@ -18,16 +18,23 @@ x, y in B and a in X; there a term is ``(sign, "S_{x.y}(a)", S, op)``, with
 ``(sign, "S_y(T_x(a))", S, T)``.  A slot written ``"-l"`` stands for the
 negated operator; the templates fold that sign into the term.
 
+The identities of an algebra itself (associativity, commutativity,
+anticommutativity, right Leibniz, Jacobi, Poisson compatibility) are laws
+whose terms are ``(sign, node)``: a node is an argument index, or
+``(op, node, node)`` for the product of two nodes under ``op``.
+
 Every law is multilinear in its arguments, so imposing it on basis
-arguments is equivalent to imposing it everywhere.  Three interpreters read
-the same laws:
+arguments is equivalent to imposing it everywhere.  Four interpreters read
+the laws:
 
 * :func:`law_rows` yields the linear forms of a law over the unknown
   entries of an operator tuple, the rows of an operator space's system;
 * :func:`law_defects` evaluates a law on a known operator tuple, the
   self-check after construction;
 * :func:`condition_defect` evaluates an action condition on the operators
-  of every acting basis element and returns the first witness.
+  of every acting basis element and returns the first witness;
+* :func:`identity_defect` evaluates an identity of an algebra on its basis
+  tuples and returns the first witness.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from . import linalg
-from .algebra import first_defect
 
 PRODUCT = "product"
 BRACKET = "bracket"
@@ -161,6 +167,30 @@ POISSON = tuple(zip(("P1.1", "P1.2", "P1.3", "P1.4", "P1.5", "P1.6"), _ASSOCIATI
 )
 
 
+# -- identities of an algebra ------------------------------------------------------
+
+
+def _p(a, b):
+    return (PRODUCT, a, b)
+
+
+def _b(a, b):
+    return (BRACKET, a, b)
+
+
+# arguments x, y, z are the indices 0, 1, 2
+ASSOCIATIVITY = ((1, _p(_p(0, 1), 2)), (-1, _p(0, _p(1, 2))))  # (xy)z = x(yz)
+COMMUTATIVITY = ((1, _p(0, 1)), (-1, _p(1, 0)))  # xy = yx
+# [x,y] + [y,x] = 0, so [x,x] = 0 on the diagonal (char != 2)
+ANTICOMMUTATIVITY = ((1, _b(0, 1)), (1, _b(1, 0)))
+# [[x,y],z] = [[x,z],y] + [x,[y,z]]
+RIGHT_LEIBNIZ = ((1, _b(_b(0, 1), 2)), (-1, _b(_b(0, 2), 1)), (-1, _b(0, _b(1, 2))))
+# [[x,y],z] + [[y,z],x] + [[z,x],y] = 0
+JACOBI = ((1, _b(_b(0, 1), 2)), (1, _b(_b(1, 2), 0)), (1, _b(_b(2, 0), 1)))
+# [x,yz] = [x,y]z + y[x,z]
+POISSON_COMPAT = ((1, _b(0, _p(1, 2))), (-1, _p(_b(0, 1), 2)), (-1, _p(1, _b(0, 2))))
+
+
 # -- interpreters ------------------------------------------------------------------
 
 
@@ -199,12 +229,24 @@ def law_rows(A, law, blocks):
                 yield form
 
 
-def _signed_sum(f, n, terms):
+def first_defect(field, tuples, defect_fn):
+    """The first (tuple, defect) with a nonzero defect, or None."""
+    for idx in tuples:
+        d = defect_fn(*idx)
+        if not linalg.vec_is_zero(field, d):
+            return idx, d
+    return None
+
+
+def _signed_sum(f, terms):
     """The defect function: sum of the signed terms (sign, fn(*args))."""
+    (first_sign, first), rest = terms[0], terms[1:]
 
     def defect(*args):
-        acc = [f.zero] * n
-        for sign, term in terms:
+        acc = first(*args)
+        if first_sign < 0:
+            acc = linalg.vec_neg(f, acc)
+        for sign, term in rest:
             v = term(*args)
             acc = linalg.vec_add(f, acc, v) if sign > 0 else linalg.vec_sub(f, acc, v)
         return acc
@@ -230,7 +272,7 @@ def _pair_defect(A, law, operators):
         (sign, _pair_term(A, shape, operators[slot], _op_index(A, op)))
         for sign, shape, slot, op in law
     ]
-    return _signed_sum(A.field, A.dim, terms)
+    return _signed_sum(A.field, terms)
 
 
 def law_defects(A, law, operators):
@@ -278,4 +320,28 @@ def condition_defect(B, X, law, operators):
         return first_defect(f, iproduct(range(nb), range(nx), range(nx)),
                             lambda x, a, b: by_x[x](a, b))
     terms = [(sign, _triple_term(B, X, shape, S, T, operators)) for sign, shape, S, T in law]
-    return first_defect(f, iproduct(range(nb), range(nb), range(nx)), _signed_sum(f, nx, terms))
+    return first_defect(f, iproduct(range(nb), range(nb), range(nx)), _signed_sum(f, terms))
+
+
+def _node_term(A, node):
+    """The value of an identity's node as a function of basis arguments."""
+    if isinstance(node, int):
+        return lambda *args: A.unit(args[node])
+    op, u, w = node
+    op = _op_index(A, op)
+    if isinstance(u, int) and isinstance(w, int):
+        return lambda *args: A.mul_basis(op, args[u], args[w])
+    left, right = _node_term(A, u), _node_term(A, w)
+    return lambda *args: A.multiply(op, left(*args), right(*args))
+
+
+def _arity(node) -> int:
+    return node + 1 if isinstance(node, int) else max(_arity(node[1]), _arity(node[2]))
+
+
+def identity_defect(A, law):
+    """First failing basis tuple of an identity of ``A`` and its defect, or
+    None; tuples of the law's arity are taken in lexicographic order."""
+    terms = [(sign, _node_term(A, node)) for sign, node in law]
+    arity = max(_arity(node) for _, node in law)
+    return first_defect(A.field, iproduct(range(A.dim), repeat=arity), _signed_sum(A.field, terms))

@@ -290,10 +290,3 @@ def solve(field: Field, A, b):
             return None  # pivot in the constant column: inconsistent
         x[pc] = R[r][ncols]
     return x
-
-
-def same_span(field: Field, basis_a, basis_b) -> bool:
-    """Whether two canonical bases present the same subspace."""
-    return len(basis_a) == len(basis_b) and all(
-        vec_eq(field, u, v) for u, v in zip(basis_a, basis_b)
-    )

@@ -55,7 +55,6 @@ from .laws import BRACKET, PRODUCT
 
 __all__ = [
     "LinearSystem",
-    "nullspace",
     "OperatorSpace",
     "derivations",
     "anti_derivations",
@@ -70,9 +69,6 @@ __all__ = [
     "InnerEmbedding",
     "check_bim_commutation",
     "CommutationReport",
-    "der_module_action",
-    "cpoisson_diagonal_report",
-    "DiagonalReport",
 ]
 
 
@@ -97,14 +93,6 @@ class LinearSystem:
                 row[idx] = c
             out.append(row)
         return out
-
-
-def nullspace(system: LinearSystem):
-    """Canonical (RREF) basis of the solution space of ``system``."""
-    basis, _ = linalg.nullspace_basis(
-        system.field, system.dense_rows(), system.unknowns
-    )
-    return basis
 
 
 # -- operator space ----------------------------------------------------------
@@ -410,11 +398,7 @@ def derivations(A: Algebra) -> OperatorSpace:
 
 
 def anti_derivations(A: Algebra) -> OperatorSpace:
-    """Antiderivation space.
-
-    It carries no internal bilinear operation of its own; the module action
-    of the derivation space on it is exposed via :func:`der_module_action`.
-    """
+    """Antiderivation space; it carries no internal bilinear operation."""
     return space_of_kind(A, "antiderivations")
 
 
@@ -520,89 +504,3 @@ def check_bim_commutation(V: Algebra, bim: Optional[OperatorSpace] = None) -> Co
     operators = {"l": [t[0] for t in bim.basis], "r": [t[1] for t in bim.basis]}
     hit = laws.condition_defect(bim.as_algebra(), V, laws.PERMUTABLE, operators)
     return CommutationReport(True) if hit is None else CommutationReport(False, hit[0][:2])
-
-
-def der_module_action(
-    A: Algebra,
-    ders: Optional[OperatorSpace] = None,
-    antiders: Optional[OperatorSpace] = None,
-):
-    """Tensor of the action d . D = D d - d D of derivations on
-    antiderivations, in the two computed bases.
-
-    Exposed as a convenience product; the result of the action is verified
-    to stay inside the antiderivation space.
-    """
-    if ders is None:
-        ders = derivations(A)
-    if antiders is None:
-        antiders = anti_derivations(A)
-    f = A.field
-    tensor = {}
-    for i, dt in enumerate(ders.basis):
-        for j, Dt in enumerate(antiders.basis):
-            raw = linalg.mat_sub(
-                f, linalg.mat_mul(f, Dt[0], dt[0]), linalg.mat_mul(f, dt[0], Dt[0])
-            )
-            coords = antiders.coords((raw,))
-            if coords is None:
-                raise ClosureError(
-                    f"derivation action left the antiderivation space at ({i}, {j})"
-                )
-            if any(not f.is_zero(c) for c in coords):
-                tensor[(i, j)] = coords
-    return tensor
-
-
-@dataclass
-class DiagonalReport:
-    """Status of the pairwise embedding (f, d) -> (f, f, d) into the
-    three-component actor space.
-
-    Membership and the bracket always correspond; the product corresponds
-    exactly when the multiplier components commute pairwise (for instance
-    whenever the left/right multiplier commutation law holds), so that part
-    is reported rather than asserted.
-    """
-
-    embeds: bool
-    bracket_hom: bool
-    product_hom: bool
-    witness: Optional[tuple] = None
-
-
-def cpoisson_diagonal_report(
-    V: Algebra,
-    cspace: Optional[OperatorSpace] = None,
-    pspace: Optional[OperatorSpace] = None,
-) -> DiagonalReport:
-    if cspace is None:
-        cspace = comm_poisson_usga(V)
-    if pspace is None:
-        pspace = poisson_usga(V)
-    f = V.field
-    for (fm, dm) in cspace.basis:
-        if pspace.coords((fm, fm, dm)) is None:
-            return DiagonalReport(False, False, False)
-    bracket_ok = True
-    product_ok = True
-    witness = None
-
-    def embed(tup):
-        return (tup[0], tup[0], tup[1])
-
-    cp_fns = dict(_KINDS["usga-cpoisson"].ops)
-    p_fns = dict(_KINDS["usga-poisson"].ops)
-    for a, ta in enumerate(cspace.basis):
-        for b, tb in enumerate(cspace.basis):
-            via_c = embed(cp_fns["mul"](f, ta, tb))
-            via_p = p_fns["mul"](f, embed(ta), embed(tb))
-            if not all(linalg.mat_eq(f, x, y) for x, y in zip(via_c, via_p)):
-                product_ok = False
-                if witness is None:
-                    witness = (a, b)
-            via_cb = embed(cp_fns["bracket"](f, ta, tb))
-            via_pb = p_fns["bracket"](f, embed(ta), embed(tb))
-            if not all(linalg.mat_eq(f, x, y) for x, y in zip(via_cb, via_pb)):
-                bracket_ok = False
-    return DiagonalReport(True, bracket_ok, product_ok, witness=witness)

@@ -9,6 +9,11 @@ counts equal p**(nullspace dimension).
 the package's validator passes.  It shares the validator with the package
 but not the weak actor, through which the package enumerates actions.
 
+:func:`identity_report` checks the multilinear identities of an algebra
+on basis tuples, each written out from its definition, and
+:func:`jordan_holds_pointwise` checks the Jordan identity at every pair of
+elements; both share no code with the package's law table.
+
 :func:`dense_rref` is the textbook Gauss-Jordan elimination on dense rows,
 one ``Field`` call per scalar; the package's sparse integer RREF is tested
 against it.
@@ -189,6 +194,78 @@ def v2_ok(F, d, br, prod, p):
                 p,
             )
             if lhs != rhs:
+                return False
+    return True
+
+
+def _vadd(p, *vs):
+    return tuple(sum(c) % p for c in zip(*vs))
+
+
+def _identities(prod, br, p):
+    """Each identity's arity and its defect on unit vectors x, y, z."""
+
+    def m(x, y):
+        return mulvec(prod, x, y, p)
+
+    def b(x, y):
+        return mulvec(br, x, y, p)
+
+    return {
+        "associative": (3, lambda x, y, z: vsub(m(m(x, y), z), m(x, m(y, z)), p)),
+        "commutative": (2, lambda x, y: vsub(m(x, y), m(y, x), p)),
+        "anticommutative": (2, lambda x, y: _vadd(p, b(x, y), b(y, x))),
+        "leibniz_right": (3, lambda x, y, z: vsub(b(b(x, y), z),
+                                                  _vadd(p, b(b(x, z), y), b(x, b(y, z))), p)),
+        "jacobi": (3, lambda x, y, z: _vadd(p, b(b(x, y), z), b(b(y, z), x), b(b(z, x), y))),
+        "poisson_compat": (3, lambda x, y, z: vsub(b(x, m(y, z)),
+                                                   _vadd(p, m(b(x, y), z), m(y, b(x, z))), p)),
+    }
+
+
+IDENTITY_PARTS = {
+    "associative": ("associative",),
+    "commutative": ("commutative",),
+    "anticommutative": ("anticommutative",),
+    "leibniz_right": ("leibniz_right",),
+    "jacobi": ("jacobi",),
+    "lie": ("anticommutative", "jacobi"),
+    "poisson": ("associative", "anticommutative", "jacobi", "poisson_compat"),
+    "jordan": ("commutative",),
+}
+
+
+def identity_report(A, tag):
+    """(holds, failed_part, witness, defect) of an identity tag of an algact
+    Algebra over GF(p): the parts in order, each on every basis tuple in
+    lexicographic order.  The bracket is operation 1 when there are two,
+    operation 0 otherwise.  For ``jordan`` only its commutativity part is
+    checked; :func:`jordan_holds_pointwise` checks the rest."""
+    ts = tables(A)
+    n, p = A.dim, A.field.p
+    laws = _identities(ts[0], ts[-1], p)
+    for part in IDENTITY_PARTS[tag]:
+        arity, defect = laws[part]
+        for idx in product(range(n), repeat=arity):
+            d = defect(*(unit(n, i) for i in idx))
+            if any(d):
+                return False, part, idx, d
+    return True, None, None, None
+
+
+def jordan_holds_pointwise(A):
+    """Whether the product of an algact Algebra over GF(p) is commutative and
+    satisfies (xy)(xx) = x(y(xx)) at every pair of elements x, y.  When p
+    exceeds 3, the degree of the law in each coordinate, vanishing at every
+    point is vanishing as a polynomial."""
+    c, n, p = tables(A)[0], A.dim, A.field.p
+    elements = list(product(range(p), repeat=n))
+    for x in elements:
+        xx = mulvec(c, x, x, p)
+        for y in elements:
+            if mulvec(c, x, y, p) != mulvec(c, y, x, p):
+                return False
+            if mulvec(c, mulvec(c, x, y, p), xx, p) != mulvec(c, x, mulvec(c, y, xx, p), p):
                 return False
     return True
 

@@ -1,26 +1,31 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algact import linalg
 from algact.algebra import (
+    IDENTITY_TAGS,
     Algebra,
     annihilator,
     centers,
     check_identity,
     is_homomorphism,
     leibniz_kernel,
-    multiply,
     product_subspace,
 )
-from algact.catalog import builtin
+from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
     DimensionMismatch,
     OpArityMismatch,
     OpIndexOutOfRange,
 )
 from algact.fields import GF, Q
+
+import oracle
 
 
 def F(x):
@@ -41,22 +46,22 @@ def abelian2():
 
 
 def test_multiply_abelian_is_zero(abelian2):
-    assert multiply(abelian2, 0, abelian2.unit(0), abelian2.unit(1)) == [F(0), F(0)]
+    assert abelian2.multiply(0, abelian2.unit(0), abelian2.unit(1)) == [F(0), F(0)]
 
 
 def test_multiply_reads_structure_constants(leib2):
-    assert multiply(leib2, 0, leib2.unit(1), leib2.unit(1)) == [F(1), F(0)]
+    assert leib2.multiply(0, leib2.unit(1), leib2.unit(1)) == [F(1), F(0)]
 
 
 def test_multiply_zero_argument(leib2):
-    assert multiply(leib2, 0, leib2.zero_vec(), leib2.unit(1)) == [F(0), F(0)]
+    assert leib2.multiply(0, leib2.zero_vec(), leib2.unit(1)) == [F(0), F(0)]
 
 
 def test_multiply_validates_shapes(leib2):
     with pytest.raises(OpIndexOutOfRange):
-        multiply(leib2, 1, leib2.unit(0), leib2.unit(0))
+        leib2.multiply(1, leib2.unit(0), leib2.unit(0))
     with pytest.raises(DimensionMismatch):
-        multiply(leib2, 0, [F(1)], leib2.unit(0))
+        leib2.multiply(0, [F(1)], leib2.unit(0))
 
 
 @settings(max_examples=50)
@@ -67,10 +72,10 @@ def test_multiply_bilinear(vals):
     x = [F(vals[2]), F(vals[3])]
     xp = [F(vals[4]), F(vals[5])]
     y = [F(1), F(2)]
-    lhs = multiply(A, 0, [a * u + b * v for u, v in zip(x, xp)], y)
+    lhs = A.multiply(0, [a * u + b * v for u, v in zip(x, xp)], y)
     rhs = [
         a * p + b * q
-        for p, q in zip(multiply(A, 0, x, y), multiply(A, 0, xp, y))
+        for p, q in zip(A.multiply(0, x, y), A.multiply(0, xp, y))
     ]
     assert lhs == rhs
 
@@ -147,6 +152,83 @@ def test_witness_is_lexicographically_first():
     assert rep.witness == (0, 1)
 
 
+def _random_op(rng, p, dim, shape):
+    """Seeded sparse random structure constants over GF(p); ``shape`` is
+    "any", "alternating" or "symmetric"."""
+    entries = {}
+    for i, j, k in product(range(dim), repeat=3):
+        if rng.randrange(2 * dim) or (shape != "any" and i > j):
+            continue
+        if shape == "alternating" and i == j:
+            continue
+        entries[(i, j, k)] = c = rng.randrange(1, p)
+        if shape != "any":
+            entries[(j, i, k)] = c if shape == "symmetric" else p - c
+    return entries
+
+
+def _oracle_algebras(p):
+    """Catalog algebras over GF(p) and seeded random ones with one or two
+    operations.  An alternating bracket reaches the Jacobi check; with two
+    operations its product is redrawn until associative, which reaches the
+    Poisson compatibility check."""
+    field = GF(p)
+    out = [A for _, A, _ in catalog_algebras(field)]
+    rng = random.Random(1000 + p)
+    for num_ops, dim, shape in product((1, 2), (1, 2, 3), ("any", "alternating")):
+        for _ in range(6):
+            bracket = _random_op(rng, p, dim, shape)
+            while True:
+                ops = [_random_op(rng, p, dim, "any"), bracket][-num_ops:]
+                A = Algebra.from_entries(field, dim, ops)
+                if num_ops == 1 or shape == "any" or oracle.identity_report(A, "associative")[0]:
+                    break
+            out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_check_identity_matches_oracle(p):
+    parts = Counter()
+    for A in _oracle_algebras(p):
+        for tag in IDENTITY_TAGS:
+            if tag == "poisson" and A.num_ops != 2:
+                continue
+            rep = check_identity(A, tag)
+            holds, part, witness, defect = oracle.identity_report(A, tag)
+            if tag == "jordan" and holds:
+                continue  # the cubic law: test_jordan_matches_pointwise_oracle
+            assert (rep.holds, rep.failed_part, rep.witness) == (holds, part, witness), (A, tag)
+            assert defect == (None if rep.defect is None else tuple(rep.defect))
+            parts[tag, part] += 1
+    # every tag holds somewhere and fails somewhere at each of its parts
+    for tag, tag_parts in oracle.IDENTITY_PARTS.items():
+        for part in tag_parts + (None,) * (tag != "jordan"):
+            assert parts[tag, part] > 0, (tag, part, parts)
+
+
+def test_jordan_matches_pointwise_oracle():
+    field, rng = GF(5), random.Random(2005)
+    algebras = [A for _, A, _ in catalog_algebras(field) if A.dim <= 2]
+    algebras += [Algebra.from_entries(field, dim, [_random_op(rng, 5, dim, shape)])
+                 for dim in (1, 2) for shape in ("any", "symmetric") for _ in range(15)]
+    verdicts = Counter()
+    for A in algebras:
+        holds = check_identity(A, "jordan").holds
+        assert holds == oracle.jordan_holds_pointwise(A), A
+        verdicts[holds, check_identity(A, "commutative").holds] += 1
+    # both verdicts occur among commutative products
+    assert verdicts[True, True] > 0 and verdicts[False, True] > 0, verdicts
+
+
+def test_hash_agrees_with_eq_across_operation_names():
+    # __eq__ ignores operation names, so the hash must too
+    A = Algebra.from_entries(Q, 1, [{(0, 0, 0): 1}], names=["mul"])
+    B = Algebra.from_entries(Q, 1, [{(0, 0, 0): 1}], names=["bracket"])
+    assert A == B and hash(A) == hash(B)
+    assert len({A, B}) == 1
+
+
 # -- structural subspaces -------------------------------------------------------
 
 
@@ -192,7 +274,7 @@ def test_center_is_intersection_by_membership():
 def test_lie_left_right_centers_coincide():
     for name in ("sl2", "heisenberg", "lie_2dim_nonabelian"):
         c = centers(builtin(name))
-        assert linalg.same_span(Q, c.zl, c.zr), name
+        assert c.zl == c.zr, name
 
 
 def test_right_center_is_ideal():

@@ -1,5 +1,5 @@
 """Digests of full validation, operator-space, acting, enumeration,
-split-extension, search and commutation reports.
+split-extension, search, commutation and identity reports.
 
 Criterion 2 compares only verdicts.  These digests pin the report contents
 (labels, witnesses, defect values, canonical bases, induced tensors and the
@@ -8,7 +8,8 @@ assembled or evaluated cannot alter any of them unnoticed.  The validation
 and space digests were recorded before the laws moved into one table; the
 acting and enumeration digests before enumeration moved onto the weak actor;
 the extension, hunt and commutation digests before derived algebras were
-built from their product rule.
+built from their product rule; the identity digest before the identities of
+an algebra moved into the law table.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ from algact.actions import (
     validate_action,
     weak_actor,
 )
-from algact.algebra import Algebra, check_identity, is_homomorphism
+from algact.algebra import IDENTITY_TAGS, Algebra, check_identity, is_homomorphism
 from algact.catalog import builtin, catalog_actions, catalog_algebras
 from algact.cli import main
 from algact.errors import AlgactError
@@ -49,6 +50,7 @@ ENUMERATE_DIGEST = "3170579470609fee50488c7466cad958f6a9503f1716ede12e62fa183f1b
 EXTENSION_DIGEST = "849408cfcfd10c2131c62c1fa573ad7b82a23d4a8a4e16edc30b3c74ade8a86b"
 HUNT_DIGEST = "27adb92ba0d70fbbd8388ae06a9da811bcec3750fff0e95e718fe16706cd7a43"
 COMMUTATION_DIGEST = "5b47a0d563928f3a54dd5be76232798c6a355d9316ad0ab0ba779f26f1a87101"
+IDENTITY_DIGEST = "14104bdb6f0eb8bcea7713a2f96391ae5e14e202eebf7cc51a40147e0a4ba3be"
 
 
 def _digest(items) -> str:
@@ -340,3 +342,58 @@ def test_commutation_reports_digest():
     # the digest only guards what the inputs reach: both verdicts occur
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
     assert _digest(reports) == COMMUTATION_DIGEST
+
+
+def _random_op(rng, field, dim, alternating):
+    """Seeded sparse random structure constants, alternating if asked."""
+    scalars = (1, 2, -1, F(1, 2)) if field == Q else range(1, field.p)
+    entries = {}
+    for i, j, k in product(range(dim), repeat=3):
+        if rng.randrange(2 * dim) == 0 and not (alternating and i >= j):
+            entries[(i, j, k)] = rng.choice(scalars)
+            if alternating:
+                entries[(j, i, k)] = field.neg(field.of(entries[(i, j, k)]))
+    return entries
+
+
+def _random_algebra(rng, field, dim, num_ops, alternating):
+    """One or two random operations.  An alternating bracket reaches the
+    Jacobi check; with two operations the product is then redrawn until it
+    is associative, so the Poisson compatibility check is reached too."""
+    bracket = _random_op(rng, field, dim, alternating)
+    while True:
+        ops = [_random_op(rng, field, dim, False), bracket][-num_ops:]
+        A = Algebra.from_entries(field, dim, ops)
+        if num_ops == 1 or not alternating or check_identity(A, "associative").holds:
+            return A
+
+
+def _identity_reports():
+    algebras = [(repr(field), name, A) for field in FIELDS
+                for name, A, _ in catalog_algebras(field)]
+    rng = random.Random(20261020)
+    for field in FIELDS:
+        for num_ops, dim, alternating in product((1, 2), (1, 2, 3), (False, True)):
+            for _ in range(5):
+                A = _random_algebra(rng, field, dim, num_ops, alternating)
+                algebras.append((repr(field), A.to_json_dict(), A))
+    return [{"field": field, "algebra": name, "tag": tag,
+             "report": _outcome(lambda: check_identity(A, tag).to_json_dict(A.field))}
+            for field, name, A in algebras for tag in IDENTITY_TAGS]
+
+
+def test_identity_reports_digest():
+    reports = _identity_reports()
+    parts = Counter((r["tag"], r["report"].get("failed_part", r["report"].get("error")))
+                    for r in reports)
+    # the digest only guards what the inputs reach: every tag holds somewhere,
+    # and fails somewhere at each of its parts
+    expected = {(tag, None) for tag in IDENTITY_TAGS} | {
+        (tag, tag) for tag in ("associative", "commutative", "anticommutative",
+                               "leibniz_right", "jacobi", "jordan")} | {
+        ("lie", "anticommutative"), ("lie", "jacobi"), ("poisson", "associative"),
+        ("poisson", "anticommutative"), ("poisson", "jacobi"),
+        ("poisson", "poisson_compat"), ("poisson", "OpArityMismatch"),
+        ("jordan", "commutative")}
+    assert expected <= set(parts), expected - set(parts)
+    assert _digest(reports) == IDENTITY_DIGEST
