@@ -1,7 +1,7 @@
 """Exact computations with actions, split extensions and weak actors of
 finite-dimensional nonassociative algebras over Q and odd prime fields."""
 
-from .fields import Field, GF, PrimeField, Q, Rationals, make_field, scalar_arith
+from .fields import Field, GF, PrimeField, Q, Rationals
 from .algebra import (
     Algebra,
     BilinearOp,
@@ -15,7 +15,6 @@ from .algebra import (
     product_subspace,
 )
 from .opspace import (
-    LinearSystem,
     OperatorSpace,
     anti_derivations,
     biderivations,

@@ -24,10 +24,11 @@ correspondence read them:
 Validation labels follow the classical condition lists: L1..L6 for Leibniz,
 A1..A6 for associative (the same list that reappears inside P1), and
 P1.1..P1.6, P2.1, P2.2, P3..P8 for Poisson.  The lists live in
-:mod:`algact.laws`: the conditions on two kernel elements are the weak
-actor's defining laws evaluated on l_x, r_x and k_x (L1-L3 the biderivation
-laws, A1-A3 the bimultiplier laws, P2.1, P6, P7, P8 the Poisson actor laws),
-and the rest are written there once in the same term format.  Every
+:mod:`algact.laws` as signed trees: the conditions on two kernel elements
+are the weak actor's defining laws evaluated on l_x, r_x and k_x (L1-L3 the
+biderivation laws for d = r_x and D = -l_x, A1-A3 the bimultiplier laws,
+P2.1, P6, P7, P8 the Poisson actor laws), and the rest apply the operators
+at acting elements in the same format.  Every
 condition is multilinear in its algebra arguments, so evaluating it on basis
 tuples is exhaustive.
 
@@ -84,6 +85,11 @@ __all__ = [
 ]
 
 
+def signed_slot(slot):
+    """(sign, name) of a slot name, where "-r" stands for the negated r."""
+    return (-1, slot[1:]) if slot.startswith("-") else (1, slot)
+
+
 @dataclass(frozen=True)
 class _Variety:
     """A variety's weak actor and how its actions meet it.
@@ -102,7 +108,7 @@ class _Variety:
 
     @property
     def operators(self) -> tuple:
-        return tuple(laws.signed_slot(s)[1] for s in self.slots)
+        return tuple(signed_slot(s)[1] for s in self.slots)
 
 
 _VARIETIES = {
@@ -297,11 +303,16 @@ class ActionData:
             key(self.bracket),
         )
 
+    def _fields(self):
+        # what equality compares: the algebras by value, their operation
+        # names left out as in Algebra.__eq__
+        return (self.variety, self.acting, self.kernel, self.l, self.r, self.bracket)
+
     def __eq__(self, other):
-        return isinstance(other, ActionData) and self.canonical_key() == other.canonical_key()
+        return isinstance(other, ActionData) and self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(self._fields())
 
     def __repr__(self):
         return (
@@ -420,6 +431,11 @@ class SplitExtension:
             s = [[f.of(x) for x in row] for row in data["section"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed split extension: {exc}") from exc
+        n, m, k = total.dim, len(i[0]) if i else 0, len(pi)
+        for name, M, rows, cols in (("kernel_inj", i, n, m), ("retraction", pi, k, n),
+                                    ("section", s, n, k)):
+            if len(M) != rows or any(len(row) != cols for row in M):
+                raise ShapeMismatch(f"{name} must be a {rows}x{cols} matrix")
         return cls(total, i, pi, s)
 
     # -- derived algebras ----------------------------------------------------
@@ -640,7 +656,7 @@ def action_to_morphism(a: ActionData, space: Optional[OperatorSpace] = None) -> 
     actor basis, with the homomorphism property verified and reported."""
     if space is None:
         space = weak_actor(a.kernel, a.variety)
-    slots = [laws.signed_slot(s) for s in _variety(a.variety).slots]
+    slots = [signed_slot(s) for s in _variety(a.variety).slots]
     operators = a.operators()
     cols = []
     for p in range(a.acting.dim):
@@ -677,7 +693,7 @@ def _unpack(matrix, B: Algebra, X: Algebra, variety: str, space: OperatorSpace) 
     mats = {name: [] for name in v.operators}  # operator name -> one matrix per p
     for p in range(B.dim):
         for slot, M in zip(v.slots, space.tuple_from_coords(linalg.mat_col(matrix, p))):
-            sign, name = laws.signed_slot(slot)
+            sign, name = signed_slot(slot)
             mats[name].append(_signed(f, sign, M))
     # l[p][y] is column y of l_p, r[x][q] column x of r_q
     l = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["l"]]

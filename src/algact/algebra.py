@@ -218,7 +218,10 @@ class Algebra:
                     (tuple(json_int(x, "entry index") for x in (i, j, k)), field.of(c))
                     for i, j, k, c in op.get("entries", [])
                 ]
-                name = op.get("name") or ("bracket" if pos == 1 else "mul")
+                name = op.get("name")
+                if name is not None and not isinstance(name, str):
+                    raise InputError(f"operation name must be a string, got {name!r}")
+                name = name or ("bracket" if pos == 1 else "mul")
                 ops.append(BilinearOp(field, dim, entries, name))
         except (AttributeError, TypeError, ValueError) as exc:
             raise InputError(f"malformed algebra operation: {exc}") from exc

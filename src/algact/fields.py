@@ -23,7 +23,7 @@ from .errors import (
     NotPrime,
 )
 
-__all__ = ["Field", "Rationals", "PrimeField", "Q", "GF", "make_field", "scalar_arith"]
+__all__ = ["Field", "Rationals", "PrimeField", "Q", "GF"]
 
 # deterministic Miller-Rabin witnesses, valid for every n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -32,7 +32,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:  # trial division by the same small primes
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -83,9 +83,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return not a  # scalars are canonical, so only zero is falsy
 
-    def contains(self, a) -> bool:
-        raise NotImplementedError
-
     def of(self, x):
         """Coerce an int, string or scalar into canonical form."""
         raise NotImplementedError
@@ -129,9 +126,6 @@ class Rationals(Field):
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    def contains(self, a) -> bool:
-        return isinstance(a, (Fraction, int)) and not isinstance(a, bool)
 
     def of(self, x):
         if isinstance(x, str):
@@ -190,9 +184,6 @@ class PrimeField(Field):
     zero = 0
     one = 1
 
-    def contains(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p
-
     def of(self, x):
         if isinstance(x, str):
             try:
@@ -234,41 +225,3 @@ def GF(p: int) -> PrimeField:
         field = PrimeField(p)
         _PRIME_CACHE[p] = field
     return field
-
-
-def make_field(kind: str, p: int | None = None) -> Field:
-    """Build a validated field from a kind tag.
-
-    ``kind`` is ``"Q"``/``"rationals"`` or ``"Fp"``/``"prime"`` (the latter
-    require ``p``).  Characteristic 2 is refused here, once, rather than in
-    every downstream computation.
-    """
-    if kind in ("Q", "rationals"):
-        return Q
-    if kind in ("Fp", "prime", "prime_field"):
-        if p is None:
-            raise InputError("prime field requires p")
-        return GF(p)
-    raise InputError(f"unknown field kind {kind!r}")
-
-
-def scalar_arith(field: Field, op: str, a, b=None):
-    """Single-dispatch scalar arithmetic with canonicalized results.
-
-    Mainly a uniform surface for tests and scripting; library code calls the
-    field methods directly.
-    """
-    if not field.contains(a):
-        raise FieldMismatch(f"{a!r} does not belong to {field!r}")
-    a = field.of(a)
-    if op in ("add", "sub", "mul", "div", "eq"):
-        if b is None:
-            raise InputError(f"{op} needs two operands")
-        if not field.contains(b):
-            raise FieldMismatch(f"{b!r} does not belong to {field!r}")
-        return getattr(field, op)(a, field.of(b))
-    if op in ("neg", "inv"):
-        if b is not None:
-            raise InputError(f"{op} takes one operand")
-        return getattr(field, op)(a)
-    raise InputError(f"unknown scalar operation {op!r}")

@@ -1,142 +1,136 @@
-"""The defining laws of operator spaces and actions, each written once.
+"""The laws of operator spaces, actions and algebras, each written once.
 
-A *law* is a tuple of signed terms whose sum must vanish.  A term is a
-4-tuple ``(sign, shape, slot, op)``: ``slot`` names an operator (a component
-``d``, ``D``, ``f``, ``F`` of an operator tuple, or one of the operators
-``l``, ``r``, ``k`` of an action) and ``op`` is :data:`PRODUCT` (operation 0)
-or :data:`BRACKET` (the algebra's ``bracket_op``).  On basis arguments
-(x, y) of an algebra the shapes are
+A *law* is a tuple of signed terms ``(sign, node)`` whose sum must vanish.
+A node is a tree over basis arguments numbered from 0.  It is one of
 
-* ``M(x.y)``  the operator applied to the product,
-* ``M(x).y``  the operator applied to x, times y,
-* ``x.M(y)``  x times the operator applied to y,
-* ``M(y).x``  the operator applied to y, times x.
+* an argument index;
+* ``(op, u, w)``, the product of the nodes u and w under ``op``, which is
+  :data:`PRODUCT` (operation 0) or :data:`BRACKET` (the algebra's
+  ``bracket_op``);
+* ``(ON, s, u)``, the operator in slot ``s`` applied to u: a component
+  ``d``, ``D``, ``f``, ``F`` of an operator tuple, or one of the operators
+  ``l``, ``r``, ``k`` of an action read at one acting element;
+* ``(AT, s, x, u)``, the action operator ``s`` at the acting element x (a
+  node of the acting algebra B) applied to u.
 
-The conditions of an action of B on X also take arguments (x, y, a) with
-x, y in B and a in X; there a term is ``(sign, "S_{x.y}(a)", S, op)``, with
-``op`` an operation of B, or ``(sign, "S_x(T_y(a))", S, T)`` and
-``(sign, "S_y(T_x(a))", S, T)``.  A slot written ``"-l"`` stands for the
-negated operator; the templates fold that sign into the term.
-
-The identities of an algebra itself (associativity, commutativity,
-anticommutativity, right Leibniz, Jacobi, Poisson compatibility) are laws
-whose terms are ``(sign, node)``: a node is an argument index, or
-``(op, node, node)`` for the product of two nodes under ``op``.
+So :func:`derivation` is ``M(x.y) - M(x).y - x.M(y)``, and the Leibniz
+condition L4 is ``r_[x,y](a) - r_y(r_x(a)) + r_x(r_y(a))``.
 
 Every law is multilinear in its arguments, so imposing it on basis
-arguments is equivalent to imposing it everywhere.  Four interpreters read
-the laws:
+arguments is equivalent to imposing it everywhere.  The one format is read
+two ways:
 
-* :func:`law_rows` yields the linear forms of a law over the unknown
-  entries of an operator tuple, the rows of an operator space's system;
-* :func:`law_defects` evaluates a law on a known operator tuple, the
-  self-check after construction;
-* :func:`condition_defect` evaluates an action condition on the operators
-  of every acting basis element and returns the first witness;
-* :func:`identity_defect` evaluates an identity of an algebra on its basis
-  tuples and returns the first witness.
+* evaluation computes a law on basis arguments, with known operators.  It
+  serves :func:`law_defects`, the self-check of an operator space after
+  construction; :func:`condition_defect`, the conditions of an action and
+  its acting law; and :func:`identity_defect`, the identities of an algebra.
+* the linear reading, :func:`law_rows`, takes the operators as unknown
+  matrices.  Each term holds one ``ON`` node M applied to a node v, inside
+  a context C that is linear in M's value, so the term is
+  ``sum_{k,j} M[k][j] v_j C(e_k)``: linear forms over the entries of M whose
+  coefficients v and C(e_k) are themselves evaluations.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from . import linalg
 
 PRODUCT = "product"
 BRACKET = "bracket"
-
-M_XY = "M(x.y)"
-MX_Y = "M(x).y"
-X_MY = "x.M(y)"
-MY_X = "M(y).x"
-S_XY = "S_{x.y}(a)"
-S_X_T_Y = "S_x(T_y(a))"
-S_Y_T_X = "S_y(T_x(a))"
-
-# for the product shapes: (argument the operator is applied to, the other
-# argument, whether the operator's value is the left factor)
-_PRODUCT_SHAPES = {MX_Y: (0, 1, True), X_MY: (1, 0, False), MY_X: (1, 0, True)}
+ON = "on"
+AT = "at"
 
 
-def _op_index(A, op) -> int:
-    return 0 if op == PRODUCT else A.bracket_op
+def _p(u, w):
+    return (PRODUCT, u, w)
 
 
-def signed_slot(slot):
-    """(sign, name) of a slot name, where "-l" stands for the negated l."""
-    return (-1, slot[1:]) if slot.startswith("-") else (1, slot)
+def _b(u, w):
+    return (BRACKET, u, w)
 
 
-def _law(*terms):
-    out = []
-    for sign, shape, slot, op in terms:
-        s, slot = signed_slot(slot)
-        out.append((s * sign, shape, slot, op))
-    return tuple(out)
+def _on(s, u):
+    return (ON, s, u)
+
+
+def _at(s, x, u):
+    return (AT, s, x, u)
 
 
 # -- templates -------------------------------------------------------------------
+#
+# The arguments x, y are the indices 0, 1.
 
 
 def derivation(M, op):
     """M(x.y) = M(x).y + x.M(y)"""
-    return _law((1, M_XY, M, op), (-1, MX_Y, M, op), (-1, X_MY, M, op))
+    return ((1, _on(M, (op, 0, 1))), (-1, (op, _on(M, 0), 1)), (-1, (op, 0, _on(M, 1))))
 
 
 def antiderivation(M, op):
     """M(x.y) = M(x).y - M(y).x"""
-    return _law((1, M_XY, M, op), (-1, MX_Y, M, op), (1, MY_X, M, op))
+    return ((1, _on(M, (op, 0, 1))), (-1, (op, _on(M, 0), 1)), (1, (op, _on(M, 1), 0)))
 
 
 def left_multiplier(f):
     """f(xy) = f(x)y"""
-    return _law((1, M_XY, f, PRODUCT), (-1, MX_Y, f, PRODUCT))
+    return ((1, _on(f, _p(0, 1))), (-1, _p(_on(f, 0), 1)))
 
 
 def right_multiplier(F):
     """F(xy) = xF(y)"""
-    return _law((1, M_XY, F, PRODUCT), (-1, X_MY, F, PRODUCT))
+    return ((1, _on(F, _p(0, 1))), (-1, _p(0, _on(F, 1))))
 
 
 def mixed(f, F):
     """x f(y) = F(x) y"""
-    return _law((1, X_MY, f, PRODUCT), (-1, MX_Y, F, PRODUCT))
+    return ((1, _p(0, _on(f, 1))), (-1, _p(_on(F, 0), 1)))
 
 
 def compatibility(d, D):
     """[x, d(y)] = [x, D(y)]"""
-    return _law((1, X_MY, d, BRACKET), (-1, X_MY, D, BRACKET))
+    return ((1, _b(0, _on(d, 1))), (-1, _b(0, _on(D, 1))))
 
 
 def v1(f, d):
     """f[x,y] = [f(x), y] - d(y) x"""
-    return _law((1, M_XY, f, BRACKET), (-1, MX_Y, f, BRACKET), (1, MY_X, d, PRODUCT))
+    return ((1, _on(f, _b(0, 1))), (-1, _b(_on(f, 0), 1)), (1, _p(_on(d, 1), 0)))
 
 
 def v2(F, d):
     """F[x,y] = [F(x), y] - x d(y)"""
-    return _law((1, M_XY, F, BRACKET), (-1, MX_Y, F, BRACKET), (1, X_MY, d, PRODUCT))
+    return ((1, _on(F, _b(0, 1))), (-1, _b(_on(F, 0), 1)), (1, _p(0, _on(d, 1))))
 
 
 # -- action conditions -------------------------------------------------------------
 #
 # For x, y in B and a, b in X: l_x(a) = x*a, r_x(a) = a*x and k_x(a) = {x, a}.
-# A homomorphism into the weak actor comes from an action exactly when its
-# operators satisfy the acting law: L6 for Leibniz algebras, PERMUTABLE for
-# associative and Poisson algebras.
+# The conditions on two kernel elements a, b (indices 0, 1) are laws of the
+# weak actor, read at each acting element x.  The others take x, y, a as the
+# indices 0, 1, 2.  A homomorphism into the weak actor comes from an action
+# exactly when its operators satisfy the acting law: L6 for Leibniz
+# algebras, PERMUTABLE for associative and Poisson algebras.
 
-L6 = _law((1, S_X_T_Y, "l", "l"), (1, S_X_T_Y, "l", "r"))  # l_x (l_y + r_y) = 0
-PERMUTABLE = _law((1, S_X_T_Y, "l", "r"), (-1, S_Y_T_X, "r", "l"))  # l_x r_y = r_y l_x
+# l_x (l_y + r_y) = 0
+L6 = ((1, _at("l", 0, _at("l", 1, 2))), (1, _at("l", 0, _at("r", 1, 2))))
+# l_x r_y = r_y l_x
+PERMUTABLE = ((1, _at("l", 0, _at("r", 1, 2))), (-1, _at("r", 1, _at("l", 0, 2))))
 
 LEIBNIZ = (
     ("L1", derivation("r", BRACKET)),
     ("L2", antiderivation("l", BRACKET)),
-    ("L3", compatibility("r", "-l")),
+    ("L3", ((1, _b(0, _on("r", 1))), (1, _b(0, _on("l", 1))))),  # [a, r_x(b)] + [a, l_x(b)] = 0
     # r_[x,y] = r_y r_x - r_x r_y
-    ("L4", _law((1, S_XY, "r", BRACKET), (-1, S_Y_T_X, "r", "r"), (1, S_X_T_Y, "r", "r"))),
+    ("L4", ((1, _at("r", _b(0, 1), 2)),
+            (-1, _at("r", 1, _at("r", 0, 2))),
+            (1, _at("r", 0, _at("r", 1, 2))))),
     # l_[x,y] = r_y l_x - l_x r_y
-    ("L5", _law((1, S_XY, "l", BRACKET), (-1, S_Y_T_X, "r", "l"), (1, S_X_T_Y, "l", "r"))),
+    ("L5", ((1, _at("l", _b(0, 1), 2)),
+            (-1, _at("r", 1, _at("l", 0, 2))),
+            (1, _at("l", 0, _at("r", 1, 2))))),
     ("L6", L6),
 )
 
@@ -144,9 +138,9 @@ _ASSOCIATIVE = (
     left_multiplier("l"),  # x*(ab) = (x*a)b
     right_multiplier("r"),  # (ab)*x = a(b*x)
     mixed("l", "r"),  # a(x*b) = (a*x)b
-    _law((1, S_Y_T_X, "r", "l"), (-1, S_X_T_Y, "l", "r")),  # (x*a)*y = x*(a*y)
-    _law((1, S_XY, "l", PRODUCT), (-1, S_X_T_Y, "l", "l")),  # (xy)*a = x*(y*a)
-    _law((1, S_XY, "r", PRODUCT), (-1, S_Y_T_X, "r", "r")),  # a*(xy) = (a*x)*y
+    ((1, _at("r", 1, _at("l", 0, 2))), (-1, _at("l", 0, _at("r", 1, 2)))),  # (x*a)*y = x*(a*y)
+    ((1, _at("l", _p(0, 1), 2)), (-1, _at("l", 0, _at("l", 1, 2)))),  # (xy)*a = x*(y*a)
+    ((1, _at("r", _p(0, 1), 2)), (-1, _at("r", 1, _at("r", 0, 2)))),  # a*(xy) = (a*x)*y
 )
 
 ASSOCIATIVE = tuple(zip(("A1", "A2", "A3", "A4", "A5", "A6"), _ASSOCIATIVE))
@@ -154,13 +148,21 @@ ASSOCIATIVE = tuple(zip(("A1", "A2", "A3", "A4", "A5", "A6"), _ASSOCIATIVE))
 POISSON = tuple(zip(("P1.1", "P1.2", "P1.3", "P1.4", "P1.5", "P1.6"), _ASSOCIATIVE)) + (
     ("P2.1", derivation("k", BRACKET)),
     # k_[x,y] = k_x k_y - k_y k_x
-    ("P2.2", _law((1, S_XY, "k", BRACKET), (-1, S_X_T_Y, "k", "k"), (1, S_Y_T_X, "k", "k"))),
+    ("P2.2", ((1, _at("k", _b(0, 1), 2)),
+              (-1, _at("k", 0, _at("k", 1, 2))),
+              (1, _at("k", 1, _at("k", 0, 2))))),
     # k_xy = l_x k_y + r_y k_x
-    ("P3", _law((1, S_XY, "k", PRODUCT), (-1, S_X_T_Y, "l", "k"), (-1, S_Y_T_X, "r", "k"))),
+    ("P3", ((1, _at("k", _p(0, 1), 2)),
+            (-1, _at("l", 0, _at("k", 1, 2))),
+            (-1, _at("r", 1, _at("k", 0, 2))))),
     # l_[x,y] = l_x k_y - k_y l_x
-    ("P4", _law((1, S_XY, "l", BRACKET), (-1, S_X_T_Y, "l", "k"), (1, S_Y_T_X, "k", "l"))),
+    ("P4", ((1, _at("l", _b(0, 1), 2)),
+            (-1, _at("l", 0, _at("k", 1, 2))),
+            (1, _at("k", 1, _at("l", 0, 2))))),
     # r_[x,y] = r_x k_y - k_y r_x
-    ("P5", _law((1, S_XY, "r", BRACKET), (-1, S_X_T_Y, "r", "k"), (1, S_Y_T_X, "k", "r"))),
+    ("P5", ((1, _at("r", _b(0, 1), 2)),
+            (-1, _at("r", 0, _at("k", 1, 2))),
+            (1, _at("k", 1, _at("r", 0, 2))))),
     ("P6", v1("l", "k")),
     ("P7", v2("r", "k")),
     ("P8", derivation("k", PRODUCT)),
@@ -168,17 +170,9 @@ POISSON = tuple(zip(("P1.1", "P1.2", "P1.3", "P1.4", "P1.5", "P1.6"), _ASSOCIATI
 
 
 # -- identities of an algebra ------------------------------------------------------
+#
+# The arguments x, y, z are the indices 0, 1, 2.
 
-
-def _p(a, b):
-    return (PRODUCT, a, b)
-
-
-def _b(a, b):
-    return (BRACKET, a, b)
-
-
-# arguments x, y, z are the indices 0, 1, 2
 ASSOCIATIVITY = ((1, _p(_p(0, 1), 2)), (-1, _p(0, _p(1, 2))))  # (xy)z = x(yz)
 COMMUTATIVITY = ((1, _p(0, 1)), (-1, _p(1, 0)))  # xy = yx
 # [x,y] + [y,x] = 0, so [x,x] = 0 on the diagonal (char != 2)
@@ -191,157 +185,200 @@ JACOBI = ((1, _b(_b(0, 1), 2)), (1, _b(_b(1, 2), 0)), (1, _b(_b(2, 0), 1)))
 POISSON_COMPAT = ((1, _b(0, _p(1, 2))), (-1, _p(_b(0, 1), 2)), (-1, _p(1, _b(0, 2))))
 
 
-# -- interpreters ------------------------------------------------------------------
+# -- the two readings ----------------------------------------------------------------
 
 
-def law_rows(A, law, blocks):
-    """The nonzero linear forms of ``law`` over unknown operator entries.
+def _subnodes(node):
+    yield node
+    if not isinstance(node, int):
+        for child in node[1:]:
+            if not isinstance(child, str):  # slot names are strings
+                yield from _subnodes(child)
 
-    The operator in slot s is the unknown n x n matrix stored row-major from
-    index ``blocks[s] * n * n``.  Forms come per basis pair (i, j) in
-    lexicographic order, one per output coordinate.
+
+@lru_cache(maxsize=None)
+def _arity(law) -> int:
+    return 1 + max(n for _, node in law for n in _subnodes(node) if isinstance(n, int))
+
+
+@lru_cache(maxsize=None)
+def _on_pairs(law) -> bool:
+    """Whether ``law`` is a law on two kernel arguments, read at each acting
+    element: it applies operators by ``ON``, not ``AT``."""
+    return any(n[0] == ON for _, node in law for n in _subnodes(node) if not isinstance(n, int))
+
+
+class _Env:
+    """What a compiled node reads: the algebra A it is evaluated in, the
+    operators (a map from slot to its matrix for ``ON`` nodes, and to its
+    matrices over the basis of B for ``AT`` nodes) and the env of B."""
+
+    __slots__ = ("A", "f", "bracket", "ops", "acting")
+
+    def __init__(self, A, operators=None, B=None):
+        self.A, self.f, self.bracket, self.ops = A, A.field, A.bracket_op, operators
+        self.acting = None if B is None else _Env(B)
+
+
+@lru_cache(maxsize=None)
+def _compile(node):
+    """``node`` on basis arguments, compiled once for every algebra.
+
+    A leaf compiles to its argument index, standing for a unit vector; any
+    other node to a function fn(env, args) of an :class:`_Env` and the
+    argument tuple that returns a vector.
     """
-    f, n = A.field, A.dim
-    terms = [
-        (sign, shape, blocks[slot] * n * n, A.ops[_op_index(A, op)].value)
-        for sign, shape, slot, op in law
-    ]
-    for args in iproduct(range(n), repeat=2):
-        forms = [{} for _ in range(n)]
-        for sign, shape, off, value in terms:
-            if shape == M_XY:  # M(x.y)_m = sum_k M[m][k] (x.y)_k
-                cells = [(m, off + m * n + k, c) for k, c in enumerate(value(*args)) for m in range(n)]
-            else:  # M(u).w = sum_k M[k][u] (e_k.w), and w.M(u) alike
-                u, w, left = _PRODUCT_SHAPES[shape]
-                u, w = args[u], args[w]
-                cells = [
-                    (m, off + k * n + u, c)
-                    for k in range(n)
-                    for m, c in enumerate(value(k, w) if left else value(w, k))
-                ]
-            for m, idx, c in cells:
+    if isinstance(node, int):
+        return node
+    tag = node[0]
+    if tag == ON:
+        s, u = node[1], _compile(node[2])
+        if isinstance(u, int):
+            return lambda env, args: linalg.mat_col(env.ops[s], args[u])
+        return lambda env, args: linalg.mat_vec(env.f, env.ops[s], u(env, args))
+    if tag == AT:
+        s, x, u = node[1], _compile(node[2]), _compile(node[3])
+        if isinstance(x, int) and isinstance(u, int):
+            return lambda env, args: linalg.mat_col(env.ops[s][args[x]], args[u])
+        if isinstance(x, int):
+            return lambda env, args: linalg.mat_vec(env.f, env.ops[s][args[x]], u(env, args))
+        leaf = isinstance(u, int)
+
+        def at(env, args):  # sum_p x_p S_p(u)
+            f, out = env.f, [env.f.zero] * env.A.dim
+            for c, M in zip(x(env.acting, args), env.ops[s]):
                 if not f.is_zero(c):
-                    c = c if sign > 0 else f.neg(c)
-                    forms[m][idx] = f.add(forms[m][idx], c) if idx in forms[m] else c
-        for form in forms:
-            form = {idx: c for idx, c in form.items() if not f.is_zero(c)}
-            if form:
-                yield form
+                    Mu = linalg.mat_col(M, args[u]) if leaf else linalg.mat_vec(f, M, u(env, args))
+                    out = linalg.vec_add(f, out, [f.mul(c, y) for y in Mu])
+            return out
+
+        return at
+    bracket = tag == BRACKET
+    u, w = _compile(node[1]), _compile(node[2])
+    if isinstance(u, int) and isinstance(w, int):
+        return lambda env, args: env.A.mul_basis(env.bracket if bracket else 0, args[u], args[w])
+    u, w = _value(u), _value(w)
+    return lambda env, args: env.A.multiply(
+        env.bracket if bracket else 0, u(env, args), w(env, args))
 
 
-def first_defect(field, tuples, defect_fn):
-    """The first (tuple, defect) with a nonzero defect, or None."""
-    for idx in tuples:
-        d = defect_fn(*idx)
-        if not linalg.vec_is_zero(field, d):
-            return idx, d
-    return None
+def _value(c):
+    """A compiled node as a function fn(env, args)."""
+    if isinstance(c, int):
+        return lambda env, args: env.A.unit(args[c])
+    return c
 
 
-def _signed_sum(f, terms):
-    """The defect function: sum of the signed terms (sign, fn(*args))."""
-    (first_sign, first), rest = terms[0], terms[1:]
+def _defect(A, law, operators=None, B=None):
+    """The sum of a law's signed terms as a function of the argument tuple."""
+    f, env = A.field, _Env(A, operators, B)
+    (sign, first), *rest = [(s, _value(_compile(node))) for s, node in law]
 
-    def defect(*args):
-        acc = first(*args)
-        if first_sign < 0:
+    def defect(args):
+        acc = first(env, args)
+        if sign < 0:
             acc = linalg.vec_neg(f, acc)
-        for sign, term in rest:
-            v = term(*args)
-            acc = linalg.vec_add(f, acc, v) if sign > 0 else linalg.vec_sub(f, acc, v)
+        for s, term in rest:
+            v = term(env, args)
+            acc = linalg.vec_add(f, acc, v) if s > 0 else linalg.vec_sub(f, acc, v)
         return acc
 
     return defect
 
 
-def _pair_term(A, shape, M, op):
-    f = A.field
-    if shape == M_XY:
-        return lambda i, j: linalg.mat_vec(f, M, A.mul_basis(op, i, j))
-    u, w, left = _PRODUCT_SHAPES[shape]
-
-    def term(*args):
-        Mu, ew = linalg.mat_col(M, args[u]), A.unit(args[w])
-        return A.multiply(op, Mu, ew) if left else A.multiply(op, ew, Mu)
-
-    return term
-
-
-def _pair_defect(A, law, operators):
-    terms = [
-        (sign, _pair_term(A, shape, operators[slot], _op_index(A, op)))
-        for sign, shape, slot, op in law
-    ]
-    return _signed_sum(A.field, terms)
+def first_defect(field, tuples, defect_fn):
+    """The first (tuple, defect) with a nonzero defect, or None."""
+    for args in tuples:
+        d = defect_fn(args)
+        if not linalg.vec_is_zero(field, d):
+            return args, d
+    return None
 
 
 def law_defects(A, law, operators):
-    """Yield ((i, j), defect) for every basis pair where ``law`` fails on the
+    """Yield (args, defect) for every basis tuple where ``law`` fails on the
     operator matrices ``operators`` (a map from slot to matrix)."""
-    defect = _pair_defect(A, law, operators)
-    for args in iproduct(range(A.dim), repeat=2):
-        d = defect(*args)
+    defect = _defect(A, law, operators)
+    for args in iproduct(range(A.dim), repeat=_arity(law)):
+        d = defect(args)
         if not linalg.vec_is_zero(A.field, d):
             yield args, d
-
-
-def _triple_term(B, X, shape, S, T, operators):
-    f, Ss = X.field, operators[S]
-    if shape == S_XY:  # column a of sum_p (x.y)_p S_p
-        op = _op_index(B, T)
-
-        def term(x, y, a):
-            out = [f.zero] * X.dim
-            for c, M in zip(B.mul_basis(op, x, y), Ss):
-                if not f.is_zero(c):
-                    out = linalg.vec_add(f, out, [f.mul(c, row[a]) for row in M])
-            return out
-
-        return term
-    Ts = operators[T]
-    if shape == S_X_T_Y:
-        return lambda x, y, a: linalg.mat_vec(f, Ss[x], linalg.mat_col(Ts[y], a))
-    return lambda x, y, a: linalg.mat_vec(f, Ss[y], linalg.mat_col(Ts[x], a))
 
 
 def condition_defect(B, X, law, operators):
     """First failing witness of an action condition and its defect, or None.
 
     ``operators`` maps each of l, r, k to its matrices on X, one per basis
-    element of B.  Witnesses are (x, a, b) for laws in the shapes of two
-    arguments of X, and (x, y, a) otherwise, taken in lexicographic order.
+    element of B.  Witnesses are (x, a, b) for laws on two arguments of X,
+    read at each acting element x, and (x, y, a) otherwise, taken in
+    lexicographic order.
     """
     f, nb, nx = X.field, B.dim, X.dim
-    if law[0][1] in (M_XY, MX_Y, X_MY, MY_X):
-        by_x = [
-            _pair_defect(X, law, {s: ops[x] for s, ops in operators.items()})
-            for x in range(nb)
-        ]
+    if _on_pairs(law):
+        by_x = [_defect(X, law, {s: ops[x] for s, ops in operators.items()}) for x in range(nb)]
         return first_defect(f, iproduct(range(nb), range(nx), range(nx)),
-                            lambda x, a, b: by_x[x](a, b))
-    terms = [(sign, _triple_term(B, X, shape, S, T, operators)) for sign, shape, S, T in law]
-    return first_defect(f, iproduct(range(nb), range(nb), range(nx)), _signed_sum(f, terms))
-
-
-def _node_term(A, node):
-    """The value of an identity's node as a function of basis arguments."""
-    if isinstance(node, int):
-        return lambda *args: A.unit(args[node])
-    op, u, w = node
-    op = _op_index(A, op)
-    if isinstance(u, int) and isinstance(w, int):
-        return lambda *args: A.mul_basis(op, args[u], args[w])
-    left, right = _node_term(A, u), _node_term(A, w)
-    return lambda *args: A.multiply(op, left(*args), right(*args))
-
-
-def _arity(node) -> int:
-    return node + 1 if isinstance(node, int) else max(_arity(node[1]), _arity(node[2]))
+                            lambda args: by_x[args[0]](args[1:]))
+    return first_defect(f, iproduct(range(nb), range(nb), range(nx)), _defect(X, law, operators, B))
 
 
 def identity_defect(A, law):
     """First failing basis tuple of an identity of ``A`` and its defect, or
     None; tuples of the law's arity are taken in lexicographic order."""
-    terms = [(sign, _node_term(A, node)) for sign, node in law]
-    arity = max(_arity(node) for _, node in law)
-    return first_defect(A.field, iproduct(range(A.dim), repeat=arity), _signed_sum(A.field, terms))
+    return first_defect(A.field, iproduct(range(A.dim), repeat=_arity(law)), _defect(A, law))
+
+
+def _hole(node, hole):
+    """(the ``ON`` node of a term, the term with that node replaced by the
+    argument index ``hole``)."""
+    if isinstance(node, int):
+        return None, node
+    if node[0] == ON:
+        return node, hole
+    (on_u, u), (on_w, w) = _hole(node[1], hole), _hole(node[2], hole)
+    return on_u or on_w, (node[0], u, w)
+
+
+def _times(f, a, b):
+    """a * b, where None stands for 1."""
+    if a is None:
+        return f.one if b is None else b
+    return a if b is None else f.mul(a, b)
+
+
+def _support(f, env, c, args):
+    """The nonzero (index, coefficient) pairs of a compiled node's value; a
+    leaf is a unit vector, whose coefficient 1 is given as None."""
+    if isinstance(c, int):
+        return ((args[c], None),)
+    return [(i, x) for i, x in enumerate(c(env, args)) if not f.is_zero(x)]
+
+
+def law_rows(A, law, blocks):
+    """The nonzero linear forms of ``law`` over unknown operator entries.
+
+    The operator in slot s is the unknown n x n matrix stored row-major from
+    index ``blocks[s] * n * n``.  Forms come per basis tuple in
+    lexicographic order, one per output coordinate.
+    """
+    f, n, env = A.field, A.dim, _Env(A)
+    arity = _arity(law)
+    terms = []
+    for sign, node in law:
+        (_, slot, v), context = _hole(node, arity)
+        terms.append((sign, blocks[slot] * n * n, _compile(v), _compile(context)))
+    for args in iproduct(range(n), repeat=arity):
+        forms = [{} for _ in range(n)]
+        for sign, off, v, context in terms:
+            # the term is sum_{k,j} M[k][j] v_j C(e_k)
+            images = [_support(f, env, context, args + (k,)) for k in range(n)]
+            for j, a in _support(f, env, v, args):
+                for k, image in enumerate(images):
+                    idx = off + k * n + j
+                    for m, c in image:
+                        c = _times(f, a, c)
+                        c = c if sign > 0 else f.neg(c)
+                        forms[m][idx] = f.add(forms[m][idx], c) if idx in forms[m] else c
+        for form in forms:
+            form = {idx: c for idx, c in form.items() if not f.is_zero(c)}
+            if form:
+                yield form

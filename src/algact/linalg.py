@@ -241,7 +241,6 @@ def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
 
 def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
     """Canonical basis of {x : rows . x = 0} in F^n."""
-    rows = [r for r in rows if not vec_is_zero(field, r)]
     if not rows:
         return rref(field, mat_identity(field, n)) if n else ([], [])
     R, pivots = rref(field, rows)

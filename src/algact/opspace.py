@@ -19,11 +19,14 @@ components satisfy:
                                        operations, f[x,y] = [fx,y] - d(y)x
 
 One record per kind (``_KINDS``) holds the components, the check on the base
-algebra, the laws, the induced operations and the inner tuples.  The same
-laws give the rows of the system (:func:`algact.laws.law_rows`) and the
-self-check (:func:`defining_defects`), which evaluates them directly on every
-computed basis tuple.  Every law is bilinear in the two algebra arguments,
-so imposing it on all basis pairs is equivalent to imposing it everywhere.
+algebra, the laws, the induced operations and the inner tuples.  A law is a
+signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
+(:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
+entries, which :func:`space_of_kind` hands as dense rows straight to
+:func:`algact.linalg.nullspace_basis`.  Its evaluation is the self-check
+(:func:`defining_defects`), run on every computed basis tuple without the
+rows.  Every law is bilinear in the two algebra arguments, so imposing it on
+all basis pairs is equivalent to imposing it everywhere.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple).  The induced operations are stored once, as the space's
@@ -35,7 +38,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import laws, linalg
@@ -54,7 +57,6 @@ from .fields import Field
 from .laws import BRACKET, PRODUCT
 
 __all__ = [
-    "LinearSystem",
     "OperatorSpace",
     "derivations",
     "anti_derivations",
@@ -70,29 +72,6 @@ __all__ = [
     "check_bim_commutation",
     "CommutationReport",
 ]
-
-
-@dataclass
-class LinearSystem:
-    """Homogeneous system; rows are sparse {column: coefficient} maps."""
-
-    field: Field
-    unknowns: int
-    rows: list = dc_field(default_factory=list)
-
-    def add_form(self, form: dict):
-        if form:
-            self.rows.append(form)
-
-    def dense_rows(self):
-        z = self.field.zero
-        out = []
-        for form in self.rows:
-            row = [z] * self.unknowns
-            for idx, c in form.items():
-                row[idx] = c
-            out.append(row)
-        return out
 
 
 # -- operator space ----------------------------------------------------------
@@ -358,12 +337,16 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
     spec = _kind(kind)
     spec.precondition(A)
     f, n = A.field, A.dim
-    system = LinearSystem(f, len(spec.components) * n * n)
+    unknowns = len(spec.components) * n * n
     blocks = {name: b for b, name in enumerate(spec.components)}
+    rows = []
     for _, law in spec.laws:
         for form in laws.law_rows(A, law, blocks):
-            system.add_form(form)
-    vec_basis, pivots = linalg.nullspace_basis(f, system.dense_rows(), system.unknowns)
+            row = [f.zero] * unknowns
+            for idx, c in form.items():
+                row[idx] = c
+            rows.append(row)
+    vec_basis, pivots = linalg.nullspace_basis(f, rows, unknowns)
     space = OperatorSpace(
         base=A,
         kind=kind,

@@ -549,6 +549,18 @@ def test_action_json_roundtrip_gf3():
     assert ActionData.from_json_dict(act.to_json_dict()) == act
 
 
+def test_action_eq_and_hash_ignore_operation_names():
+    # Algebra.__eq__ ignores operation names, so equal actions on equal
+    # algebras must compare and hash equal whatever the names
+    A = Algebra.from_entries(Q, 1, [{(0, 0, 0): 1}], names=["mul"])
+    B = Algebra.from_entries(Q, 1, [{(0, 0, 0): 1}], names=["bracket"])
+    a, b = zero_action("leibniz", A, A), zero_action("leibniz", B, B)
+    assert A == B and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != zero_action("associative", A, A)
+    assert a != ActionData("leibniz", A, A, [[[F(1)]]], [[[F(0)]]])
+
+
 def test_labels_survive_semidirect_and_extraction():
     sl2 = Algebra.from_json_dict(builtin("sl2").to_json_dict())
     labeled = Algebra(sl2.field, sl2.dim, sl2.ops, labels=["e", "f", "h"])

@@ -266,6 +266,7 @@ def test_check_json_output_roundtrips(files):
 
 
 F1_GF3 = builtin("abelian(1)", GF(3)).to_json_dict()
+F2_GF3 = builtin("abelian(2)", GF(3)).to_json_dict()
 P1_GF3 = builtin("poisson_abelian(1)", GF(3)).to_json_dict()
 LIE2_GF3 = builtin("lie_2dim_nonabelian", GF(3)).to_json_dict()
 
@@ -299,6 +300,11 @@ BAD_INPUTS = [
      {"variety": "associative", "acting": F1_GF3, "kernel": LIE2_GF3}, {}),
     ("two-operation-acting-algebra-in-leibniz-pair", "enumerate",
      {"variety": "leibniz", "acting": P1_GF3, "kernel": F1_GF3}, {}),
+    ("split-extension-ragged-section", "extract",
+     {"total": F2_GF3, "kernel_inj": [[0], [1]], "retraction": [[1, 0]], "section": [[1], [0, 7]]},
+     {}),
+    ("operation-name-not-a-string", "space",
+     {**F1_GF3, "ops": [{"name": 5, "entries": []}]}, {}),
 ]
 
 ARGV = {
@@ -306,6 +312,8 @@ ARGV = {
     "validate": ("action", "validate", "FILE"),
     "enumerate": ("enumerate", "FILE"),
     "morphism": ("morphism", "check", "FILE"),
+    "extract": ("action", "extract", "FILE", "--variety", "leibniz"),
+    "space": ("space", "FILE", "--kind", "derivations", "--json"),
     "hunt": ("hunt", "--p", "3", "--dim", "2", "--samples", "-5", "--json"),
 }
 

@@ -9,18 +9,7 @@ from algact.errors import (
     FieldMismatch,
     NotPrime,
 )
-from algact.fields import Field, GF, Q, make_field, scalar_arith
-
-
-def test_make_field_rationals():
-    assert make_field("Q") is Q
-    assert Q.to_json() == "Q"
-
-
-def test_make_field_odd_prime():
-    f = make_field("Fp", 3)
-    assert f.p == 3
-    assert f.to_json() == {"p": 3}
+from algact.fields import Field, GF, Q
 
 
 def test_char_two_rejected():
@@ -34,21 +23,8 @@ def test_not_prime_rejected(p):
         GF(p)
 
 
-def test_scalar_arith_examples():
-    assert scalar_arith(Q, "mul", Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
-    assert scalar_arith(GF(5), "inv", 2) == 3
-    with pytest.raises(DivisionByZero):
-        scalar_arith(Q, "div", Fraction(1), Fraction(0))
-
-
-def test_scalar_arith_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        scalar_arith(GF(5), "add", 3, Fraction(1, 2))
-    with pytest.raises(FieldMismatch):
-        scalar_arith(GF(5), "add", 7, 1)  # out of canonical range
-
-
 def test_field_json_roundtrip():
+    assert Q.to_json() == "Q" and GF(3).to_json() == {"p": 3}
     for f in (Q, GF(3), GF(97)):
         assert Field.from_json(f.to_json()) == f
 
@@ -58,6 +34,11 @@ def test_prime_field_parse_fraction():
     assert f.of(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     with pytest.raises(DivisionByZero):
         f.of(Fraction(1, 7))
+    with pytest.raises(FieldMismatch):
+        f.of(0.5)
+    assert GF(5).inv(2) == 3
+    with pytest.raises(DivisionByZero):
+        Q.inv(0)
 
 
 rationals = st.fractions(

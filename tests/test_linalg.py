@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from algact import linalg
 from algact.fields import GF, Q
-from algact.opspace import LinearSystem
 
 import oracle
 
@@ -17,24 +16,20 @@ def F(x):
 
 
 def test_nullspace_identity_system_empty():
-    system = LinearSystem(Q, 3)
-    for i in range(3):
-        system.add_form({i: F(1)})
-    basis, _ = linalg.nullspace_basis(Q, system.dense_rows(), system.unknowns)
+    basis, _ = linalg.nullspace_basis(Q, linalg.mat_identity(Q, 3), 3)
     assert basis == []
 
 
 def test_nullspace_zero_system_is_standard_basis():
-    system = LinearSystem(Q, 2)
-    basis, _ = linalg.nullspace_basis(Q, system.dense_rows(), system.unknowns)
+    basis, _ = linalg.nullspace_basis(Q, [], 2)
     assert basis == [[F(1), F(0)], [F(0), F(1)]]
+    # rows that are all zero cut out nothing either
+    assert linalg.nullspace_basis(Q, [[F(0), F(0)]], 2)[0] == basis
 
 
 def test_nullspace_one_equation_mod3_canonicalized():
     f = GF(3)
-    system = LinearSystem(f, 2)
-    system.add_form({0: 1, 1: 1})  # x + y = 0
-    basis, _ = linalg.nullspace_basis(f, system.dense_rows(), system.unknowns)
+    basis, _ = linalg.nullspace_basis(f, [[1, 1]], 2)  # x + y = 0
     assert basis == [[1, 2]]
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from algact import linalg
 from algact.algebra import Algebra, check_identity
-from algact.catalog import builtin
+from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
     NotAssociative,
     NotCommutative,
+    NotCommutativePoisson,
     NotPoisson,
     OpArityMismatch,
 )
@@ -24,6 +25,7 @@ from algact.opspace import (
     inner_tuple,
     multipliers,
     poisson_usga,
+    SPACE_KINDS,
     space_of_kind,
 )
 
@@ -188,6 +190,33 @@ def test_basis_tuples_satisfy_identities_explicitly():
     space = biderivations(A)
     for tup in space.basis:
         assert next(defining_defects("biderivations", A, tup), None) is None
+
+
+@pytest.mark.parametrize("field", [Q, GF(5)], ids=repr)
+def test_rows_and_self_check_cut_out_the_same_space(field):
+    # The laws are linear in the operator tuple, so the defects of the unit
+    # tuples are the columns of the evaluated system; its nullspace must be
+    # the space that the linear reading of the same laws produced.
+    checked = 0
+    for name, A, _ in catalog_algebras(field):
+        for kind in SPACE_KINDS:
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            unknowns = len(space.components) * A.dim ** 2
+            columns = {}  # (label, args, coordinate) -> {unknown: coefficient}
+            for idx in range(unknowns):
+                unit = space.unflatten(linalg.unit_vector(field, unknowns, idx))
+                for label, args, defect in defining_defects(kind, A, unit):
+                    for m, c in enumerate(defect):
+                        columns.setdefault((label, args, m), {})[idx] = c
+            rows = [[row.get(idx, field.zero) for idx in range(unknowns)]
+                    for row in columns.values()]
+            assert linalg.nullspace_basis(field, rows, unknowns)[0] == space.vec_basis, (name, kind)
+            checked += 1
+    assert checked > len(SPACE_KINDS)
 
 
 def test_induced_tensor_matches_raw_composition():
