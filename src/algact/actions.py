@@ -21,6 +21,13 @@ correspondence read them:
   ``(p,x)(q,y) = (pq, xy + p*y + x*q)`` and
   ``{(p,x),(q,y)} = ([p,q], [x,y] + k_p(y) - k_q(x))``.
 
+An action's morphism is made by the one map into an operator space:
+:func:`action_to_morphism` hands the operator tuples of the acting basis to
+:meth:`~algact.opspace.OperatorSpace.matrix_of` and the matrix to
+:meth:`~algact.opspace.OperatorSpace.morphism`, which returns an
+:class:`~algact.opspace.ActorMorphism`; :func:`morphism_to_action` checks a
+given matrix with the same ``morphism`` before unpacking it.
+
 Validation labels follow the classical condition lists: L1..L6 for Leibniz,
 A1..A6 for associative (the same list that reappears inside P1), and
 P1.1..P1.6, P2.1, P2.2, P3..P8 for Poisson.  The lists live in
@@ -48,7 +55,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import laws, linalg
-from .algebra import Algebra, IdentityReport, is_homomorphism, json_int
+from .algebra import Algebra, is_homomorphism, json_int
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -57,10 +64,9 @@ from .errors import (
     NotAHomomorphism,
     NotSplit,
     ShapeMismatch,
-    TupleNotInSpace,
 )
 from .fields import Field, PrimeField
-from .opspace import OperatorSpace, space_of_kind
+from .opspace import ActorMorphism, OperatorSpace, space_of_kind
 
 __all__ = [
     "VARIETIES",
@@ -267,11 +273,15 @@ class ActionData:
             if entries is None:
                 return None
             t = [[[f.zero] * c for _ in range(b)] for _ in range(a)]
+            seen = set()
             try:
                 for i, j, k, v in entries:
                     i, j, k = (json_int(x, "tensor entry index") for x in (i, j, k))
                     if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
                         raise ShapeMismatch(f"tensor entry ({i},{j},{k}) out of range")
+                    if (i, j, k) in seen:
+                        raise InputError(f"repeated tensor entry ({i},{j},{k})")
+                    seen.add((i, j, k))
                     t[i][j][k] = f.of(v)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"malformed action tensor entry: {exc}") from exc
@@ -637,52 +647,19 @@ def _signed(f, sign, M):
     return M if sign > 0 else linalg.mat_neg(f, M)
 
 
-@dataclass
-class ActorMorphism:
-    variety: str
-    acting: Algebra
-    kernel: Algebra
-    space: OperatorSpace
-    matrix: list  # space.dim x acting.dim
-    hom: IdentityReport
-
-    @property
-    def is_homomorphism(self) -> bool:
-        return self.hom.holds
-
-
 def action_to_morphism(a: ActionData, space: Optional[OperatorSpace] = None) -> ActorMorphism:
-    """Coordinates of each acting basis element's operator tuple in the weak
-    actor basis, with the homomorphism property verified and reported."""
+    """The map taking each acting basis element to its operator tuple in the
+    weak actor, with the homomorphism property verified and reported."""
     if space is None:
         space = weak_actor(a.kernel, a.variety)
     slots = [signed_slot(s) for s in _variety(a.variety).slots]
     operators = a.operators()
-    cols = []
-    for p in range(a.acting.dim):
-        # the operator tuple of e_p, per the variety's slots
-        tup = tuple(_signed(a.field, sign, operators[name][p]) for sign, name in slots)
-        coords = space.coords(tup)
-        if coords is None:
-            raise TupleNotInSpace(
-                f"operator tuple of acting basis element {p} escapes the weak actor"
-            )
-        cols.append(coords)
-    matrix = linalg.mat_from_cols(a.field, cols, space.dim)
-    hom = is_homomorphism(matrix, a.acting, space.as_algebra())
-    return ActorMorphism(a.variety, a.acting, a.kernel, space, matrix, hom)
-
-
-def _require_hom(matrix, B: Algebra, space: OperatorSpace):
-    if len(matrix) != space.dim or (matrix and len(matrix[0]) != B.dim):
-        raise ShapeMismatch(
-            f"morphism matrix must be {space.dim}x{B.dim}"
-        )
-    hom = is_homomorphism(matrix, B, space.as_algebra())
-    if not hom.holds:
-        raise NotAHomomorphism(
-            f"not a homomorphism into the weak actor: defect at {hom.witness}"
-        )
+    # the operator tuple of e_p, per the variety's slots
+    tuples = [
+        tuple(_signed(a.field, sign, operators[name][p]) for sign, name in slots)
+        for p in range(a.acting.dim)
+    ]
+    return space.morphism(a.acting, space.matrix_of(tuples))
 
 
 def _unpack(matrix, B: Algebra, X: Algebra, variety: str, space: OperatorSpace) -> ActionData:
@@ -714,7 +691,9 @@ def morphism_to_action(
     _variety(variety)  # an unknown variety fails before the shape checks
     if space is None:
         space = weak_actor(X, variety)
-    _require_hom(matrix, B, space)
+    hom = space.morphism(B, matrix).hom
+    if not hom.holds:
+        raise NotAHomomorphism(f"not a homomorphism into the weak actor: defect at {hom.witness}")
     return _unpack(matrix, B, X, variety, space)
 
 

@@ -43,7 +43,14 @@ __all__ = [
     "product_subspace",
     "is_homomorphism",
     "IDENTITY_TAGS",
+    "MAX_FILE_DIM",
 ]
+
+# the largest dimension a loaded file may declare, checked before anything is
+# allocated; it admits every operator space of a base of dimension 6 or less
+# (usga-poisson at most 108, the biderivations of abelian(6) 72)
+MAX_FILE_DIM = 128
+
 
 class BilinearOp:
     """One structure-constant tensor, stored sparse, evaluated dense."""
@@ -206,6 +213,8 @@ class Algebra:
             raw_ops = data["ops"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed algebra description: {exc}") from exc
+        if dim > MAX_FILE_DIM:
+            raise InputError(f"dimension {dim} exceeds the limit {MAX_FILE_DIM} for loaded algebras")
         labels = data.get("labels")
         if labels is not None and not (
             isinstance(labels, list) and all(isinstance(x, str) for x in labels)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import linalg
-from .algebra import (
-    Algebra,
-    annihilator,
-    check_identity,
-    is_homomorphism,
-    product_subspace,
-)
+from .algebra import Algebra, annihilator, check_identity, product_subspace
 from .actions import (
     ActionData,
     action_to_morphism,
@@ -33,11 +27,10 @@ from .actions import (
     validate_action,
     zero_action,
 )
-from .errors import InputError, UnknownName
-from .fields import Field, GF, PrimeField, Q
+from .errors import InputError, TupleNotInSpace, UnknownName
+from .fields import Field, PrimeField, Q
 from .opspace import (
     biderivations,
-    bimultipliers,
     check_bim_commutation,
     comm_poisson_usga,
     derivations,
@@ -169,18 +162,6 @@ class MorphismData:
     acting: Algebra
     kernel: Algebra
     images: list  # one tuple of matrices per acting basis element
-
-    def matrix(self, space):
-        n, width = self.kernel.dim, len(space.components)
-        cols = []
-        for p, tup in enumerate(self.images):
-            if len(tup) != width or any(len(M) != n or any(len(row) != n for row in M) for M in tup):
-                raise InputError(f"image of basis element {p} is not {width} {n}x{n} matrices")
-            coords = space.coords(tup)
-            if coords is None:
-                raise InputError(f"image of basis element {p} escapes the actor space")
-            cols.append(coords)
-        return linalg.mat_from_cols(self.acting.field, cols, space.dim)
 
     def to_json_dict(self) -> dict:
         f = self.acting.field
@@ -414,9 +395,8 @@ def _fact_a(field):
     F1 = _abelian(1, field)
     bider = biderivations(F1)
     c.expect("bider_dim", bider.dim, 2)
-    phi = _metere_morphism(field)
-    matrix = phi.matrix(bider)
-    c.expect("is_homomorphism", is_homomorphism(matrix, F1, bider.as_algebra()).holds, True)
+    matrix = bider.matrix_of(_metere_morphism(field).images)
+    c.expect("is_homomorphism", bider.morphism(F1, matrix).is_homomorphism, True)
     verdict = is_acting_morphism(matrix, F1, F1, "leibniz", space=bider)
     c.expect("acting", verdict.acting, False)
     action = morphism_to_action(matrix, F1, F1, "leibniz", space=bider)
@@ -451,21 +431,16 @@ def _fact_c(field):
         A = builtin(name, field)
         ders = derivations(A)
         bider = biderivations(A)
-        cols = []
-        inside = True
-        for (dmat,) in ders.basis:
-            coords = bider.coords((dmat, dmat))
-            if coords is None:
-                inside = False
-                break
-            cols.append(coords)
-        c.expect(f"{name}.diagonal_in_bider", inside, True)
-        if not inside:
+        try:
+            diagonal = bider.matrix_of([(d, d) for (d,) in ders.basis])
+            iota = bider.morphism(ders.as_algebra(), diagonal)
+        except TupleNotInSpace:
+            iota = None
+        c.expect(f"{name}.diagonal_in_bider", iota is not None, True)
+        if iota is None:
             continue
-        iota = linalg.mat_from_cols(field, cols, bider.dim)
-        c.expect(f"{name}.injective", linalg.mat_rank(field, iota) == ders.dim, True)
-        hom = is_homomorphism(iota, ders.as_algebra(), bider.as_algebra())
-        c.expect(f"{name}.bracket_hom", hom.holds, True)
+        c.expect(f"{name}.injective", linalg.mat_rank(field, iota.matrix) == ders.dim, True)
+        c.expect(f"{name}.bracket_hom", iota.is_homomorphism, True)
     return c.result()
 
 

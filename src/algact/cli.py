@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import Algebra, IDENTITY_TAGS, check_identity
@@ -47,8 +46,8 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON, an oversized integer or bytes that are not UTF-8
+        raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _load_algebra(path: str) -> Algebra:
@@ -162,7 +161,7 @@ def _cmd_morphism_check(args, out) -> int:
     data = _load_json_file(args.file)
     mor = MorphismData.from_json_dict(data)
     space = weak_actor(mor.kernel, mor.variety)
-    matrix = mor.matrix(space)
+    matrix = space.matrix_of(mor.images)
     verdict = is_acting_morphism(matrix, mor.acting, mor.kernel, mor.variety, space=space)
     if verdict.acting:
         if args.json:
@@ -218,14 +217,7 @@ def _cmd_enumerate(args, out) -> int:
         kernel = Algebra.from_json_dict(data["kernel"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed pair file: {exc}") from exc
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("ALGACT_BUDGET")
-        try:
-            budget = int(env) if env else DEFAULT_BUDGET
-        except ValueError:
-            raise InputError(f"ALGACT_BUDGET must be an integer, got {env!r}") from None
-    found = enumerate_actions(acting, kernel, variety, budget=budget)
+    found = enumerate_actions(acting, kernel, variety, budget=args.budget)
     if args.json:
         out.write(
             _dump_json(
@@ -305,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="exhaust all valid actions of a pair")
     p_enum.add_argument("pairfile")
-    p_enum.add_argument("--budget", type=int, default=None,
+    p_enum.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="most matrices into the weak actor to try, p^(dim E * dim B) "
-                        "(default: ALGACT_BUDGET or 3^10)")
+                        "(default: 3^10)")
     p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(fn=_cmd_enumerate)
 

@@ -62,10 +62,6 @@ class ClosureError(AlgactError):
     """An induced operation left the computed span; indicates a bug."""
 
 
-class InnerNotInSpace(AlgactError):
-    """An inner operator tuple escaped its operator space; indicates a bug."""
-
-
 class ShapeMismatch(AlgactError):
     pass
 
@@ -96,7 +92,7 @@ class NotAHomomorphism(AlgactError):
 class BudgetExceeded(AlgactError):
     def __init__(self, needed, budget):
         super().__init__(
-            f"enumeration needs {needed} assignments, budget is {budget}"
+            f"enumeration needs {needed} matrices into the weak actor, budget is {budget}"
         )
         self.needed = needed
         self.budget = budget

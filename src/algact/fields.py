@@ -13,6 +13,7 @@ values, which keeps tight enumeration loops cheap.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -27,6 +28,8 @@ __all__ = ["Field", "Rationals", "PrimeField", "Q", "GF"]
 
 # deterministic Miller-Rabin witnesses, valid for every n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -129,6 +132,9 @@ class Rationals(Field):
 
     def of(self, x):
         if isinstance(x, str):
+            # only the form to_str writes: no exponents, decimals or spaces
+            if not _RATIONAL_LITERAL.fullmatch(x):
+                raise InputError(f"bad rational literal {x!r}: write -?digits or -?digits/digits")
             try:
                 return Fraction(x)
             except (ValueError, ZeroDivisionError) as exc:

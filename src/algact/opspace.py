@@ -34,6 +34,16 @@ matrix tuple).  The induced operations are stored once, as the space's
 basis, built from the kind's operations on basis tuples.  Closure and the
 defining identities are re-verified on the computed basis during
 construction.
+
+A map from an algebra into a space is given by one operator tuple per basis
+element of its source, and every such map is made the same way:
+:meth:`OperatorSpace.matrix_of` puts the tuples into the space's coordinates
+(column p for tuple p, refusing a tuple of the wrong shape or outside the
+span), and :meth:`OperatorSpace.morphism` checks that the matrix is a
+homomorphism into the induced algebra and returns an :class:`ActorMorphism`.
+The inner map of an algebra (:func:`inner_embedding`), the morphism of an
+action into its weak actor and the morphisms of the fact suite are all built
+this way.
 """
 
 from __future__ import annotations
@@ -42,22 +52,24 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import laws, linalg
-from .algebra import Algebra, check_identity, is_homomorphism
+from .algebra import Algebra, IdentityReport, check_identity, is_homomorphism
 from .errors import (
     ClosureError,
-    InnerNotInSpace,
     InputError,
     NotAssociative,
     NotCommutative,
     NotCommutativePoisson,
     NotPoisson,
     OpArityMismatch,
+    ShapeMismatch,
+    TupleNotInSpace,
 )
 from .fields import Field
 from .laws import BRACKET, PRODUCT
 
 __all__ = [
     "OperatorSpace",
+    "ActorMorphism",
     "derivations",
     "anti_derivations",
     "biderivations",
@@ -68,7 +80,6 @@ __all__ = [
     "space_of_kind",
     "SPACE_KINDS",
     "inner_embedding",
-    "InnerEmbedding",
     "check_bim_commutation",
     "CommutationReport",
 ]
@@ -119,6 +130,27 @@ class OperatorSpace:
         """Coordinates of an operator tuple in the basis; None if outside."""
         return linalg.coords_in_span(self.field, self.vec_basis, self.pivots, self.flatten(tup))
 
+    def matrix_of(self, tuples) -> list:
+        """The matrix whose column p holds the coordinates of ``tuples[p]``."""
+        n, width = self.base.dim, len(self.components)
+        cols = []
+        for p, tup in enumerate(tuples):
+            if len(tup) != width or any(len(M) != n or any(len(row) != n for row in M) for M in tup):
+                raise ShapeMismatch(f"operator tuple {p} is not {width} {n}x{n} matrices")
+            coords = self.coords(tup)
+            if coords is None:
+                raise TupleNotInSpace(f"operator tuple {p} escapes the {self.kind} space")
+            cols.append(coords)
+        return linalg.mat_from_cols(self.field, cols, self.dim)
+
+    def morphism(self, source: Algebra, matrix) -> ActorMorphism:
+        """The linear map from ``source`` into the space with coordinate
+        matrix ``matrix``, with its homomorphism property checked against
+        the induced operations."""
+        if len(matrix) != self.dim or (matrix and len(matrix[0]) != source.dim):
+            raise ShapeMismatch(f"morphism matrix must be {self.dim}x{source.dim}")
+        return ActorMorphism(self, matrix, is_homomorphism(matrix, source, self.as_algebra()))
+
     def tuple_from_coords(self, coords) -> tuple:
         f = self.field
         flat = [f.zero] * (len(self.components) * self.base.dim ** 2)
@@ -151,6 +183,20 @@ class OperatorSpace:
         if self.algebra is not None:
             data["ops"] = self.algebra.to_json_dict()["ops"]
         return data
+
+
+@dataclass
+class ActorMorphism:
+    """A linear map into an operator space and its homomorphism check."""
+
+    space: OperatorSpace
+    matrix: list  # space.dim x source dim
+    hom: IdentityReport
+
+    @property
+    def is_homomorphism(self) -> bool:
+        return self.hom.holds
+
 
 # -- space kinds ---------------------------------------------------------------
 
@@ -430,36 +476,16 @@ def inner_tuple(A: Algebra, kind: str, a: int) -> tuple:
     return spec.inner(A, a)
 
 
-@dataclass
-class InnerEmbedding:
-    space: OperatorSpace
-    matrix: list  # space.dim x base.dim
-    hom: object  # IdentityReport of the homomorphism check
-
-    @property
-    def is_homomorphism(self) -> bool:
-        return self.hom.holds
-
-
-def inner_embedding(A: Algebra, kind: str, space: Optional[OperatorSpace] = None) -> InnerEmbedding:
-    """Express the inner tuples of ``A`` in the computed operator space and
-    verify that the resulting linear map is a homomorphism for the induced
-    operations.
+def inner_embedding(A: Algebra, kind: str, space: Optional[OperatorSpace] = None) -> ActorMorphism:
+    """The map taking e_a to its inner tuple, in the coordinates of the
+    computed operator space and checked for the homomorphism property.
 
     A tuple escaping the space would mean the system and the inner formulas
     disagree; that is surfaced as an error, never ignored.
     """
     if space is None:
         space = space_of_kind(A, kind)
-    cols = []
-    for a in range(A.dim):
-        c = space.coords(inner_tuple(A, kind, a))
-        if c is None:
-            raise InnerNotInSpace(f"inner tuple of basis element {a} escapes {kind}")
-        cols.append(c)
-    matrix = linalg.mat_from_cols(A.field, cols, space.dim)
-    hom = is_homomorphism(matrix, A, space.as_algebra())
-    return InnerEmbedding(space=space, matrix=matrix, hom=hom)
+    return space.morphism(A, space.matrix_of([inner_tuple(A, kind, a) for a in range(A.dim)]))
 
 
 # -- special checks ----------------------------------------------------------
@@ -473,7 +499,7 @@ class CommutationReport:
     witness: Optional[tuple] = None
 
 
-def check_bim_commutation(V: Algebra, bim: Optional[OperatorSpace] = None) -> CommutationReport:
+def check_bim_commutation(V: Algebra) -> CommutationReport:
     """Test f o F' = F' o f across all pairs of bimultiplier basis tuples.
 
     This is the acting law ``laws.PERMUTABLE`` with l and r the f and F
@@ -482,8 +508,7 @@ def check_bim_commutation(V: Algebra, bim: Optional[OperatorSpace] = None) -> Co
     actor space arises from a split extension.  The witness is the first
     failing pair (s, t) of basis indices.
     """
-    if bim is None:
-        bim = bimultipliers(V)
+    bim = bimultipliers(V)
     operators = {"l": [t[0] for t in bim.basis], "r": [t[1] for t in bim.basis]}
     hit = laws.condition_defect(bim.as_algebra(), V, laws.PERMUTABLE, operators)
     return CommutationReport(True) if hit is None else CommutationReport(False, hit[0][:2])

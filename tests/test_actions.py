@@ -303,7 +303,7 @@ def enumerate_homs_helper(A):
 def test_metere_morphism_is_hom_but_not_acting():
     phi = builtin("metere_morphism")
     space = weak_actor(phi.kernel, "leibniz")
-    matrix = phi.matrix(space)
+    matrix = space.matrix_of(phi.images)
     verdict = is_acting_morphism(matrix, phi.acting, phi.kernel, "leibniz", space=space)
     assert not verdict.acting
     assert verdict.defect == [F(2)]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from algact import linalg
 from algact.algebra import (
     IDENTITY_TAGS,
+    MAX_FILE_DIM,
     Algebra,
     annihilator,
     centers,
@@ -20,6 +21,7 @@ from algact.algebra import (
 from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
     DimensionMismatch,
+    InputError,
     OpArityMismatch,
     OpIndexOutOfRange,
 )
@@ -337,3 +339,11 @@ def test_algebra_json_roundtrip(leib2):
 def test_algebra_json_roundtrip_gf():
     A = builtin("poisson_triangular", GF(7))
     assert Algebra.from_json_dict(A.to_json_dict()) == A
+
+
+def test_loaded_dimension_is_capped():
+    assert MAX_FILE_DIM == 128
+    data = {"field": "Q", "dim": 129, "ops": [{"name": "mul", "entries": []}]}
+    with pytest.raises(InputError):
+        Algebra.from_json_dict(data)
+    assert Algebra.from_json_dict({**data, "dim": 128}).dim == 128

@@ -225,13 +225,6 @@ def test_enumerate_beyond_tensor_brute_force(tmp_path):
     assert json.loads(out)["count"] == 15
 
 
-def test_enumerate_budget_env(files, monkeypatch):
-    monkeypatch.setenv("ALGACT_BUDGET", "2")
-    code, _, err = run_cli("enumerate", files["pair.json"])
-    assert code == 2
-    assert "BudgetExceeded" in err
-
-
 def test_enumerate_budget_flag(files):
     code, _, err = run_cli("enumerate", files["pair.json"], "--budget", "1")
     assert code == 2
@@ -270,41 +263,67 @@ F2_GF3 = builtin("abelian(2)", GF(3)).to_json_dict()
 P1_GF3 = builtin("poisson_abelian(1)", GF(3)).to_json_dict()
 LIE2_GF3 = builtin("lie_2dim_nonabelian", GF(3)).to_json_dict()
 
-# (id, command, input file contents, environment)
+Q1 = builtin("abelian(1)").to_json_dict()
+F1_GF5 = builtin("abelian(1)", GF(5)).to_json_dict()
+L2_GF3 = builtin("leibniz_2dim_nonlie", GF(3)).to_json_dict()
+
+# (id, command, input file contents: JSON data, or raw bytes written as they are)
 BAD_INPUTS = [
     ("algebra-entry-with-3-fields", "check",
-     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0]]}]}, {}),
-    ("labels-not-a-list", "check", {**F1_GF3, "labels": 5}, {}),
-    ("dim-given-as-float", "check", {**F1_GF3, "dim": 2.7}, {}),
-    ("dim-given-as-bool", "check", {**F1_GF3, "dim": True}, {}),
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0]]}]}),
+    ("labels-not-a-list", "check", {**F1_GF3, "labels": 5}),
+    ("dim-given-as-float", "check", {**F1_GF3, "dim": 2.7}),
+    ("dim-given-as-bool", "check", {**F1_GF3, "dim": True}),
     ("algebra-entry-index-float", "check",
-     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0.5, 0, 0, "1"]]}]}, {}),
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0.5, 0, 0, "1"]]}]}),
     ("algebra-entry-index-string", "check",
-     {**F1_GF3, "ops": [{"name": "mul", "entries": [["0", 0, 0, "1"]]}]}, {}),
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [["0", 0, 0, "1"]]}]}),
     ("action-entry-index-bool", "validate",
-     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[False, 0, 0, "1"]]}, {}),
-    ("prime-given-as-string", "check", {**F1_GF3, "field": {"p": "5"}}, {}),
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[False, 0, 0, "1"]]}),
+    ("prime-given-as-string", "check", {**F1_GF3, "field": {"p": "5"}}),
     ("action-entry-with-2-fields", "validate",
-     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[0, 0]]}, {}),
-    ("budget-not-an-integer", "enumerate",
-     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3}, {"ALGACT_BUDGET": "abc"}),
-    ("action-file-not-an-object", "validate", [], {}),
-    ("pair-file-not-an-object", "enumerate", [], {}),
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[0, 0]]}),
+    ("action-file-not-an-object", "validate", []),
+    ("pair-file-not-an-object", "enumerate", []),
     ("morphism-image-too-short", "morphism",
-     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "images": [[[[1]]]]}, {}),
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "images": [[[[1]]]]}),
     ("morphism-image-wrong-size", "morphism",
      {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3,
-      "images": [[[[1, 0], [0, 1]], [[1]]]]}, {}),
-    ("negative-sample-count", "hunt", {}, {}),
+      "images": [[[[1, 0], [0, 1]], [[1]]]]}),
+    ("negative-sample-count", "hunt", {}),
     ("associative-pair-with-non-associative-kernel", "enumerate",
-     {"variety": "associative", "acting": F1_GF3, "kernel": LIE2_GF3}, {}),
+     {"variety": "associative", "acting": F1_GF3, "kernel": LIE2_GF3}),
     ("two-operation-acting-algebra-in-leibniz-pair", "enumerate",
-     {"variety": "leibniz", "acting": P1_GF3, "kernel": F1_GF3}, {}),
+     {"variety": "leibniz", "acting": P1_GF3, "kernel": F1_GF3}),
     ("split-extension-ragged-section", "extract",
-     {"total": F2_GF3, "kernel_inj": [[0], [1]], "retraction": [[1, 0]], "section": [[1], [0, 7]]},
-     {}),
+     {"total": F2_GF3, "kernel_inj": [[0], [1]], "retraction": [[1, 0]], "section": [[1], [0, 7]]}),
     ("operation-name-not-a-string", "space",
-     {**F1_GF3, "ops": [{"name": 5, "entries": []}]}, {}),
+     {**F1_GF3, "ops": [{"name": 5, "entries": []}]}),
+    ("dim-beyond-the-file-limit", "check", {**F1_GF3, "dim": 10 ** 30}),
+    ("json-integer-with-5000-digits", "check",
+     b'{"field": "Q", "dim": 1, "ops": [], "x": ' + b"7" * 5000 + b"}"),
+    ("file-not-utf-8", "check", b'{"field": "Q", "dim": 1, "ops": [], "x": "\xff"}'),
+    ("rational-exponent-literal", "check",
+     {**Q1, "ops": [{"name": "bracket", "entries": [[0, 0, 0, "1e300000"]]}]}),
+    ("repeated-action-entry", "validate",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3,
+      "l": [[0, 0, 0, "1"], [0, 0, 0, "2"]]}),
+    ("structure-constant-index-out-of-range", "check",
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 1, "1"]]}]}),
+    ("repeated-structure-constant", "check",
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0, "1"], [0, 0, 0, "2"]]}]}),
+    ("action-tensor-index-out-of-range", "validate",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[0, 1, 0, "1"]]}),
+    ("morphism-image-outside-the-weak-actor", "morphism",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": L2_GF3,
+      "images": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}),
+    ("enumerate-over-Q", "enumerate", {"variety": "leibniz", "acting": Q1, "kernel": Q1}),
+    ("enumerate-across-two-fields", "enumerate",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF5}),
+    ("enumerate-unknown-variety", "enumerate",
+     {"variety": "jordan", "acting": F1_GF3, "kernel": F1_GF3}),
+    ("poisson-action-on-one-operation-algebras", "validate",
+     {"variety": "poisson", "acting": F1_GF3, "kernel": F1_GF3, "l": []}),
 ]
 
 ARGV = {
@@ -319,13 +338,11 @@ ARGV = {
 
 
 @pytest.mark.parametrize(
-    "command,data,env", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+    "command,data", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
-def test_bad_input_exits_2(command, data, env, tmp_path, monkeypatch):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_exits_2(command, data, tmp_path):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     argv = [str(path) if arg == "FILE" else arg for arg in ARGV[command]]
     code, _, err = run_cli(*argv)
     assert code == 2

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and uses every
+name it imports."""
 
 import ast
 import sys
@@ -25,3 +26,27 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "algact"
     }
     assert outside == set()
+
+
+def _unused_imports(path):
+    """Names imported in ``path`` that are neither used nor in ``__all__``."""
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return imported - used - exported
+
+
+def test_every_imported_name_is_used():
+    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert files
+    unused = {(path.name, name) for path in files for name in _unused_imports(path)}
+    assert unused == set()
