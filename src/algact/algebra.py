@@ -53,13 +53,16 @@ MAX_FILE_DIM = 128
 
 
 class BilinearOp:
-    """One structure-constant tensor, stored sparse, evaluated dense."""
+    """One structure-constant tensor, stored sparse: as ``entries``, and as
+    ``groups``, the nonzero (k, c) of e_i e_j under the key (i, j).  Dense
+    table rows serve :meth:`value`."""
 
-    __slots__ = ("name", "entries", "_table")
+    __slots__ = ("name", "entries", "groups", "_table")
 
     def __init__(self, field: Field, dim: int, entries, name: str = "mul"):
         self.name = name
-        canon = {}
+        canon, groups = {}, {}
+        table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), c in (entries.items() if isinstance(entries, dict) else entries):
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InputError(f"structure constant index ({i},{j},{k}) out of range")
@@ -67,11 +70,10 @@ class BilinearOp:
                 raise InputError(f"duplicate structure constant at ({i},{j},{k})")
             c = field.of(c)
             if not field.is_zero(c):
-                canon[(i, j, k)] = c
+                canon[(i, j, k)] = table[i][j][k] = c
+                groups.setdefault((i, j), []).append((k, c))
         self.entries = canon
-        table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in canon.items():
-            table[i][j][k] = c
+        self.groups = groups
         self._table = table
 
     def value(self, i: int, j: int):
@@ -123,7 +125,7 @@ class Algebra:
                 for i in range(dim)
                 for j in range(dim)
                 for k, c in enumerate(product(op, i, j))
-                if not field.is_zero(c)
+                if c  # scalars are canonical
             ]
             for op in range(len(names))
         ]
@@ -158,18 +160,17 @@ class Algebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length differs from the algebra dimension")
         out = [f.zero] * self.dim
-        value = self.ops[op_index].value
+        groups = self.ops[op_index].groups
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]  # scalars are canonical
         for i, xi in enumerate(x):
-            if f.is_zero(xi):
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                c = f.mul(xi, yj)
-                row = value(i, j)
-                for k in range(self.dim):
-                    if not f.is_zero(row[k]):
-                        out[k] = f.add(out[k], f.mul(c, row[k]))
+            for j, yj in ys:
+                group = groups.get((i, j))
+                if group:
+                    c = f.mul(xi, yj)
+                    for k, ck in group:
+                        out[k] = f.add(out[k], f.mul(c, ck))
         return out
 
     def left_matrix_basis(self, op_index: int, a: int):

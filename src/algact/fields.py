@@ -192,10 +192,7 @@ class PrimeField(Field):
 
     def of(self, x):
         if isinstance(x, str):
-            try:
-                return int(x, 10) % self.p
-            except ValueError as exc:
-                raise InputError(f"bad residue literal {x!r}") from exc
+            x = Q.of(x)  # one literal form for both fields; a/b reads as a * b^-1
         if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         if isinstance(x, Fraction):

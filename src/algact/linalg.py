@@ -81,11 +81,12 @@ def mat_is_zero(field: Field, A) -> bool:
 def mat_vec(field: Field, A, v) -> list:
     if A and len(A[0]) != len(v):
         raise DimensionMismatch(f"matrix is {len(A)}x{len(A[0])}, vector has {len(v)}")
+    nonzero = [(j, x) for j, x in enumerate(v) if x]  # scalars are canonical
     out = []
     for row in A:
         acc = field.zero
-        for a, x in zip(row, v):
-            if not field.is_zero(a) and not field.is_zero(x):
+        for j, x in nonzero:
+            if a := row[j]:
                 acc = field.add(acc, field.mul(a, x))
         out.append(acc)
     return out

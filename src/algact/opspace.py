@@ -35,6 +35,16 @@ basis, built from the kind's operations on basis tuples.  Closure and the
 defining identities are re-verified on the computed basis during
 construction.
 
+After the RREF the induced operations run on sparse tuples: each component
+of a basis tuple is kept as ``{row: {col: c}}`` with only its nonzero
+entries, and the kind's rules compose those.  Since b_i[p_j] = delta_ij at
+the pivot columns p_j, the coordinates of a product v are its entries
+v[p_j], and v - sum_i v[p_i] b_i vanishes at every pivot column by
+construction.  Membership is therefore checked at the non-pivot columns
+only, against each basis vector's nonzero entries there (its tail); this is
+the one membership test of a space, used by :meth:`OperatorSpace.coords`
+and :meth:`OperatorSpace.matrix_of` as well.
+
 A map from an algebra into a space is given by one operator tuple per basis
 element of its source, and every such map is made the same way:
 :meth:`OperatorSpace.matrix_of` puts the tuples into the space's coordinates
@@ -105,6 +115,13 @@ class OperatorSpace:
     pivots: list
     algebra: Optional[Algebra] = None
 
+    def __post_init__(self):
+        self._pivot_index = {p: t for t, p in enumerate(self.pivots)}
+        self._tails = [
+            {c: x for c, x in enumerate(v) if x and c not in self._pivot_index}
+            for v in self.vec_basis
+        ]
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -112,12 +129,6 @@ class OperatorSpace:
     @property
     def field(self) -> Field:
         return self.base.field
-
-    def flatten(self, tup) -> list:
-        flat = []
-        for comp in tup:
-            flat.extend(linalg.mat_flatten(comp))
-        return flat
 
     def unflatten(self, flat) -> tuple:
         n = self.base.dim
@@ -128,7 +139,27 @@ class OperatorSpace:
 
     def coords(self, tup):
         """Coordinates of an operator tuple in the basis; None if outside."""
-        return linalg.coords_in_span(self.field, self.vec_basis, self.pivots, self.flatten(tup))
+        return self._sparse_coords([_sparse(M) for M in tup])
+
+    def _sparse_coords(self, tup):
+        """:meth:`coords` of a tuple of sparse matrices: its entries at the
+        pivots, or None unless v - sum_i v[p_i] b_i vanishes off them."""
+        f, n, index = self.field, self.base.dim, self._pivot_index
+        coords = [f.zero] * self.dim
+        residue = {}
+        for b, M in enumerate(tup):
+            for r, row in M.items():
+                for c, x in row.items():
+                    col = (b * n + r) * n + c
+                    if col in index:
+                        coords[index[col]] = x
+                    else:
+                        residue[col] = x
+        for a, tail in zip(coords, self._tails):
+            if a:
+                for col, y in tail.items():
+                    residue[col] = f.sub(residue.get(col, f.zero), f.mul(a, y))
+        return None if any(residue.values()) else coords
 
     def matrix_of(self, tuples) -> list:
         """The matrix whose column p holds the coordinates of ``tuples[p]``."""
@@ -228,12 +259,33 @@ def _require_cpoisson(A: Algebra):
         raise NotCommutativePoisson("base must be a commutative Poisson algebra")
 
 
-def _mm(f, a, b):
-    return linalg.mat_mul(f, a, b)
+def _sparse(M) -> dict:
+    """The nonzero entries of a dense matrix as {row: {col: c}}."""
+    rows = ((i, {j: x for j, x in enumerate(row) if x}) for i, row in enumerate(M))
+    return {i: row for i, row in rows if row}
 
 
-def _comm(f, a, b):
-    return linalg.mat_sub(f, linalg.mat_mul(f, a, b), linalg.mat_mul(f, b, a))
+def _compose(f, *terms) -> dict:
+    """The sum of s A B over the terms (s, A, B), s = +1 or -1, of sparse
+    matrices; the result may hold explicit zeros."""
+    out = {}
+    for s, A, B in terms:
+        for i, arow in A.items():
+            orow = out.setdefault(i, {})
+            for k, a in arow.items():
+                a = a if s > 0 else f.neg(a)
+                for j, b in B.get(k, {}).items():
+                    x = f.mul(a, b)
+                    orow[j] = f.add(orow[j], x) if j in orow else x
+    return out
+
+
+def _sp_mul(f, a, b):
+    return _compose(f, (1, a, b))
+
+
+def _sp_comm(f, a, b):
+    return _compose(f, (1, a, b), (-1, b, a))
 
 
 @dataclass(frozen=True)
@@ -242,7 +294,8 @@ class _Kind:
 
     ``laws`` lists (label, law) in the order of the rows and of the
     self-check; ``ops`` lists (name, fn(field, t, u)) for the induced
-    operations; ``inner(A, a)`` is the tuple of the basis element e_a.
+    operations on tuples of sparse matrices; ``inner(A, a)`` is the tuple
+    of the basis element e_a.
     """
 
     components: tuple
@@ -262,7 +315,7 @@ _KINDS = {
     "derivations": _Kind(
         ("d",),
         (("derivation", laws.derivation("d", BRACKET)),),
-        ops=(("bracket", lambda f, t, u: (_comm(f, t[0], u[0]),)),),
+        ops=(("bracket", lambda f, t, u: (_sp_comm(f, t[0], u[0]),)),),
     ),
     "antiderivations": _Kind(
         ("D",),
@@ -276,7 +329,7 @@ _KINDS = {
             ("compatibility", laws.compatibility("d", "D")),
         ),
         # [(d,D),(d',D')] = (d d' - d' d, D d' - d' D)
-        ops=(("bracket", lambda f, t, u: (_comm(f, t[0], u[0]), _comm(f, t[1], u[0]))),),
+        ops=(("bracket", lambda f, t, u: (_sp_comm(f, t[0], u[0]), _sp_comm(f, t[1], u[0]))),),
         inner=lambda A, a: (
             linalg.mat_neg(A.field, A.right_matrix_basis(A.bracket_op, a)),
             A.left_matrix_basis(A.bracket_op, a),
@@ -286,14 +339,14 @@ _KINDS = {
         ("f", "F"),
         _BIMULTIPLIER_LAWS,
         # (f,F)(f',F') = (f f', F' F): the second slot composes oppositely
-        ops=(("mul", lambda f, t, u: (_mm(f, t[0], u[0]), _mm(f, u[1], t[1]))),),
+        ops=(("mul", lambda f, t, u: (_sp_mul(f, t[0], u[0]), _sp_mul(f, u[1], t[1]))),),
         precondition=_require_associative,
         inner=lambda A, a: (A.left_matrix_basis(0, a), A.right_matrix_basis(0, a)),
     ),
     "multipliers": _Kind(
         ("f",),
         (("multiplier", laws.left_multiplier("f")),),
-        ops=(("mul", lambda f, t, u: (_mm(f, t[0], u[0]),)),),
+        ops=(("mul", lambda f, t, u: (_sp_mul(f, t[0], u[0]),)),),
         precondition=_require_commutative,
         inner=lambda A, a: (A.left_matrix_basis(0, a),),
     ),
@@ -310,17 +363,17 @@ _KINDS = {
             (
                 "mul",
                 lambda f, t, u: (
-                    _mm(f, t[0], u[0]),
-                    _mm(f, u[1], t[1]),
-                    linalg.mat_add(f, _mm(f, t[0], u[2]), _mm(f, u[1], t[2])),
+                    _sp_mul(f, t[0], u[0]),
+                    _sp_mul(f, u[1], t[1]),
+                    _compose(f, (1, t[0], u[2]), (1, u[1], t[2])),
                 ),
             ),
             (
                 "bracket",
                 lambda f, t, u: (
-                    _comm(f, t[0], u[2]),
-                    _comm(f, t[1], u[2]),
-                    _comm(f, t[2], u[2]),
+                    _sp_comm(f, t[0], u[2]),
+                    _sp_comm(f, t[1], u[2]),
+                    _sp_comm(f, t[2], u[2]),
                 ),
             ),
         ),
@@ -343,11 +396,11 @@ _KINDS = {
             (
                 "mul",
                 lambda f, t, u: (
-                    _mm(f, t[0], u[0]),
-                    linalg.mat_add(f, _mm(f, t[0], u[1]), _mm(f, u[0], t[1])),
+                    _sp_mul(f, t[0], u[0]),
+                    _compose(f, (1, t[0], u[1]), (1, u[0], t[1])),
                 ),
             ),
-            ("bracket", lambda f, t, u: (_comm(f, t[0], u[1]), _comm(f, t[1], u[1]))),
+            ("bracket", lambda f, t, u: (_sp_comm(f, t[0], u[1]), _sp_comm(f, t[1], u[1]))),
         ),
         precondition=_require_cpoisson,
         inner=lambda A, a: (A.left_matrix_basis(0, a), A.left_matrix_basis(1, a)),
@@ -410,9 +463,10 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
             )
     if spec.ops:
         names, rules = zip(*spec.ops)
+        sparse = [[_sparse(M) for M in tup] for tup in space.basis]
 
         def product(op, a, b):
-            coords = space.coords(rules[op](f, space.basis[a], space.basis[b]))
+            coords = space._sparse_coords(rules[op](f, sparse[a], sparse[b]))
             if coords is None:
                 raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
             return coords

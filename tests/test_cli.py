@@ -305,6 +305,10 @@ BAD_INPUTS = [
     ("file-not-utf-8", "check", b'{"field": "Q", "dim": 1, "ops": [], "x": "\xff"}'),
     ("rational-exponent-literal", "check",
      {**Q1, "ops": [{"name": "bracket", "entries": [[0, 0, 0, "1e300000"]]}]}),
+    ("residue-literal-with-space-and-underscore", "check",
+     {**F1_GF3, "ops": [{"name": "bracket", "entries": [[0, 0, 0, " 1_0"]]}]}),
+    ("residue-literal-with-plus-sign", "check",
+     {**F1_GF3, "ops": [{"name": "bracket", "entries": [[0, 0, 0, "+7"]]}]}),
     ("repeated-action-entry", "validate",
      {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3,
       "l": [[0, 0, 0, "1"], [0, 0, 0, "2"]]}),

@@ -37,6 +37,7 @@ def test_prime_field_parse_fraction():
     with pytest.raises(FieldMismatch):
         f.of(0.5)
     assert GF(5).inv(2) == 3
+    assert GF(5).of("1/2") == 3  # a string a/b reads as a * b^-1
     with pytest.raises(DivisionByZero):
         Q.inv(0)
 

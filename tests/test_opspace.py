@@ -1,11 +1,16 @@
+import dataclasses
+import random
+import re
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from algact import linalg
+from algact import laws, linalg, opspace
 from algact.algebra import Algebra, check_identity
 from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
+    ClosureError,
     NotAssociative,
     NotCommutative,
     NotCommutativePoisson,
@@ -219,20 +224,148 @@ def test_rows_and_self_check_cut_out_the_same_space(field):
     assert checked > len(SPACE_KINDS)
 
 
+# each kind's induced operations written out on dense matrices, independent
+# of the sparse rules the package runs
+def _reference_ops(f, t, u):
+    def mm(a, b):
+        return linalg.mat_mul(f, a, b)
+
+    def comm(a, b):
+        return linalg.mat_sub(f, mm(a, b), mm(b, a))
+
+    def plus(a, b):
+        return linalg.mat_add(f, a, b)
+
+    return {
+        "derivations": lambda: [(comm(t[0], u[0]),)],
+        "biderivations": lambda: [(comm(t[0], u[0]), comm(t[1], u[0]))],
+        "bimultipliers": lambda: [(mm(t[0], u[0]), mm(u[1], t[1]))],
+        "multipliers": lambda: [(mm(t[0], u[0]),)],
+        "usga-poisson": lambda: [
+            (mm(t[0], u[0]), mm(u[1], t[1]), plus(mm(t[0], u[2]), mm(u[1], t[2]))),
+            (comm(t[0], u[2]), comm(t[1], u[2]), comm(t[2], u[2])),
+        ],
+        "usga-cpoisson": lambda: [
+            (mm(t[0], u[0]), plus(mm(t[0], u[1]), mm(u[0], t[1]))),
+            (comm(t[0], u[1]), comm(t[1], u[1])),
+        ],
+    }
+
+
+def _flat(tup):
+    return [x for M in tup for row in M for x in row]
+
+
+def _matrix_algebra(n, upper):
+    """Structure constants of M_n (or T_n) on the matrix units E_ij."""
+    idx = [(i, j) for i in range(n) for j in range(n) if not upper or i <= j]
+    pos = {e: k for k, e in enumerate(idx)}
+    prod = {(a, b, pos[(i, l)]): 1
+            for a, (i, j) in enumerate(idx) for b, (k, l) in enumerate(idx) if j == k}
+    return len(idx), prod
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant 1 and its integer inverse."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [list(row) for row in P]
+    for _ in range(3 * n):
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in P:  # P <- P (1 + c E_ab)
+            row[b] += c * row[a]
+        Pinv[a] = [x - c * y for x, y in zip(Pinv[a], Pinv[b])]  # (1 - c E_ab) Pinv
+    return P, Pinv
+
+
+def _rebased_matrix_algebras(field, seed):
+    """T2 and M2 as an associative, a Lie (commutator) and a Poisson algebra,
+    each in the basis f_i = sum_a P[a][i] E_a of one seeded unimodular P."""
+    rng = random.Random(seed)
+    out = []
+    for name, upper in (("T2", True), ("M2", False)):
+        n, prod = _matrix_algebra(2, upper)
+        P, Pinv = _unimodular(rng, n)
+        new = {}
+        for i, j in iproduct(range(n), repeat=2):
+            w = [0] * n
+            for (a, b, c), v in prod.items():
+                w[c] += P[a][i] * P[b][j] * v
+            for m in range(n):
+                new[(i, j, m)] = sum(Pinv[m][k] * w[k] for k in range(n))
+        bracket = {(i, j, m): v - new[(j, i, m)] for (i, j, m), v in new.items()}
+        out += [
+            (f"{name}.assoc", Algebra.from_entries(field, n, [new])),
+            (f"{name}.lie", Algebra.from_entries(field, n, [bracket], names=["bracket"])),
+            (f"{name}.poisson", Algebra.from_entries(field, n, [new, bracket])),
+        ]
+    return out
+
+
+def _induced_tensor_cases():
+    for field in (Q, GF(3), GF(5)):
+        for name, A, _ in catalog_algebras(field):
+            yield field, name, A
+    for name in ("abelian(3)", "poisson_abelian(3)"):
+        yield Q, name, builtin(name)
+    for name, A in _rebased_matrix_algebras(Q, "T2 M2"):
+        yield Q, name, A
+
+
 def test_induced_tensor_matches_raw_composition():
+    # Compose the dense basis tuples by each kind's formula and solve for the
+    # coordinates on the dense basis columns, without reading pivots.
+    checked = set()
+    for field, name, A in _induced_tensor_cases():
+        for kind in SPACE_KINDS:
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            if space.algebra is None:
+                continue
+            alg = space.as_algebra()
+            flat = [_flat(t) for t in space.basis]
+            columns = [[v[idx] for v in flat] for idx in range(len(flat[0]))] if flat else []
+            for (a, t), (b, u) in iproduct(enumerate(space.basis), repeat=2):
+                for op, raw in enumerate(_reference_ops(field, t, u)[kind]()):
+                    coords = linalg.solve(field, columns, _flat(raw))
+                    assert coords == alg.mul_basis(op, a, b), (field, name, kind, op, a, b)
+            checked.add(kind)
+    assert checked == set(_reference_ops(Q, (), ()))
+
+
+def test_escaping_product_raises_closure_error(monkeypatch):
     A = builtin("sl2")
-    space = derivations(A)
-    f = A.field
-    alg = space.as_algebra()
-    for a, ta in enumerate(space.basis):
-        for b, tb in enumerate(space.basis):
-            raw = linalg.mat_sub(
-                f,
-                linalg.mat_mul(f, ta[0], tb[0]),
-                linalg.mat_mul(f, tb[0], ta[0]),
-            )
-            coords = space.coords((raw,))
-            assert coords == alg.mul_basis(0, a, b)
+    n = A.dim
+
+    def identity(f, t, u):  # in the form the rules receive: sparse {row: {col: c}} or dense rows
+        if isinstance(t[0], dict):
+            return ({i: {i: f.one} for i in range(n)},)
+        return (linalg.mat_identity(f, n),)
+
+    spec = opspace._KINDS["derivations"]
+    monkeypatch.setitem(opspace._KINDS, "derivations",
+                        dataclasses.replace(spec, ops=(("bracket", identity),)))
+    with pytest.raises(ClosureError, match=re.escape("escaped the span at basis pair (0, 0)")):
+        derivations(A)
+
+
+def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
+    compatibility = laws.compatibility("d", "D")
+    law_rows = laws.law_rows
+
+    def rows_without_compatibility(A, law, blocks):
+        return iter(()) if law == compatibility else law_rows(A, law, blocks)
+
+    A = builtin("leibniz_2dim_nonlie")
+    full = biderivations(A).dim
+    monkeypatch.setattr(laws, "law_rows", rows_without_compatibility)
+    with pytest.raises(ClosureError, match="computed biderivations basis tuple violates compatibility"):
+        biderivations(A)
+    monkeypatch.setattr(opspace, "defining_defects", lambda *args: iter(()))
+    assert biderivations(A).dim > full  # the space grows without the law
 
 
 # -- inner embeddings --------------------------------------------------------------
