@@ -21,12 +21,12 @@ correspondence read them:
   ``(p,x)(q,y) = (pq, xy + p*y + x*q)`` and
   ``{(p,x),(q,y)} = ([p,q], [x,y] + k_p(y) - k_q(x))``.
 
-An action's morphism is made by the one map into an operator space:
-:func:`action_to_morphism` hands the operator tuples of the acting basis to
-:meth:`~algact.opspace.OperatorSpace.matrix_of` and the matrix to
-:meth:`~algact.opspace.OperatorSpace.morphism`, which returns an
-:class:`~algact.opspace.ActorMorphism`; :func:`morphism_to_action` checks a
-given matrix with the same ``morphism`` before unpacking it.
+Both directions of the correspondence pass one
+:class:`~algact.opspace.ActorMorphism`, made by the one map into an operator
+space (:meth:`~algact.opspace.OperatorSpace.morphism`).  Its source is B,
+the base of its space is X and the variety is the one whose weak actor has
+the space's kind (a space that is no weak actor is refused); its
+homomorphism report is read, never recomputed.
 
 Validation labels follow the classical condition lists: L1..L6 for Leibniz,
 A1..A6 for associative (the same list that reappears inside P1), and
@@ -77,7 +77,6 @@ __all__ = [
     "semidirect",
     "semidirect_algebra",
     "extract_action",
-    "weak_actor_kind",
     "weak_actor",
     "ActorMorphism",
     "action_to_morphism",
@@ -126,6 +125,7 @@ _VARIETIES = {
 }
 
 VARIETIES = tuple(_VARIETIES)
+_VARIETY_OF_KIND = {v.kind: name for name, v in _VARIETIES.items()}
 
 DEFAULT_BUDGET = 3 ** 10
 
@@ -137,12 +137,8 @@ def _variety(variety: str) -> _Variety:
         raise InputError(f"unknown variety {variety!r}") from None
 
 
-def weak_actor_kind(variety: str) -> str:
-    return _variety(variety).kind
-
-
 def weak_actor(X: Algebra, variety: str) -> OperatorSpace:
-    return space_of_kind(X, weak_actor_kind(variety))
+    return space_of_kind(X, _variety(variety).kind)
 
 
 def _zero_tensor(field, a, b, c):
@@ -647,11 +643,10 @@ def _signed(f, sign, M):
     return M if sign > 0 else linalg.mat_neg(f, M)
 
 
-def action_to_morphism(a: ActionData, space: Optional[OperatorSpace] = None) -> ActorMorphism:
+def action_to_morphism(a: ActionData) -> ActorMorphism:
     """The map taking each acting basis element to its operator tuple in the
-    weak actor, with the homomorphism property verified and reported."""
-    if space is None:
-        space = weak_actor(a.kernel, a.variety)
+    weak actor of the kernel, with the homomorphism property checked."""
+    space = weak_actor(a.kernel, a.variety)
     slots = [signed_slot(s) for s in _variety(a.variety).slots]
     operators = a.operators()
     # the operator tuple of e_p, per the variety's slots
@@ -662,14 +657,15 @@ def action_to_morphism(a: ActionData, space: Optional[OperatorSpace] = None) -> 
     return space.morphism(a.acting, space.matrix_of(tuples))
 
 
-def _unpack(matrix, B: Algebra, X: Algebra, variety: str, space: OperatorSpace) -> ActionData:
-    """The action tensors of a matrix already known to be a homomorphism
-    from B into the weak actor ``space``."""
-    v = _variety(variety)
+def _unpack(mor: ActorMorphism, variety: str) -> ActionData:
+    """The action tensors of a morphism already known to be a homomorphism
+    into the weak actor of ``variety``."""
+    v = _VARIETIES[variety]
+    B, X, space = mor.source, mor.space.base, mor.space
     f, nx = B.field, X.dim
     mats = {name: [] for name in v.operators}  # operator name -> one matrix per p
     for p in range(B.dim):
-        for slot, M in zip(v.slots, space.tuple_from_coords(linalg.mat_col(matrix, p))):
+        for slot, M in zip(v.slots, space.tuple_from_coords(linalg.mat_col(mor.matrix, p))):
             sign, name = signed_slot(slot)
             mats[name].append(_signed(f, sign, M))
     # l[p][y] is column y of l_p, r[x][q] column x of r_q
@@ -679,22 +675,17 @@ def _unpack(matrix, B: Algebra, X: Algebra, variety: str, space: OperatorSpace) 
     return ActionData(variety, B, X, l, r, k)
 
 
-def morphism_to_action(
-    matrix,
-    B: Algebra,
-    X: Algebra,
-    variety: str,
-    space: Optional[OperatorSpace] = None,
-) -> ActionData:
+def morphism_to_action(mor: ActorMorphism) -> ActionData:
     """Unpack a morphism into action tensors (inverse of
-    :func:`action_to_morphism` on its image)."""
-    _variety(variety)  # an unknown variety fails before the shape checks
-    if space is None:
-        space = weak_actor(X, variety)
-    hom = space.morphism(B, matrix).hom
+    :func:`action_to_morphism` on its image).  The source acts on the base
+    of the space, in the variety whose weak actor the space is."""
+    variety = _VARIETY_OF_KIND.get(mor.space.kind)
+    if variety is None:
+        raise InputError(f"the {mor.space.kind} space is the weak actor of no variety")
+    hom = mor.hom
     if not hom.holds:
         raise NotAHomomorphism(f"not a homomorphism into the weak actor: defect at {hom.witness}")
-    return _unpack(matrix, B, X, variety, space)
+    return _unpack(mor, variety)
 
 
 @dataclass
@@ -711,13 +702,7 @@ class ActingReport:
         return data
 
 
-def is_acting_morphism(
-    matrix,
-    B: Algebra,
-    X: Algebra,
-    variety: str,
-    space: Optional[OperatorSpace] = None,
-) -> ActingReport:
+def is_acting_morphism(mor: ActorMorphism) -> ActingReport:
     """Whether a homomorphism into the weak actor arises from a split
     extension.
 
@@ -727,7 +712,7 @@ def is_acting_morphism(
     (x, y, a); a non-homomorphism input is an error rather than a "not
     acting" verdict.
     """
-    return _acting(morphism_to_action(matrix, B, X, variety, space=space))
+    return _acting(morphism_to_action(mor))
 
 
 def _acting(a: ActionData) -> ActingReport:
@@ -740,8 +725,9 @@ def _acting(a: ActionData) -> ActingReport:
 
 
 def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
-    """The weak actor of X and every homomorphism from B into it, found by
-    trying each matrix over the prime field in lexicographic order."""
+    """The weak actor of X and every homomorphism from B into it, as
+    :class:`ActorMorphism` records, found by trying each matrix over the
+    prime field in lexicographic order."""
     f = B.field
     if not isinstance(f, PrimeField):
         raise InputError("exhaustive enumeration needs a prime field")
@@ -757,7 +743,8 @@ def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
         [list(flat[t * nb : (t + 1) * nb]) for t in range(ne)]
         for flat in iproduct(range(f.p), repeat=ne * nb)
     )
-    return space, [m for m in matrices if is_homomorphism(m, B, actor).holds]
+    homs = ((m, is_homomorphism(m, B, actor)) for m in matrices)
+    return space, [ActorMorphism(space, B, m, hom) for m, hom in homs if hom.holds]
 
 
 def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
@@ -771,13 +758,13 @@ def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAUL
     p**(dim E * dim B).
     """
     space, homs = _homomorphisms(B, X, variety, budget)
-    actions = (_unpack(m, B, X, variety, space) for m in homs)
+    actions = (_unpack(m, variety) for m in homs)
     return sorted((a for a in actions if validate_action(a).passed), key=ActionData.canonical_key)
 
 
 def enumerate_acting_morphisms(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
     """All acting homomorphisms from B into the weak actor of X, enumerated
-    entry by entry over the prime field; returns (space, matrices) with the
-    matrices in lexicographic order."""
+    entry by entry over the prime field; returns (space, morphisms) with the
+    morphisms in lexicographic order of their matrices."""
     space, homs = _homomorphisms(B, X, variety, budget)
-    return space, [m for m in homs if _acting(_unpack(m, B, X, variety, space)).acting]
+    return space, [m for m in homs if _acting(_unpack(m, variety)).acting]

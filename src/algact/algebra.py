@@ -104,7 +104,9 @@ class Algebra:
     def from_entries(cls, field, dim, op_entries, names=None, labels=None):
         """Build from a list of entry iterables, one per operation."""
         if names is None:
-            names = ["mul", "bracket"][: len(op_entries)] if len(op_entries) == 2 else ["mul"]
+            names = ["mul", "bracket"][: len(op_entries)]
+        if len(names) != len(op_entries):
+            raise OpArityMismatch("give one name per operation")
         ops = [
             BilinearOp(field, dim, entries, name)
             for entries, name in zip(op_entries, names)

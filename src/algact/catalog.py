@@ -395,11 +395,10 @@ def _fact_a(field):
     F1 = _abelian(1, field)
     bider = biderivations(F1)
     c.expect("bider_dim", bider.dim, 2)
-    matrix = bider.matrix_of(_metere_morphism(field).images)
-    c.expect("is_homomorphism", bider.morphism(F1, matrix).is_homomorphism, True)
-    verdict = is_acting_morphism(matrix, F1, F1, "leibniz", space=bider)
-    c.expect("acting", verdict.acting, False)
-    action = morphism_to_action(matrix, F1, F1, "leibniz", space=bider)
+    mor = bider.morphism(F1, bider.matrix_of(_metere_morphism(field).images))
+    c.expect("is_homomorphism", mor.is_homomorphism, True)
+    c.expect("acting", is_acting_morphism(mor).acting, False)
+    action = morphism_to_action(mor)
     report = validate_action(action)
     c.expect("failed_conditions", report.failed_labels(), ["L6"])
     l6 = report.condition("L6")
@@ -416,7 +415,7 @@ def _fact_b(field):
         c.expect(f"{name}.valid", rep.passed, True)
         mor = action_to_morphism(act)
         c.expect(f"{name}.hom", mor.is_homomorphism, True)
-        inner = inner_embedding(A, "biderivations", space=mor.space)
+        inner = inner_embedding(mor.space)
         c.expect(
             f"{name}.matches_inner",
             linalg.mat_eq(field, mor.matrix, inner.matrix),

@@ -158,28 +158,24 @@ def _cmd_action_extract(args, out) -> int:
 
 
 def _cmd_morphism_check(args, out) -> int:
-    data = _load_json_file(args.file)
-    mor = MorphismData.from_json_dict(data)
-    space = weak_actor(mor.kernel, mor.variety)
-    matrix = space.matrix_of(mor.images)
-    verdict = is_acting_morphism(matrix, mor.acting, mor.kernel, mor.variety, space=space)
+    data = MorphismData.from_json_dict(_load_json_file(args.file))
+    space = weak_actor(data.kernel, data.variety)
+    mor = space.morphism(data.acting, space.matrix_of(data.images))
+    verdict = is_acting_morphism(mor)
     if verdict.acting:
         if args.json:
             out.write(_dump_json({"acting": True}))
         else:
             out.write("acting: the morphism corresponds to a split extension\n")
         return OK
-    action = morphism_to_action(
-        matrix, mor.acting, mor.kernel, mor.variety, space=space
-    )
-    report = validate_action(action)
+    report = validate_action(morphism_to_action(mor))
     failed = report.failed_labels()
+    f = data.acting.field
     if args.json:
-        payload = verdict.to_json_dict(mor.acting.field)
+        payload = verdict.to_json_dict(f)
         payload["failed_conditions"] = failed
         out.write(_dump_json(payload))
     else:
-        f = mor.acting.field
         parts = []
         for label in failed:
             cond = report.condition(label)

@@ -118,11 +118,6 @@ def mat_from_cols(field: Field, cols: list, rows: int) -> list:
     return [[col[i] for col in cols] for i in range(rows)]
 
 
-def mat_flatten(A) -> list:
-    """Row-major flattening; inverse of :func:`mat_unflatten`."""
-    return [x for row in A for x in row]
-
-
 def mat_unflatten(flat, rows: int, cols: int) -> list:
     return [list(flat[i * cols : (i + 1) * cols]) for i in range(rows)]
 

@@ -50,8 +50,10 @@ element of its source, and every such map is made the same way:
 :meth:`OperatorSpace.matrix_of` puts the tuples into the space's coordinates
 (column p for tuple p, refusing a tuple of the wrong shape or outside the
 span), and :meth:`OperatorSpace.morphism` checks that the matrix is a
-homomorphism into the induced algebra and returns an :class:`ActorMorphism`.
-The inner map of an algebra (:func:`inner_embedding`), the morphism of an
+homomorphism into the induced algebra and returns an :class:`ActorMorphism`
+(space, source, matrix, homomorphism report).  The record is the whole map:
+the base algebra and the kind are read off its space, never passed again.
+The inner map of the base (:func:`inner_embedding`), the morphism of an
 action into its weak actor and the morphisms of the fact suite are all built
 this way.
 """
@@ -180,7 +182,8 @@ class OperatorSpace:
         the induced operations."""
         if len(matrix) != self.dim or (matrix and len(matrix[0]) != source.dim):
             raise ShapeMismatch(f"morphism matrix must be {self.dim}x{source.dim}")
-        return ActorMorphism(self, matrix, is_homomorphism(matrix, source, self.as_algebra()))
+        hom = is_homomorphism(matrix, source, self.as_algebra())
+        return ActorMorphism(self, source, matrix, hom)
 
     def tuple_from_coords(self, coords) -> tuple:
         f = self.field
@@ -218,10 +221,12 @@ class OperatorSpace:
 
 @dataclass
 class ActorMorphism:
-    """A linear map into an operator space and its homomorphism check."""
+    """A linear map from ``source`` into an operator space and its
+    homomorphism check."""
 
     space: OperatorSpace
-    matrix: list  # space.dim x source dim
+    source: Algebra
+    matrix: list  # space.dim x source.dim
     hom: IdentityReport
 
     @property
@@ -530,16 +535,16 @@ def inner_tuple(A: Algebra, kind: str, a: int) -> tuple:
     return spec.inner(A, a)
 
 
-def inner_embedding(A: Algebra, kind: str, space: Optional[OperatorSpace] = None) -> ActorMorphism:
-    """The map taking e_a to its inner tuple, in the coordinates of the
-    computed operator space and checked for the homomorphism property.
+def inner_embedding(space: OperatorSpace) -> ActorMorphism:
+    """The map from the base algebra A of ``space`` taking e_a to its inner
+    tuple, in the coordinates of the space and checked for the homomorphism
+    property.
 
     A tuple escaping the space would mean the system and the inner formulas
     disagree; that is surfaced as an error, never ignored.
     """
-    if space is None:
-        space = space_of_kind(A, kind)
-    return space.morphism(A, space.matrix_of([inner_tuple(A, kind, a) for a in range(A.dim)]))
+    A = space.base
+    return space.morphism(A, space.matrix_of([inner_tuple(A, space.kind, a) for a in range(A.dim)]))
 
 
 # -- special checks ----------------------------------------------------------

@@ -167,14 +167,12 @@ def _roundtrip_keys(B, X, variety, acts):
     """Canonical keys of the unpacked acting morphisms, after checking that
     each action's morphism is one of them and unpacks to the action again."""
     space, homs = enumerate_acting_morphisms(B, X, variety)
-    hom_set = {canonical([[str(x) for x in row] for row in m]) for m in homs}
+    hom_set = {canonical([[str(x) for x in row] for row in m.matrix]) for m in homs}
     for act in acts:
-        mor = action_to_morphism(act, space=space)
+        mor = action_to_morphism(act)
         assert canonical([[str(x) for x in row] for row in mor.matrix]) in hom_set
-        assert morphism_to_action(mor.matrix, B, X, variety, space=space) == act
-    return sorted(
-        morphism_to_action(m, B, X, variety, space=space).canonical_key() for m in homs
-    )
+        assert morphism_to_action(mor) == act
+    return sorted(morphism_to_action(m).canonical_key() for m in homs)
 
 
 def test_criterion_3_enumeration_bijection():
@@ -274,11 +272,9 @@ def test_criterion_5_roundtrips_byte_exact():
             back = extract_action(ext, act.variety)
             assert canonical(back.to_json_dict()) == blob, name
             mor = action_to_morphism(act)
-            act2 = morphism_to_action(
-                mor.matrix, act.acting, act.kernel, act.variety, space=mor.space
-            )
+            act2 = morphism_to_action(mor)
             assert canonical(act2.to_json_dict()) == blob, name
-            mor2 = action_to_morphism(act2, space=mor.space)
+            mor2 = action_to_morphism(act2)
             assert mor2.matrix == mor.matrix, name
             count += 3
     print(f"criterion 5 ({count} byte-exact roundtrips): PASS")

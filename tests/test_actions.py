@@ -29,6 +29,7 @@ from algact.catalog import (
 )
 from algact.errors import (
     BudgetExceeded,
+    InputError,
     InvalidAction,
     KernelMismatch,
     NotAHomomorphism,
@@ -36,6 +37,7 @@ from algact.errors import (
     ShapeMismatch,
 )
 from algact.fields import GF, Q
+from algact.opspace import space_of_kind
 
 import oracle
 
@@ -250,7 +252,7 @@ def test_action_to_morphism_biadjoint_is_inner():
 
     A = builtin("leibniz_2dim_nonlie")
     mor = action_to_morphism(biadjoint_action(A))
-    inner = inner_embedding(A, "biderivations", space=mor.space)
+    inner = inner_embedding(mor.space)
     assert mor.matrix == inner.matrix
     assert mor.is_homomorphism
 
@@ -266,11 +268,9 @@ def test_morphism_roundtrips_on_catalog():
     for name, act in catalog_actions(Q):
         mor = action_to_morphism(act)
         assert mor.is_homomorphism, name
-        back = morphism_to_action(
-            mor.matrix, act.acting, act.kernel, act.variety, space=mor.space
-        )
+        back = morphism_to_action(mor)
         assert back == act, name
-        mor2 = action_to_morphism(back, space=mor.space)
+        mor2 = action_to_morphism(back)
         assert mor2.matrix == mor.matrix, name
 
 
@@ -279,8 +279,9 @@ def test_acting_criterion_matches_validation():
     A = builtin("abelian(1)", GF(3))
     space, homs = enumerate_homs_helper(A)
     for m in homs:
-        verdict = is_acting_morphism(m, A, A, "leibniz", space=space)
-        act = morphism_to_action(m, A, A, "leibniz", space=space)
+        mor = space.morphism(A, m)
+        verdict = is_acting_morphism(mor)
+        act = morphism_to_action(mor)
         assert verdict.acting == validate_action(act).passed
 
 
@@ -303,11 +304,11 @@ def enumerate_homs_helper(A):
 def test_metere_morphism_is_hom_but_not_acting():
     phi = builtin("metere_morphism")
     space = weak_actor(phi.kernel, "leibniz")
-    matrix = space.matrix_of(phi.images)
-    verdict = is_acting_morphism(matrix, phi.acting, phi.kernel, "leibniz", space=space)
+    mor = space.morphism(phi.acting, space.matrix_of(phi.images))
+    verdict = is_acting_morphism(mor)
     assert not verdict.acting
     assert verdict.defect == [F(2)]
-    act = morphism_to_action(matrix, phi.acting, phi.kernel, "leibniz", space=space)
+    act = morphism_to_action(mor)
     assert validate_action(act).failed_labels() == ["L6"]
 
 
@@ -320,15 +321,15 @@ def test_non_homomorphism_is_an_error_not_a_verdict():
     if is_homomorphism(bad, A, space.as_algebra()).holds:
         pytest.skip("unexpectedly a homomorphism")
     with pytest.raises(NotAHomomorphism):
-        is_acting_morphism(bad, A, A, "leibniz", space=space)
+        is_acting_morphism(space.morphism(A, bad))
 
 
 def test_inner_embedding_is_acting():
     A = builtin("leibniz_2dim_nonlie")
-    from algact.opspace import inner_embedding
+    from algact.opspace import biderivations, inner_embedding
 
-    emb = inner_embedding(A, "biderivations")
-    verdict = is_acting_morphism(emb.matrix, A, A, "leibniz", space=emb.space)
+    emb = inner_embedding(biderivations(A))
+    verdict = is_acting_morphism(emb)
     assert verdict.acting
 
 
@@ -336,9 +337,42 @@ def test_zero_morphism_is_acting():
     A = builtin("sl2")
     space = weak_actor(A, "leibniz")
     zero = linalg.mat_zero(Q, space.dim, A.dim)
-    assert is_acting_morphism(zero, A, A, "leibniz", space=space).acting
-    act = morphism_to_action(zero, A, A, "leibniz", space=space)
+    mor = space.morphism(A, zero)
+    assert is_acting_morphism(mor).acting
+    act = morphism_to_action(mor)
     assert act == zero_action("leibniz", A, A)
+
+
+@pytest.mark.parametrize(
+    "kind,variety,b,x",
+    [
+        ("bimultipliers", "associative", "assoc_unital_1dim", "assoc_triangular"),
+        ("biderivations", "leibniz", "sl2", "leibniz_2dim_nonlie"),
+        ("usga-poisson", "poisson", "poisson_abelian(1)", "poisson_triangular"),
+        ("usga-cpoisson", "cpoisson", "poisson_abelian(1)", "poisson_trunc_poly"),
+    ],
+)
+def test_morphism_reads_kernel_and_variety_off_its_space(kind, variety, b, x):
+    B, space = builtin(b), space_of_kind(builtin(x), kind)
+    zero = linalg.mat_zero(Q, space.dim, B.dim)
+    assert morphism_to_action(space.morphism(B, zero)) == zero_action(variety, B, space.base)
+
+
+def test_morphism_into_a_space_that_is_no_weak_actor_is_refused():
+    A = builtin("sl2")
+    space = space_of_kind(A, "derivations")
+    with pytest.raises(InputError, match="derivations space is the weak actor of no variety"):
+        morphism_to_action(space.morphism(A, linalg.mat_zero(Q, space.dim, A.dim)))
+
+
+def test_non_homomorphism_keeps_its_message():
+    A = builtin("leibniz_2dim_nonlie")
+    space = weak_actor(A, "leibniz")
+    mor = space.morphism(A, [[F(1)] * 2 for _ in range(space.dim)])
+    assert not mor.is_homomorphism
+    with pytest.raises(NotAHomomorphism) as exc:
+        morphism_to_action(mor)
+    assert str(exc.value) == f"not a homomorphism into the weak actor: defect at {mor.hom.witness}"
 
 
 # -- special properties ----------------------------------------------------------------
@@ -401,7 +435,7 @@ def test_trivial_center_every_hom_is_acting():
             if not is_homomorphism(m, B, alg).holds:
                 continue
             n_homs += 1
-            if is_acting_morphism(m, B, X, "leibniz", space=space).acting:
+            if is_acting_morphism(space.morphism(B, m)).acting:
                 n_acting += 1
         assert n_homs == n_acting and n_homs > 0, bname
 
@@ -423,7 +457,7 @@ def test_eqpois_every_hom_is_acting_on_line():
         for flat in iproduct(range(3), repeat=space.dim * P.dim)
     ]
     all_homs = [m for m in all_homs if is_homomorphism(m, P, alg).holds]
-    assert sorted(map(str, all_homs)) == sorted(map(str, homs))
+    assert sorted(map(str, all_homs)) == sorted(str(m.matrix) for m in homs)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -470,10 +504,7 @@ def test_enumeration_bijection_line():
     acts = enumerate_actions(F1, F1, "leibniz")
     space, homs = enumerate_acting_morphisms(F1, F1, "leibniz")
     assert len(acts) == len(homs) == 5
-    from_homs = sorted(
-        morphism_to_action(m, F1, F1, "leibniz", space=space).canonical_key()
-        for m in homs
-    )
+    from_homs = sorted(morphism_to_action(m).canonical_key() for m in homs)
     assert from_homs == [a.canonical_key() for a in acts]
 
 
@@ -482,10 +513,7 @@ def test_enumeration_bijection_cpoisson_line():
     acts = enumerate_actions(P1, P1, "cpoisson")
     space, homs = enumerate_acting_morphisms(P1, P1, "cpoisson")
     assert len(acts) == len(homs) == 3
-    from_homs = sorted(
-        morphism_to_action(m, P1, P1, "cpoisson", space=space).canonical_key()
-        for m in homs
-    )
+    from_homs = sorted(morphism_to_action(m).canonical_key() for m in homs)
     assert from_homs == [a.canonical_key() for a in acts]
 
 
@@ -503,10 +531,7 @@ def test_enumeration_bijection_unital_poisson_line():
             acts = enumerate_actions(U, X, variety)
             space, homs = enumerate_acting_morphisms(U, X, variety)
             assert len(acts) == len(homs) == expected[(variety, self_action)]
-            keys = sorted(
-                morphism_to_action(m, U, X, variety, space=space).canonical_key()
-                for m in homs
-            )
+            keys = sorted(morphism_to_action(m).canonical_key() for m in homs)
             assert keys == [a.canonical_key() for a in acts]
             assert acts == oracle.brute_force_actions(U, X, variety)
 
@@ -518,10 +543,7 @@ def test_enumeration_bijection_associative_triangular():
     acts = enumerate_actions(T, Z1, "associative")
     space, homs = enumerate_acting_morphisms(T, Z1, "associative")
     assert len(acts) == len(homs) == 4
-    keys = sorted(
-        morphism_to_action(m, T, Z1, "associative", space=space).canonical_key()
-        for m in homs
-    )
+    keys = sorted(morphism_to_action(m).canonical_key() for m in homs)
     assert keys == [a.canonical_key() for a in acts]
     assert acts == oracle.brute_force_actions(T, Z1, "associative")
 

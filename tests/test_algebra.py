@@ -110,6 +110,17 @@ def test_poisson_tag_requires_two_ops(leib2):
         check_identity(leib2, "poisson")
 
 
+def test_from_entries_refuses_three_operations():
+    with pytest.raises(OpArityMismatch):
+        Algebra.from_entries(Q, 1, [{}, {}, {(0, 0, 0): 1}])
+
+
+def test_from_entries_needs_one_name_per_operation():
+    with pytest.raises(OpArityMismatch):
+        Algebra.from_entries(Q, 1, [{}, {(0, 0, 0): 1}], names=["mul"])
+    assert [op.name for op in Algebra.from_entries(Q, 1, [{}, {}]).ops] == ["mul", "bracket"]
+
+
 def test_usga_cpoisson_of_plane_not_commutative():
     from algact.opspace import comm_poisson_usga
 

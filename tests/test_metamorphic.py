@@ -1,4 +1,6 @@
-"""Metamorphic checks: results that must not change under a change of basis.
+"""Metamorphic checks: results that must not change under a change of basis
+(action counts, and the dimensions of operator spaces or the class of the
+error that refuses the base).
 
 The basis change is done here on plain ints mod p, sharing no code with the
 package's linear algebra: with new basis vectors e'_a = sum_i M[i][a] e_i,
@@ -11,8 +13,10 @@ import pytest
 
 from algact.actions import enumerate_actions
 from algact.algebra import Algebra
-from algact.catalog import builtin
+from algact.catalog import builtin, catalog_algebras
+from algact.errors import AlgactError
 from algact.fields import GF
+from algact.opspace import SPACE_KINDS, space_of_kind
 
 P = 3
 
@@ -84,3 +88,25 @@ def test_action_count_invariant_under_change_of_basis(b, x, variety):
     for _ in range(3):
         B2, X2 = _rebased(B, rng), _rebased(X, rng)
         assert len(enumerate_actions(B2, X2, variety)) == count
+
+
+def _space_dim_or_refusal(A, kind):
+    """The dimension of the kind's space on A, or the class of the error that
+    refuses A."""
+    try:
+        return space_of_kind(A, kind).dim
+    except AlgactError as exc:
+        return type(exc)
+
+
+ALGEBRAS = {name: A for name, A, _ in catalog_algebras(GF(P))}
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_operator_space_invariant_under_change_of_basis(name, kind):
+    A = ALGEBRAS[name]
+    expected = _space_dim_or_refusal(A, kind)
+    rng = random.Random(f"{name}|{kind}")
+    for _ in range(2):
+        assert _space_dim_or_refusal(_rebased(A, rng), kind) == expected

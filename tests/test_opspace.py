@@ -372,19 +372,19 @@ def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
 
 
 def test_inner_embedding_abelian_is_zero():
-    emb = inner_embedding(builtin("abelian(2)"), "biderivations")
+    emb = inner_embedding(biderivations(builtin("abelian(2)")))
     assert linalg.mat_is_zero(Q, emb.matrix)
     assert emb.is_homomorphism
 
 
 @pytest.mark.parametrize("name", ("leibniz_2dim_nonlie", "sl2", "heisenberg"))
 def test_inner_embedding_into_biderivations_is_hom(name):
-    emb = inner_embedding(builtin(name), "biderivations")
+    emb = inner_embedding(biderivations(builtin(name)))
     assert emb.is_homomorphism
 
 
 def test_inner_embedding_poisson_zero_map():
-    emb = inner_embedding(builtin("poisson_abelian(2)"), "usga-poisson")
+    emb = inner_embedding(poisson_usga(builtin("poisson_abelian(2)")))
     assert linalg.mat_is_zero(Q, emb.matrix)
 
 
@@ -399,7 +399,7 @@ def test_inner_embedding_poisson_zero_map():
     ],
 )
 def test_inner_embeddings_are_homomorphisms(name, kind):
-    emb = inner_embedding(builtin(name), kind)
+    emb = inner_embedding(space_of_kind(builtin(name), kind))
     assert emb.is_homomorphism
 
 

@@ -33,7 +33,7 @@ from algact.actions import (
     validate_action,
     weak_actor,
 )
-from algact.algebra import IDENTITY_TAGS, Algebra, check_identity, is_homomorphism
+from algact.algebra import IDENTITY_TAGS, Algebra, check_identity
 from algact.catalog import builtin, catalog_actions, catalog_algebras
 from algact.cli import main
 from algact.errors import AlgactError
@@ -146,11 +146,11 @@ def _pairs(field):
 def _homomorphisms(B, space):
     """Every homomorphism from B into the space's induced algebra, by
     trying every matrix over the prime field."""
-    actor, nb = space.as_algebra(), B.dim
+    nb = B.dim
     for flat in product(range(B.field.p), repeat=space.dim * nb):
-        matrix = [list(flat[t * nb:(t + 1) * nb]) for t in range(space.dim)]
-        if is_homomorphism(matrix, B, actor).holds:
-            yield matrix
+        mor = space.morphism(B, [list(flat[t * nb:(t + 1) * nb]) for t in range(space.dim)])
+        if mor.is_homomorphism:
+            yield mor
 
 
 def _acting_reports():
@@ -158,10 +158,10 @@ def _acting_reports():
     for field in (GF(3), GF(5)):
         for name, B, X, variety in _pairs(field):
             space = weak_actor(X, variety)
-            for matrix in _homomorphisms(B, space):
-                report = is_acting_morphism(matrix, B, X, variety, space=space)
+            for mor in _homomorphisms(B, space):
+                report = is_acting_morphism(mor)
                 reports.append({"field": repr(field), "pair": name, "variety": variety,
-                                "matrix": matrix, "report": report.to_json_dict(field)})
+                                "matrix": mor.matrix, "report": report.to_json_dict(field)})
     return reports
 
 
@@ -181,7 +181,7 @@ def test_poisson_non_acting_morphism():
     space = weak_actor(P2, "poisson")
     E12, E21, zero = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]
     matrix = linalg.mat_from_cols(field, [space.coords((E12, E21, zero))], space.dim)
-    report = is_acting_morphism(matrix, P1, P2, "poisson", space=space)
+    report = is_acting_morphism(space.morphism(P1, matrix))
     assert report.to_json_dict(field) == {"acting": False, "witness": [0, 0, 0],
                                           "defect": ["1", "0"]}
 

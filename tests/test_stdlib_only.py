@@ -1,8 +1,9 @@
-"""The package imports nothing outside the standard library, and uses every
-name it imports."""
+"""The package imports nothing outside the standard library, uses every name
+it imports, and names every function and class it defines somewhere else."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "algact"
@@ -50,3 +51,43 @@ def test_every_imported_name_is_used():
     assert files
     unused = {(path.name, name) for path in files for name in _unused_imports(path)}
     assert unused == set()
+
+
+def _definitions(tree):
+    """Names of the module-level and class-level functions and classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (child.name for child in node.body if isinstance(child, defs))
+
+
+def _names(tree):
+    """Every identifier, attribute and string constant that appears in
+    ``tree``, apart from the names it defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_named_elsewhere():
+    """A function or class of the package that no other line of the package,
+    the tests or the benchmark names is dead code."""
+    roots = (SRC, SRC.parent.parent / "tests", SRC.parent.parent / "perfbench")
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for root in roots for path in sorted(root.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    dead = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _definitions(trees[path])
+        if not (name.startswith("__") and name.endswith("__")) and not named[name]
+    }
+    assert dead == set()
