@@ -1,11 +1,23 @@
 """Derived actions, split extensions and the action/morphism correspondence.
 
-Supported varieties and their data:
+An action of B on X is held as its operators, as the paper identifies it:
+:class:`ActionData` stores, for each operator slot of the variety, one
+n_X x n_X matrix per basis element of B.  Supported varieties and their
+slots:
 
 * ``associative``   (l, r):        a*y and x*b
 * ``leibniz``       (l, r):        l_x(b) = [s(x), i(b)], r_y(a) = [i(a), s(y)]
 * ``poisson``       (l, r, k):     p*y, x*q and the bracket action k_p(y)
 * ``cpoisson``      (l, k):        r is the commutative mirror of l
+
+Validation, the semidirect product, the derived action of a split extension
+and both directions of the correspondence read or build these matrices
+directly.  Only the action file keeps the tensor index order of
+``l[p][y]``, ``r[x][q]`` and ``bracket_action[p][y]``; one helper
+(``_file_layout``) maps it to the matrices, for the reader, the writer and
+:meth:`ActionData.canonical_key`.  The constructor is the one place that
+checks slot names, matrix shapes and that B and X carry exactly the
+variety's number of operations.
 
 Sign conventions are pinned here, once, in the ``slots`` of the variety
 records (``_VARIETIES``); both directions of the action/morphism
@@ -141,117 +153,86 @@ def weak_actor(X: Algebra, variety: str) -> OperatorSpace:
     return space_of_kind(X, _variety(variety).kind)
 
 
-def _zero_tensor(field, a, b, c):
-    z = field.zero
-    return tuple(tuple(tuple(z for _ in range(c)) for _ in range(b)) for _ in range(a))
+# the JSON key of each operator slot's tensor, in the order of the file
+_FILE_KEYS = {"l": "l", "r": "r", "k": "bracket_action"}
 
 
-def _canon_tensor(field, tensor, a, b, c, what):
-    if tensor is None:
-        return _zero_tensor(field, a, b, c)
-    if len(tensor) != a or any(len(row) != b for row in tensor):
-        raise ShapeMismatch(f"{what} tensor must be {a}x{b}x{c}")
-    out = []
-    for row in tensor:
-        orow = []
-        for vec in row:
-            if len(vec) != c:
-                raise ShapeMismatch(f"{what} tensor must be {a}x{b}x{c}")
-            orow.append(tuple(field.of(x) for x in vec))
-        out.append(tuple(orow))
-    return tuple(out)
+def _file_layout(slot, nb, nx):
+    """The shape of the file tensor of ``slot`` and the map from its index
+    (i, j, k) to the entry (p, m, y) of the operator matrices it holds.
+
+    ``l[p][y][m]`` and ``bracket_action[p][y][m]`` are entry (m, y) of the
+    operator at e_p; ``r[x][q][m]`` is entry (m, x) of r at e_q.
+    """
+    if slot == "r":
+        return (nx, nb, nx), lambda x, q, m: (q, m, x)
+    return (nb, nx, nx), lambda p, y, m: (p, m, y)
 
 
 class ActionData:
-    """Variety-tagged action tensors of an algebra B on an algebra X.
+    """A variety-tagged action of an algebra B on an algebra X, held as its
+    operators.
 
-    ``l[p][y]`` and ``k[p][y]`` are vectors in X indexed by (B basis,
-    X basis); ``r[x][q]`` is indexed by (X basis, B basis).  Invalid actions
-    are ordinary values: only :func:`semidirect` refuses them, so
-    counterexamples can be built and inspected.
+    ``operators[s][p]`` is the n_X x n_X matrix of operator s at the basis
+    element e_p of B, for each slot s of the variety: l and r, and k (the
+    bracket action) in the Poisson varieties.  A ``cpoisson`` action stores
+    no r, which mirrors l.  A slot left out of ``operators`` is zero.
+    Invalid actions are ordinary values: only :func:`semidirect` refuses
+    them, so counterexamples can be built and inspected.
     """
 
-    def __init__(self, variety, acting: Algebra, kernel: Algebra, l, r=None, bracket=None):
-        operators = _variety(variety).operators
+    def __init__(self, variety, acting: Algebra, kernel: Algebra, operators=None):
+        v = _variety(variety)
         if acting.field != kernel.field:
             raise ShapeMismatch("acting and kernel algebras live over different fields")
-        f = acting.field
-        nb, nx = acting.dim, kernel.dim
+        if acting.num_ops != v.num_ops or kernel.num_ops != v.num_ops:
+            raise ShapeMismatch("operation count of B or X does not match the variety")
+        operators = operators or {}
+        extra = sorted(set(operators) - set(v.operators))
+        if extra:
+            raise ShapeMismatch(f"{variety} actions have no operator {extra[0]}")
+        f, nb, nx = acting.field, acting.dim, kernel.dim
         self.variety = variety
         self.acting = acting
         self.kernel = kernel
-        self.l = _canon_tensor(f, l, nb, nx, nx, "l")
-        if "r" not in operators:
-            if r is not None:
-                raise ShapeMismatch(f"{variety} actions derive r from l; do not supply it")
-            self.r = None
-        else:
-            self.r = _canon_tensor(f, r, nx, nb, nx, "r")
-        if "k" in operators:
-            self.bracket = _canon_tensor(f, bracket, nb, nx, nx, "bracket_action")
-        else:
-            if bracket is not None:
-                raise ShapeMismatch(f"{variety} actions carry no bracket tensor")
-            self.bracket = None
+        self.operators = {}
+        for slot in _FILE_KEYS:
+            if slot not in v.operators:
+                continue
+            mats = operators.get(slot, [[[f.zero] * nx] * nx] * nb)
+            if len(mats) != nb or any(len(M) != nx or any(len(row) != nx for row in M) for M in mats):
+                raise ShapeMismatch(f"operator {slot} must be {nb} {nx}x{nx} matrices")
+            self.operators[slot] = tuple(tuple(tuple(f.of(x) for x in row) for row in M) for M in mats)
 
     @property
     def field(self) -> Field:
         return self.acting.field
 
-    # -- operator views ------------------------------------------------------
-
-    def l_matrix(self, p: int):
-        nx = self.kernel.dim
-        return [[self.l[p][y][m] for y in range(nx)] for m in range(nx)]
-
-    def r_matrix(self, q: int):
-        nx = self.kernel.dim
-        if self.r is None:  # commutative mirror
-            return self.l_matrix(q)
-        return [[self.r[x][q][m] for x in range(nx)] for m in range(nx)]
-
-    def k_matrix(self, p: int):
-        nx = self.kernel.dim
-        return [[self.bracket[p][y][m] for y in range(nx)] for m in range(nx)]
-
-    def r_value(self, x: int, q: int):
-        if self.r is None:
-            return list(self.l[q][x])
-        return list(self.r[x][q])
-
-    def operators(self) -> dict:
-        """The matrices of l_x, r_x and, with a bracket part, k_x, each
-        listed over the basis elements x of B."""
-        views = {"l": self.l_matrix, "r": self.r_matrix}
-        if self.bracket is not None:
-            views["k"] = self.k_matrix
-        return {name: [view(p) for p in range(self.acting.dim)] for name, view in views.items()}
+    def _law_operators(self) -> dict:
+        """The operators as the laws read them, r mirroring l in cpoisson."""
+        return {"r": self.operators["l"], **self.operators}
 
     # -- serialization -------------------------------------------------------
 
-    def _sparse(self, tensor):
-        f = self.field
-        out = []
-        if tensor is None:
-            return out
-        for i, row in enumerate(tensor):
-            for j, vec in enumerate(row):
-                for k, c in enumerate(vec):
-                    if not f.is_zero(c):
-                        out.append([i, j, k, f.to_str(c)])
-        return out
+    def _file_entries(self, slot):
+        """((i, j, k), value) over the file tensor of ``slot``, in order."""
+        shape, cell = _file_layout(slot, self.acting.dim, self.kernel.dim)
+        mats = self.operators[slot]
+        for idx in iproduct(*map(range, shape)):
+            p, m, y = cell(*idx)
+            yield idx, mats[p][m][y]
 
     def to_json_dict(self) -> dict:
+        f = self.field
         data = {
             "variety": self.variety,
             "acting": self.acting.to_json_dict(),
             "kernel": self.kernel.to_json_dict(),
-            "l": self._sparse(self.l),
         }
-        if self.r is not None:
-            data["r"] = self._sparse(self.r)
-        if self.bracket is not None:
-            data["bracket_action"] = self._sparse(self.bracket)
+        for slot in self.operators:
+            data[_FILE_KEYS[slot]] = [
+                [*idx, f.to_str(c)] for idx, c in self._file_entries(slot) if not f.is_zero(c)
+            ]
         return data
 
     @classmethod
@@ -262,57 +243,49 @@ class ActionData:
             kernel = Algebra.from_json_dict(data["kernel"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed action description: {exc}") from exc
-        f = acting.field
-        nb, nx = acting.dim, kernel.dim
-
-        def densify(entries, a, b, c):
+        f, nb, nx = acting.field, acting.dim, kernel.dim
+        operators = {}
+        for slot, key in _FILE_KEYS.items():
+            entries = data.get(key)
             if entries is None:
-                return None
-            t = [[[f.zero] * c for _ in range(b)] for _ in range(a)]
+                continue
+            shape, cell = _file_layout(slot, nb, nx)
+            mats = [[[f.zero] * nx for _ in range(nx)] for _ in range(nb)]
             seen = set()
             try:
-                for i, j, k, v in entries:
+                for i, j, k, value in entries:
                     i, j, k = (json_int(x, "tensor entry index") for x in (i, j, k))
-                    if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
+                    if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
                         raise ShapeMismatch(f"tensor entry ({i},{j},{k}) out of range")
                     if (i, j, k) in seen:
                         raise InputError(f"repeated tensor entry ({i},{j},{k})")
                     seen.add((i, j, k))
-                    t[i][j][k] = f.of(v)
+                    p, m, y = cell(i, j, k)
+                    mats[p][m][y] = f.of(value)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"malformed action tensor entry: {exc}") from exc
-            return t
-
-        return cls(
-            variety,
-            acting,
-            kernel,
-            densify(data.get("l"), nb, nx, nx),
-            densify(data.get("r"), nx, nb, nx),
-            densify(data.get("bracket_action"), nb, nx, nx),
-        )
+            operators[slot] = mats
+        return cls(variety, acting, kernel, operators)
 
     def canonical_key(self):
         f = self.field
 
-        def key(tensor):
-            if tensor is None:
+        def key(slot):
+            if slot not in self.operators:
                 return None
-            return tuple(tuple(tuple(f.to_str(c) for c in vec) for vec in row) for row in tensor)
+            return tuple(f.to_str(c) for _, c in self._file_entries(slot))
 
         return (
             self.variety,
             self.acting.canonical_key(),
             self.kernel.canonical_key(),
-            key(self.l),
-            key(self.r),
-            key(self.bracket),
+            *map(key, _FILE_KEYS),
         )
 
     def _fields(self):
         # what equality compares: the algebras by value, their operation
         # names left out as in Algebra.__eq__
-        return (self.variety, self.acting, self.kernel, self.l, self.r, self.bracket)
+        return (self.variety, self.acting, self.kernel, tuple(self.operators.items()))
 
     def __eq__(self, other):
         return isinstance(other, ActionData) and self._fields() == other._fields()
@@ -327,7 +300,7 @@ class ActionData:
 
 
 def zero_action(variety: str, B: Algebra, X: Algebra) -> ActionData:
-    return ActionData(variety, B, X, None)
+    return ActionData(variety, B, X)
 
 
 # -- validation ---------------------------------------------------------------
@@ -377,14 +350,10 @@ def validate_action(a: ActionData) -> ValidationReport:
     a, b in X, and for L4-L6 they are (x, y, a); associative/Poisson
     witnesses follow the same pattern for their lists.
     """
-    v = _variety(a.variety)
-    B, X = a.acting, a.kernel
-    if B.num_ops < v.num_ops or X.num_ops < v.num_ops:
-        raise ShapeMismatch("operation count of B or X does not match the variety")
-    operators = a.operators()
+    operators = a._law_operators()
     results = []
-    for label, law in v.conditions:
-        hit = laws.condition_defect(B, X, law, operators)
+    for label, law in _variety(a.variety).conditions:
+        hit = laws.condition_defect(a.acting, a.kernel, law, operators)
         witness, defect = hit or (None, None)
         results.append(ConditionResult(label, hit is None, witness, defect))
     return ValidationReport(a.variety, results)
@@ -542,10 +511,8 @@ def semidirect_algebra(a: ActionData) -> Algebra:
     """
     B, X, f = a.acting, a.kernel, a.field
     nb = B.dim
-    num_ops = _variety(a.variety).num_ops
-    if B.num_ops != num_ops or X.num_ops != num_ops:
-        raise ShapeMismatch("operation count of B or X does not match the variety")
     zero_b, zero_x = [f.zero] * nb, [f.zero] * X.dim
+    ops = a._law_operators()
 
     def product(op, i, j):
         # op 1 of a two-operation variety is the bracket, where B acts by k
@@ -554,10 +521,11 @@ def semidirect_algebra(a: ActionData) -> Algebra:
             return B.mul_basis(op, i, j) + zero_x
         if i >= nb and j >= nb:
             return zero_b + X.mul_basis(op, i - nb, j - nb)
+        if i < nb:
+            return zero_b + linalg.mat_col(ops["k" if op == 1 else "l"][i], j - nb)
         if op == 1:
-            k = a.bracket[i][j - nb] if i < nb else linalg.vec_neg(f, list(a.bracket[j][i - nb]))
-            return zero_b + list(k)
-        return zero_b + (list(a.l[i][j - nb]) if i < nb else a.r_value(i - nb, j))
+            return zero_b + linalg.vec_neg(f, linalg.mat_col(ops["k"][j], i - nb))
+        return zero_b + linalg.mat_col(ops["r"][j], i - nb)
 
     labels = B.labels + X.labels if B.labels is not None and X.labels is not None else None
     return Algebra.from_products(f, nb + X.dim, [op.name for op in B.ops], product, labels=labels)
@@ -606,34 +574,29 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
     X = E.kernel_algebra()
     s_cols = [linalg.mat_col(E.section, j) for j in range(nb)]
     i_cols = [linalg.mat_col(E.kernel_inj, j) for j in range(nx)]
+
+    def read(name, op, left):
+        # column y of the operator at e_p is s_p . i_y, or i_y . s_p when B
+        # acts from the right
+        failure = f"{name} value does not land in the kernel image"
+
+        def col(s, i):
+            u, w = (s, i) if left else (i, s)
+            return E._kernel_coords(E.total.multiply(op, u, w), failure)
+
+        return [linalg.mat_from_cols(f, [col(s, i) for i in i_cols], nx) for s in s_cols]
+
     # l and r come from operation 0: the product, or the Leibniz bracket of a
-    # one-operation total algebra.  l[p][y] and bracket[p][y] are read off
-    # s_p . i_y, and r[x][q] off i_x . s_q.
-    reads = [("l", 0, s_cols, i_cols), ("r", 0, i_cols, s_cols)]
+    # one-operation total algebra
+    operators = {"l": read("l", 0, True), "r": read("r", 0, False)}
     if "k" in v.operators:
-        reads.append(("bracket", E.total.bracket_op, s_cols, i_cols))
-    parts = {
-        name: [
-            [
-                E._kernel_coords(
-                    E.total.multiply(op, u, w), f"{name} value does not land in the kernel image"
-                )
-                for w in right
-            ]
-            for u in left
-        ]
-        for name, op, left, right in reads
-    }
-    l, r = parts["l"], parts["r"]
+        operators["k"] = read("bracket", E.total.bracket_op, True)
     if "r" not in v.operators:
         # r must be the commutative mirror of l; anything else is not a
         # commutative split extension
-        for x in range(nx):
-            for q in range(nb):
-                if not linalg.vec_eq(f, r[x][q], l[q][x]):
-                    raise KernelMismatch("extension is not commutative: r is not the mirror of l")
-        r = None
-    return ActionData(variety, B, X, l, r, parts.get("bracket"))
+        if any(not linalg.mat_eq(f, R, L) for R, L in zip(operators.pop("r"), operators["l"])):
+            raise KernelMismatch("extension is not commutative: r is not the mirror of l")
+    return ActionData(variety, B, X, operators)
 
 
 # -- morphisms into the weak actor ---------------------------------------------
@@ -648,35 +611,29 @@ def action_to_morphism(a: ActionData) -> ActorMorphism:
     weak actor of the kernel, with the homomorphism property checked."""
     space = weak_actor(a.kernel, a.variety)
     slots = [signed_slot(s) for s in _variety(a.variety).slots]
-    operators = a.operators()
     # the operator tuple of e_p, per the variety's slots
     tuples = [
-        tuple(_signed(a.field, sign, operators[name][p]) for sign, name in slots)
+        tuple(_signed(a.field, sign, a.operators[name][p]) for sign, name in slots)
         for p in range(a.acting.dim)
     ]
     return space.morphism(a.acting, space.matrix_of(tuples))
 
 
 def _unpack(mor: ActorMorphism, variety: str) -> ActionData:
-    """The action tensors of a morphism already known to be a homomorphism
-    into the weak actor of ``variety``."""
+    """The action of a morphism already known to be a homomorphism into the
+    weak actor of ``variety``."""
     v = _VARIETIES[variety]
-    B, X, space = mor.source, mor.space.base, mor.space
-    f, nx = B.field, X.dim
-    mats = {name: [] for name in v.operators}  # operator name -> one matrix per p
+    B, space = mor.source, mor.space
+    operators = {name: [] for name in v.operators}  # one matrix per basis element of B
     for p in range(B.dim):
         for slot, M in zip(v.slots, space.tuple_from_coords(linalg.mat_col(mor.matrix, p))):
             sign, name = signed_slot(slot)
-            mats[name].append(_signed(f, sign, M))
-    # l[p][y] is column y of l_p, r[x][q] column x of r_q
-    l = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["l"]]
-    r = [[linalg.mat_col(M, x) for M in mats["r"]] for x in range(nx)] if "r" in mats else None
-    k = [[linalg.mat_col(M, y) for y in range(nx)] for M in mats["k"]] if "k" in mats else None
-    return ActionData(variety, B, X, l, r, k)
+            operators[name].append(_signed(B.field, sign, M))
+    return ActionData(variety, B, space.base, operators)
 
 
 def morphism_to_action(mor: ActorMorphism) -> ActionData:
-    """Unpack a morphism into action tensors (inverse of
+    """Unpack a morphism into an action (inverse of
     :func:`action_to_morphism` on its image).  The source acts on the base
     of the space, in the variety whose weak actor the space is."""
     variety = _VARIETY_OF_KIND.get(mor.space.kind)
@@ -690,6 +647,9 @@ def morphism_to_action(mor: ActorMorphism) -> ActionData:
 
 @dataclass
 class ActingReport:
+    """Whether ``action`` satisfies its variety's acting law, and where not."""
+
+    action: ActionData
     acting: bool
     witness: Optional[tuple] = None
     defect: Optional[list] = None
@@ -710,15 +670,16 @@ def is_acting_morphism(mor: ActorMorphism) -> ActingReport:
     permutability (l_x r_y = r_y l_x) for associative and Poisson varieties
     and, for Leibniz, the vanishing of l_x(l_y(a) + r_y(a)).  Witnesses are
     (x, y, a); a non-homomorphism input is an error rather than a "not
-    acting" verdict.
+    acting" verdict.  The report carries the unpacked action, so a caller
+    that validates it next does not unpack the morphism again.
     """
     return _acting(morphism_to_action(mor))
 
 
 def _acting(a: ActionData) -> ActingReport:
     """The variety's acting law evaluated on the operators of ``a``."""
-    hit = laws.condition_defect(a.acting, a.kernel, _variety(a.variety).acting, a.operators())
-    return ActingReport(True) if hit is None else ActingReport(False, *hit)
+    hit = laws.condition_defect(a.acting, a.kernel, _variety(a.variety).acting, a._law_operators())
+    return ActingReport(a, True) if hit is None else ActingReport(a, False, *hit)
 
 
 # -- exhaustive enumeration (small prime fields) -------------------------------

@@ -23,7 +23,6 @@ from .actions import (
     ActionData,
     action_to_morphism,
     is_acting_morphism,
-    morphism_to_action,
     validate_action,
     zero_action,
 )
@@ -206,33 +205,31 @@ def _metere_morphism(field) -> MorphismData:
 def biadjoint_action(A: Algebra) -> ActionData:
     """The action of a bracket algebra on itself: l = left bracket
     multiplication, r = right bracket multiplication."""
-    br = A.bracket_op
-    n = A.dim
-    l = [[A.mul_basis(br, p, y) for y in range(n)] for p in range(n)]
-    r = [[A.mul_basis(br, x, q) for q in range(n)] for x in range(n)]
-    return ActionData("leibniz", A, A, l, r)
+    br, basis = A.bracket_op, range(A.dim)
+    return ActionData("leibniz", A, A, {
+        "l": [A.left_matrix_basis(br, p) for p in basis],
+        "r": [A.right_matrix_basis(br, q) for q in basis],
+    })
 
 
 def inner_action(A: Algebra, variety: str) -> ActionData:
-    """The action of an algebra on itself by its own multiplications."""
-    n = A.dim
-    l = [[A.mul_basis(0, p, y) for y in range(n)] for p in range(n)]
-    if variety == "associative":
-        r = [[A.mul_basis(0, x, q) for q in range(n)] for x in range(n)]
-        return ActionData(variety, A, A, l, r)
-    k = [[A.mul_basis(1, p, y) for y in range(n)] for p in range(n)]
-    if variety == "cpoisson":
-        return ActionData(variety, A, A, l, None, k)
-    r = [[A.mul_basis(0, x, q) for q in range(n)] for x in range(n)]
-    return ActionData(variety, A, A, l, r, k)
+    """The action of an algebra on itself by its own multiplications: l and
+    r by the product, k by the bracket; a ``cpoisson`` action has no r."""
+    basis = range(A.dim)
+    operators = {"l": [A.left_matrix_basis(0, p) for p in basis]}
+    if variety != "cpoisson":
+        operators["r"] = [A.right_matrix_basis(0, q) for q in basis]
+    if variety != "associative":
+        operators["k"] = [A.left_matrix_basis(1, p) for p in basis]
+    return ActionData(variety, A, A, operators)
 
 
 def _metere_action(field) -> ActionData:
-    """The tensors unpacked from the morphism above: l_a(x) = r-slot value
-    a x as well; fails exactly the sixth condition with defect 2abx."""
+    """The action unpacked from the morphism above: l_a(x) = r_a(x) = a x;
+    fails exactly the sixth condition with defect 2abx."""
     F1 = _abelian(1, field)
     one = field.one
-    return ActionData("leibniz", F1, F1, [[[one]]], [[[one]]])
+    return ActionData("leibniz", F1, F1, {"l": [[[one]]], "r": [[[one]]]})
 
 
 def builtin_names():
@@ -336,10 +333,9 @@ def catalog_actions(field):
     # a nonzero non-inner Leibniz action: the 2-dim nonabelian Lie algebra
     # acting on the line with l = -r
     lie2 = builtin("lie_2dim_nonabelian", field)
-    one = field.one
-    r = [[[field.zero], [one]]]
-    l = [[[field.zero]], [[field.neg(one)]]]
-    out.append(("lie2na_on_abelian1", ActionData("leibniz", lie2, F1, l, r)))
+    zero, one = field.zero, field.one
+    operators = {"l": [[[zero]], [[field.neg(one)]]], "r": [[[zero]], [[one]]]}
+    out.append(("lie2na_on_abelian1", ActionData("leibniz", lie2, F1, operators)))
     return out
 
 
@@ -397,9 +393,9 @@ def _fact_a(field):
     c.expect("bider_dim", bider.dim, 2)
     mor = bider.morphism(F1, bider.matrix_of(_metere_morphism(field).images))
     c.expect("is_homomorphism", mor.is_homomorphism, True)
-    c.expect("acting", is_acting_morphism(mor).acting, False)
-    action = morphism_to_action(mor)
-    report = validate_action(action)
+    verdict = is_acting_morphism(mor)
+    c.expect("acting", verdict.acting, False)
+    report = validate_action(verdict.action)
     c.expect("failed_conditions", report.failed_labels(), ["L6"])
     l6 = report.condition("L6")
     c.expect("L6_defect", [field.to_str(x) for x in l6.defect], [field.to_str(field.of(2))])

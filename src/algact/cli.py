@@ -21,7 +21,6 @@ from .actions import (
     enumerate_actions,
     extract_action,
     is_acting_morphism,
-    morphism_to_action,
     semidirect,
     validate_action,
     weak_actor,
@@ -168,7 +167,7 @@ def _cmd_morphism_check(args, out) -> int:
         else:
             out.write("acting: the morphism corresponds to a split extension\n")
         return OK
-    report = validate_action(morphism_to_action(mor))
+    report = validate_action(verdict.action)
     failed = report.failed_labels()
     f = data.acting.field
     if args.json:

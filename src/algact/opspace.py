@@ -29,15 +29,16 @@ rows.  Every law is bilinear in the two algebra arguments, so imposing it on
 all basis pairs is equivalent to imposing it everywhere.
 
 The computed basis is canonical (reduced row echelon over the flattened
-matrix tuple).  The induced operations are stored once, as the space's
-``algebra``: a structure-constant :class:`~algact.algebra.Algebra` in that
-basis, built from the kind's operations on basis tuples.  Closure and the
-defining identities are re-verified on the computed basis during
-construction.
+matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples.
+The induced operations are stored once, as the space's ``algebra``: a
+structure-constant :class:`~algact.algebra.Algebra` in that basis, built
+from the kind's operations on basis tuples.  Closure and the defining
+identities are re-verified on the computed basis during construction.
 
-After the RREF the induced operations run on sparse tuples: each component
-of a basis tuple is kept as ``{row: {col: c}}`` with only its nonzero
-entries, and the kind's rules compose those.  Since b_i[p_j] = delta_ij at
+The space makes one sparse copy of its basis, each component kept as
+``{row: {col: c}}`` with only its nonzero entries.  The kind's rules
+compose those, and :meth:`OperatorSpace.tuple_from_coords` sums only those
+entries.  Since b_i[p_j] = delta_ij at
 the pivot columns p_j, the coordinates of a product v are its entries
 v[p_j], and v - sum_i v[p_i] b_i vanishes at every pivot column by
 construction.  Membership is therefore checked at the non-pivot columns
@@ -104,24 +105,33 @@ __all__ = [
 class OperatorSpace:
     """Canonical basis of operator tuples plus the induced algebra.
 
-    ``basis[t]`` is a tuple of matrices on the base algebra; ``algebra`` is
-    the space with its induced operations as an :class:`Algebra` on this
-    basis, or None for a kind without induced operations.
+    ``basis[t]`` is a tuple of matrices on the base algebra, with pivot
+    column ``pivots[t]``; ``algebra`` is the space with its induced
+    operations as an :class:`Algebra` on this basis, or None for a kind
+    without induced operations.
     """
 
     base: Algebra
     kind: str
     components: tuple
     basis: list
-    vec_basis: list
     pivots: list
     algebra: Optional[Algebra] = None
 
     def __post_init__(self):
+        n = self.base.dim
         self._pivot_index = {p: t for t, p in enumerate(self.pivots)}
+        # the basis once more, sparse, and each vector's entries off the pivots
+        self._sparse_basis = [tuple(_sparse(M) for M in tup) for tup in self.basis]
         self._tails = [
-            {c: x for c, x in enumerate(v) if x and c not in self._pivot_index}
-            for v in self.vec_basis
+            {
+                col: x
+                for b, M in enumerate(tup)
+                for r, row in M.items()
+                for c, x in row.items()
+                if (col := (b * n + r) * n + c) not in self._pivot_index
+            }
+            for tup in self._sparse_basis
         ]
 
     @property
@@ -131,13 +141,6 @@ class OperatorSpace:
     @property
     def field(self) -> Field:
         return self.base.field
-
-    def unflatten(self, flat) -> tuple:
-        n = self.base.dim
-        return tuple(
-            linalg.mat_unflatten(flat[b * n * n : (b + 1) * n * n], n, n)
-            for b in range(len(self.components))
-        )
 
     def coords(self, tup):
         """Coordinates of an operator tuple in the basis; None if outside."""
@@ -186,13 +189,17 @@ class OperatorSpace:
         return ActorMorphism(self, source, matrix, hom)
 
     def tuple_from_coords(self, coords) -> tuple:
-        f = self.field
-        flat = [f.zero] * (len(self.components) * self.base.dim ** 2)
-        for c, bvec in zip(coords, self.vec_basis):
-            if f.is_zero(c):
+        """The operator tuple sum_t coords[t] basis[t], as dense matrices."""
+        f, n = self.field, self.base.dim
+        out = tuple([[f.zero] * n for _ in range(n)] for _ in self.components)
+        for c, tup in zip(coords, self._sparse_basis):
+            if not c:  # scalars are canonical
                 continue
-            flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, bvec)]
-        return self.unflatten(flat)
+            for M, S in zip(out, tup):
+                for r, row in S.items():
+                    for col, x in row.items():
+                        M[r][col] = f.add(M[r][col], f.mul(c, x))
+        return out
 
     def as_algebra(self) -> Algebra:
         """The space as a structure-constant algebra in its own basis."""
@@ -450,17 +457,14 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
             for idx, c in form.items():
                 row[idx] = c
             rows.append(row)
-    vec_basis, pivots = linalg.nullspace_basis(f, rows, unknowns)
-    space = OperatorSpace(
-        base=A,
-        kind=kind,
-        components=spec.components,
-        basis=[],
-        vec_basis=vec_basis,
-        pivots=pivots,
-    )
-    space.basis = [space.unflatten(v) for v in vec_basis]
-    for tup in space.basis:
+    vectors, pivots = linalg.nullspace_basis(f, rows, unknowns)
+    basis = [
+        tuple(linalg.mat_unflatten(v[b * n * n : (b + 1) * n * n], n, n)
+              for b in range(len(spec.components)))
+        for v in vectors
+    ]
+    space = OperatorSpace(A, kind, spec.components, basis, pivots)
+    for tup in basis:
         bad = next(defining_defects(kind, A, tup), None)
         if bad is not None:
             raise ClosureError(
@@ -468,7 +472,7 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
             )
     if spec.ops:
         names, rules = zip(*spec.ops)
-        sparse = [[_sparse(M) for M in tup] for tup in space.basis]
+        sparse = space._sparse_basis
 
         def product(op, a, b):
             coords = space._sparse_coords(rules[op](f, sparse[a], sparse[b]))

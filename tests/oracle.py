@@ -5,9 +5,10 @@ identities directly from their definitions, sharing no code with the
 package's linear-system path.  They confirm that exhaustive enumeration
 counts equal p**(nullspace dimension).
 
-:func:`brute_force_actions` tries every action tensor and keeps those that
-the package's validator passes.  It shares the validator with the package
-but not the weak actor, through which the package enumerates actions.
+:func:`brute_force_actions` tries every assignment of the operator matrices
+of an action and keeps those that the package's validator passes.  It
+shares the validator with the package but not the weak actor, through which
+the package enumerates actions.
 
 :func:`identity_report` checks the multilinear identities of an algebra
 on basis tuples, each written out from its definition, and
@@ -21,28 +22,25 @@ against it.
 
 from itertools import product
 
-# the action tensors of each variety; r is the mirror of l in cpoisson
-ACTION_TENSORS = {"leibniz": "lr", "associative": "lr", "poisson": "lrk", "cpoisson": "lk"}
+# the operators of each variety; r is the mirror of l in cpoisson
+ACTION_OPERATORS = {"leibniz": "lr", "associative": "lr", "poisson": "lrk", "cpoisson": "lk"}
 
 
 def brute_force_actions(B, X, variety):
     """All valid actions of B on X over GF(p), sorted canonically, by
-    validating every assignment of the tensors l[p][y], r[x][q], k[p][y]."""
+    validating every assignment of the operator matrices l, r and k at the
+    basis elements of B."""
     from algact.actions import ActionData, validate_action
 
     nb, nx = B.dim, X.dim
-    shapes = {"l": (nb, nx), "r": (nx, nb), "k": (nb, nx)}
-    names = ACTION_TENSORS[variety]
-    slots = sum(shapes[name][0] * shapes[name][1] * nx for name in names)
+    names = ACTION_OPERATORS[variety]
     found = []
-    for flat in product(range(B.field.p), repeat=slots):
+    for flat in product(range(B.field.p), repeat=len(names) * nb * nx * nx):
         entries = iter(flat)
-        tensors = {}
-        for name in names:
-            rows, cols = shapes[name]
-            tensors[name] = [[[next(entries) for _ in range(nx)] for _ in range(cols)]
-                             for _ in range(rows)]
-        a = ActionData(variety, B, X, tensors["l"], tensors.get("r"), tensors.get("k"))
+        operators = {name: [[[next(entries) for _ in range(nx)] for _ in range(nx)]
+                            for _ in range(nb)]
+                     for name in names}
+        a = ActionData(variety, B, X, operators)
         if validate_action(a).passed:
             found.append(a)
     return sorted(found, key=ActionData.canonical_key)

@@ -101,28 +101,22 @@ _VARIETY_POOL = {
 def _random_action(rng, variety, B, X):
     p = B.field.p
     nb, nx = B.dim, X.dim
-
-    def t3(a, b, c):
-        return [[[rng.randrange(p) for _ in range(c)] for _ in range(b)] for _ in range(a)]
-
-    l = t3(nb, nx, nx)
-    r = None if variety == "cpoisson" else t3(nx, nb, nx)
-    k = t3(nb, nx, nx) if variety in ("poisson", "cpoisson") else None
-    return ActionData(variety, B, X, l, r, k)
+    operators = {
+        name: [[[rng.randrange(p) for _ in range(nx)] for _ in range(nx)] for _ in range(nb)]
+        for name in oracle.ACTION_OPERATORS[variety]
+    }
+    return ActionData(variety, B, X, operators)
 
 
 def _mutate(rng, act):
     p = act.field.p
-    l = [[list(v) for v in row] for row in act.l]
-    r = None if act.r is None else [[list(v) for v in row] for row in act.r]
-    k = None if act.bracket is None else [[list(v) for v in row] for row in act.bracket]
-    tensors = [t for t in (l, r, k) if t is not None]
-    t = tensors[rng.randrange(len(tensors))]
-    i = rng.randrange(len(t))
-    j = rng.randrange(len(t[i]))
-    m = rng.randrange(len(t[i][j]))
-    t[i][j][m] = (t[i][j][m] + 1 + rng.randrange(p - 1)) % p
-    return ActionData(act.variety, act.acting, act.kernel, l, r, k)
+    operators = {s: [[list(row) for row in M] for M in mats] for s, mats in act.operators.items()}
+    mats = list(operators.values())[rng.randrange(len(operators))]
+    M = mats[rng.randrange(len(mats))]
+    i = rng.randrange(len(M))
+    j = rng.randrange(len(M[i]))
+    M[i][j] = (M[i][j] + 1 + rng.randrange(p - 1)) % p
+    return ActionData(act.variety, act.acting, act.kernel, operators)
 
 
 def test_criterion_2_checker_equivalence():

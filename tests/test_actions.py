@@ -101,21 +101,31 @@ def test_invalid_poisson_action_witnessed():
     V = builtin("poisson_abelian(1)")
     one = Q.one
     k = [[[one]], [[Q.zero]]]
-    act = ActionData("poisson", P, V, None, None, k)
+    act = ActionData("poisson", P, V, {"k": k})
     rep = validate_action(act)
     assert not rep.passed
+
+
+def test_operation_count_must_match_the_variety_exactly():
+    # validation and the semidirect product agree: a Leibniz action of a
+    # two-operation algebra is refused when it is built, not validated
+    P = builtin("poisson_abelian(1)", GF(3))
+    with pytest.raises(ShapeMismatch, match="operation count"):
+        validate_action(zero_action("leibniz", P, P))
+    with pytest.raises(ShapeMismatch, match="operation count"):
+        zero_action("poisson", builtin("abelian(1)", GF(3)), P)
 
 
 def test_action_shape_validation():
     A = builtin("abelian(2)")
     B = builtin("abelian(1)")
     with pytest.raises(ShapeMismatch):
-        ActionData("leibniz", A, B, [[[F(1)]]])  # l must be 2x1x1
+        ActionData("leibniz", A, B, {"l": [[[F(1)]]]})  # l must be two 1x1 matrices
     with pytest.raises(ShapeMismatch):
-        ActionData("leibniz", A, B, None, None, [[[F(1)]], [[F(0)]]])
+        ActionData("leibniz", A, B, {"k": [[[F(1)]], [[F(0)]]]})
     with pytest.raises(ShapeMismatch):
         ActionData("cpoisson", builtin("poisson_abelian(1)"),
-                   builtin("poisson_abelian(1)"), None, [[[F(1)]]], None)
+                   builtin("poisson_abelian(1)"), {"r": [[[F(1)]]]})
 
 
 # -- semidirect -------------------------------------------------------------------
@@ -183,7 +193,7 @@ def test_extract_biadjoint_recovers_bracket_multiplications():
     A = builtin("leibniz_2dim_nonlie")
     act = biadjoint_action(A)
     back = extract_action(semidirect(act), "leibniz")
-    assert back.l == act.l and back.r == act.r
+    assert back.operators == act.operators
 
 
 def test_extract_rejects_non_split():
@@ -310,6 +320,7 @@ def test_metere_morphism_is_hom_but_not_acting():
     assert verdict.defect == [F(2)]
     act = morphism_to_action(mor)
     assert validate_action(act).failed_labels() == ["L6"]
+    assert verdict.action == act == builtin("metere_action")
 
 
 def test_non_homomorphism_is_an_error_not_a_verdict():
@@ -381,16 +392,15 @@ def test_non_homomorphism_keeps_its_message():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 def test_lie_specialization_l6_automatic(vals):
-    # for Lie algebras and l = -r the sixth condition holds for any tensor r
+    # for Lie algebras and l = -r the sixth condition holds for any operators r
     B = builtin("lie_2dim_nonabelian")
     X = builtin("abelian(2)")
     r = [
-        [[F(vals[0]), F(vals[1])], [F(vals[2]), F(vals[3])]],
-        [[F(vals[3]), F(vals[0])], [F(vals[1]), F(vals[2])]],
+        [[F(vals[0]), F(vals[3])], [F(vals[1]), F(vals[0])]],
+        [[F(vals[2]), F(vals[1])], [F(vals[3]), F(vals[2])]],
     ]
-    # l[p][y] = -r[y][p]
-    l = [[[F(-1) * r[y][p][k] for k in range(2)] for y in range(2)] for p in range(2)]
-    act = ActionData("leibniz", B, X, l, r)
+    l = [[[-x for x in row] for row in M] for M in r]
+    act = ActionData("leibniz", B, X, {"l": l, "r": r})
     rep = validate_action(act)
     assert rep.condition("L6").holds
 
@@ -580,7 +590,7 @@ def test_action_eq_and_hash_ignore_operation_names():
     assert A == B and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != zero_action("associative", A, A)
-    assert a != ActionData("leibniz", A, A, [[[F(1)]]], [[[F(0)]]])
+    assert a != ActionData("leibniz", A, A, {"l": [[[F(1)]]], "r": [[[F(0)]]]})
 
 
 def test_labels_survive_semidirect_and_extraction():

@@ -83,6 +83,17 @@ def test_morphism_check_metere(files):
     assert "(L6)" in out and "defect [2]" in out
 
 
+def test_morphism_check_unpacks_the_morphism_once(files, monkeypatch):
+    from algact import actions
+
+    calls = []
+    unpack = actions._unpack
+    monkeypatch.setattr(actions, "_unpack", lambda *args: calls.append(args) or unpack(*args))
+    code, _, _ = run_cli("morphism", "check", files["metere.json"])
+    assert code == 1
+    assert len(calls) == 1
+
+
 def test_morphism_check_metere_json(files):
     code, out, _ = run_cli("morphism", "check", files["metere.json"], "--json")
     assert code == 1
@@ -328,6 +339,8 @@ BAD_INPUTS = [
      {"variety": "jordan", "acting": F1_GF3, "kernel": F1_GF3}),
     ("poisson-action-on-one-operation-algebras", "validate",
      {"variety": "poisson", "acting": F1_GF3, "kernel": F1_GF3, "l": []}),
+    ("leibniz-action-on-two-operation-algebras", "validate",
+     {"variety": "leibniz", "acting": P1_GF3, "kernel": P1_GF3, "l": [], "r": []}),
 ]
 
 ARGV = {

@@ -1,19 +1,21 @@
 """Metamorphic checks: results that must not change under a change of basis
-(action counts, and the dimensions of operator spaces or the class of the
-error that refuses the base).
+(action counts, the conditions an action fails, and the dimensions of
+operator spaces or the class of the error that refuses the base).
 
 The basis change is done here on plain ints mod p, sharing no code with the
 package's linear algebra: with new basis vectors e'_a = sum_i M[i][a] e_i,
 the structure constants become c'_ab = M^-1 (sum_ij M[i][a] M[j][b] c_ij).
+An action's operators change with the bases of both algebras: with
+e'_p = sum_q N[q][p] e_q in B and M in X, L'_p = M^-1 (sum_q N[q][p] L_q) M.
 """
 
 import random
 
 import pytest
 
-from algact.actions import enumerate_actions
+from algact.actions import ActionData, enumerate_actions, validate_action
 from algact.algebra import Algebra
-from algact.catalog import builtin, catalog_algebras
+from algact.catalog import builtin, catalog_actions, catalog_algebras
 from algact.errors import AlgactError
 from algact.fields import GF
 from algact.opspace import SPACE_KINDS, space_of_kind
@@ -49,8 +51,12 @@ def _random_invertible(rng, n, p):
 
 def _rebased(A, rng):
     """A copy of A in a random basis."""
+    return _rebase(A, *_random_invertible(rng, A.dim, P))
+
+
+def _rebase(A, M, Minv):
+    """A copy of A in the basis e'_a = sum_i M[i][a] e_i."""
     n = A.dim
-    M, Minv = _random_invertible(rng, n, P)
     op_entries = []
     for op in range(A.num_ops):
         c = [[[int(x) for x in A.mul_basis(op, i, j)] for j in range(n)] for i in range(n)]
@@ -88,6 +94,54 @@ def test_action_count_invariant_under_change_of_basis(b, x, variety):
     for _ in range(3):
         B2, X2 = _rebased(B, rng), _rebased(X, rng)
         assert len(enumerate_actions(B2, X2, variety)) == count
+
+
+def _matmul(X, Y):
+    return [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) % P for j in range(len(Y[0]))]
+            for i in range(len(X))]
+
+
+def _int_operators(act):
+    return {s: [[[int(x) for x in row] for row in L] for L in mats]
+            for s, mats in act.operators.items()}
+
+
+def _rebased_action(act, rng):
+    """The action in random bases of B (N) and of X (M)."""
+    B, X = act.acting, act.kernel
+    N, Ninv = _random_invertible(rng, B.dim, P)
+    M, Minv = _random_invertible(rng, X.dim, P)
+    n = X.dim
+    operators = {}
+    for slot, mats in _int_operators(act).items():
+        combos = [[[sum(N[q][p] * mats[q][i][j] for q in range(B.dim)) for j in range(n)]
+                   for i in range(n)] for p in range(B.dim)]
+        operators[slot] = [_matmul(_matmul(Minv, L), M) for L in combos]
+    return ActionData(act.variety, _rebase(B, N, Ninv), _rebase(X, M, Minv), operators)
+
+
+def _mutated(act, rng):
+    """The action with one operator entry changed by a nonzero scalar."""
+    operators = _int_operators(act)
+    L = rng.choice(rng.choice(list(operators.values())))
+    i, j = rng.randrange(len(L)), rng.randrange(len(L))
+    L[i][j] = (L[i][j] + rng.randrange(1, P)) % P
+    return ActionData(act.variety, act.acting, act.kernel, operators)
+
+
+def test_failed_conditions_invariant_under_change_of_basis():
+    field = GF(P)
+    named = catalog_actions(field) + [("metere_action", builtin("metere_action", field))]
+    verdicts = set()
+    for name, act in named:
+        rng = random.Random(name)
+        for a in [act] + [_mutated(act, rng) for _ in range(4)]:
+            expected = validate_action(a).failed_labels()
+            verdicts.add(tuple(expected))
+            for _ in range(2):
+                assert validate_action(_rebased_action(a, rng)).failed_labels() == expected, name
+    # the sweep reaches valid actions and many different failures
+    assert () in verdicts and len(verdicts) > 20, verdicts
 
 
 def _space_dim_or_refusal(A, kind):

@@ -66,7 +66,7 @@ def test_lie_derivations_equal_antiderivations():
         A = builtin(name)
         d = derivations(A)
         ad = anti_derivations(A)
-        assert d.vec_basis == ad.vec_basis, name
+        assert d.basis == ad.basis, name
 
 
 def test_biderivations_of_line_is_end_squared():
@@ -212,14 +212,18 @@ def test_rows_and_self_check_cut_out_the_same_space(field):
                 continue  # the base is outside the kind's variety
             unknowns = len(space.components) * A.dim ** 2
             columns = {}  # (label, args, coordinate) -> {unknown: coefficient}
+            n = A.dim
             for idx in range(unknowns):
-                unit = space.unflatten(linalg.unit_vector(field, unknowns, idx))
+                flat = linalg.unit_vector(field, unknowns, idx)
+                unit = tuple(linalg.mat_unflatten(flat[b * n * n:(b + 1) * n * n], n, n)
+                             for b in range(len(space.components)))
                 for label, args, defect in defining_defects(kind, A, unit):
                     for m, c in enumerate(defect):
                         columns.setdefault((label, args, m), {})[idx] = c
             rows = [[row.get(idx, field.zero) for idx in range(unknowns)]
                     for row in columns.values()]
-            assert linalg.nullspace_basis(field, rows, unknowns)[0] == space.vec_basis, (name, kind)
+            flat_basis = [[x for M in tup for row in M for x in row] for tup in space.basis]
+            assert linalg.nullspace_basis(field, rows, unknowns)[0] == flat_basis, (name, kind)
             checked += 1
     assert checked > len(SPACE_KINDS)
 

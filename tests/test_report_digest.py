@@ -59,19 +59,28 @@ def _digest(items) -> str:
 
 
 def _mutate(rng, act):
-    """Add a nonzero scalar to one or two entries of the action tensors."""
+    """Add a nonzero scalar to one or two entries of the action tensors, as
+    the action file holds them."""
     f = act.field
-    l = [[list(v) for v in row] for row in act.l]
-    r = None if act.r is None else [[list(v) for v in row] for row in act.r]
-    k = None if act.bracket is None else [[list(v) for v in row] for row in act.bracket]
-    tensors = [t for t in (l, r, k) if t is not None]
+    nb, nx = act.acting.dim, act.kernel.dim
+    data = act.to_json_dict()
+    shapes = {"l": (nb, nx), "r": (nx, nb), "bracket_action": (nb, nx)}
+    tensors = {}
+    for key, (a, b) in shapes.items():
+        if key in data:
+            t = tensors[key] = [[[f.zero] * nx for _ in range(b)] for _ in range(a)]
+            for i, j, m, c in data[key]:
+                t[i][j][m] = f.of(c)
     for _ in range(1 + rng.randrange(2)):
-        t = tensors[rng.randrange(len(tensors))]
+        t = list(tensors.values())[rng.randrange(len(tensors))]
         i = rng.randrange(len(t))
         j = rng.randrange(len(t[i]))
         m = rng.randrange(len(t[i][j]))
         t[i][j][m] = f.add(t[i][j][m], f.of(rng.choice((1, 2, -1))))
-    return ActionData(act.variety, act.acting, act.kernel, l, r, k)
+    for key, t in tensors.items():
+        data[key] = [[i, j, m, f.to_str(c)] for i, row in enumerate(t)
+                     for j, vec in enumerate(row) for m, c in enumerate(vec) if c]
+    return ActionData.from_json_dict(data)
 
 
 def _validation_reports():
