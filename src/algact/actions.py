@@ -423,7 +423,7 @@ class SplitExtension:
         cols = [linalg.mat_col(matrix, j) for j in range(dim)]
         return Algebra.from_products(
             f, dim, [op.name for op in total.ops],
-            lambda op, i, j: rule(op, i, j, total.multiply(op, cols[i], cols[j])),
+            lambda op, i, j: dict(enumerate(rule(op, i, j, total.multiply(op, cols[i], cols[j])))),
             labels=_label_pullback(f, total.labels, matrix),
         )
 
@@ -511,21 +511,23 @@ def semidirect_algebra(a: ActionData) -> Algebra:
     """
     B, X, f = a.acting, a.kernel, a.field
     nb = B.dim
-    zero_b, zero_x = [f.zero] * nb, [f.zero] * X.dim
     ops = a._law_operators()
+
+    def kernel(v):  # a vector of X in the coordinates of B + X
+        return {nb + m: c for m, c in enumerate(v)}
 
     def product(op, i, j):
         # op 1 of a two-operation variety is the bracket, where B acts by k
         # on the left and -k on the right; otherwise by l and r
         if i < nb and j < nb:
-            return B.mul_basis(op, i, j) + zero_x
+            return B.ops[op].groups.get((i, j), {})
         if i >= nb and j >= nb:
-            return zero_b + X.mul_basis(op, i - nb, j - nb)
+            return kernel(X.mul_basis(op, i - nb, j - nb))
         if i < nb:
-            return zero_b + linalg.mat_col(ops["k" if op == 1 else "l"][i], j - nb)
+            return kernel(linalg.mat_col(ops["k" if op == 1 else "l"][i], j - nb))
         if op == 1:
-            return zero_b + linalg.vec_neg(f, linalg.mat_col(ops["k"][j], i - nb))
-        return zero_b + linalg.mat_col(ops["r"][j], i - nb)
+            return kernel(linalg.vec_neg(f, linalg.mat_col(ops["k"][j], i - nb)))
+        return kernel(linalg.mat_col(ops["r"][j], i - nb))
 
     labels = B.labels + X.labels if B.labels is not None and X.labels is not None else None
     return Algebra.from_products(f, nb + X.dim, [op.name for op in B.ops], product, labels=labels)

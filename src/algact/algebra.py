@@ -54,7 +54,7 @@ MAX_FILE_DIM = 128
 
 class BilinearOp:
     """One structure-constant tensor, stored sparse: as ``entries``, and as
-    ``groups``, the nonzero (k, c) of e_i e_j under the key (i, j).  Dense
+    ``groups``, e_i e_j as a sparse vector {k: c} under the key (i, j).  Dense
     table rows serve :meth:`value`."""
 
     __slots__ = ("name", "entries", "groups", "_table")
@@ -71,7 +71,7 @@ class BilinearOp:
             c = field.of(c)
             if not field.is_zero(c):
                 canon[(i, j, k)] = table[i][j][k] = c
-                groups.setdefault((i, j), []).append((k, c))
+                groups.setdefault((i, j), {})[k] = c
         self.entries = canon
         self.groups = groups
         self._table = table
@@ -116,7 +116,8 @@ class Algebra:
     @classmethod
     def from_products(cls, field, dim, names, product, labels=None):
         """The algebra whose operation ``op`` (named ``names[op]``) sends
-        (e_i, e_j) to the coordinate vector ``product(op, i, j)``.
+        (e_i, e_j) to the sparse coordinate vector ``product(op, i, j)``, a
+        map {k: c}; only its entries are read, and zero values are dropped.
 
         The rule is called for op, then i, then j, each in increasing order,
         so the first error it raises is the one at the first such triple.
@@ -126,8 +127,7 @@ class Algebra:
                 ((i, j, k), c)
                 for i in range(dim)
                 for j in range(dim)
-                for k, c in enumerate(product(op, i, j))
-                if c  # scalars are canonical
+                for k, c in product(op, i, j).items()
             ]
             for op in range(len(names))
         ]
@@ -171,7 +171,7 @@ class Algebra:
                 group = groups.get((i, j))
                 if group:
                     c = f.mul(xi, yj)
-                    for k, ck in group:
+                    for k, ck in group.items():
                         out[k] = f.add(out[k], f.mul(c, ck))
         return out
 

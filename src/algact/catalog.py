@@ -677,7 +677,7 @@ def open_problem_search(field: PrimeField, dim: int, samples: int, seed: int) ->
 
         def product(op, i, j):
             s = ((op * dim + i) * dim + j) * dim
-            return [c % field.p for c in raw[s : s + dim]]
+            return {k: c % field.p for k, c in enumerate(raw[s : s + dim])}
 
         V = Algebra.from_products(field, dim, ["mul", "bracket"], product)
         if not check_identity(V, "poisson").holds:

@@ -20,10 +20,13 @@ Every law is multilinear in its arguments, so imposing it on basis
 arguments is equivalent to imposing it everywhere.  The one format is read
 two ways:
 
-* evaluation computes a law on basis arguments, with known operators.  It
-  serves :func:`law_defects`, the self-check of an operator space after
-  construction; :func:`condition_defect`, the conditions of an action and
-  its acting law; and :func:`identity_defect`, the identities of an algebra.
+* evaluation computes a law on basis arguments, with known operators, on
+  sparse vectors {index: value}: the operator matrices are turned into
+  sparse columns once per call, and a defect is made a dense list only when
+  it is reported.  It serves :func:`law_defects`, the self-check of an
+  operator space after construction; :func:`condition_defect`, the
+  conditions of an action and its acting law; and :func:`identity_defect`,
+  the identities of an algebra.
 * the linear reading, :func:`law_rows`, takes the operators as unknown
   matrices.  Each term holds one ``ON`` node M applied to a node v, inside
   a context C that is linear in M's value, so the term is
@@ -37,6 +40,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from . import linalg
+from .errors import ShapeMismatch
 
 PRODUCT = "product"
 BRACKET = "bracket"
@@ -208,16 +212,61 @@ def _on_pairs(law) -> bool:
     return any(n[0] == ON for _, node in law for n in _subnodes(node) if not isinstance(n, int))
 
 
+@lru_cache(maxsize=None)
+def _slots(law) -> frozenset:
+    """The operator slots that ``law`` reads."""
+    return frozenset(n[1] for _, node in law for n in _subnodes(node)
+                     if not isinstance(n, int) and n[0] in (ON, AT))
+
+
+_ZERO = {}  # the zero vector, shared and never written to
+
+
 class _Env:
-    """What a compiled node reads: the algebra A it is evaluated in, the
-    operators (a map from slot to its matrix for ``ON`` nodes, and to its
+    """What a compiled node reads: the field and the nonzero structure
+    constants of the product and bracket of the algebra it is evaluated in,
+    the operators as sparse columns {col: {row: c}} (a map from slot to the
+    columns of its matrix for ``ON`` nodes, and to those of each of its
     matrices over the basis of B for ``AT`` nodes) and the env of B."""
 
-    __slots__ = ("A", "f", "bracket", "ops", "acting")
+    __slots__ = ("f", "groups", "ops", "acting")
 
-    def __init__(self, A, operators=None, B=None):
-        self.A, self.f, self.bracket, self.ops = A, A.field, A.bracket_op, operators
-        self.acting = None if B is None else _Env(B)
+    def __init__(self, A, ops=None, acting=None):
+        self.f, self.ops, self.acting = A.field, ops, acting
+        self.groups = (A.ops[0].groups, A.ops[A.bracket_op].groups)
+
+
+def _env(A, laws, operators, B=None) -> _Env:
+    """The env of ``laws`` on ``operators``, a map from slot to an n x n
+    matrix, or with B to one such matrix per basis element of B, each turned
+    into sparse columns once.  A slot the laws read that is missing or of
+    another shape raises ShapeMismatch."""
+    n, ops = A.dim, {}
+    for s in sorted(set().union(*map(_slots, laws))):
+        if s not in operators:
+            raise ShapeMismatch(f"no operator {s} is given")
+        mats, count = (operators[s], B.dim) if B is not None else ([operators[s]], 1)
+        if len(mats) != count or any(len(M) != n or any(len(row) != n for row in M) for M in mats):
+            raise ShapeMismatch(f"operator {s} is not {count} {n}x{n} matrices")
+        cols = [linalg.mat_sparse(zip(*M)) for M in mats]
+        ops[s] = cols if B is not None else cols[0]
+    return _Env(A, ops, None if B is None else _Env(B))
+
+
+def _lincomb(f, terms) -> dict:
+    """sum c v over the pairs (c, v) of a scalar and a sparse vector or None."""
+    mul, add, out = f.mul, f.add, {}
+    for c, v in terms:
+        if v:
+            for k, y in v.items():
+                y = mul(c, y)
+                out[k] = add(out[k], y) if k in out else y
+    return out
+
+
+def _apply(f, cols, v) -> dict:
+    """The matrix with sparse columns ``cols`` applied to the sparse v."""
+    return _lincomb(f, ((x, cols.get(j)) for j, x in v.items()))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +275,8 @@ def _compile(node):
 
     A leaf compiles to its argument index, standing for a unit vector; any
     other node to a function fn(env, args) of an :class:`_Env` and the
-    argument tuple that returns a vector.
+    argument tuple that returns a sparse vector {index: value}, which the
+    caller only reads.
     """
     if isinstance(node, int):
         return node
@@ -234,75 +284,79 @@ def _compile(node):
     if tag == ON:
         s, u = node[1], _compile(node[2])
         if isinstance(u, int):
-            return lambda env, args: linalg.mat_col(env.ops[s], args[u])
-        return lambda env, args: linalg.mat_vec(env.f, env.ops[s], u(env, args))
+            return lambda env, args: env.ops[s].get(args[u], _ZERO)
+        return lambda env, args: _apply(env.f, env.ops[s], u(env, args))
     if tag == AT:
         s, x, u = node[1], _compile(node[2]), _compile(node[3])
         if isinstance(x, int) and isinstance(u, int):
-            return lambda env, args: linalg.mat_col(env.ops[s][args[x]], args[u])
+            return lambda env, args: env.ops[s][args[x]].get(args[u], _ZERO)
         if isinstance(x, int):
-            return lambda env, args: linalg.mat_vec(env.f, env.ops[s][args[x]], u(env, args))
-        leaf = isinstance(u, int)
-
-        def at(env, args):  # sum_p x_p S_p(u)
-            f, out = env.f, [env.f.zero] * env.A.dim
-            for c, M in zip(x(env.acting, args), env.ops[s]):
-                if not f.is_zero(c):
-                    Mu = linalg.mat_col(M, args[u]) if leaf else linalg.mat_vec(f, M, u(env, args))
-                    out = linalg.vec_add(f, out, [f.mul(c, y) for y in Mu])
-            return out
-
-        return at
-    bracket = tag == BRACKET
+            return lambda env, args: _apply(env.f, env.ops[s][args[x]], u(env, args))
+        if isinstance(u, int):  # sum_p x_p S_p(u)
+            return lambda env, args: _lincomb(
+                env.f, ((c, env.ops[s][p].get(args[u])) for p, c in x(env.acting, args).items()))
+        return lambda env, args: _lincomb(env.f, ((c, _apply(env.f, env.ops[s][p], u(env, args)))
+                                                  for p, c in x(env.acting, args).items()))
+    g = 1 if tag == BRACKET else 0
     u, w = _compile(node[1]), _compile(node[2])
     if isinstance(u, int) and isinstance(w, int):
-        return lambda env, args: env.A.mul_basis(env.bracket if bracket else 0, args[u], args[w])
-    u, w = _value(u), _value(w)
-    return lambda env, args: env.A.multiply(
-        env.bracket if bracket else 0, u(env, args), w(env, args))
+        return lambda env, args: env.groups[g].get((args[u], args[w]), _ZERO)
+    if isinstance(u, int):  # e_i . w needs no product of coefficients
+        return lambda env, args: _lincomb(
+            env.f, ((y, env.groups[g].get((args[u], j))) for j, y in w(env, args).items()))
+    if isinstance(w, int):
+        return lambda env, args: _lincomb(
+            env.f, ((x, env.groups[g].get((i, args[w]))) for i, x in u(env, args).items()))
+
+    def product(env, args):
+        f, groups, wv = env.f, env.groups[g], w(env, args)
+        return _lincomb(f, ((f.mul(x, y), grp) for i, x in u(env, args).items()
+                            for j, y in wv.items() if (grp := groups.get((i, j)))))
+
+    return product
 
 
-def _value(c):
-    """A compiled node as a function fn(env, args)."""
-    if isinstance(c, int):
-        return lambda env, args: env.A.unit(args[c])
-    return c
-
-
-def _defect(A, law, operators=None, B=None):
-    """The sum of a law's signed terms as a function of the argument tuple."""
-    f, env = A.field, _Env(A, operators, B)
-    (sign, first), *rest = [(s, _value(_compile(node))) for s, node in law]
+def _defect(env, law):
+    """The sum of a law's signed terms as a function of the argument tuple,
+    a fresh sparse vector."""
+    add, sub, neg = env.f.add, env.f.sub, env.f.neg
+    terms = [(sign, _value(_compile(node))) for sign, node in law]
 
     def defect(args):
-        acc = first(env, args)
-        if sign < 0:
-            acc = linalg.vec_neg(f, acc)
-        for s, term in rest:
-            v = term(env, args)
-            acc = linalg.vec_add(f, acc, v) if s > 0 else linalg.vec_sub(f, acc, v)
+        acc = {}
+        for sign, term in terms:
+            for k, y in term(env, args).items():
+                if k in acc:
+                    acc[k] = add(acc[k], y) if sign > 0 else sub(acc[k], y)
+                else:
+                    acc[k] = y if sign > 0 else neg(y)
         return acc
 
     return defect
 
 
-def first_defect(field, tuples, defect_fn):
-    """The first (tuple, defect) with a nonzero defect, or None."""
+def _value(c):
+    """A compiled node as a function fn(env, args); a leaf is a unit vector."""
+    return (lambda env, args: {args[c]: env.f.one}) if isinstance(c, int) else c
+
+
+def _failures(A, tuples, defect_fn):
+    """Yield (args, defect) for each argument tuple with a nonzero defect,
+    the defect made a dense vector of ``A`` only here, to be reported."""
     for args in tuples:
         d = defect_fn(args)
-        if not linalg.vec_is_zero(field, d):
-            return args, d
-    return None
+        if any(d.values()):  # scalars are canonical
+            yield args, [d.get(k, A.field.zero) for k in range(A.dim)]
 
 
-def law_defects(A, law, operators):
-    """Yield (args, defect) for every basis tuple where ``law`` fails on the
-    operator matrices ``operators`` (a map from slot to matrix)."""
-    defect = _defect(A, law, operators)
-    for args in iproduct(range(A.dim), repeat=_arity(law)):
-        d = defect(args)
-        if not linalg.vec_is_zero(A.field, d):
-            yield args, d
+def law_defects(A, labelled, operators):
+    """Yield (label, args, defect) for every basis tuple where a law of
+    ``labelled``, a sequence of (label, law), fails on the operator
+    matrices ``operators`` (a map from slot to matrix)."""
+    env = _env(A, [law for _, law in labelled], operators)
+    for label, law in labelled:
+        for args, d in _failures(A, iproduct(range(A.dim), repeat=_arity(law)), _defect(env, law)):
+            yield label, args, d
 
 
 def condition_defect(B, X, law, operators):
@@ -313,18 +367,21 @@ def condition_defect(B, X, law, operators):
     read at each acting element x, and (x, y, a) otherwise, taken in
     lexicographic order.
     """
-    f, nb, nx = X.field, B.dim, X.dim
+    nb, nx = B.dim, X.dim
+    env = _env(X, (law,), operators, B)
     if _on_pairs(law):
-        by_x = [_defect(X, law, {s: ops[x] for s, ops in operators.items()}) for x in range(nb)]
-        return first_defect(f, iproduct(range(nb), range(nx), range(nx)),
-                            lambda args: by_x[args[0]](args[1:]))
-    return first_defect(f, iproduct(range(nb), range(nb), range(nx)), _defect(X, law, operators, B))
+        by_x = [_defect(_Env(X, {s: cols[x] for s, cols in env.ops.items()}), law)
+                for x in range(nb)]
+        return next(_failures(X, iproduct(range(nb), range(nx), range(nx)),
+                              lambda args: by_x[args[0]](args[1:])), None)
+    return next(_failures(X, iproduct(range(nb), range(nb), range(nx)), _defect(env, law)), None)
 
 
 def identity_defect(A, law):
     """First failing basis tuple of an identity of ``A`` and its defect, or
     None; tuples of the law's arity are taken in lexicographic order."""
-    return first_defect(A.field, iproduct(range(A.dim), repeat=_arity(law)), _defect(A, law))
+    tuples = iproduct(range(A.dim), repeat=_arity(law))
+    return next(_failures(A, tuples, _defect(_Env(A), law)), None)
 
 
 def _hole(node, hole):
@@ -345,12 +402,12 @@ def _times(f, a, b):
     return a if b is None else f.mul(a, b)
 
 
-def _support(f, env, c, args):
+def _support(env, c, args):
     """The nonzero (index, coefficient) pairs of a compiled node's value; a
     leaf is a unit vector, whose coefficient 1 is given as None."""
     if isinstance(c, int):
         return ((args[c], None),)
-    return [(i, x) for i, x in enumerate(c(env, args)) if not f.is_zero(x)]
+    return [(i, x) for i, x in c(env, args).items() if x]  # scalars are canonical
 
 
 def law_rows(A, law, blocks):
@@ -370,8 +427,8 @@ def law_rows(A, law, blocks):
         forms = [{} for _ in range(n)]
         for sign, off, v, context in terms:
             # the term is sum_{k,j} M[k][j] v_j C(e_k)
-            images = [_support(f, env, context, args + (k,)) for k in range(n)]
-            for j, a in _support(f, env, v, args):
+            images = [_support(env, context, args + (k,)) for k in range(n)]
+            for j, a in _support(env, v, args):
                 for k, image in enumerate(images):
                     idx = off + k * n + j
                     for m, c in image:

@@ -114,6 +114,12 @@ def mat_col(A, j) -> list:
     return [row[j] for row in A]
 
 
+def mat_sparse(A) -> dict:
+    """The nonzero entries of a dense matrix as {row: {col: c}}."""
+    rows = ((i, {j: x for j, x in enumerate(row) if x}) for i, row in enumerate(A))
+    return {i: row for i, row in rows if row}
+
+
 def mat_from_cols(field: Field, cols: list, rows: int) -> list:
     return [[col[i] for col in cols] for i in range(rows)]
 

@@ -22,29 +22,28 @@ One record per kind (``_KINDS``) holds the components, the check on the base
 algebra, the laws, the induced operations and the inner tuples.  A law is a
 signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
 (:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
-entries, which :func:`space_of_kind` hands as dense rows straight to
-:func:`algact.linalg.nullspace_basis`.  Its evaluation is the self-check
-(:func:`defining_defects`), run on every computed basis tuple without the
-rows.  Every law is bilinear in the two algebra arguments, so imposing it on
-all basis pairs is equivalent to imposing it everywhere.
+entries, which :func:`space_of_kind` hands as dense rows to
+:func:`algact.linalg.nullspace_basis`.  Its evaluation on sparse vectors is
+the self-check (:func:`defining_defects`), run on every computed basis tuple
+without the rows.  Every law is bilinear in the two algebra arguments, so
+imposing it on all basis pairs is equivalent to imposing it everywhere.
 
 The computed basis is canonical (reduced row echelon over the flattened
-matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples.
+matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples,
+and the space keeps one sparse copy, each component as ``{row: {col: c}}``.
 The induced operations are stored once, as the space's ``algebra``: a
-structure-constant :class:`~algact.algebra.Algebra` in that basis, built
-from the kind's operations on basis tuples.  Closure and the defining
-identities are re-verified on the computed basis during construction.
-
-The space makes one sparse copy of its basis, each component kept as
-``{row: {col: c}}`` with only its nonzero entries.  The kind's rules
-compose those, and :meth:`OperatorSpace.tuple_from_coords` sums only those
-entries.  Since b_i[p_j] = delta_ij at
-the pivot columns p_j, the coordinates of a product v are its entries
-v[p_j], and v - sum_i v[p_i] b_i vanishes at every pivot column by
-construction.  Membership is therefore checked at the non-pivot columns
-only, against each basis vector's nonzero entries there (its tail); this is
-the one membership test of a space, used by :meth:`OperatorSpace.coords`
-and :meth:`OperatorSpace.matrix_of` as well.
+structure-constant :class:`~algact.algebra.Algebra` in that basis.  Closure
+and the defining identities are re-verified on the computed basis during
+construction.  The kind's rules compose the sparse tuples, each product
+hands :meth:`~algact.algebra.Algebra.from_products` only its nonzero
+coordinates, and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero
+entries.  Since b_i[p_j] = delta_ij at the pivot columns p_j, the
+coordinates of a product v are its entries v[p_j], and v - sum_i v[p_i] b_i
+vanishes at every pivot column by construction.  Membership is therefore
+checked at the non-pivot columns only, against each basis vector's nonzero
+entries there (its tail); this is the one membership test of a space, used
+by :meth:`OperatorSpace.coords` and :meth:`OperatorSpace.matrix_of` as
+well, and the shape check of :meth:`OperatorSpace.coords` covers both.
 
 A map from an algebra into a space is given by one operator tuple per basis
 element of its source, and every such map is made the same way:
@@ -122,7 +121,7 @@ class OperatorSpace:
         n = self.base.dim
         self._pivot_index = {p: t for t, p in enumerate(self.pivots)}
         # the basis once more, sparse, and each vector's entries off the pivots
-        self._sparse_basis = [tuple(_sparse(M) for M in tup) for tup in self.basis]
+        self._sparse_basis = [tuple(linalg.mat_sparse(M) for M in tup) for tup in self.basis]
         self._tails = [
             {
                 col: x
@@ -143,36 +142,38 @@ class OperatorSpace:
         return self.base.field
 
     def coords(self, tup):
-        """Coordinates of an operator tuple in the basis; None if outside."""
-        return self._sparse_coords([_sparse(M) for M in tup])
+        """Coordinates of an operator tuple in the basis; None if outside.
+        Raises ShapeMismatch unless the tuple holds one n x n matrix per
+        component."""
+        n, width = self.base.dim, len(self.components)
+        if len(tup) != width or any(len(M) != n or any(len(row) != n for row in M) for M in tup):
+            raise ShapeMismatch(f"an operator tuple of this space is {width} {n}x{n} matrices")
+        coords = self._sparse_coords([linalg.mat_sparse(M) for M in tup])
+        return None if coords is None else [coords.get(t, self.field.zero) for t in range(self.dim)]
 
     def _sparse_coords(self, tup):
-        """:meth:`coords` of a tuple of sparse matrices: its entries at the
-        pivots, or None unless v - sum_i v[p_i] b_i vanishes off them."""
+        """The nonzero coordinates {t: c} of a tuple of sparse matrices: its
+        nonzero entries at the pivots, or None unless v - sum_t c_t b_t
+        vanishes off them."""
         f, n, index = self.field, self.base.dim, self._pivot_index
-        coords = [f.zero] * self.dim
-        residue = {}
+        coords, residue = {}, {}
         for b, M in enumerate(tup):
             for r, row in M.items():
                 for c, x in row.items():
                     col = (b * n + r) * n + c
-                    if col in index:
-                        coords[index[col]] = x
-                    else:
+                    if col not in index:
                         residue[col] = x
-        for a, tail in zip(coords, self._tails):
-            if a:
-                for col, y in tail.items():
-                    residue[col] = f.sub(residue.get(col, f.zero), f.mul(a, y))
+                    elif x:  # scalars are canonical
+                        coords[index[col]] = x
+        for t, a in coords.items():
+            for col, y in self._tails[t].items():
+                residue[col] = f.sub(residue.get(col, f.zero), f.mul(a, y))
         return None if any(residue.values()) else coords
 
     def matrix_of(self, tuples) -> list:
         """The matrix whose column p holds the coordinates of ``tuples[p]``."""
-        n, width = self.base.dim, len(self.components)
         cols = []
         for p, tup in enumerate(tuples):
-            if len(tup) != width or any(len(M) != n or any(len(row) != n for row in M) for M in tup):
-                raise ShapeMismatch(f"operator tuple {p} is not {width} {n}x{n} matrices")
             coords = self.coords(tup)
             if coords is None:
                 raise TupleNotInSpace(f"operator tuple {p} escapes the {self.kind} space")
@@ -269,12 +270,6 @@ def _require_cpoisson(A: Algebra):
         raise OpArityMismatch("a Poisson algebra carries two operations")
     if not check_identity(A, "poisson").holds or not check_identity(A, "commutative").holds:
         raise NotCommutativePoisson("base must be a commutative Poisson algebra")
-
-
-def _sparse(M) -> dict:
-    """The nonzero entries of a dense matrix as {row: {col: c}}."""
-    rows = ((i, {j: x for j, x in enumerate(row) if x}) for i, row in enumerate(M))
-    return {i: row for i, row in rows if row}
 
 
 def _compose(f, *terms) -> dict:
@@ -437,10 +432,7 @@ def defining_defects(kind: str, A: Algebra, tup):
     as the post-construction self-check and by membership diagnostics.
     """
     spec = _kind(kind)
-    operators = dict(zip(spec.components, tup))
-    for label, law in spec.laws:
-        for pair, defect in laws.law_defects(A, law, operators):
-            yield label, pair, defect
+    yield from laws.law_defects(A, spec.laws, dict(zip(spec.components, tup)))
 
 
 def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:

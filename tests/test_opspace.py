@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -16,6 +17,7 @@ from algact.errors import (
     NotCommutativePoisson,
     NotPoisson,
     OpArityMismatch,
+    ShapeMismatch,
 )
 from algact.fields import GF, Q
 from algact.opspace import (
@@ -370,6 +372,123 @@ def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
         biderivations(A)
     monkeypatch.setattr(opspace, "defining_defects", lambda *args: iter(()))
     assert biderivations(A).dim > full  # the space grows without the law
+
+
+# each kind's defining laws as the hand-written predicates of the oracle, on
+# (tuple, product table, bracket table, p)
+_ORACLE_LAWS = {
+    "derivations": lambda t, prod, br, p: oracle.is_derivation(t[0], br, p),
+    "antiderivations": lambda t, prod, br, p: oracle.is_antiderivation(t[0], br, p),
+    "biderivations": lambda t, prod, br, p: (
+        oracle.is_derivation(t[0], br, p) and oracle.is_antiderivation(t[1], br, p)
+        and oracle.bider_compatible(t[0], t[1], br, p)),
+    "bimultipliers": lambda t, prod, br, p: (
+        oracle.is_left_multiplier(t[0], prod, p) and oracle.is_right_multiplier(t[1], prod, p)
+        and oracle.bim_mixed_ok(t[0], t[1], prod, p)),
+    "multipliers": lambda t, prod, br, p: oracle.is_left_multiplier(t[0], prod, p),
+    "usga-poisson": lambda t, prod, br, p: (
+        oracle.is_left_multiplier(t[0], prod, p) and oracle.is_right_multiplier(t[1], prod, p)
+        and oracle.bim_mixed_ok(t[0], t[1], prod, p)
+        and oracle.is_derivation(t[2], br, p) and oracle.is_derivation(t[2], prod, p)
+        and oracle.v1_ok(t[0], t[2], br, prod, p) and oracle.v2_ok(t[1], t[2], br, prod, p)),
+    "usga-cpoisson": lambda t, prod, br, p: (
+        oracle.is_left_multiplier(t[0], prod, p)
+        and oracle.is_derivation(t[1], br, p) and oracle.is_derivation(t[1], prod, p)
+        and oracle.v1_ok(t[0], t[1], br, prod, p)),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_self_check_agrees_with_the_oracle_on_dense_and_mutated_tuples(p):
+    # random dense tuples, the basis tuples, and each basis tuple with one
+    # entry changed: the evaluator passes exactly those the oracle passes
+    field, rng = GF(p), random.Random(p)
+    verdicts = Counter()
+    for name, A, _ in catalog_algebras(field):
+        prod, *rest = oracle.tables(A)
+        br = rest[0] if rest else prod
+        for kind in SPACE_KINDS:
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            n, width = A.dim, len(space.components)
+            tuples = [tuple([[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                            for _ in range(width))
+                      for _ in range(3)]
+            for tup in space.basis:
+                mutated = [[list(row) for row in M] for M in tup]
+                b, r, c = rng.randrange(width), rng.randrange(n), rng.randrange(n)
+                mutated[b][r][c] = (mutated[b][r][c] + rng.randrange(1, p)) % p
+                tuples += [tup, tuple(mutated)]
+            for tup in tuples:
+                holds = next(defining_defects(kind, A, tup), None) is None
+                assert holds == _ORACLE_LAWS[kind](tup, prod, br, p), (name, kind, tup)
+                verdicts[holds] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
+    # counts of operations, not times: a return to dense vectors fails here
+    field = GF(5)
+    A = builtin("abelian(5)", field)
+    from_products, reads = Algebra.from_products.__func__, []
+
+    def counting_from_products(cls, field, dim, names, product, labels=None):
+        def rule(op, i, j):
+            coords = product(op, i, j)
+            reads.append(len(coords))
+            return coords
+
+        return from_products(cls, field, dim, names, rule, labels)
+
+    monkeypatch.setattr(Algebra, "from_products", classmethod(counting_from_products))
+    space = biderivations(A)
+    assert len(reads) == space.dim ** 2
+    # the induced tensor reads only the nonzero coordinates of each product
+    assert sum(reads) == sum(len(op.entries) for op in space.algebra.ops) > 0
+
+    counts = Counter()
+    for name in ("mul", "add"):
+        def counting(self, a, b, name=name, orig=getattr(type(field), name)):
+            counts[name] += 1
+            return orig(self, a, b)
+
+        monkeypatch.setattr(type(field), name, counting)
+    # every product of an abelian base is empty, so the self-check adds and
+    # multiplies nothing
+    for tup in space.basis:
+        assert next(defining_defects("biderivations", A, tup), None) is None
+    assert counts == Counter()
+    biderivations(A)
+    assert counts["mul"] > 0  # the counters count
+
+
+def test_evaluator_refuses_a_missing_or_misshapen_operator():
+    A = builtin("leibniz_2dim_nonlie")
+    d = [[F(1), F(0)], [F(0), F(0)]]
+    big = [[F(0)] * 3 for _ in range(3)]
+    for tup in ((d,), (big, d)):  # no D; a 3x3 d on a 2-dimensional base
+        with pytest.raises(ShapeMismatch):
+            next(defining_defects("biderivations", A, tup), None)
+    B = builtin("abelian(1)")
+    l1, l4 = dict(laws.LEIBNIZ)["L1"], dict(laws.LEIBNIZ)["L4"]
+    for law, operators in ((l1, {"l": [d]}), (l1, {"r": [big]}), (l4, {"r": [d, d]})):
+        with pytest.raises(ShapeMismatch):
+            laws.condition_defect(B, A, law, operators)
+
+
+def test_coords_refuse_a_tuple_of_the_wrong_shape():
+    space = biderivations(builtin("abelian(2)"))
+    E11, zero = [[F(1), F(0)], [F(0), F(0)]], [[F(0)] * 2 for _ in range(2)]
+    big = [[F(1), F(0), F(0)], [F(0)] * 3, [F(0)] * 3]
+    assert space.coords((E11, zero)) == [1] + [0] * (space.dim - 1)
+    for tup in ((big, zero), (E11,)):  # neither aliases (E11, 0)
+        with pytest.raises(ShapeMismatch):
+            space.coords(tup)
+        with pytest.raises(ShapeMismatch):
+            space.matrix_of([tup])
 
 
 # -- inner embeddings --------------------------------------------------------------
