@@ -6,9 +6,13 @@ so every subspace in the package has one canonical basis and subspace
 equality is literal equality of bases.
 
 :func:`rref`, under every nullspace and span in the package, takes and
-returns dense rows but eliminates on sparse integer rows inside: over Q
+returns dense rows.  Inside it runs incremental Gauss-Jordan elimination on
+sparse integer rows, keeping every stored row reduced, so each further row
+is cleared in one pass over the pivot columns it touches: over Q
 fraction-free on primitive integer rows, dividing only in the final
-normalisation; over GF(p) on residues reduced once per row operation.
+normalisation; over GF(p) on residues reduced once per row operation.  The
+entry points refuse rows, generators or right-hand sides of the wrong
+length with :class:`DimensionMismatch`.
 """
 
 from __future__ import annotations
@@ -136,32 +140,34 @@ def rref(field: Field, rows) -> tuple[list, list]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     The RREF of a row space is unique, which is what makes every basis in
-    this package canonical.  Rows are eliminated as sparse integer dicts:
-    each row is reduced at its smallest column by the row that leads there
-    until it leads at a new column, then back-substitution runs in
-    decreasing pivot order.  Over Q the rows are primitive integer rows and
-    only the final normalisation divides; over GF(p) they are monic residue
-    rows.
+    this package canonical.  It is built by incremental Gauss-Jordan
+    elimination on sparse integer rows, and every stored row stays reduced:
+    it holds no pivot column but its own.  Each new row is cleared at the
+    pivot columns in its support, once each, so a redundant row costs one
+    elimination per pivot column it touches.  A row that survives leads at
+    its smallest column and clears that column from the stored rows.  Over
+    Q the rows are primitive integer rows and only the final normalisation
+    divides; over GF(p) they are monic residue rows.  All rows must have
+    the same length.
     """
     p = field.char
     ncols = len(rows[0]) if rows else 0
-    echelon: dict[int, dict] = {}  # pivot column -> the row that leads there
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch(f"rows of different lengths: expected {ncols} entries each")
+    echelon: dict[int, dict] = {}  # pivot column -> the reduced row that leads there
     for row in rows:
         if len(echelon) == ncols:
             break  # full rank: every further row reduces to zero
         r = _int_row(row, p)
-        while r:
+        for c in [c for c in r if c in echelon]:
+            _eliminate(r, echelon[c], c, p)
+        if r:
             c = min(r)
-            lead = echelon.get(c)
-            if lead is None:
-                echelon[c] = _normalise_lead(r, c, p)
-                break
-            _eliminate(r, lead, c, p)
+            lead = echelon[c] = _normalise_lead(r, c, p)
+            for other in echelon.values():
+                if c in other and other is not lead:
+                    _eliminate(other, lead, c, p)
     pivots = sorted(echelon)
-    for c in reversed(pivots):
-        r = echelon[c]
-        for k in [k for k in r if k != c and k in echelon]:
-            _eliminate(r, echelon[k], k, p)
     out = []
     for c in pivots:
         dense = [field.zero] * ncols
@@ -200,8 +206,9 @@ def _normalise_lead(r: dict, c: int, p: int) -> dict:
 
 
 def _eliminate(r: dict, lead: dict, c: int, p: int) -> None:
-    """Clear column c of r, in place, with the row ``lead`` whose smallest
-    column is c.  Over Q, r becomes a primitive multiple of
+    """Clear column c of r, in place, with the reduced row ``lead`` whose
+    pivot is c.  ``lead`` holds no other pivot column, so r gains or loses
+    no entry at one.  Over Q, r becomes a primitive multiple of
     lead[c] r - r[c] lead."""
     if p:
         b = r[c]
@@ -232,17 +239,18 @@ def _eliminate(r: dict, lead: dict, c: int, p: int) -> None:
 
 def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
     """Canonical (RREF) basis of the span of the given vectors."""
+    if any(len(v) != n for v in vectors):
+        raise DimensionMismatch(f"generator has wrong length: expected {n} entries")
     vecs = [v for v in vectors if not vec_is_zero(field, v)]
     if not vecs:
         return [], []
-    for v in vecs:
-        if len(v) != n:
-            raise DimensionMismatch("generator has wrong length")
     return rref(field, vecs)
 
 
 def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
     """Canonical basis of {x : rows . x = 0} in F^n."""
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch(f"equation has wrong length: expected {n} coefficients")
     if not rows:
         return rref(field, mat_identity(field, n)) if n else ([], [])
     R, pivots = rref(field, rows)
@@ -283,6 +291,8 @@ def solve(field: Field, A, b):
     """
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
+    if len(b) != nrows:
+        raise DimensionMismatch(f"A has {nrows} rows, b has {len(b)} entries")
     aug = [list(row) + [b[i]] for i, row in enumerate(A)]
     R, pivots = rref(field, aug)
     x = vec_zero(field, ncols)

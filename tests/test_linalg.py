@@ -6,9 +6,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from algact import linalg
+from algact.errors import (
+    DimensionMismatch,
+    NotAssociative,
+    NotCommutative,
+    NotCommutativePoisson,
+    NotPoisson,
+    OpArityMismatch,
+)
 from algact.fields import GF, Q
+from algact.opspace import SPACE_KINDS, space_of_kind
 
 import oracle
+from test_opspace import _rebased_matrix_algebras
 
 
 def F(x):
@@ -82,16 +92,30 @@ def scalars(field):
     return st.one_of(st.just(0), st.integers(0, field.p - 1))
 
 
+def combination(field, coeffs, rows):
+    out = [field.zero] * len(rows[0])
+    for a, row in zip(coeffs, rows):
+        out = [field.add(x, field.mul(a, y)) for x, y in zip(out, row)]
+    return out
+
+
 @st.composite
 def matrices(draw):
     """(field, rows): tall, wide, empty or zero-width shapes, with zero
-    columns, zero rows and duplicated rows mixed in."""
+    columns, zero rows and duplicated rows mixed in.  Tall systems of up
+    to 30 rows are mostly random linear combinations of earlier rows, the
+    redundant rows that the operator-space systems are made of."""
     field = draw(st.sampled_from(FIELDS))
     ncols = draw(st.integers(0, 9))
     zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=3))
     entry = scalars(field)
     rows = [[field.zero if c in zero_cols else draw(entry) for c in range(ncols)]
             for _ in range(draw(st.integers(0, 10)))]
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(0, 20))):
+            picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            coeffs = [draw(entry) for _ in picked]
+            rows.append(combination(field, coeffs, picked))
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["zero", "duplicate"]))
         at = draw(st.integers(0, len(rows)))
@@ -183,3 +207,127 @@ def test_coords_in_span_over_prime_field():
     assert basis == [[1, 2, 0, 3], [0, 0, 1, 1]] and piv == [0, 2]
     assert linalg.coords_in_span(f, basis, piv, [3, 1, 4, 3]) == [3, 4]
     assert linalg.coords_in_span(f, basis, piv, [0, 1, 0, 0]) is None
+
+
+# -- the operator-space systems and the cost of redundant rows ------------------
+
+
+def _law_systems(monkeypatch, field, algebras, kinds):
+    """(label, rows) of every rref input that ``space_of_kind`` builds."""
+    systems, label = [], None
+    rref = linalg.rref
+
+    def recording(f, rows):
+        systems.append((label, [list(r) for r in rows]))
+        return rref(f, rows)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    for name, A in algebras:
+        for kind in kinds:
+            label = f"{field!r} {name} {kind}"
+            try:
+                space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+    monkeypatch.undo()
+    return systems
+
+
+def test_rref_matches_dense_reference_on_operator_space_systems(monkeypatch):
+    gf7 = _law_systems(monkeypatch, GF(7), _rebased_matrix_algebras(GF(7), "T2 M2"),
+                       SPACE_KINDS)
+    t2 = [(n, A) for n, A in _rebased_matrix_algebras(Q, "T2 M2") if n == "T2.poisson"]
+    q = _law_systems(monkeypatch, Q, t2, ["usga-poisson"])
+    # multipliers and usga-cpoisson need a commutative base
+    kinds = {label.split()[-1] for label, _ in gf7}
+    assert kinds == set(SPACE_KINDS) - {"multipliers", "usga-cpoisson"}
+    assert sum(len(rows) for _, rows in gf7) > 1000 and q
+    for field, systems in ((GF(7), gf7), (Q, q)):
+        for label, rows in systems:
+            got = linalg.rref(field, rows)
+            assert got == oracle.dense_rref(field, rows), label
+            assert_canonical_scalars(field, got[0])
+
+
+def _reduced_and_echelon_bases(field, rng, rank, ncols):
+    """An RREF basis R and an echelon basis T R of the same row space,
+    with T unit upper-triangular and dense, so T R is not reduced."""
+    pivots = sorted(rng.sample(range(ncols), rank))
+    R = []
+    for c in pivots:
+        row = [field.zero] * ncols
+        row[c] = field.one
+        for k in range(c + 1, ncols):
+            if k not in pivots:
+                row[k] = field.of(rng.randint(-3, 3))
+        R.append(row)
+    T = [[field.one if j == i else field.of(rng.choice((-2, -1, 1, 2))) if j > i
+          else field.zero for j in range(rank)] for i in range(rank)]
+    return R, pivots, [combination(field, t, R) for t in T]
+
+
+@pytest.mark.parametrize("field", [Q, GF(7)], ids=repr)
+def test_a_redundant_row_costs_one_elimination_per_pivot_it_touches(field, monkeypatch):
+    # Counts, not times.  The redundant rows are sparse at the pivot
+    # columns; reducing them against echelon rows that are not reduced
+    # would fill in further pivot columns and take more eliminations.
+    rng = random.Random(13)
+    R, pivots, echelon = _reduced_and_echelon_bases(field, rng, 6, 14)
+    redundant = []
+    for _ in range(20):
+        picked = rng.sample(R, rng.randint(1, 2))
+        redundant.append(combination(field, [field.of(rng.randint(1, 4)) for _ in picked],
+                                     picked))
+    rows = echelon + redundant
+    calls = 0
+    eliminate = linalg._eliminate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+
+    def cost(prefix):
+        nonlocal calls
+        calls = 0
+        assert linalg.rref(field, prefix) == (R, pivots)
+        return calls
+
+    for k in range(len(echelon), len(rows)):
+        touched = sum(1 for c in pivots if rows[k][c])
+        assert cost(rows[: k + 1]) - cost(rows[:k]) <= touched, k
+
+
+# -- shape checks at the entry points --------------------------------------------
+
+
+def test_nullspace_refuses_equations_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(GF(3), [[1, 0, 1, 1]], 3)  # one coefficient too many
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(GF(3), [[1, 0]], 3)  # one too few
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(Q, [[F(1), F(0), F(0)], [F(0), F(1)]], 3)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1]], [[0, 1], [1, 0, 1]]], ids=str)
+def test_rref_refuses_ragged_rows(rows):
+    with pytest.raises(DimensionMismatch):
+        linalg.rref(GF(5), rows)
+
+
+def test_span_basis_checks_the_length_of_zero_vectors_too():
+    with pytest.raises(DimensionMismatch):
+        linalg.span_basis(GF(3), [[1, 2, 0], [0, 0]], 3)
+    with pytest.raises(DimensionMismatch):
+        linalg.span_basis(Q, [[F(0)] * 4], 3)
+
+
+@pytest.mark.parametrize("b", [[F(1), F(2), F(3), F(4)], [F(1), F(2)]], ids=len)
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length(b):
+    A = [[F(1), F(0)], [F(1), F(1)], [F(0), F(1)]]
+    with pytest.raises(DimensionMismatch):
+        linalg.solve(Q, A, b)
