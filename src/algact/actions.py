@@ -350,10 +350,11 @@ def validate_action(a: ActionData) -> ValidationReport:
     a, b in X, and for L4-L6 they are (x, y, a); associative/Poisson
     witnesses follow the same pattern for their lists.
     """
-    operators = a._law_operators()
+    conditions = _variety(a.variety).conditions
+    fails = laws.failures(a.kernel, [law for _, law in conditions], a._law_operators(), a.acting)
     results = []
-    for label, law in _variety(a.variety).conditions:
-        hit = laws.condition_defect(a.acting, a.kernel, law, operators)
+    for label, law in conditions:
+        hit = next(fails(law), None)
         witness, defect = hit or (None, None)
         results.append(ConditionResult(label, hit is None, witness, defect))
     return ValidationReport(a.variety, results)
@@ -680,7 +681,8 @@ def is_acting_morphism(mor: ActorMorphism) -> ActingReport:
 
 def _acting(a: ActionData) -> ActingReport:
     """The variety's acting law evaluated on the operators of ``a``."""
-    hit = laws.condition_defect(a.acting, a.kernel, _variety(a.variety).acting, a._law_operators())
+    law = _variety(a.variety).acting
+    hit = next(laws.failures(a.kernel, [law], a._law_operators(), a.acting)(law), None)
     return ActingReport(a, True) if hit is None else ActingReport(a, False, *hit)
 
 

@@ -53,34 +53,29 @@ MAX_FILE_DIM = 128
 
 
 class BilinearOp:
-    """One structure-constant tensor, stored sparse: as ``entries``, and as
-    ``groups``, e_i e_j as a sparse vector {k: c} under the key (i, j).  Dense
-    table rows serve :meth:`value`."""
+    """One structure-constant tensor, stored once and sparse: ``groups`` maps
+    (i, j) to e_i e_j as a sparse vector {k: c} of its nonzero constants, so
+    memory grows with the nonzero constants, not with the dimension."""
 
-    __slots__ = ("name", "entries", "groups", "_table")
+    __slots__ = ("name", "groups")
 
     def __init__(self, field: Field, dim: int, entries, name: str = "mul"):
         self.name = name
-        canon, groups = {}, {}
-        table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+        seen, groups = set(), {}
         for (i, j, k), c in (entries.items() if isinstance(entries, dict) else entries):
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InputError(f"structure constant index ({i},{j},{k}) out of range")
-            if (i, j, k) in canon:
+            if (i, j, k) in seen:
                 raise InputError(f"duplicate structure constant at ({i},{j},{k})")
+            seen.add((i, j, k))
             c = field.of(c)
             if not field.is_zero(c):
-                canon[(i, j, k)] = table[i][j][k] = c
                 groups.setdefault((i, j), {})[k] = c
-        self.entries = canon
         self.groups = groups
-        self._table = table
-
-    def value(self, i: int, j: int):
-        return self._table[i][j]
 
     def sorted_entries(self):
-        return sorted(self.entries.items())
+        return sorted(((i, j, k), c) for (i, j), group in self.groups.items()
+                      for k, c in group.items())
 
 
 class Algebra:
@@ -154,7 +149,8 @@ class Algebra:
 
     def mul_basis(self, op_index: int, i: int, j: int):
         self._check_op(op_index)
-        return list(self.ops[op_index].value(i, j))
+        group = self.ops[op_index].groups.get((i, j), {})
+        return [group.get(k, self.field.zero) for k in range(self.dim)]
 
     def multiply(self, op_index: int, x, y):
         self._check_op(op_index)
@@ -177,15 +173,13 @@ class Algebra:
 
     def left_matrix_basis(self, op_index: int, a: int):
         """Matrix of x -> e_a . x."""
-        self._check_op(op_index)
-        n, value = self.dim, self.ops[op_index].value
-        return [[value(a, j)[m] for j in range(n)] for m in range(n)]
+        cols = [self.mul_basis(op_index, a, j) for j in range(self.dim)]
+        return linalg.mat_from_cols(self.field, cols, self.dim)
 
     def right_matrix_basis(self, op_index: int, a: int):
         """Matrix of x -> x . e_a."""
-        self._check_op(op_index)
-        n, value = self.dim, self.ops[op_index].value
-        return [[value(i, a)[m] for i in range(n)] for m in range(n)]
+        cols = [self.mul_basis(op_index, i, a) for i in range(self.dim)]
+        return linalg.mat_from_cols(self.field, cols, self.dim)
 
     # -- serialization -------------------------------------------------------
 
@@ -256,12 +250,12 @@ class Algebra:
             and self.field == other.field
             and self.dim == other.dim
             and len(self.ops) == len(other.ops)
-            and all(a.entries == b.entries for a, b in zip(self.ops, other.ops))
+            and all(a.groups == b.groups for a, b in zip(self.ops, other.ops))
         )
 
     def __hash__(self):
         # what __eq__ compares: operation names are left out
-        ops = tuple(frozenset(op.entries.items()) for op in self.ops)
+        ops = tuple(tuple(op.sorted_entries()) for op in self.ops)
         return hash((self.field, self.dim, ops))
 
     def __repr__(self):
@@ -359,8 +353,10 @@ def check_identity(A: Algebra, tag: str) -> IdentityReport:
         raise InputError(f"unknown identity tag {tag!r}")
     if tag == "poisson" and A.num_ops != 2:
         raise OpArityMismatch("the poisson tag needs a product and a bracket")
-    for part, law in _IDENTITIES[tag]:
-        hit = laws.identity_defect(A, law)
+    parts = _IDENTITIES[tag]
+    fails = laws.failures(A, [law for _, law in parts])
+    for part, law in parts:
+        hit = next(fails(law), None)
         if hit is not None:
             return IdentityReport(tag, False, part, *hit)
     return _check_jordan(A) if tag == "jordan" else IdentityReport(tag, True)
@@ -389,6 +385,18 @@ class Centers:
     zl_is_subalgebra: bool
 
 
+def _annihilating_rows(A: Algebra, op: int):
+    """The equations of {x : x.A = 0} and of {x : A.x = 0} in x, one row per
+    (j, m): the coordinate m of e_a . e_j, resp. e_j . e_a, over a."""
+    f, n = A.field, A.dim
+    left = [[f.zero] * n for _ in range(n * n)]
+    right = [[f.zero] * n for _ in range(n * n)]
+    for (i, j), group in A.ops[op].groups.items():
+        for m, c in group.items():
+            left[j * n + m][i] = right[i * n + m][j] = c
+    return left, right
+
+
 def centers(A: Algebra) -> Centers:
     """Left center {x : [x, A] = 0}, right center {x : [A, x] = 0}, and
     their intersection, each as a canonical nullspace basis.
@@ -397,13 +405,7 @@ def centers(A: Algebra) -> Centers:
     bracket is reported as a flag rather than assumed.
     """
     f, n, br = A.field, A.dim, A.bracket_op
-    value = A.ops[br].value
-    left_rows = []
-    right_rows = []
-    for j in range(n):
-        for m in range(n):
-            left_rows.append([value(a, j)[m] for a in range(n)])
-            right_rows.append([value(j, a)[m] for a in range(n)])
+    left_rows, right_rows = _annihilating_rows(A, br)
     zl, zl_piv = linalg.nullspace_basis(f, left_rows, n)
     zr, _ = linalg.nullspace_basis(f, right_rows, n)
     z, _ = linalg.nullspace_basis(f, left_rows + right_rows, n)
@@ -415,14 +417,8 @@ def centers(A: Algebra) -> Centers:
 
 def annihilator(A: Algebra):
     """Canonical basis of {x : x.y = y.x = 0 for all y} for the product."""
-    f, n = A.field, A.dim
-    value = A.ops[0].value
-    rows = []
-    for j in range(n):
-        for m in range(n):
-            rows.append([value(a, j)[m] for a in range(n)])
-            rows.append([value(j, a)[m] for a in range(n)])
-    basis, _ = linalg.nullspace_basis(f, rows, n)
+    left, right = _annihilating_rows(A, 0)
+    basis, _ = linalg.nullspace_basis(A.field, left + right, A.dim)
     return basis
 
 

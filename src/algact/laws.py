@@ -21,12 +21,13 @@ arguments is equivalent to imposing it everywhere.  The one format is read
 two ways:
 
 * evaluation computes a law on basis arguments, with known operators, on
-  sparse vectors {index: value}: the operator matrices are turned into
-  sparse columns once per call, and a defect is made a dense list only when
-  it is reported.  It serves :func:`law_defects`, the self-check of an
-  operator space after construction; :func:`condition_defect`, the
-  conditions of an action and its acting law; and :func:`identity_defect`,
-  the identities of an algebra.
+  sparse vectors {index: value}.  Its one entry point, :func:`failures`, is
+  built once for an algebra, its laws and their operators: it checks the
+  operator shapes and turns the matrices into sparse columns once, then
+  gives each law's failing basis tuples in lexicographic order, a defect
+  made a dense list only when it is reported.  It serves the self-check of
+  an operator space after construction, the conditions of an action and
+  its acting law, and the identities of an algebra.
 * the linear reading, :func:`law_rows`, takes the operators as unknown
   matrices.  Each term holds one ``ON`` node M applied to a node v, inside
   a context C that is linear in M's value, so the term is
@@ -340,48 +341,38 @@ def _value(c):
     return (lambda env, args: {args[c]: env.f.one}) if isinstance(c, int) else c
 
 
-def _failures(A, tuples, defect_fn):
-    """Yield (args, defect) for each argument tuple with a nonzero defect,
-    the defect made a dense vector of ``A`` only here, to be reported."""
-    for args in tuples:
-        d = defect_fn(args)
-        if any(d.values()):  # scalars are canonical
-            yield args, [d.get(k, A.field.zero) for k in range(A.dim)]
+def failures(A, laws, operators=None, B=None):
+    """The one entry point of evaluation: a function that yields, for one
+    law of ``laws``, (args, defect) at each basis tuple where it fails, the
+    tuples in lexicographic order and the defect a dense vector of ``A``.
 
-
-def law_defects(A, labelled, operators):
-    """Yield (label, args, defect) for every basis tuple where a law of
-    ``labelled``, a sequence of (label, law), fails on the operator
-    matrices ``operators`` (a map from slot to matrix)."""
-    env = _env(A, [law for _, law in labelled], operators)
-    for label, law in labelled:
-        for args, d in _failures(A, iproduct(range(A.dim), repeat=_arity(law)), _defect(env, law)):
-            yield label, args, d
-
-
-def condition_defect(B, X, law, operators):
-    """First failing witness of an action condition and its defect, or None.
-
-    ``operators`` maps each of l, r, k to its matrices on X, one per basis
-    element of B.  Witnesses are (x, a, b) for laws on two arguments of X,
-    read at each acting element x, and (x, y, a) otherwise, taken in
-    lexicographic order.
+    ``operators`` maps each slot the laws read to an n x n matrix on A, or
+    with B to one such matrix per basis element of B; the shapes are checked
+    and the operators turned into sparse columns once, here.  Without B the
+    tuples are the law's basis arguments in A.  With B they are (x, a, b) for
+    a law on two arguments of A, read at each acting element x, and (x, y, a)
+    otherwise.
     """
-    nb, nx = B.dim, X.dim
-    env = _env(X, (law,), operators, B)
-    if _on_pairs(law):
-        by_x = [_defect(_Env(X, {s: cols[x] for s, cols in env.ops.items()}), law)
-                for x in range(nb)]
-        return next(_failures(X, iproduct(range(nb), range(nx), range(nx)),
-                              lambda args: by_x[args[0]](args[1:])), None)
-    return next(_failures(X, iproduct(range(nb), range(nb), range(nx)), _defect(env, law)), None)
+    f, n = A.field, A.dim
+    env = _env(A, laws, operators or {}, B)
+    if B is not None:
+        at_x = [_Env(A, {s: cols[x] for s, cols in env.ops.items()}) for x in range(B.dim)]
 
+    def fails(law):
+        if B is None:
+            tuples, defect = iproduct(range(n), repeat=_arity(law)), _defect(env, law)
+        elif _on_pairs(law):
+            by_x = [_defect(e, law) for e in at_x]
+            tuples = iproduct(range(B.dim), range(n), range(n))
+            defect = lambda args: by_x[args[0]](args[1:])
+        else:
+            tuples, defect = iproduct(range(B.dim), range(B.dim), range(n)), _defect(env, law)
+        for args in tuples:
+            d = defect(args)
+            if any(d.values()):  # scalars are canonical
+                yield args, [d.get(k, f.zero) for k in range(n)]
 
-def identity_defect(A, law):
-    """First failing basis tuple of an identity of ``A`` and its defect, or
-    None; tuples of the law's arity are taken in lexicographic order."""
-    tuples = iproduct(range(A.dim), repeat=_arity(law))
-    return next(_failures(A, tuples, _defect(_Env(A), law)), None)
+    return fails
 
 
 def _hole(node, hole):

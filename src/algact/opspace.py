@@ -432,7 +432,10 @@ def defining_defects(kind: str, A: Algebra, tup):
     as the post-construction self-check and by membership diagnostics.
     """
     spec = _kind(kind)
-    yield from laws.law_defects(A, spec.laws, dict(zip(spec.components, tup)))
+    fails = laws.failures(A, [law for _, law in spec.laws], dict(zip(spec.components, tup)))
+    for label, law in spec.laws:
+        for args, defect in fails(law):
+            yield label, args, defect
 
 
 def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
@@ -565,5 +568,6 @@ def check_bim_commutation(V: Algebra) -> CommutationReport:
     """
     bim = bimultipliers(V)
     operators = {"l": [t[0] for t in bim.basis], "r": [t[1] for t in bim.basis]}
-    hit = laws.condition_defect(bim.as_algebra(), V, laws.PERMUTABLE, operators)
+    law = laws.PERMUTABLE
+    hit = next(laws.failures(V, [law], operators, bim.as_algebra())(law), None)
     return CommutationReport(True) if hit is None else CommutationReport(False, hit[0][:2])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact import linalg
+from algact import laws, linalg
 from algact.actions import (
     ActionData,
     DEFAULT_BUDGET,
@@ -138,7 +138,7 @@ def test_semidirect_zero_action_is_block_diagonal():
     total = ext.total
     assert total.dim == 4
     # no cross terms: every structure constant stays inside its block
-    for (i, j, k) in total.ops[0].entries:
+    for (i, j, k), _ in total.ops[0].sorted_entries():
         assert (i < 2 and j < 2 and k < 2) or (i >= 2 and j >= 2 and k >= 2)
     assert check_identity(total, "leibniz_right").holds
 
@@ -293,6 +293,27 @@ def test_acting_criterion_matches_validation():
         verdict = is_acting_morphism(mor)
         act = morphism_to_action(mor)
         assert verdict.acting == validate_action(act).passed
+
+
+def test_each_check_prepares_the_action_operators_once(monkeypatch):
+    # counts, not times: validation evaluates 6 to 14 conditions and the
+    # acting test one law, and each turns the operators into sparse columns
+    # once
+    prepared, env = [], laws._env
+
+    def counting_env(*args):
+        prepared.append(args)
+        return env(*args)
+
+    monkeypatch.setattr(laws, "_env", counting_env)
+    for name, act in catalog_actions(GF(3)):
+        prepared.clear()
+        assert validate_action(act).passed, name
+        assert len(prepared) == 1, name
+        mor = action_to_morphism(act)
+        prepared.clear()
+        assert is_acting_morphism(mor).acting, name
+        assert len(prepared) == 1, name
 
 
 def enumerate_homs_helper(A):

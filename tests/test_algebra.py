@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -358,3 +359,23 @@ def test_loaded_dimension_is_capped():
     with pytest.raises(InputError):
         Algebra.from_json_dict(data)
     assert Algebra.from_json_dict({**data, "dim": 128}).dim == 128
+
+
+@pytest.mark.parametrize("first,second", [("0", "1"), ("1", "0")])
+def test_a_repeated_structure_constant_is_refused_whatever_its_values(first, second):
+    # a zero first copy is a duplicate too, not an empty slot
+    with pytest.raises(InputError, match="duplicate"):
+        Algebra.from_entries(GF(3), 1, [[((0, 0, 0), first), ((0, 0, 0), second)]])
+
+
+def test_an_empty_algebra_at_the_file_limit_loads_in_little_memory():
+    # the structure constants are stored sparse: nothing grows with dim^3
+    data = {"field": "Q", "dim": MAX_FILE_DIM, "ops": [{"entries": []}, {"entries": []}]}
+    tracemalloc.start()
+    try:
+        A = Algebra.from_json_dict(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.dim == MAX_FILE_DIM and A.num_ops == 2
+    assert peak < 1_000_000

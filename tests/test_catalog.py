@@ -20,7 +20,7 @@ from algact.fields import GF, Q
 def test_builtin_abelian():
     A = builtin("abelian(3)")
     assert A.dim == 3 and A.num_ops == 1
-    assert A.ops[0].entries == {}
+    assert A.ops[0].groups == {}
 
 
 def test_builtin_leibniz_2dim_nonlie():

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,7 +168,7 @@ def test_action_semidirect_extract_roundtrip(files, tmp_path):
     code, out, _ = run_cli("action", "extract", sd, "--variety", "leibniz", "--json")
     assert code == 0
     extracted = json.loads(out)
-    original = json.loads(open(files["biadj.json"]).read())
+    original = json.loads(Path(files["biadj.json"]).read_text())
     assert extracted == json.loads(json.dumps(original, sort_keys=True))
 
 
@@ -327,6 +328,8 @@ BAD_INPUTS = [
      {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 1, "1"]]}]}),
     ("repeated-structure-constant", "check",
      {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0, "1"], [0, 0, 0, "2"]]}]}),
+    ("repeated-structure-constant-zero-first", "check",
+     {**F1_GF3, "ops": [{"name": "mul", "entries": [[0, 0, 0, "0"], [0, 0, 0, "1"]]}]}),
     ("action-tensor-index-out-of-range", "validate",
      {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": [[0, 1, 0, "1"]]}),
     ("morphism-image-outside-the-weak-actor", "morphism",
