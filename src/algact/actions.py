@@ -67,7 +67,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import laws, linalg
-from .algebra import Algebra, is_homomorphism, json_int
+from .algebra import Algebra, is_homomorphism, json_int, json_matrix
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -402,9 +402,7 @@ class SplitExtension:
         try:
             total = Algebra.from_json_dict(data["total"])
             f = total.field
-            i = [[f.of(x) for x in row] for row in data["kernel_inj"]]
-            pi = [[f.of(x) for x in row] for row in data["retraction"]]
-            s = [[f.of(x) for x in row] for row in data["section"]]
+            i, pi, s = (json_matrix(f, data[k], k) for k in ("kernel_inj", "retraction", "section"))
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed split extension: {exc}") from exc
         n, m, k = total.dim, len(i[0]) if i else 0, len(pi)
@@ -455,35 +453,38 @@ class SplitExtension:
             ),
         )
 
-    def validate(self) -> list:
-        """All structural defects, as human-readable strings (empty = valid)."""
+    def _problems(self):
+        """Each structural defect as the error :func:`extract_action` raises
+        for it, in order: ``NotSplit`` for the retraction and the section,
+        ``KernelMismatch`` for the kernel."""
         f = self.field
-        problems = []
         n, k, m = self.total.dim, self.base_dim, self.kernel_dim
         if k + m != n:
-            problems.append("base and kernel dimensions do not add up to the total")
+            yield KernelMismatch("base and kernel dimensions do not add up to the total")
         ps = linalg.mat_mul(f, self.retraction, self.section)
         if not linalg.mat_eq(f, ps, linalg.mat_identity(f, k)):
-            problems.append("retraction . section is not the identity")
-        pi_i = linalg.mat_mul(f, self.retraction, self.kernel_inj)
-        if not linalg.mat_is_zero(f, pi_i):
-            problems.append("retraction . kernel_inj is not zero")
+            yield NotSplit("retraction . section is not the identity")
+        if not linalg.mat_is_zero(f, linalg.mat_mul(f, self.retraction, self.kernel_inj)):
+            yield KernelMismatch("retraction . kernel_inj is not zero")
         if linalg.mat_rank(f, self.kernel_inj) != m:
-            problems.append("kernel injection is not injective")
+            yield KernelMismatch("kernel injection is not injective")
         if linalg.mat_rank(f, self.retraction) != k:
-            problems.append("retraction is not surjective")
+            yield NotSplit("retraction is not surjective")
         # kernel_algebra pulls products back along the injection, so i is a
         # homomorphism whenever the kernel image is closed
         try:
             self.kernel_algebra()
         except KernelMismatch as exc:
-            problems.append(str(exc))
+            yield exc
         B = self.base_algebra()
         if not is_homomorphism(self.retraction, self.total, B).holds:
-            problems.append("retraction is not a homomorphism")
+            yield NotSplit("retraction is not a homomorphism")
         if not is_homomorphism(self.section, B, self.total).holds:
-            problems.append("section is not a homomorphism")
-        return problems
+            yield NotSplit("section is not a homomorphism")
+
+    def validate(self) -> list:
+        """All structural defects, as human-readable strings (empty = valid)."""
+        return [str(problem) for problem in self._problems()]
 
 
 def _label_pullback(field, total_labels, matrix):
@@ -557,43 +558,38 @@ def semidirect(a: ActionData) -> SplitExtension:
 def extract_action(E: SplitExtension, variety: str) -> ActionData:
     """Recover the derived action of a split extension.
 
-    l and r (and the bracket action) are computed by multiplying section
-    images with kernel images inside the total algebra and re-expressing
-    the result in kernel coordinates.
+    The first problem that :meth:`SplitExtension.validate` reports is raised
+    before anything is read.  l and r (and the bracket action) are computed
+    by multiplying section images with kernel images inside the total
+    algebra and re-expressing the result in kernel coordinates.
     """
     v = _variety(variety)
-    f = E.field
-    nb, nx = E.base_dim, E.kernel_dim
-    ps = linalg.mat_mul(f, E.retraction, E.section)
-    if not linalg.mat_eq(f, ps, linalg.mat_identity(f, nb)):
-        raise NotSplit("retraction . section is not the identity")
-    if not linalg.mat_is_zero(f, linalg.mat_mul(f, E.retraction, E.kernel_inj)):
-        raise KernelMismatch("kernel image does not lie in the kernel of the retraction")
-    if linalg.mat_rank(f, E.kernel_inj) != nx or nb + nx != E.total.dim:
-        raise KernelMismatch("kernel injection does not span the retraction kernel")
+    for problem in E._problems():
+        raise problem
     if E.total.num_ops != v.num_ops:
         raise ShapeMismatch("operation count of the total algebra does not match the variety")
+    f = E.field
+    nb, nx = E.base_dim, E.kernel_dim
     B = E.base_algebra()
     X = E.kernel_algebra()
     s_cols = [linalg.mat_col(E.section, j) for j in range(nb)]
     i_cols = [linalg.mat_col(E.kernel_inj, j) for j in range(nx)]
 
-    def read(name, op, left):
+    def read(op, left):
         # column y of the operator at e_p is s_p . i_y, or i_y . s_p when B
-        # acts from the right
-        failure = f"{name} value does not land in the kernel image"
-
+        # acts from the right; the retraction, a homomorphism, kills it, so
+        # it lies in the kernel image
         def col(s, i):
             u, w = (s, i) if left else (i, s)
-            return E._kernel_coords(E.total.multiply(op, u, w), failure)
+            return E._kernel_coords(E.total.multiply(op, u, w), "operator value leaves the kernel")
 
         return [linalg.mat_from_cols(f, [col(s, i) for i in i_cols], nx) for s in s_cols]
 
     # l and r come from operation 0: the product, or the Leibniz bracket of a
     # one-operation total algebra
-    operators = {"l": read("l", 0, True), "r": read("r", 0, False)}
+    operators = {"l": read(0, True), "r": read(0, False)}
     if "k" in v.operators:
-        operators["k"] = read("bracket", E.total.bracket_op, True)
+        operators["k"] = read(E.total.bracket_op, True)
     if "r" not in v.operators:
         # r must be the commutative mirror of l; anything else is not a
         # commutative split extension
@@ -703,13 +699,11 @@ def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
     needed = f.p ** (ne * nb)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    actor = space.as_algebra()
-    matrices = (
-        [list(flat[t * nb : (t + 1) * nb]) for t in range(ne)]
+    candidates = (
+        space.morphism(B, [list(flat[t * nb : (t + 1) * nb]) for t in range(ne)])
         for flat in iproduct(range(f.p), repeat=ne * nb)
     )
-    homs = ((m, is_homomorphism(m, B, actor)) for m in matrices)
-    return space, [ActorMorphism(space, B, m, hom) for m, hom in homs if hom.holds]
+    return space, [mor for mor in candidates if mor.hom.holds]
 
 
 def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):

@@ -294,6 +294,18 @@ def json_int(x, what: str) -> int:
     raise InputError(f"{what} must be a JSON integer, got {x!r}")
 
 
+def json_list(x, what: str) -> list:
+    """``x`` itself if it is a JSON list (a string is not read as one)."""
+    if isinstance(x, list):
+        return x
+    raise InputError(f"{what} must be a JSON list, got {x!r}")
+
+
+def json_matrix(field, x, what: str) -> list:
+    """The matrix of ``field`` scalars held as a JSON list of row lists."""
+    return [[field.of(c) for c in json_list(row, f"a row of {what}")] for row in json_list(x, what)]
+
+
 def _check_jordan(A):
     """Jordan law (xy)(xx) = x(y(xx)) as a formal identity.
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import linalg
-from .algebra import Algebra, annihilator, check_identity, product_subspace
+from .algebra import (
+    Algebra, annihilator, check_identity, json_list, json_matrix, product_subspace,
+)
 from .actions import (
     ActionData,
     action_to_morphism,
@@ -181,8 +183,8 @@ class MorphismData:
             kernel = Algebra.from_json_dict(data["kernel"])
             f = acting.field
             images = [
-                tuple([[f.of(x) for x in row] for row in comp] for comp in tup)
-                for tup in data["images"]
+                tuple(json_matrix(f, comp, "an image") for comp in json_list(tup, "an image"))
+                for tup in json_list(data["images"], "images")
             ]
             return cls(data["variety"], acting, kernel, images)
         except (KeyError, TypeError) as exc:

@@ -26,8 +26,10 @@ from .errors import (
 
 __all__ = ["Field", "Rationals", "PrimeField", "Q", "GF"]
 
-# deterministic Miller-Rabin witnesses, valid for every n < 3.3 * 10^24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# deterministic Miller-Rabin witnesses: the smallest strong pseudoprime to
+# all of them is _MR_BOUND, so they decide every n below it
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -35,6 +37,8 @@ _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise InputError(f"primality is decided only below {_MR_BOUND}, got {n}")
     for q in _MR_WITNESSES:  # trial division by the same small primes
         if n % q == 0:
             return n == q

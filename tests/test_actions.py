@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from algact import laws, linalg
 from algact.actions import (
+    VARIETIES,
     ActionData,
     DEFAULT_BUDGET,
     SplitExtension,
@@ -28,6 +29,7 @@ from algact.catalog import (
     inner_action,
 )
 from algact.errors import (
+    AlgactError,
     BudgetExceeded,
     InputError,
     InvalidAction,
@@ -40,6 +42,7 @@ from algact.fields import GF, Q
 from algact.opspace import space_of_kind
 
 import oracle
+from test_report_digest import _extension_reports
 
 
 def F(x):
@@ -211,6 +214,37 @@ def test_extract_rejects_wrong_kernel():
     broken = SplitExtension(ext.total, [[F(1)], [F(0)]], ext.retraction, ext.section)
     with pytest.raises(KernelMismatch):
         extract_action(broken, "leibniz")
+
+
+# the identity of the total algebra of a split extension in each variety
+TOTAL_IDENTITY = {"leibniz": "leibniz_right", "associative": "associative",
+                  "poisson": "poisson", "cpoisson": "poisson"}
+
+
+def test_extract_refuses_exactly_what_validate_reports():
+    # a drift guard on every extension of the extension digest corpus: the
+    # split decision is validate()'s list, and only the variety checks follow.
+    # The total algebra is the semidirect product of the action it returns,
+    # so it lies in the variety exactly when B and X do and the action
+    # validates
+    def check(E):
+        problems = E.validate()
+        for variety in VARIETIES:
+            try:
+                action = extract_action(E, variety)
+            except AlgactError as exc:
+                if problems:
+                    assert isinstance(exc, (NotSplit, KernelMismatch)), exc
+                    assert str(exc) == problems[0]
+                else:
+                    assert "operation count" in str(exc) or "not commutative" in str(exc), exc
+                continue
+            assert problems == [], (variety, problems)
+            total, *factors = (check_identity(A, TOTAL_IDENTITY[variety]).holds
+                               for A in (E.total, action.acting, action.kernel))
+            assert total == (all(factors) and validate_action(action).passed), variety
+
+    _extension_reports(check)
 
 
 def test_extract_from_permuted_basis_extension():

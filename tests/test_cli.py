@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from algact.actions import semidirect
 from algact.catalog import MorphismData, biadjoint_action, builtin, catalog_algebras
 from algact.cli import main
 from algact.errors import AlgactError
@@ -172,6 +176,17 @@ def test_action_semidirect_extract_roundtrip(files, tmp_path):
     assert extracted == json.loads(json.dumps(original, sort_keys=True))
 
 
+def test_action_extract_refuses_a_section_that_is_no_homomorphism(tmp_path):
+    ext = semidirect(builtin("biadjoint(lie_2dim_nonabelian)"))
+    ext.section[3][0] = Q.one
+    assert ext.validate() == ["section is not a homomorphism"]
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(ext.to_json_dict()))
+    code, out, err = run_cli("action", "extract", str(path), "--variety", "leibniz")
+    assert (code, out) == (2, "")
+    assert err == "error [NotSplit]: section is not a homomorphism\n"
+
+
 def test_action_semidirect_refuses_invalid(files, tmp_path):
     code, out, _ = run_cli(
         "action", "semidirect", files["metere_action.json"],
@@ -185,6 +200,18 @@ def test_repro_field_choice():
     code, out, _ = run_cli("repro", "--field", "5")
     assert code == 0
     assert "overall: pass" in out
+
+
+def test_module_entry_point_matches_main():
+    # the console entry point runs main on sys.argv and exits with its code
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["repro", "--field", "5", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "algact.cli", *argv], env=env,
+                          capture_output=True, cwd=root, timeout=120)
+    code, out, _ = run_cli(*argv)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out.encode()
 
 
 def test_repro_fact_e_prints_witness():
@@ -307,6 +334,12 @@ BAD_INPUTS = [
      {"variety": "associative", "acting": F1_GF3, "kernel": LIE2_GF3}),
     ("two-operation-acting-algebra-in-leibniz-pair", "enumerate",
      {"variety": "leibniz", "acting": P1_GF3, "kernel": F1_GF3}),
+    ("split-extension-rows-given-as-strings", "extract",
+     {"total": F2_GF3, "kernel_inj": ["0", "1"], "retraction": ["10"], "section": ["1", "0"]}),
+    ("morphism-images-given-as-strings", "morphism",
+     {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "images": ["01"]}),
+    ("prime-field-of-a-strong-pseudoprime", "check",
+     {**F1_GF3, "field": {"p": 318665857834031151167461}}),
     ("split-extension-ragged-section", "extract",
      {"total": F2_GF3, "kernel_inj": [[0], [1]], "retraction": [[1, 0]], "section": [[1], [0, 7]]}),
     ("operation-name-not-a-string", "space",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from algact.errors import (
+    AlgactError,
     CharTwoForbidden,
     DivisionByZero,
     FieldMismatch,
@@ -21,6 +22,17 @@ def test_char_two_rejected():
 def test_not_prime_rejected(p):
     with pytest.raises(NotPrime):
         GF(p)
+
+
+def test_strong_pseudoprimes_refused():
+    # 399165290221 * 798330580441 is a strong pseudoprime to every base 2..37
+    with pytest.raises(NotPrime):
+        GF(318665857834031151167461)
+    # the smallest strong pseudoprime to every base 2..41 bounds what the
+    # witnesses decide
+    with pytest.raises(AlgactError, match="3317044064679887385961981"):
+        GF(3317044064679887385961981)
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
 
 
 def test_field_json_roundtrip():

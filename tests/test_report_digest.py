@@ -9,7 +9,8 @@ and space digests were recorded before the laws moved into one table; the
 acting and enumeration digests before enumeration moved onto the weak actor;
 the extension, hunt and commutation digests before derived algebras were
 built from their product rule; the identity digest before the identities of
-an algebra moved into the law table.
+an algebra moved into the law table.  The extension digest was re-recorded
+once, when extraction began refusing exactly what ``validate()`` reports.
 """
 
 import hashlib
@@ -47,7 +48,7 @@ VALIDATION_DIGEST = "5e99e6fa41de4c3883d8fd493633d22b713a04c45d88a17262b9c03ce95
 SPACE_DIGEST = "1d6112c67f736d9c0b1462eb39d0d5512b78aac870943739d0b40ee4f925a316"
 ACTING_DIGEST = "9bfd08d1f21bc544b4f9fd96a6cef1e287077d6507ffd3adce0b9bf3fc2cff4a"
 ENUMERATE_DIGEST = "3170579470609fee50488c7466cad958f6a9503f1716ede12e62fa183f1b2b3b"
-EXTENSION_DIGEST = "849408cfcfd10c2131c62c1fa573ad7b82a23d4a8a4e16edc30b3c74ade8a86b"
+EXTENSION_DIGEST = "3bb31c4e89ca3fa8e198dba4f392e96878d5da70d5765e26bb065445bcbd555d"
 HUNT_DIGEST = "27adb92ba0d70fbbd8388ae06a9da811bcec3750fff0e95e718fe16706cd7a43"
 COMMUTATION_DIGEST = "5b47a0d563928f3a54dd5be76232798c6a355d9316ad0ab0ba779f26f1a87101"
 IDENTITY_DIGEST = "14104bdb6f0eb8bcea7713a2f96391ae5e14e202eebf7cc51a40147e0a4ba3be"
@@ -262,7 +263,10 @@ def _hand_built_extensions(field):
     ]
 
 
-def _extension_reports():
+def _extension_reports(report=_extension_report):
+    """``report`` of each extension of the corpus: the semidirect product of
+    every action that has one, four seeded perturbations of it and the
+    hand-built extensions, over each field."""
     rng = random.Random(20261018)
     reports = []
     for field in FIELDS:
@@ -273,12 +277,12 @@ def _extension_reports():
                      "semidirect": _outcome(lambda: semidirect(act).to_json_dict())}
             if "error" not in entry["semidirect"]:
                 E = semidirect(act)
-                entry["extension"] = _extension_report(E)
-                entry["perturbed"] = [_extension_report(_perturb(rng, E)) for _ in range(4)]
+                entry["extension"] = report(E)
+                entry["perturbed"] = [report(_perturb(rng, E)) for _ in range(4)]
             reports.append(entry)
         for name, E in _hand_built_extensions(field):
             reports.append({"field": repr(field), "hand_built": name,
-                            "report": _extension_report(E)})
+                            "report": report(E)})
     return reports
 
 
@@ -294,12 +298,10 @@ def test_extension_reports_digest():
     )
     # the digest only guards what the inputs reach: every refusal of
     # extract_action is among the reports
-    for needle in ("retraction . section", "kernel image does not lie",
-                   "does not span", "operation count", "l value", "not commutative"):
+    for needle in ("do not add up", "retraction . section", "retraction . kernel_inj",
+                   "not injective", "not closed under operation", "retraction is not a hom",
+                   "section is not a hom", "operation count", "not commutative"):
         assert any(needle in m for m in messages), (needle, messages)
-    problems = {p for entry in reports for r in [entry.get("report"), entry.get("extension")]
-                + entry.get("perturbed", []) if r is not None for p in r["validate"]}
-    assert any("not closed under operation" in p for p in problems), problems
     assert _digest(reports) == EXTENSION_DIGEST
 
 
