@@ -453,38 +453,43 @@ class SplitExtension:
             ),
         )
 
-    def _problems(self):
+    def _check(self):
         """Each structural defect as the error :func:`extract_action` raises
-        for it, in order: ``NotSplit`` for the retraction and the section,
-        ``KernelMismatch`` for the kernel."""
+        for it, in order (``NotSplit`` for the retraction and the section,
+        ``KernelMismatch`` for the kernel), with the base and kernel algebras
+        built on the way: (problems, B, X), X None when the kernel image is
+        not closed."""
         f = self.field
         n, k, m = self.total.dim, self.base_dim, self.kernel_dim
+        problems = []
         if k + m != n:
-            yield KernelMismatch("base and kernel dimensions do not add up to the total")
+            problems.append(KernelMismatch("base and kernel dimensions do not add up to the total"))
         ps = linalg.mat_mul(f, self.retraction, self.section)
         if not linalg.mat_eq(f, ps, linalg.mat_identity(f, k)):
-            yield NotSplit("retraction . section is not the identity")
+            problems.append(NotSplit("retraction . section is not the identity"))
         if not linalg.mat_is_zero(f, linalg.mat_mul(f, self.retraction, self.kernel_inj)):
-            yield KernelMismatch("retraction . kernel_inj is not zero")
+            problems.append(KernelMismatch("retraction . kernel_inj is not zero"))
         if linalg.mat_rank(f, self.kernel_inj) != m:
-            yield KernelMismatch("kernel injection is not injective")
+            problems.append(KernelMismatch("kernel injection is not injective"))
         if linalg.mat_rank(f, self.retraction) != k:
-            yield NotSplit("retraction is not surjective")
+            problems.append(NotSplit("retraction is not surjective"))
         # kernel_algebra pulls products back along the injection, so i is a
         # homomorphism whenever the kernel image is closed
         try:
-            self.kernel_algebra()
+            X = self.kernel_algebra()
         except KernelMismatch as exc:
-            yield exc
+            X = None
+            problems.append(exc)
         B = self.base_algebra()
         if not is_homomorphism(self.retraction, self.total, B).holds:
-            yield NotSplit("retraction is not a homomorphism")
+            problems.append(NotSplit("retraction is not a homomorphism"))
         if not is_homomorphism(self.section, B, self.total).holds:
-            yield NotSplit("section is not a homomorphism")
+            problems.append(NotSplit("section is not a homomorphism"))
+        return problems, B, X
 
     def validate(self) -> list:
         """All structural defects, as human-readable strings (empty = valid)."""
-        return [str(problem) for problem in self._problems()]
+        return [str(problem) for problem in self._check()[0]]
 
 
 def _label_pullback(field, total_labels, matrix):
@@ -564,14 +569,13 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
     algebra and re-expressing the result in kernel coordinates.
     """
     v = _variety(variety)
-    for problem in E._problems():
-        raise problem
+    problems, B, X = E._check()
+    if problems:
+        raise problems[0]
     if E.total.num_ops != v.num_ops:
         raise ShapeMismatch("operation count of the total algebra does not match the variety")
     f = E.field
     nb, nx = E.base_dim, E.kernel_dim
-    B = E.base_algebra()
-    X = E.kernel_algebra()
     s_cols = [linalg.mat_col(E.section, j) for j in range(nb)]
     i_cols = [linalg.mat_col(E.kernel_inj, j) for j in range(nx)]
 

@@ -19,7 +19,11 @@ components satisfy:
                                        operations, f[x,y] = [fx,y] - d(y)x
 
 One record per kind (``_KINDS``) holds the components, the check on the base
-algebra, the laws, the induced operations and the inner tuples.  A law is a
+algebra, the laws, the induced operations and the inner tuples, all as data.
+An induced operation is written as one string per component of the product
+of tuples t and u, each term a signed composite of two components by name, a
+primed name standing for the component of u: the bimultiplier product
+(f,F)(f',F') = (ff', F'F) is ``"ff', F'F"``.  A law is a
 signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
 (:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
 entries, which :func:`space_of_kind` hands as dense rows to
@@ -60,6 +64,7 @@ this way.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -272,12 +277,15 @@ def _require_cpoisson(A: Algebra):
         raise NotCommutativePoisson("base must be a commutative Poisson algebra")
 
 
-def _compose(f, *terms) -> dict:
-    """The sum of s A B over the terms (s, A, B), s = +1 or -1, of sparse
-    matrices; the result may hold explicit zeros."""
+def _compose(f, pair, terms) -> dict:
+    """One component of an induced product: the sum of s A B over the parsed
+    terms (s, A, B) of :class:`_Kind`, each factor a (side, slot) of the
+    pair (t, u) of tuples of sparse matrices; the result may hold explicit
+    zeros."""
     out = {}
-    for s, A, B in terms:
-        for i, arow in A.items():
+    for s, (ls, lb), (rs, rb) in terms:
+        B = pair[rs][rb]
+        for i, arow in pair[ls][lb].items():
             orow = out.setdefault(i, {})
             for k, a in arow.items():
                 a = a if s > 0 else f.neg(a)
@@ -287,12 +295,8 @@ def _compose(f, *terms) -> dict:
     return out
 
 
-def _sp_mul(f, a, b):
-    return _compose(f, (1, a, b))
-
-
-def _sp_comm(f, a, b):
-    return _compose(f, (1, a, b), (-1, b, a))
+# one term of a rule: an optional sign and two component names, each primed for u
+_TERM = r"\s*([+-]?)\s*(\w)('?)(\w)('?)\s*"
 
 
 @dataclass(frozen=True)
@@ -300,16 +304,28 @@ class _Kind:
     """An operator space kind.
 
     ``laws`` lists (label, law) in the order of the rows and of the
-    self-check; ``ops`` lists (name, fn(field, t, u)) for the induced
-    operations on tuples of sparse matrices; ``inner(A, a)`` is the tuple
-    of the basis element e_a.
+    self-check.  ``ops`` lists (name, rule) for the induced operations, in
+    the notation of the module docstring, and ``terms`` holds each rule
+    parsed once: per component, the terms (sign, (side, slot), (side, slot)),
+    side 0 for t and 1 for u.  ``inner`` gives the tuple of the basis
+    element e_a, one (sign, side, op) per component: the sign times the
+    left ("L") or right ("R") multiplication by e_a under ``PRODUCT`` or
+    ``BRACKET``.
     """
 
     components: tuple
     laws: tuple
     ops: tuple = ()
     precondition: Callable = lambda A: None
-    inner: Optional[Callable] = None
+    inner: tuple = ()
+
+    def __post_init__(self):
+        slot = {name: b for b, name in enumerate(self.components)}
+        object.__setattr__(self, "terms", tuple(
+            tuple(tuple((-1 if sign == "-" else 1, (len(p), slot[a]), (len(q), slot[b]))
+                        for sign, a, p, b, q in re.findall(_TERM, part))
+                  for part in rule.split(","))
+            for _, rule in self.ops))
 
 
 _BIMULTIPLIER_LAWS = (
@@ -322,7 +338,7 @@ _KINDS = {
     "derivations": _Kind(
         ("d",),
         (("derivation", laws.derivation("d", BRACKET)),),
-        ops=(("bracket", lambda f, t, u: (_sp_comm(f, t[0], u[0]),)),),
+        ops=(("bracket", "dd' - d'd"),),
     ),
     "antiderivations": _Kind(
         ("D",),
@@ -335,27 +351,22 @@ _KINDS = {
             ("antiderivation", laws.antiderivation("D", BRACKET)),
             ("compatibility", laws.compatibility("d", "D")),
         ),
-        # [(d,D),(d',D')] = (d d' - d' d, D d' - d' D)
-        ops=(("bracket", lambda f, t, u: (_sp_comm(f, t[0], u[0]), _sp_comm(f, t[1], u[0]))),),
-        inner=lambda A, a: (
-            linalg.mat_neg(A.field, A.right_matrix_basis(A.bracket_op, a)),
-            A.left_matrix_basis(A.bracket_op, a),
-        ),
+        ops=(("bracket", "dd' - d'd, Dd' - d'D"),),
+        inner=((-1, "R", BRACKET), (1, "L", BRACKET)),
     ),
     "bimultipliers": _Kind(
         ("f", "F"),
         _BIMULTIPLIER_LAWS,
-        # (f,F)(f',F') = (f f', F' F): the second slot composes oppositely
-        ops=(("mul", lambda f, t, u: (_sp_mul(f, t[0], u[0]), _sp_mul(f, u[1], t[1]))),),
+        ops=(("mul", "ff', F'F"),),
         precondition=_require_associative,
-        inner=lambda A, a: (A.left_matrix_basis(0, a), A.right_matrix_basis(0, a)),
+        inner=((1, "L", PRODUCT), (1, "R", PRODUCT)),
     ),
     "multipliers": _Kind(
         ("f",),
         (("multiplier", laws.left_multiplier("f")),),
-        ops=(("mul", lambda f, t, u: (_sp_mul(f, t[0], u[0]),)),),
+        ops=(("mul", "ff'"),),
         precondition=_require_commutative,
-        inner=lambda A, a: (A.left_matrix_basis(0, a),),
+        inner=((1, "L", PRODUCT),),
     ),
     "usga-poisson": _Kind(
         ("f", "F", "d"),
@@ -366,30 +377,9 @@ _KINDS = {
             ("V1", laws.v1("f", "d")),
             ("V2", laws.v2("F", "d")),
         ),
-        ops=(
-            (
-                "mul",
-                lambda f, t, u: (
-                    _sp_mul(f, t[0], u[0]),
-                    _sp_mul(f, u[1], t[1]),
-                    _compose(f, (1, t[0], u[2]), (1, u[1], t[2])),
-                ),
-            ),
-            (
-                "bracket",
-                lambda f, t, u: (
-                    _sp_comm(f, t[0], u[2]),
-                    _sp_comm(f, t[1], u[2]),
-                    _sp_comm(f, t[2], u[2]),
-                ),
-            ),
-        ),
+        ops=(("mul", "ff', F'F, fd' + F'd"), ("bracket", "fd' - d'f, Fd' - d'F, dd' - d'd")),
         precondition=_require_poisson,
-        inner=lambda A, a: (
-            A.left_matrix_basis(0, a),
-            A.right_matrix_basis(0, a),
-            A.left_matrix_basis(1, a),
-        ),
+        inner=((1, "L", PRODUCT), (1, "R", PRODUCT), (1, "L", BRACKET)),
     ),
     "usga-cpoisson": _Kind(
         ("f", "d"),
@@ -399,18 +389,9 @@ _KINDS = {
             ("V2", laws.derivation("d", PRODUCT)),
             ("V1", laws.v1("f", "d")),
         ),
-        ops=(
-            (
-                "mul",
-                lambda f, t, u: (
-                    _sp_mul(f, t[0], u[0]),
-                    _compose(f, (1, t[0], u[1]), (1, u[0], t[1])),
-                ),
-            ),
-            ("bracket", lambda f, t, u: (_sp_comm(f, t[0], u[1]), _sp_comm(f, t[1], u[1]))),
-        ),
+        ops=(("mul", "ff', fd' + f'd"), ("bracket", "fd' - d'f, dd' - d'd")),
         precondition=_require_cpoisson,
-        inner=lambda A, a: (A.left_matrix_basis(0, a), A.left_matrix_basis(1, a)),
+        inner=((1, "L", PRODUCT), (1, "L", BRACKET)),
     ),
 }
 
@@ -466,16 +447,16 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
                 f"computed {kind} basis tuple violates {bad[0]} at {bad[1]}"
             )
     if spec.ops:
-        names, rules = zip(*spec.ops)
         sparse = space._sparse_basis
 
         def product(op, a, b):
-            coords = space._sparse_coords(rules[op](f, sparse[a], sparse[b]))
+            pair = (sparse[a], sparse[b])
+            coords = space._sparse_coords([_compose(f, pair, terms) for terms in spec.terms[op]])
             if coords is None:
                 raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
             return coords
 
-        space.algebra = Algebra.from_products(f, space.dim, names, product)
+        space.algebra = Algebra.from_products(f, space.dim, [name for name, _ in spec.ops], product)
     return space
 
 
@@ -529,9 +510,14 @@ def comm_poisson_usga(V: Algebra) -> OperatorSpace:
 def inner_tuple(A: Algebra, kind: str, a: int) -> tuple:
     """The operator tuple induced by left/right multiplication by e_a."""
     spec = _KINDS.get(kind)
-    if spec is None or spec.inner is None:
+    if spec is None or not spec.inner:
         raise InputError(f"no inner elements defined for kind {kind!r}")
-    return spec.inner(A, a)
+    out = []
+    for sign, side, op in spec.inner:
+        by = A.left_matrix_basis if side == "L" else A.right_matrix_basis
+        M = by(A.bracket_op if op == BRACKET else 0, a)
+        out.append(M if sign > 0 else linalg.mat_neg(A.field, M))
+    return tuple(out)
 
 
 def inner_embedding(space: OperatorSpace) -> ActorMorphism:

@@ -247,6 +247,21 @@ def test_extract_refuses_exactly_what_validate_reports():
     _extension_reports(check)
 
 
+def test_extract_builds_the_base_and_kernel_algebras_once(monkeypatch):
+    # the split check hands extraction the B and X it built: one pullback each
+    E = semidirect(biadjoint_action(builtin("sl2")))
+    pullback, calls = SplitExtension._pullback, []
+
+    def counting(self, *args):
+        calls.append(args[1])
+        return pullback(self, *args)
+
+    monkeypatch.setattr(SplitExtension, "_pullback", counting)
+    action = extract_action(E, "leibniz")
+    assert sorted(calls) == [3, 3]
+    assert action.acting == action.kernel == builtin("sl2")
+
+
 def test_extract_from_permuted_basis_extension():
     # conjugating the total algebra by a basis permutation gives an
     # isomorphic split extension; extraction must recover the same action

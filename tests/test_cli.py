@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -210,6 +211,27 @@ def test_module_entry_point_matches_main():
     proc = subprocess.run([sys.executable, "-m", "algact.cli", *argv], env=env,
                           capture_output=True, cwd=root, timeout=120)
     code, out, _ = run_cli(*argv)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out.encode()
+
+
+def test_main_builds_one_parser_and_keeps_no_state_between_calls(monkeypatch):
+    # after a usage error, main prints what a fresh process prints
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["repro", "--field", "5", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "algact.cli", *argv], env=env,
+                          capture_output=True, cwd=root, timeout=120)
+    init, built = argparse.ArgumentParser.__init__, []
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli("space", "--kind")[0] == 2
+    code, out, _ = run_cli(*argv)
+    assert built.count("algact") <= 1
     assert (proc.returncode, code) == (0, 0)
     assert proc.stdout == out.encode()
 

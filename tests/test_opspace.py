@@ -343,17 +343,11 @@ def test_induced_tensor_matches_raw_composition():
 
 
 def test_escaping_product_raises_closure_error(monkeypatch):
+    # plain composition dd' of two derivations of sl2 is not a derivation
     A = builtin("sl2")
-    n = A.dim
-
-    def identity(f, t, u):  # in the form the rules receive: sparse {row: {col: c}} or dense rows
-        if isinstance(t[0], dict):
-            return ({i: {i: f.one} for i in range(n)},)
-        return (linalg.mat_identity(f, n),)
-
     spec = opspace._KINDS["derivations"]
     monkeypatch.setitem(opspace._KINDS, "derivations",
-                        dataclasses.replace(spec, ops=(("bracket", identity),)))
+                        dataclasses.replace(spec, ops=(("bracket", "dd'"),)))
     with pytest.raises(ClosureError, match=re.escape("escaped the span at basis pair (0, 0)")):
         derivations(A)
 
@@ -526,12 +520,44 @@ def test_inner_embeddings_are_homomorphisms(name, kind):
     assert emb.is_homomorphism
 
 
+# the inner tuple of e_a per kind, written by hand: (sign, side, table) per
+# component, side "L" for x -> e_a x and "R" for x -> x e_a, table 0 for the
+# product and "br" for the bracket (table 1 of a two-operation base, else 0)
+_INNER_SIGNS = {
+    "biderivations": ((-1, "R", "br"), (1, "L", "br")),  # (-ad_a, Ad_a)
+    "bimultipliers": ((1, "L", 0), (1, "R", 0)),
+    "multipliers": ((1, "L", 0),),
+    "usga-poisson": ((1, "L", 0), (1, "R", 0), (1, "L", "br")),
+    "usga-cpoisson": ((1, "L", 0), (1, "L", "br")),
+}
+
+
 def test_inner_tuple_signs():
     # for the bi-adjoint convention the first slot is minus right bracket
     A = builtin("leibniz_2dim_nonlie")
     t = inner_tuple(A, "biderivations", 1)
     assert t[0] == [[F(0), F(-1)], [F(0), F(0)]]  # -ad_{e2}
     assert t[1] == [[F(0), F(1)], [F(0), F(0)]]  # Ad_{e2}
+    # every kind with inner tuples, on every catalog base in its variety
+    checked = Counter()
+    for field, kind in iproduct((Q, GF(3)), _INNER_SIGNS):
+        for name, A, _ in catalog_algebras(field):
+            try:
+                space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            tables, n = oracle.tables(A), A.dim
+            for a in range(n):
+                expected = []
+                for sign, side, table in _INNER_SIGNS[kind]:
+                    c = tables[-1 if table == "br" else 0]
+                    # column j of x -> e_a x is e_a e_j; of x -> x e_a it is e_j e_a
+                    expected.append([[field.of(sign * (c[a][j][r] if side == "L" else c[j][a][r]))
+                                      for j in range(n)] for r in range(n)])
+                assert list(inner_tuple(A, kind, a)) == expected, (field, name, kind, a)
+            checked[field, kind] += 1
+    assert len(checked) == 2 * len(_INNER_SIGNS)
 
 
 # -- commutation and module action ---------------------------------------------------
