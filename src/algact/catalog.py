@@ -28,7 +28,7 @@ from .actions import (
     validate_action,
     zero_action,
 )
-from .errors import InputError, TupleNotInSpace, UnknownName
+from .errors import InputError, ShapeMismatch, TupleNotInSpace, UnknownName
 from .fields import Field, PrimeField, Q
 from .opspace import (
     biderivations,
@@ -66,92 +66,47 @@ def _poisson_abelian(n, field):
     return Algebra.from_entries(field, n, [{}, {}])
 
 
-def _leibniz_2dim_nonlie(field):
-    # [e2, e2] = e1 (0-based: [1,1] -> 0); right Leibniz but not Lie
-    return Algebra.from_entries(field, 2, [{(1, 1, 0): 1}], names=["bracket"])
-
-
-def _lie_2dim_nonabelian(field):
-    # [e1, e2] = e1
-    return Algebra.from_entries(
-        field, 2, [{(0, 1, 0): 1, (1, 0, 0): -1}], names=["bracket"]
-    )
-
-
-def _sl2(field):
-    # basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f, antisymmetric
-    entries = {
-        (0, 1, 2): 1,
-        (1, 0, 2): -1,
-        (2, 0, 0): 2,
-        (0, 2, 0): -2,
-        (2, 1, 1): -2,
-        (1, 2, 1): 2,
-    }
-    return Algebra.from_entries(field, 3, [entries], names=["bracket"])
-
-
-def _heisenberg(field):
-    # [e1, e2] = e3, center spanned by e3
-    return Algebra.from_entries(
-        field, 3, [{(0, 1, 2): 1, (1, 0, 2): -1}], names=["bracket"]
-    )
-
-
-def _assoc_unital_1dim(field):
-    return Algebra.from_entries(field, 1, [{(0, 0, 0): 1}])
-
-
-def _assoc_trunc_poly(field):
-    # basis (1, t) with t^2 = 0
-    return Algebra.from_entries(
-        field, 2, [{(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}]
-    )
-
-
-def _assoc_triangular(field):
-    # span{E11, E12} in 2x2 matrices: associative, noncommutative
-    return Algebra.from_entries(field, 2, [{(0, 0, 0): 1, (0, 1, 1): 1}])
-
-
-def _poisson_triangular(field):
-    # the triangular product with its commutator bracket
-    prod = {(0, 0, 0): 1, (0, 1, 1): 1}
-    br = {(0, 1, 1): 1, (1, 0, 1): -1}
-    return Algebra.from_entries(field, 2, [prod, br])
-
-
-def _poisson_trunc_poly(field):
-    prod = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-    return Algebra.from_entries(field, 2, [prod, {}])
-
-
-def _cpoisson_solv2(field):
-    # zero product, bracket [e1, e2] = e1: a commutative Poisson algebra
-    br = {(0, 1, 0): 1, (1, 0, 0): -1}
-    return Algebra.from_entries(field, 2, [{}, br])
-
-
+# name: (dim, {operation name: {(i, j, k): c}}, tag), c the coefficient of e_k in e_i e_j
+# (0-based); record order fixes leibniz_names, lie_names and so the details of facts (b), (c)
 _ALGEBRAS = {
-    "leibniz_2dim_nonlie": (_leibniz_2dim_nonlie, "leibniz_right"),
-    "lie_2dim_nonabelian": (_lie_2dim_nonabelian, "lie"),
-    "sl2": (_sl2, "lie"),
-    "heisenberg": (_heisenberg, "lie"),
-    "assoc_unital_1dim": (_assoc_unital_1dim, "associative"),
-    "assoc_trunc_poly": (_assoc_trunc_poly, "associative"),
-    "assoc_triangular": (_assoc_triangular, "associative"),
-    "poisson_triangular": (_poisson_triangular, "poisson"),
-    "poisson_trunc_poly": (_poisson_trunc_poly, "poisson"),
-    "cpoisson_solv2": (_cpoisson_solv2, "poisson"),
+    # [e2, e2] = e1: right Leibniz but not Lie
+    "leibniz_2dim_nonlie": (2, {"bracket": {(1, 1, 0): 1}}, "leibniz_right"),
+    # [e1, e2] = e1
+    "lie_2dim_nonabelian": (2, {"bracket": {(0, 1, 0): 1, (1, 0, 0): -1}}, "lie"),
+    # basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f, antisymmetric
+    "sl2": (3, {"bracket": {(0, 1, 2): 1, (1, 0, 2): -1, (2, 0, 0): 2, (0, 2, 0): -2,
+                            (2, 1, 1): -2, (1, 2, 1): 2}}, "lie"),
+    # [e1, e2] = e3, center spanned by e3
+    "heisenberg": (3, {"bracket": {(0, 1, 2): 1, (1, 0, 2): -1}}, "lie"),
+    # the ground field as a unital algebra
+    "assoc_unital_1dim": (1, {"mul": {(0, 0, 0): 1}}, "associative"),
+    # basis (1, t) with t^2 = 0
+    "assoc_trunc_poly": (2, {"mul": {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}}, "associative"),
+    # span{E11, E12} in 2x2 matrices: associative, noncommutative
+    "assoc_triangular": (2, {"mul": {(0, 0, 0): 1, (0, 1, 1): 1}}, "associative"),
+    # the triangular product with its commutator bracket
+    "poisson_triangular": (2, {"mul": {(0, 0, 0): 1, (0, 1, 1): 1},
+                               "bracket": {(0, 1, 1): 1, (1, 0, 1): -1}}, "poisson"),
+    # the truncated polynomial product with zero bracket
+    "poisson_trunc_poly": (2, {"mul": {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+                               "bracket": {}}, "poisson"),
+    # zero product, bracket [e1, e2] = e1: a commutative Poisson algebra
+    "cpoisson_solv2": (2, {"mul": {}, "bracket": {(0, 1, 0): 1, (1, 0, 0): -1}}, "poisson"),
 }
 
 
+def _catalog_algebra(name, field):
+    """The record ``name`` of ``_ALGEBRAS`` as an algebra, with its tag."""
+    dim, ops, tag = _ALGEBRAS[name]
+    return Algebra.from_entries(field, dim, list(ops.values()), names=list(ops)), tag
+
+
 def leibniz_names():
-    return ["leibniz_2dim_nonlie", "lie_2dim_nonabelian", "sl2", "heisenberg"]
+    return [name for name, (_, _, tag) in _ALGEBRAS.items() if tag in ("leibniz_right", "lie")]
 
 
 def lie_names():
-    return ["lie_2dim_nonabelian", "sl2", "heisenberg", "abelian(2)"]
+    return [name for name, (_, _, tag) in _ALGEBRAS.items() if tag == "lie"] + ["abelian(2)"]
 
 
 @dataclass
@@ -186,6 +141,9 @@ class MorphismData:
                 tuple(json_matrix(f, comp, "an image") for comp in json_list(tup, "an image"))
                 for tup in json_list(data["images"], "images")
             ]
+            if len(images) != acting.dim:
+                raise ShapeMismatch(f"{len(images)} images for an acting algebra of "
+                                    f"dimension {acting.dim}; give one per basis element")
             return cls(data["variety"], acting, kernel, images)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed morphism description: {exc}") from exc
@@ -207,21 +165,19 @@ def _metere_morphism(field) -> MorphismData:
 def biadjoint_action(A: Algebra) -> ActionData:
     """The action of a bracket algebra on itself: l = left bracket
     multiplication, r = right bracket multiplication."""
-    br, basis = A.bracket_op, range(A.dim)
-    return ActionData("leibniz", A, A, {
-        "l": [A.left_matrix_basis(br, p) for p in basis],
-        "r": [A.right_matrix_basis(br, q) for q in basis],
-    })
+    return inner_action(A, "leibniz")
 
 
 def inner_action(A: Algebra, variety: str) -> ActionData:
     """The action of an algebra on itself by its own multiplications: l and
-    r by the product, k by the bracket; a ``cpoisson`` action has no r."""
+    r by operation 0 (the product, or the bracket of a Leibniz algebra), k
+    by operation 1 (the bracket of a Poisson algebra); a ``cpoisson`` action
+    has no r."""
     basis = range(A.dim)
     operators = {"l": [A.left_matrix_basis(0, p) for p in basis]}
     if variety != "cpoisson":
         operators["r"] = [A.right_matrix_basis(0, q) for q in basis]
-    if variety != "associative":
+    if variety in ("poisson", "cpoisson"):
         operators["k"] = [A.left_matrix_basis(1, p) for p in basis]
     return ActionData(variety, A, A, operators)
 
@@ -263,8 +219,7 @@ def builtin(name: str, field: Optional[Field] = None):
     if name == "metere_action":
         return _metere_action(field)
     if name in _ALGEBRAS:
-        factory, variety_tag = _ALGEBRAS[name]
-        alg = factory(field)
+        alg, variety_tag = _catalog_algebra(name, field)
         rep = check_identity(alg, variety_tag)
         if not rep.holds:  # pragma: no cover - catalog data is fixed
             raise InputError(f"builtin {name} fails {variety_tag}: {rep.witness}")
@@ -289,8 +244,7 @@ def catalog_algebras(field):
            ("poisson_abelian(1)", _poisson_abelian(1, field), "poisson"),
            ("poisson_abelian(2)", _poisson_abelian(2, field), "poisson")]
     for name in sorted(_ALGEBRAS):
-        factory, tag = _ALGEBRAS[name]
-        out.append((name, factory(field), tag))
+        out.append((name, *_catalog_algebra(name, field)))
     return out
 
 

@@ -10,10 +10,12 @@ from algact.catalog import (
     builtin_names,
     catalog_actions,
     catalog_algebras,
+    leibniz_names,
+    lie_names,
     open_problem_search,
     repro_suite,
 )
-from algact.errors import InputError, UnknownName
+from algact.errors import InputError, ShapeMismatch, UnknownName
 from algact.fields import GF, Q
 
 
@@ -38,6 +40,11 @@ def test_builtin_names_listed():
     names = builtin_names()
     assert "metere_morphism" in names
     assert "sl2" in names
+    for name in names:
+        builtin(name.replace("(n)", "(2)"))
+    # the detail keys of facts (b) and (c) follow these orders
+    assert leibniz_names() == ["leibniz_2dim_nonlie", "lie_2dim_nonabelian", "sl2", "heisenberg"]
+    assert lie_names() == ["lie_2dim_nonabelian", "sl2", "heisenberg", "abelian(2)"]
 
 
 def test_catalog_algebras_pass_their_variety():
@@ -52,6 +59,13 @@ def test_catalog_actions_all_valid():
     for field in (Q, GF(3)):
         for name, act in catalog_actions(field):
             assert validate_action(act).passed, (name, field)
+
+
+def test_morphism_file_needs_one_image_per_acting_basis_element():
+    data = builtin("metere_morphism").to_json_dict()
+    data["images"] *= 3
+    with pytest.raises(ShapeMismatch, match="3 images for an acting algebra of dimension 1"):
+        MorphismData.from_json_dict(data)
 
 
 def test_metere_morphism_roundtrip():

@@ -293,8 +293,12 @@ def test_enumerate_budget_flag(files):
 
 
 def test_usage_error_exit_code():
-    code, _, _ = run_cli("check")  # missing required args
+    code, out, err = run_cli("check")  # missing required args
     assert code == 2
+    assert "usage:" in err and out == ""
+    code, out, err = run_cli("--help")
+    assert code == 0
+    assert "usage:" in out and err == ""
 
 
 def test_unknown_flag_rejected(files):
@@ -321,6 +325,7 @@ def test_check_json_output_roundtrips(files):
 
 F1_GF3 = builtin("abelian(1)", GF(3)).to_json_dict()
 F2_GF3 = builtin("abelian(2)", GF(3)).to_json_dict()
+F0_GF3 = builtin("abelian(0)", GF(3)).to_json_dict()
 P1_GF3 = builtin("poisson_abelian(1)", GF(3)).to_json_dict()
 LIE2_GF3 = builtin("lie_2dim_nonabelian", GF(3)).to_json_dict()
 
@@ -351,6 +356,10 @@ BAD_INPUTS = [
     ("morphism-image-wrong-size", "morphism",
      {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3,
       "images": [[[[1, 0], [0, 1]], [[1]]]]}),
+    ("morphism-five-images-into-a-zero-dimensional-weak-actor", "morphism",
+     {"variety": "leibniz", "acting": F2_GF3, "kernel": F0_GF3, "images": [[[], []]] * 5}),
+    ("morphism-no-images-into-a-zero-dimensional-weak-actor", "morphism",
+     {"variety": "leibniz", "acting": F2_GF3, "kernel": F0_GF3, "images": []}),
     ("negative-sample-count", "hunt", {}),
     ("associative-pair-with-non-associative-kernel", "enumerate",
      {"variety": "associative", "acting": F1_GF3, "kernel": LIE2_GF3}),
