@@ -7,10 +7,11 @@ Leibniz, Lie and Jordan algebras; two operations (product first, bracket
 second) cover Poisson-type algebras.
 
 Identity checking is exhaustive over basis tuples.  Every identity but
-Jordan's is a multilinear law of :mod:`algact.laws`, evaluated there on all
-basis tuples, so vanishing on basis tuples is equivalent to vanishing
-everywhere.  The Jordan identity, cubic in one variable, is written here and
-checked through all of its multihomogeneous components.  Failing checks
+Jordan's is a multilinear law of :mod:`algact.laws`, evaluated there on the
+basis tuples where one of its terms can be nonzero (it vanishes on the
+others), so vanishing on basis tuples is equivalent to vanishing
+everywhere.  The Jordan identity, cubic in one variable, is written here
+and checked through all of its multihomogeneous components.  Failing checks
 always return the lexicographically first witness tuple together with its
 nonzero defect, so reports are reproducible.
 """
@@ -18,7 +19,7 @@ nonzero defect, so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product as iproduct
 from typing import Optional
 
 from . import laws, linalg
@@ -109,19 +110,20 @@ class Algebra:
         return cls(field, dim, ops, labels)
 
     @classmethod
-    def from_products(cls, field, dim, names, product, labels=None):
+    def from_products(cls, field, dim, names, product, labels=None, pairs=None):
         """The algebra whose operation ``op`` (named ``names[op]``) sends
         (e_i, e_j) to the sparse coordinate vector ``product(op, i, j)``, a
         map {k: c}; only its entries are read, and zero values are dropped.
 
-        The rule is called for op, then i, then j, each in increasing order,
-        so the first error it raises is the one at the first such triple.
+        The rule is called for op, then (i, j), each in increasing order,
+        so the first error it raises is the one at the first such triple:
+        on every pair, or with ``pairs`` only on the pairs ``pairs[op]``
+        outside which the product is known to vanish.
         """
         op_entries = [
             [
                 ((i, j, k), c)
-                for i in range(dim)
-                for j in range(dim)
+                for i, j in (iproduct(range(dim), repeat=2) if pairs is None else pairs[op])
                 for k, c in product(op, i, j).items()
             ]
             for op in range(len(names))

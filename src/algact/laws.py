@@ -25,9 +25,10 @@ two ways:
   built once for an algebra, its laws and their operators: it checks the
   operator shapes and turns the matrices into sparse columns once, then
   gives each law's failing basis tuples in lexicographic order, a defect
-  made a dense list only when it is reported.  It serves the self-check of
-  an operator space after construction, the conditions of an action and
-  its acting law, and the identities of an algebra.
+  made a dense list only when it is reported, evaluated without an acting
+  algebra only where some term can be nonzero (:func:`_reach`).  It serves
+  the self-check of an operator space after construction, the conditions
+  of an action and its acting law, and the identities of an algebra.
 * the linear reading, :func:`law_rows`, takes the operators as unknown
   matrices.  Each term holds one ``ON`` node M applied to a node v, inside
   a context C that is linear in M's value, so the term is
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import itemgetter
 
 from . import linalg
 from .errors import ShapeMismatch
@@ -230,10 +232,10 @@ class _Env:
     columns of its matrix for ``ON`` nodes, and to those of each of its
     matrices over the basis of B for ``AT`` nodes) and the env of B."""
 
-    __slots__ = ("f", "groups", "ops", "acting")
+    __slots__ = ("f", "n", "groups", "ops", "acting")
 
     def __init__(self, A, ops=None, acting=None):
-        self.f, self.ops, self.acting = A.field, ops, acting
+        self.f, self.n, self.ops, self.acting = A.field, A.dim, ops, acting
         self.groups = (A.ops[0].groups, A.ops[A.bracket_op].groups)
 
 
@@ -341,6 +343,55 @@ def _value(c):
     return (lambda env, args: {args[c]: env.f.one}) if isinstance(c, int) else c
 
 
+@lru_cache(maxsize=None)
+def _reach(node):
+    """Where ``node`` can be nonzero, compiled once like :func:`_compile`:
+    (its argument indices in the order read, a function of an :class:`_Env`
+    giving {assignment of basis indices to them: support}), read off the
+    nonzero columns of the operators and the nonzero products alone.  The
+    support, the coordinates that can be nonzero, is exact for an operator
+    or a product applied to arguments and all of them further up."""
+    if isinstance(node, int):
+        return (node,), lambda env: {(a,): (a,) for a in range(env.n)}
+    if node[0] == ON:
+        s, (args, reach) = node[1], _reach(node[2])
+        if isinstance(node[2], int):  # the nonzero columns
+            return args, lambda env: {(k,): col for k, col in env.ops[s].items()}
+
+        def on(env):  # some nonzero column of the operator in the support
+            keys, every = env.ops[s].keys(), range(env.n)
+            return {a: every for a, sup in reach(env).items() if not keys.isdisjoint(sup)}
+
+        return args, on
+    g = 1 if node[0] == BRACKET else 0
+    (vu, ru), (vw, rw) = _reach(node[1]), _reach(node[2])
+    if isinstance(node[1], int) and isinstance(node[2], int):  # the nonzero products
+        return vu + vw, lambda env: env.groups[g]
+
+    def product(env):  # some e_i e_j with i, j in the supports is nonzero
+        if not (keys := env.groups[g].keys()):
+            return {}
+        right, every = rw(env).items(), range(env.n)
+        return {a + b: every for a, su in ru(env).items() for b, sw in right
+                if not keys.isdisjoint(iproduct(su, sw))}
+
+    return vu + vw, product
+
+
+def _candidates(env, law):
+    """The basis tuples where some term of ``law``, which reads each argument
+    once, can be nonzero, in lexicographic order."""
+    out, whole = set(), env.n ** _arity(law)
+    for _, node in law:
+        args, reach = _reach(node)
+        keys = reach(env) if list(args) == sorted(args) else map(  # in argument order
+            itemgetter(*map(args.index, range(len(args)))), reach(env))
+        out.update(keys)
+        if len(out) == whole:  # every tuple: the other terms add none
+            return iproduct(range(env.n), repeat=_arity(law))
+    return sorted(out)
+
+
 def failures(A, laws, operators=None, B=None):
     """The one entry point of evaluation: a function that yields, for one
     law of ``laws``, (args, defect) at each basis tuple where it fails, the
@@ -349,9 +400,10 @@ def failures(A, laws, operators=None, B=None):
     ``operators`` maps each slot the laws read to an n x n matrix on A, or
     with B to one such matrix per basis element of B; the shapes are checked
     and the operators turned into sparse columns once, here.  Without B the
-    tuples are the law's basis arguments in A.  With B they are (x, a, b) for
-    a law on two arguments of A, read at each acting element x, and (x, y, a)
-    otherwise.
+    tuples are the law's basis arguments in A where some term can be nonzero
+    (:func:`_candidates`), the defect being zero at every other one.  With B
+    they are (x, a, b) for a law on two arguments of A, read at each acting
+    element x, and (x, y, a) otherwise, every one of them evaluated.
     """
     f, n = A.field, A.dim
     env = _env(A, laws, operators or {}, B)
@@ -360,7 +412,7 @@ def failures(A, laws, operators=None, B=None):
 
     def fails(law):
         if B is None:
-            tuples, defect = iproduct(range(n), repeat=_arity(law)), _defect(env, law)
+            tuples, defect = _candidates(env, law), _defect(env, law)
         elif _on_pairs(law):
             by_x = [_defect(e, law) for e in at_x]
             tuples = iproduct(range(B.dim), range(n), range(n))

@@ -28,9 +28,10 @@ signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
 (:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
 entries, which :func:`space_of_kind` hands as dense rows to
 :func:`algact.linalg.nullspace_basis`.  Its evaluation on sparse vectors is
-the self-check (:func:`defining_defects`), run on every computed basis tuple
+the self-check (:func:`defining_defects`), run on each computed basis tuple
 without the rows.  Every law is bilinear in the two algebra arguments, so
-imposing it on all basis pairs is equivalent to imposing it everywhere.
+imposing it on all basis pairs is equivalent to imposing it everywhere; the
+self-check evaluates only the pairs where some term can be nonzero.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples,
@@ -38,12 +39,14 @@ and the space keeps one sparse copy, each component as ``{row: {col: c}}``.
 The induced operations are stored once, as the space's ``algebra``: a
 structure-constant :class:`~algact.algebra.Algebra` in that basis.  Closure
 and the defining identities are re-verified on the computed basis during
-construction.  The kind's rules compose the sparse tuples, each product
-hands :meth:`~algact.algebra.Algebra.from_products` only its nonzero
-coordinates, and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero
-entries.  Since b_i[p_j] = delta_ij at the pivot columns p_j, the
-coordinates of a product v are its entries v[p_j], and v - sum_i v[p_i] b_i
-vanishes at every pivot column by construction.  Membership is therefore
+construction.  The kind's rules compose the sparse tuples only at the basis
+pairs where a column of some term's left factor is a row of its right one
+(the other products are zero); each product hands
+:meth:`~algact.algebra.Algebra.from_products` only its nonzero coordinates,
+and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero entries.
+Since b_i[p_j] = delta_ij at the pivot columns p_j, the coordinates of a
+product v are its entries v[p_j], and v - sum_i v[p_i] b_i vanishes at
+every pivot column by construction.  Membership is therefore
 checked at the non-pivot columns only, against each basis vector's nonzero
 entries there (its tail); this is the one membership test of a space, used
 by :meth:`OperatorSpace.coords` and :meth:`OperatorSpace.matrix_of` as
@@ -295,6 +298,21 @@ def _compose(f, pair, terms) -> dict:
     return out
 
 
+def _pairs(sparse, terms) -> list:
+    """The basis pairs (a, b), in increasing order, where some term s A B of
+    the parsed rule ``terms`` can be nonzero, a column of A being a row of
+    B; each term composes a component of t with one of u."""
+    keys = [[(M.keys(), set().union(*M.values())) for M in tup] for tup in sparse]  # rows, cols
+    out = set()
+    for _, (side, lb), (_, rb) in (term for part in terms for term in part):
+        t, u, by = (lb, rb, {}) if side == 0 else (rb, lb, {})
+        for b, ks in enumerate(keys):  # u's rows if t is the left factor, else its columns
+            for k in ks[u][side]:
+                by.setdefault(k, []).append(b)
+        out.update((a, b) for a, ks in enumerate(keys) for k in ks[t][1 - side] for b in by.get(k, ()))
+    return sorted(out)
+
+
 # one term of a rule: an optional sign and two component names, each primed for u
 _TERM = r"\s*([+-]?)\s*(\w)('?)(\w)('?)\s*"
 
@@ -307,7 +325,8 @@ class _Kind:
     self-check.  ``ops`` lists (name, rule) for the induced operations, in
     the notation of the module docstring, and ``terms`` holds each rule
     parsed once: per component, the terms (sign, (side, slot), (side, slot)),
-    side 0 for t and 1 for u.  ``inner`` gives the tuple of the basis
+    side 0 for t and 1 for u, each term composing a component of t with one
+    of u as a bilinear operation does.  ``inner`` gives the tuple of the basis
     element e_a, one (sign, side, op) per component: the sign times the
     left ("L") or right ("R") multiplication by e_a under ``PRODUCT`` or
     ``BRACKET``.
@@ -456,7 +475,8 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
                 raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
             return coords
 
-        space.algebra = Algebra.from_products(f, space.dim, [name for name, _ in spec.ops], product)
+        space.algebra = Algebra.from_products(f, space.dim, [name for name, _ in spec.ops], product,
+                                              pairs=[_pairs(sparse, terms) for terms in spec.terms])
     return space
 
 

@@ -343,13 +343,20 @@ def test_induced_tensor_matches_raw_composition():
 
 
 def test_escaping_product_raises_closure_error(monkeypatch):
-    # plain composition dd' of two derivations of sl2 is not a derivation
-    A = builtin("sl2")
+    # plain composition dd' of two derivations is not a derivation: on sl2 it
+    # escapes at the first basis pair, on the sparse heisenberg algebra first
+    # at (0, 3), after pairs whose composites vanish or stay in the span
     spec = opspace._KINDS["derivations"]
+    heisenberg = derivations(builtin("heisenberg"))
+    escaping = [(a, b) for a, b in iproduct(range(heisenberg.dim), repeat=2)
+                if heisenberg.coords((linalg.mat_mul(Q, heisenberg.basis[a][0],
+                                                     heisenberg.basis[b][0]),)) is None]
+    assert escaping[0] == (0, 3)
     monkeypatch.setitem(opspace._KINDS, "derivations",
                         dataclasses.replace(spec, ops=(("bracket", "dd'"),)))
-    with pytest.raises(ClosureError, match=re.escape("escaped the span at basis pair (0, 0)")):
-        derivations(A)
+    for name, pair in (("sl2", (0, 0)), ("heisenberg", (0, 3))):
+        with pytest.raises(ClosureError, match=re.escape(f"escaped the span at basis pair {pair}")):
+            derivations(builtin(name))
 
 
 def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
@@ -424,39 +431,65 @@ def test_self_check_agrees_with_the_oracle_on_dense_and_mutated_tuples(p):
 
 
 def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
-    # counts of operations, not times: a return to dense vectors fails here
+    # counts of operations, not times: a return to dense vectors or to
+    # evaluating every basis pair or tuple fails here
     field = GF(5)
     A = builtin("abelian(5)", field)
-    from_products, reads = Algebra.from_products.__func__, []
+    from_products, calls = Algebra.from_products.__func__, {}
 
-    def counting_from_products(cls, field, dim, names, product, labels=None):
+    def counting_from_products(cls, field, dim, names, product, labels=None, pairs=None):
         def rule(op, i, j):
-            coords = product(op, i, j)
-            reads.append(len(coords))
+            calls[op, i, j] = coords = product(op, i, j)
             return coords
 
-        return from_products(cls, field, dim, names, rule, labels)
+        return from_products(cls, field, dim, names, rule, labels, pairs)
 
     monkeypatch.setattr(Algebra, "from_products", classmethod(counting_from_products))
     space = biderivations(A)
-    assert len(reads) == space.dim ** 2
+    # the basis is the unit tuples (E_ij, 0) and (0, E_ij); the bracket
+    # (dd' - d'd, Dd' - d'D) is called only on pairs where a term composes
+    # two units E_ij E_jk, so supports are exact and no call is wasted ...
+    assert 0 < len(calls) < space.dim ** 2
+    units = [next((b, r, c) for b, M in enumerate(t) for r, c in iproduct(range(5), repeat=2)
+                  if M[r][c]) for t in space.basis]
+    for (_, a, b), coords in calls.items():
+        (_, ra, ca), (bb, rb, cb) = units[a], units[b]
+        assert bb == 0 and (ca == rb or cb == ra), (a, b)
+        # ... and the product is nonzero, but where t holds E_ii and u is
+        # (E_ii, 0): there the two terms E_ii E_ii - E_ii E_ii cancel
+        assert bool(coords) != (ra == ca == rb == cb), (a, b)
     # the induced tensor reads only the nonzero coordinates of each product
-    assert sum(reads) == sum(len(op.sorted_entries()) for op in space.algebra.ops) > 0
+    assert sum(map(len, calls.values())) == sum(len(op.sorted_entries())
+                                               for op in space.algebra.ops)
 
-    counts = Counter()
+    counts, defect = Counter(), laws._defect
+
+    def counting_defect(env, law):
+        fn = defect(env, law)
+
+        def counted(args):
+            counts["defect"] += 1
+            return fn(args)
+
+        return counted
+
+    monkeypatch.setattr(laws, "_defect", counting_defect)
     for name in ("mul", "add"):
         def counting(self, a, b, name=name, orig=getattr(type(field), name)):
             counts[name] += 1
             return orig(self, a, b)
 
         monkeypatch.setattr(type(field), name, counting)
-    # every product of an abelian base is empty, so the self-check adds and
-    # multiplies nothing
+    # every product of an abelian base is empty, so the self-check evaluates
+    # no law at any argument tuple and adds and multiplies nothing
     for tup in space.basis:
         assert next(defining_defects("biderivations", A, tup), None) is None
     assert counts == Counter()
     biderivations(A)
     assert counts["mul"] > 0  # the counters count
+    M = builtin("leibniz_2dim_nonlie", field)
+    next(defining_defects("biderivations", M, biderivations(M).basis[0]), None)
+    assert counts["defect"] > 0
 
 
 def test_evaluator_refuses_a_missing_or_misshapen_operator():
