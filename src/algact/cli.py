@@ -67,6 +67,8 @@ def _parse_field(text: str) -> Field:
     if text in ("Q", "q"):
         return Q
     try:
+        if not (text.isascii() and text.isdigit()):  # no sign, space, "_" or other digits
+            raise ValueError
         return GF(int(text))
     except ValueError:
         raise InputError(f"field must be Q or an odd prime, got {text!r}") from None

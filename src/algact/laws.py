@@ -29,6 +29,14 @@ two ways:
   algebra only where some term can be nonzero (:func:`_reach`).  It serves
   the self-check of an operator space after construction, the conditions
   of an action and its acting law, and the identities of an algebra.
+  Without an acting algebra over Q it evaluates on integers
+  (:func:`_over_ints`): every term of such a law reads each of its
+  arguments once, so it holds exactly ``arity - 1`` product or bracket
+  nodes, and every term holds the same number of ``ON`` nodes (0 or 1).
+  With the operator entries cleared of denominators by one common lambda
+  and the constants of both operations by one common mu, every term, so
+  the defect, scales by lambda^on mu^(arity - 1), and a defect vanishes
+  exactly when its scaled form does; a failing one is divided back.
 * the linear reading, :func:`law_rows`, takes the operators as unknown
   matrices.  Each term holds one ``ON`` node M applied to a node v, inside
   a context C that is linear in M's value, so the term is
@@ -38,6 +46,7 @@ two ways:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import itemgetter
@@ -209,10 +218,10 @@ def _arity(law) -> int:
 
 
 @lru_cache(maxsize=None)
-def _on_pairs(law) -> bool:
-    """Whether ``law`` is a law on two kernel arguments, read at each acting
-    element: it applies operators by ``ON``, not ``AT``."""
-    return any(n[0] == ON for _, node in law for n in _subnodes(node) if not isinstance(n, int))
+def _ons(law) -> int:
+    """The number of ``ON`` nodes in each term of ``law``; with B, a law that
+    has them is a law on two kernel arguments, read at each acting element."""
+    return sum(1 for n in _subnodes(law[0][1]) if not isinstance(n, int) and n[0] == ON)
 
 
 @lru_cache(maxsize=None)
@@ -232,11 +241,22 @@ class _Env:
     columns of its matrix for ``ON`` nodes, and to those of each of its
     matrices over the basis of B for ``AT`` nodes) and the env of B."""
 
-    __slots__ = ("f", "n", "groups", "ops", "acting")
+    __slots__ = ("f", "n", "groups", "ops", "acting", "scale")
 
     def __init__(self, A, ops=None, acting=None):
-        self.f, self.n, self.ops, self.acting = A.field, A.dim, ops, acting
+        self.f, self.n, self.ops, self.acting, self.scale = A.field, A.dim, ops, acting, None
         self.groups = (A.ops[0].groups, A.ops[A.bracket_op].groups)
+
+
+def _over_ints(env) -> _Env:
+    """``env`` without an acting algebra read on integers over Q: the
+    operators times one common lambda and both operations times one common
+    mu, with ``scale`` = (lambda, mu).  Over GF(p) ``env`` itself."""
+    if env.f.char == 0:
+        lam, cols = linalg.cleared_maps(list(env.ops.values()))
+        mu, env.groups = linalg.cleared_maps(env.groups)
+        env.ops, env.scale = dict(zip(env.ops, cols)), (lam, mu)
+    return env
 
 
 def _env(A, laws, operators, B=None) -> _Env:
@@ -401,19 +421,24 @@ def failures(A, laws, operators=None, B=None):
     with B to one such matrix per basis element of B; the shapes are checked
     and the operators turned into sparse columns once, here.  Without B the
     tuples are the law's basis arguments in A where some term can be nonzero
-    (:func:`_candidates`), the defect being zero at every other one.  With B
-    they are (x, a, b) for a law on two arguments of A, read at each acting
-    element x, and (x, y, a) otherwise, every one of them evaluated.
+    (:func:`_candidates`), the defect being zero at every other one, and
+    over Q the operators and defects are Fractions but the evaluation runs
+    on integers (:func:`_over_ints`).  With B they are (x, a, b) for a law
+    on two arguments of A, read at each acting element x, and (x, y, a)
+    otherwise, every one of them evaluated.
     """
     f, n = A.field, A.dim
     env = _env(A, laws, operators or {}, B)
-    if B is not None:
+    if B is None:
+        env = _over_ints(env)
+    else:
         at_x = [_Env(A, {s: cols[x] for s, cols in env.ops.items()}) for x in range(B.dim)]
 
-    def fails(law):
+    def fails(law):  # over Q without B, each term is lambda^on mu^(arity - 1) times its value
+        scale = env.scale and env.scale[0] ** _ons(law) * env.scale[1] ** (_arity(law) - 1)
         if B is None:
             tuples, defect = _candidates(env, law), _defect(env, law)
-        elif _on_pairs(law):
+        elif _ons(law):
             by_x = [_defect(e, law) for e in at_x]
             tuples = iproduct(range(B.dim), range(n), range(n))
             defect = lambda args: by_x[args[0]](args[1:])
@@ -422,6 +447,8 @@ def failures(A, laws, operators=None, B=None):
         for args in tuples:
             d = defect(args)
             if any(d.values()):  # scalars are canonical
+                if scale:
+                    d = {k: Fraction(x, scale) for k, x in d.items()}
                 yield args, [d.get(k, f.zero) for k in range(n)]
 
     return fails
@@ -458,9 +485,11 @@ def law_rows(A, law, blocks):
 
     The operator in slot s is the unknown n x n matrix stored row-major from
     index ``blocks[s] * n * n``.  Forms come per basis tuple in
-    lexicographic order, one per output coordinate.
+    lexicographic order, one per output coordinate.  Over Q they are read on
+    integers: every form of one basis tuple is then mu^(arity - 1) times the
+    true one (:func:`_over_ints`), which spans the same nullspace.
     """
-    f, n, env = A.field, A.dim, _Env(A)
+    f, n, env = A.field, A.dim, _over_ints(_Env(A, {}))
     arity = _arity(law)
     terms = []
     for sign, node in law:

@@ -188,13 +188,24 @@ def _int_row(row, p: int) -> dict:
     GF(p), a primitive integer multiple of the row over Q (p = 0)."""
     if p:
         return {c: v for c, x in enumerate(row) if (v := x % p)}
-    r = {c: x for c, x in enumerate(row) if x}
-    if not r:
-        return r
-    den = lcm(*(x.denominator for x in r.values()))
-    r = {c: x.numerator * (den // x.denominator) for c, x in r.items()}
+    _, (r,) = cleared([{c: x for c, x in enumerate(row) if x}])
     g = gcd(*r.values())
-    return {c: x // g for c, x in r.items()} if g != 1 else r
+    return {c: x // g for c, x in r.items()} if g > 1 else r
+
+
+def cleared(vectors) -> tuple[int, list]:
+    """(den, the vectors): sparse rational vectors {k: x} with every entry
+    times den, the least common denominator of them all, as an int."""
+    den = lcm(*(x.denominator for v in vectors for x in v.values()))
+    return den, [{k: x.numerator * (den // x.denominator) for k, x in v.items()} for v in vectors]
+
+
+def cleared_maps(maps) -> tuple[int, list]:
+    """(den, the maps): maps {key: sparse vector} over Q cleared as by
+    :func:`cleared`, with one den for them all."""
+    den, vectors = cleared([v for m in maps for v in m.values()])
+    it = iter(vectors)
+    return den, [{key: next(it) for key in m} for m in maps]
 
 
 def _normalise_lead(r: dict, c: int, p: int) -> dict:

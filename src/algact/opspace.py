@@ -39,16 +39,22 @@ and the space keeps one sparse copy, each component as ``{row: {col: c}}``.
 The induced operations are stored once, as the space's ``algebra``: a
 structure-constant :class:`~algact.algebra.Algebra` in that basis.  Closure
 and the defining identities are re-verified on the computed basis during
-construction.  The kind's rules compose the sparse tuples only at the basis
-pairs where a column of some term's left factor is a row of its right one
-(the other products are zero); each product hands
+construction.  Over Q the scalars in and out are Fractions, but both
+checks run on integers: the self-check through :func:`algact.laws.failures`,
+and the products on each basis tuple cleared of denominators once (times
+lambda_t), so only a coordinate that is reported is divided back.  The
+kind's rules compose the sparse tuples only at the basis pairs where a
+column of some term's left factor is a row of its right one (the other
+products are zero); each product hands
 :meth:`~algact.algebra.Algebra.from_products` only its nonzero coordinates,
 and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero entries.
 Since b_i[p_j] = delta_ij at the pivot columns p_j, the coordinates of a
 product v are its entries v[p_j], and v - sum_i v[p_i] b_i vanishes at
 every pivot column by construction.  Membership is therefore
 checked at the non-pivot columns only, against each basis vector's nonzero
-entries there (its tail); this is the one membership test of a space, used
+entries there (its tail), for an integer product over Q as
+L v - sum_i v[p_i] (L b_i) with the tails times one common L; this is the
+one membership test of a space, used
 by :meth:`OperatorSpace.coords` and :meth:`OperatorSpace.matrix_of` as
 well, and the shape check of :meth:`OperatorSpace.coords` covers both.
 
@@ -69,6 +75,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from . import laws, linalg
@@ -159,11 +166,13 @@ class OperatorSpace:
         coords = self._sparse_coords([linalg.mat_sparse(M) for M in tup])
         return None if coords is None else [coords.get(t, self.field.zero) for t in range(self.dim)]
 
-    def _sparse_coords(self, tup):
+    def _sparse_coords(self, tup, tails=None):
         """The nonzero coordinates {t: c} of a tuple of sparse matrices: its
         nonzero entries at the pivots, or None unless v - sum_t c_t b_t
-        vanishes off them."""
+        vanishes off them.  Over Q, ``tails`` = (L, the tails times L as
+        ints) tests an integer tuple v as L v - sum_t c_t (L b_t)."""
         f, n, index = self.field, self.base.dim, self._pivot_index
+        L, tails = tails or (1, self._tails)
         coords, residue = {}, {}
         for b, M in enumerate(tup):
             for r, row in M.items():
@@ -173,9 +182,11 @@ class OperatorSpace:
                         residue[col] = x
                     elif x:  # scalars are canonical
                         coords[index[col]] = x
+        if L != 1:
+            residue = {col: L * x for col, x in residue.items()}
         for t, a in coords.items():
-            for col, y in self._tails[t].items():
-                residue[col] = f.sub(residue.get(col, f.zero), f.mul(a, y))
+            for col, y in tails[t].items():
+                residue[col] = f.sub(residue.get(col, 0), f.mul(a, y))
         return None if any(residue.values()) else coords
 
     def matrix_of(self, tuples) -> list:
@@ -466,13 +477,19 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
                 f"computed {kind} basis tuple violates {bad[0]} at {bad[1]}"
             )
     if spec.ops:
-        sparse = space._sparse_basis
+        sparse, tails = space._sparse_basis, None
+        if f.char == 0:  # on integers: tuple t times lam[t], the tails times one L
+            lam, sparse = zip(*map(linalg.cleared_maps, sparse)) if sparse else ((), ())
+            tails = linalg.cleared(space._tails)
 
         def product(op, a, b):
             pair = (sparse[a], sparse[b])
-            coords = space._sparse_coords([_compose(f, pair, terms) for terms in spec.terms[op]])
+            coords = space._sparse_coords([_compose(f, pair, terms) for terms in spec.terms[op]],
+                                          tails)
             if coords is None:
                 raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
+            if tails:  # the product of the integer tuples is lam[a] lam[b] times the true one
+                coords = {t: Fraction(c, lam[a] * lam[b]) for t, c in coords.items()}
             return coords
 
         space.algebra = Algebra.from_products(f, space.dim, [name for name, _ in spec.ops], product,

@@ -86,6 +86,19 @@ def test_multiply_bilinear(vals):
 # -- identity checking ---------------------------------------------------------
 
 
+def test_check_identity_reports_the_exact_rational_defect():
+    # e0 e0 = 1/2 e1, e1 e0 = 1/3 e0: at (0, 0, 0),
+    # (e0 e0) e0 - e0 (e0 e0) = 1/2 e1 e0 - 1/2 e0 e1 = 1/6 e0, and at (0, 1)
+    # e0 e1 - e1 e0 = -1/3 e0, though the evaluation runs on e0 e0 = 3 e1,
+    # e1 e0 = 2 e0
+    A = Algebra.from_entries(Q, 2, [{(0, 0, 1): Fraction(1, 2), (1, 0, 0): Fraction(1, 3)}])
+    rep = check_identity(A, "associative")
+    assert (rep.holds, rep.witness, rep.defect) == (False, (0, 0, 0), [Fraction(1, 6), 0])
+    rep = check_identity(A, "commutative")
+    assert (rep.holds, rep.witness, rep.defect) == (False, (0, 1), [Fraction(-1, 3), 0])
+    assert all(type(c) is Fraction for c in rep.defect)
+
+
 def test_abelian_two_op_is_poisson():
     A = builtin("poisson_abelian(2)")
     assert check_identity(A, "poisson").holds

@@ -201,6 +201,9 @@ def test_repro_field_choice():
     code, out, _ = run_cli("repro", "--field", "5")
     assert code == 0
     assert "overall: pass" in out
+    # only Q, q or ASCII digits name a field: no space, "_", sign or other digits
+    for text in (" 5", "0_5", "+5", "\u0665"):
+        assert run_cli("repro", "--field", text)[0] == 2, text
 
 
 def test_module_entry_point_matches_main():

@@ -7,18 +7,25 @@ package's linear algebra: with new basis vectors e'_a = sum_i M[i][a] e_i,
 the structure constants become c'_ab = M^-1 (sum_ij M[i][a] M[j][b] c_ij).
 An action's operators change with the bases of both algebras: with
 e'_p = sum_q N[q][p] e_q in B and M in X, L'_p = M^-1 (sum_q N[q][p] L_q) M.
+
+Q and GF(p) must also agree wherever p divides no denominator that appears:
+the reduction mod p of a rational, x = a/b to a b^-1 mod p, is written here
+as well.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from algact.actions import ActionData, enumerate_actions, validate_action
-from algact.algebra import Algebra
+from algact.algebra import IDENTITY_TAGS, Algebra, check_identity
 from algact.catalog import builtin, catalog_actions, catalog_algebras
 from algact.errors import AlgactError
-from algact.fields import GF
+from algact.fields import GF, Q
 from algact.opspace import SPACE_KINDS, space_of_kind
+
+from test_opspace import _rebased_matrix_algebras
 
 P = 3
 
@@ -164,3 +171,65 @@ def test_operator_space_invariant_under_change_of_basis(name, kind):
     rng = random.Random(f"{name}|{kind}")
     for _ in range(2):
         assert _space_dim_or_refusal(_rebased(A, rng), kind) == expected
+
+
+def _mod(x, p):
+    """The rational x mod p, or None if p divides its denominator."""
+    x = Fraction(x)
+    return None if x.denominator % p == 0 else x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _constants(A, p=None):
+    """Each operation of A as {(i, j, k): c}, reduced mod p if p is given;
+    None if p divides a denominator."""
+    out = []
+    for op in A.ops:
+        entries = {}
+        for (i, j, k), c in op.sorted_entries():
+            c = c if p is None else _mod(c, p)
+            if c is None:
+                return None
+            if c:
+                entries[(i, j, k)] = c
+        out.append(entries)
+    return out
+
+
+def _space_or_none(A, kind):
+    try:
+        return space_of_kind(A, kind)
+    except AlgactError:
+        return None  # the base is outside the kind's variety
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_q_and_gf_p_agree_where_p_divides_no_denominator(p):
+    # the same integer constants over Q and over GF(p): reducing the Q
+    # basis and its induced constants mod p gives the GF(p) space exactly,
+    # when p divides none of their denominators and the dimensions agree
+    pairs = [(name, A, B) for (name, A, _), (_, B, _) in
+             zip(catalog_algebras(Q), catalog_algebras(GF(p)))]
+    pairs += [(name, A, B) for (name, A), (_, B) in
+              zip(_rebased_matrix_algebras(Q, "T2 M2"), _rebased_matrix_algebras(GF(p), "T2 M2"))]
+    compared = 0
+    for name, A, B in pairs:
+        assert _constants(A, p) == _constants(B), name  # B is A mod p
+        for tag in IDENTITY_TAGS:
+            if tag != "poisson" or A.num_ops == 2:
+                assert check_identity(B, tag).holds or not check_identity(A, tag).holds, (name, tag)
+        for kind in SPACE_KINDS:
+            space, modp = _space_or_none(A, kind), _space_or_none(B, kind)
+            if space is None or modp is None or space.dim != modp.dim:
+                continue
+            basis = [tuple([[_mod(x, p) for x in row] for row in M] for M in t)
+                     for t in space.basis]
+            if any(x is None for t in basis for M in t for row in M for x in row):
+                continue
+            if space.algebra is None:
+                assert basis == modp.basis, (name, kind)
+                compared += 1
+            elif (constants := _constants(space.algebra, p)) is not None:
+                assert basis == modp.basis, (name, kind)
+                assert constants == _constants(modp.algebra), (name, kind)
+                compared += 1
+    assert compared > 50, compared

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from algact import laws, linalg, opspace
-from algact.algebra import Algebra, check_identity
+from algact.algebra import _IDENTITIES, Algebra, check_identity
 from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
     ClosureError,
@@ -199,13 +199,59 @@ def test_basis_tuples_satisfy_identities_explicitly():
         assert next(defining_defects("biderivations", A, tup), None) is None
 
 
+def _leaves(node):
+    return [node] if isinstance(node, int) else [
+        leaf for child in node[1:] if not isinstance(child, str) for leaf in _leaves(child)]
+
+
+def _count(node, tags):
+    return 0 if isinstance(node, int) else (node[0] in tags) + sum(
+        _count(child, tags) for child in node[1:] if not isinstance(child, str))
+
+
+def test_laws_evaluated_without_an_acting_algebra_are_homogeneous():
+    # Over Q these laws are evaluated on integers: operators times one
+    # lambda, constants times one mu.  That is exact because every term reads
+    # each argument once, so it holds arity - 1 products or brackets, and
+    # every term of a law holds the same number (0 or 1) of ON nodes.
+    evaluated = [law for spec in opspace._KINDS.values() for _, law in spec.laws]
+    evaluated += [law for parts in _IDENTITIES.values() for _, law in parts]
+    for law in evaluated:
+        arity = 1 + max(leaf for _, node in law for leaf in _leaves(node))
+        shapes = set()
+        for _, node in law:
+            assert sorted(_leaves(node)) == list(range(arity)), law
+            assert _count(node, {laws.AT}) == 0, law
+            shapes.add((_count(node, {laws.ON}), _count(node, {laws.PRODUCT, laws.BRACKET})))
+        assert len(shapes) == 1 and shapes.pop() in {(0, arity - 1), (1, arity - 1)}, law
+
+
+# s_i of a diagonal change of basis e_i -> s_i e_i, so that constants are not integers
+_SCALES = (Fraction(1, 2), Fraction(3), Fraction(2, 5), Fraction(-7, 3), Fraction(5, 4))
+
+
+def _rescaled(A):
+    """A in the basis f_i = s_i e_i: f_i f_j = sum_k (s_i s_j / s_k) c_ijk f_k."""
+    s = _SCALES
+    return Algebra.from_entries(
+        A.field, A.dim,
+        [{(i, j, k): s[i] * s[j] / s[k] * c for (i, j, k), c in op.sorted_entries()}
+         for op in A.ops],
+        names=[op.name for op in A.ops])
+
+
 @pytest.mark.parametrize("field", [Q, GF(5)], ids=repr)
 def test_rows_and_self_check_cut_out_the_same_space(field):
     # The laws are linear in the operator tuple, so the defects of the unit
     # tuples are the columns of the evaluated system; its nullspace must be
-    # the space that the linear reading of the same laws produced.
-    checked = 0
-    for name, A, _ in catalog_algebras(field):
+    # the space that the linear reading of the same laws produced.  Over Q
+    # the catalog also comes rescaled, with constants that are not integers.
+    checked, cases = 0, catalog_algebras(field)
+    if field == Q:
+        cases += [(name + "*s", _rescaled(A), tag) for name, A, tag in cases]
+        assert any(c.denominator > 1 for _, A, _ in cases for op in A.ops
+                   for _, c in op.sorted_entries())
+    for name, A, _ in cases:
         for kind in SPACE_KINDS:
             try:
                 space = space_of_kind(A, kind)
@@ -316,6 +362,9 @@ def _induced_tensor_cases():
         yield Q, name, builtin(name)
     for name, A in _rebased_matrix_algebras(Q, "T2 M2"):
         yield Q, name, A
+        yield Q, name + "*s", _rescaled(A)
+    for name, A, _ in catalog_algebras(Q):
+        yield Q, name + "*s", _rescaled(A)
 
 
 def test_induced_tensor_matches_raw_composition():
@@ -357,6 +406,17 @@ def test_escaping_product_raises_closure_error(monkeypatch):
     for name, pair in (("sl2", (0, 0)), ("heisenberg", (0, 3))):
         with pytest.raises(ClosureError, match=re.escape(f"escaped the span at basis pair {pair}")):
             derivations(builtin(name))
+
+
+def test_self_check_reports_the_exact_rational_defect():
+    # e0 e0 = 1/2 e1, e1 e0 = 1/3 e0 and d = 1/5 E_00: at (0, 0),
+    # d(e0 e0) - d(e0) e0 - e0 d(e0) = 0 - 1/10 e1 - 1/10 e1 = -1/5 e1,
+    # though the evaluation runs on d = E_00, e0 e0 = 3 e1, e1 e0 = 2 e0
+    A = Algebra.from_entries(Q, 2, [{(0, 0, 1): Fraction(1, 2), (1, 0, 0): Fraction(1, 3)}])
+    d = [[Fraction(1, 5), Fraction(0)], [Fraction(0), Fraction(0)]]
+    hit = next(defining_defects("derivations", A, (d,)))
+    assert hit == ("derivation", (0, 0), [0, Fraction(-1, 5)])
+    assert all(type(c) is Fraction for c in hit[2])
 
 
 def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
