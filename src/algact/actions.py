@@ -587,7 +587,7 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
             u, w = (s, i) if left else (i, s)
             return E._kernel_coords(E.total.multiply(op, u, w), "operator value leaves the kernel")
 
-        return [linalg.mat_from_cols(f, [col(s, i) for i in i_cols], nx) for s in s_cols]
+        return [linalg.mat_from_cols([col(s, i) for i in i_cols], nx) for s in s_cols]
 
     # l and r come from operation 0: the product, or the Leibniz bracket of a
     # one-operation total algebra

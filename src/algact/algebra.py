@@ -176,12 +176,12 @@ class Algebra:
     def left_matrix_basis(self, op_index: int, a: int):
         """Matrix of x -> e_a . x."""
         cols = [self.mul_basis(op_index, a, j) for j in range(self.dim)]
-        return linalg.mat_from_cols(self.field, cols, self.dim)
+        return linalg.mat_from_cols(cols, self.dim)
 
     def right_matrix_basis(self, op_index: int, a: int):
         """Matrix of x -> x . e_a."""
         cols = [self.mul_basis(op_index, i, a) for i in range(self.dim)]
-        return linalg.mat_from_cols(self.field, cols, self.dim)
+        return linalg.mat_from_cols(cols, self.dim)
 
     # -- serialization -------------------------------------------------------
 

@@ -29,19 +29,26 @@ two ways:
   algebra only where some term can be nonzero (:func:`_reach`).  It serves
   the self-check of an operator space after construction, the conditions
   of an action and its acting law, and the identities of an algebra.
-  Without an acting algebra over Q it evaluates on integers
-  (:func:`_over_ints`): every term of such a law reads each of its
-  arguments once, so it holds exactly ``arity - 1`` product or bracket
-  nodes, and every term holds the same number of ``ON`` nodes (0 or 1).
-  With the operator entries cleared of denominators by one common lambda
-  and the constants of both operations by one common mu, every term, so
-  the defect, scales by lambda^on mu^(arity - 1), and a defect vanishes
-  exactly when its scaled form does; a failing one is divided back.
 * the linear reading, :func:`law_rows`, takes the operators as unknown
   matrices.  Each term holds one ``ON`` node M applied to a node v, inside
   a context C that is linear in M's value, so the term is
   ``sum_{k,j} M[k][j] v_j C(e_k)``: linear forms over the entries of M whose
   coefficients v and C(e_k) are themselves evaluations.
+
+Both readings run one kernel for both fields, Python's own ``+ - *`` on
+the scalars they hold.  Over GF(p) these are residues, and what they make
+is left unreduced until a defect or a form is complete; that is reduced
+mod p once (:func:`algact.linalg.reduced`), so whatever leaves the module
+is a canonical residue.  A term holds at most three products of residues
+summed over n, so the ints stay small.  Over Q the acting path runs on
+Fractions, and the rest on integers (:func:`_over_ints`): every term of a
+law without an acting algebra reads each argument once, so it holds
+exactly ``arity - 1`` product or bracket nodes and as many ``ON`` nodes as
+every other term (0 or 1).  With the operator entries cleared of
+denominators by one common lambda and the constants of both operations by
+one common mu, every term, so the defect, scales by
+lambda^on mu^(arity - 1), and a defect vanishes exactly when its scaled
+form does; a failing one is divided back.
 """
 
 from __future__ import annotations
@@ -235,16 +242,17 @@ _ZERO = {}  # the zero vector, shared and never written to
 
 
 class _Env:
-    """What a compiled node reads: the field and the nonzero structure
-    constants of the product and bracket of the algebra it is evaluated in,
-    the operators as sparse columns {col: {row: c}} (a map from slot to the
-    columns of its matrix for ``ON`` nodes, and to those of each of its
-    matrices over the basis of B for ``AT`` nodes) and the env of B."""
+    """What a compiled node reads: the characteristic p (0 for Q), the
+    nonzero structure constants of the product and bracket of the algebra it
+    is evaluated in, the operators as sparse columns {col: {row: c}} (a map
+    from slot to the columns of its matrix for ``ON`` nodes, and to those of
+    each of its matrices over the basis of B for ``AT`` nodes) and the env
+    of B."""
 
-    __slots__ = ("f", "n", "groups", "ops", "acting", "scale")
+    __slots__ = ("p", "n", "groups", "ops", "acting", "scale")
 
     def __init__(self, A, ops=None, acting=None):
-        self.f, self.n, self.ops, self.acting, self.scale = A.field, A.dim, ops, acting, None
+        self.p, self.n, self.ops, self.acting, self.scale = A.field.char, A.dim, ops, acting, None
         self.groups = (A.ops[0].groups, A.ops[A.bracket_op].groups)
 
 
@@ -252,7 +260,7 @@ def _over_ints(env) -> _Env:
     """``env`` without an acting algebra read on integers over Q: the
     operators times one common lambda and both operations times one common
     mu, with ``scale`` = (lambda, mu).  Over GF(p) ``env`` itself."""
-    if env.f.char == 0:
+    if env.p == 0:
         lam, cols = linalg.cleared_maps(list(env.ops.values()))
         mu, env.groups = linalg.cleared_maps(env.groups)
         env.ops, env.scale = dict(zip(env.ops, cols)), (lam, mu)
@@ -276,20 +284,20 @@ def _env(A, laws, operators, B=None) -> _Env:
     return _Env(A, ops, None if B is None else _Env(B))
 
 
-def _lincomb(f, terms) -> dict:
-    """sum c v over the pairs (c, v) of a scalar and a sparse vector or None."""
-    mul, add, out = f.mul, f.add, {}
+def _lincomb(terms) -> dict:
+    """sum c v over the pairs (c, v) of a scalar and a sparse vector or None,
+    unreduced."""
+    out = {}
     for c, v in terms:
         if v:
             for k, y in v.items():
-                y = mul(c, y)
-                out[k] = add(out[k], y) if k in out else y
+                out[k] = out[k] + c * y if k in out else c * y
     return out
 
 
-def _apply(f, cols, v) -> dict:
+def _apply(cols, v) -> dict:
     """The matrix with sparse columns ``cols`` applied to the sparse v."""
-    return _lincomb(f, ((x, cols.get(j)) for j, x in v.items()))
+    return _lincomb((x, cols.get(j)) for j, x in v.items())
 
 
 @lru_cache(maxsize=None)
@@ -308,59 +316,58 @@ def _compile(node):
         s, u = node[1], _compile(node[2])
         if isinstance(u, int):
             return lambda env, args: env.ops[s].get(args[u], _ZERO)
-        return lambda env, args: _apply(env.f, env.ops[s], u(env, args))
+        return lambda env, args: _apply(env.ops[s], u(env, args))
     if tag == AT:
         s, x, u = node[1], _compile(node[2]), _compile(node[3])
         if isinstance(x, int) and isinstance(u, int):
             return lambda env, args: env.ops[s][args[x]].get(args[u], _ZERO)
         if isinstance(x, int):
-            return lambda env, args: _apply(env.f, env.ops[s][args[x]], u(env, args))
+            return lambda env, args: _apply(env.ops[s][args[x]], u(env, args))
         if isinstance(u, int):  # sum_p x_p S_p(u)
             return lambda env, args: _lincomb(
-                env.f, ((c, env.ops[s][p].get(args[u])) for p, c in x(env.acting, args).items()))
-        return lambda env, args: _lincomb(env.f, ((c, _apply(env.f, env.ops[s][p], u(env, args)))
-                                                  for p, c in x(env.acting, args).items()))
+                (c, env.ops[s][p].get(args[u])) for p, c in x(env.acting, args).items())
+        return lambda env, args: _lincomb((c, _apply(env.ops[s][p], u(env, args)))
+                                          for p, c in x(env.acting, args).items())
     g = 1 if tag == BRACKET else 0
     u, w = _compile(node[1]), _compile(node[2])
     if isinstance(u, int) and isinstance(w, int):
         return lambda env, args: env.groups[g].get((args[u], args[w]), _ZERO)
     if isinstance(u, int):  # e_i . w needs no product of coefficients
         return lambda env, args: _lincomb(
-            env.f, ((y, env.groups[g].get((args[u], j))) for j, y in w(env, args).items()))
+            (y, env.groups[g].get((args[u], j))) for j, y in w(env, args).items())
     if isinstance(w, int):
         return lambda env, args: _lincomb(
-            env.f, ((x, env.groups[g].get((i, args[w]))) for i, x in u(env, args).items()))
+            (x, env.groups[g].get((i, args[w]))) for i, x in u(env, args).items())
 
     def product(env, args):
-        f, groups, wv = env.f, env.groups[g], w(env, args)
-        return _lincomb(f, ((f.mul(x, y), grp) for i, x in u(env, args).items()
-                            for j, y in wv.items() if (grp := groups.get((i, j)))))
+        groups, wv = env.groups[g], w(env, args)
+        return _lincomb((x * y, grp) for i, x in u(env, args).items()
+                        for j, y in wv.items() if (grp := groups.get((i, j))))
 
     return product
 
 
 def _defect(env, law):
-    """The sum of a law's signed terms as a function of the argument tuple,
-    a fresh sparse vector."""
-    add, sub, neg = env.f.add, env.f.sub, env.f.neg
-    terms = [(sign, _value(_compile(node))) for sign, node in law]
+    """The sum of a law's signed terms as a function of the argument tuple:
+    a fresh sparse vector of its nonzero entries, reduced once over GF(p)."""
+    p, terms = env.p, [(sign, _value(_compile(node))) for sign, node in law]
 
     def defect(args):
         acc = {}
         for sign, term in terms:
             for k, y in term(env, args).items():
                 if k in acc:
-                    acc[k] = add(acc[k], y) if sign > 0 else sub(acc[k], y)
+                    acc[k] = acc[k] + y if sign > 0 else acc[k] - y
                 else:
-                    acc[k] = y if sign > 0 else neg(y)
-        return acc
+                    acc[k] = y if sign > 0 else -y
+        return linalg.reduced(acc, p) if acc else acc
 
     return defect
 
 
 def _value(c):
     """A compiled node as a function fn(env, args); a leaf is a unit vector."""
-    return (lambda env, args: {args[c]: env.f.one}) if isinstance(c, int) else c
+    return (lambda env, args: {args[c]: 1}) if isinstance(c, int) else c
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +453,7 @@ def failures(A, laws, operators=None, B=None):
             tuples, defect = iproduct(range(B.dim), range(B.dim), range(n)), _defect(env, law)
         for args in tuples:
             d = defect(args)
-            if any(d.values()):  # scalars are canonical
+            if d:
                 if scale:
                     d = {k: Fraction(x, scale) for k, x in d.items()}
                 yield args, [d.get(k, f.zero) for k in range(n)]
@@ -465,49 +472,33 @@ def _hole(node, hole):
     return on_u or on_w, (node[0], u, w)
 
 
-def _times(f, a, b):
-    """a * b, where None stands for 1."""
-    if a is None:
-        return f.one if b is None else b
-    return a if b is None else f.mul(a, b)
-
-
-def _support(env, c, args):
-    """The nonzero (index, coefficient) pairs of a compiled node's value; a
-    leaf is a unit vector, whose coefficient 1 is given as None."""
-    if isinstance(c, int):
-        return ((args[c], None),)
-    return [(i, x) for i, x in c(env, args).items() if x]  # scalars are canonical
-
-
 def law_rows(A, law, blocks):
     """The nonzero linear forms of ``law`` over unknown operator entries.
 
     The operator in slot s is the unknown n x n matrix stored row-major from
     index ``blocks[s] * n * n``.  Forms come per basis tuple in
-    lexicographic order, one per output coordinate.  Over Q they are read on
-    integers: every form of one basis tuple is then mu^(arity - 1) times the
-    true one (:func:`_over_ints`), which spans the same nullspace.
+    lexicographic order, one per output coordinate, each reduced once over
+    GF(p).  Over Q they are read on integers: every form of one basis tuple
+    is then mu^(arity - 1) times the true one (:func:`_over_ints`), which
+    spans the same nullspace.
     """
-    f, n, env = A.field, A.dim, _over_ints(_Env(A, {}))
+    n, env = A.dim, _over_ints(_Env(A, {}))
     arity = _arity(law)
     terms = []
     for sign, node in law:
         (_, slot, v), context = _hole(node, arity)
-        terms.append((sign, blocks[slot] * n * n, _compile(v), _compile(context)))
+        terms.append((sign, blocks[slot] * n * n, _value(_compile(v)), _value(_compile(context))))
     for args in iproduct(range(n), repeat=arity):
         forms = [{} for _ in range(n)]
         for sign, off, v, context in terms:
             # the term is sum_{k,j} M[k][j] v_j C(e_k)
-            images = [_support(env, context, args + (k,)) for k in range(n)]
-            for j, a in _support(env, v, args):
+            images = [context(env, args + (k,)).items() for k in range(n)]
+            for j, a in v(env, args).items():
+                a = a if sign > 0 else -a
                 for k, image in enumerate(images):
                     idx = off + k * n + j
                     for m, c in image:
-                        c = _times(f, a, c)
-                        c = c if sign > 0 else f.neg(c)
-                        forms[m][idx] = f.add(forms[m][idx], c) if idx in forms[m] else c
+                        forms[m][idx] = forms[m][idx] + a * c if idx in forms[m] else a * c
         for form in forms:
-            form = {idx: c for idx, c in form.items() if not f.is_zero(c)}
-            if form:
+            if form := linalg.reduced(form, env.p):
                 yield form

@@ -124,7 +124,7 @@ def mat_sparse(A) -> dict:
     return {i: row for i, row in rows if row}
 
 
-def mat_from_cols(field: Field, cols: list, rows: int) -> list:
+def mat_from_cols(cols: list, rows: int) -> list:
     return [[col[i] for col in cols] for i in range(rows)]
 
 
@@ -206,6 +206,12 @@ def cleared_maps(maps) -> tuple[int, list]:
     den, vectors = cleared([v for m in maps for v in m.values()])
     it = iter(vectors)
     return den, [{key: next(it) for key in m} for m in maps]
+
+
+def reduced(v: dict, p: int) -> dict:
+    """The entries of a sparse vector {k: x} that are nonzero in the field,
+    reduced mod p over GF(p) and as they are over Q (p = 0)."""
+    return {k: r for k, x in v.items() if (r := x % p if p else x)}
 
 
 def _normalise_lead(r: dict, c: int, p: int) -> dict:

@@ -39,24 +39,25 @@ and the space keeps one sparse copy, each component as ``{row: {col: c}}``.
 The induced operations are stored once, as the space's ``algebra``: a
 structure-constant :class:`~algact.algebra.Algebra` in that basis.  Closure
 and the defining identities are re-verified on the computed basis during
-construction.  Over Q the scalars in and out are Fractions, but both
-checks run on integers: the self-check through :func:`algact.laws.failures`,
-and the products on each basis tuple cleared of denominators once (times
-lambda_t), so only a coordinate that is reported is divided back.  The
-kind's rules compose the sparse tuples only at the basis pairs where a
+construction, on the one integer kernel of :mod:`algact.laws`: the
+self-check through :func:`algact.laws.failures`, and the products with
+Python's ``+ - *`` on the sparse basis tuples, residues over GF(p) and
+over Q each cleared of denominators once (times lambda_t), so a
+coordinate is reduced mod p or divided back only where it is reported.
+The kind's rules compose the sparse tuples only at the basis pairs where a
 column of some term's left factor is a row of its right one (the other
 products are zero); each product hands
 :meth:`~algact.algebra.Algebra.from_products` only its nonzero coordinates,
 and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero entries.
 Since b_i[p_j] = delta_ij at the pivot columns p_j, the coordinates of a
 product v are its entries v[p_j], and v - sum_i v[p_i] b_i vanishes at
-every pivot column by construction.  Membership is therefore
-checked at the non-pivot columns only, against each basis vector's nonzero
-entries there (its tail), for an integer product over Q as
+every pivot column by construction.  Membership is therefore checked at
+the non-pivot columns only, against each basis vector's nonzero entries
+there (its tail), mod p over GF(p), and over Q for an integer product as
 L v - sum_i v[p_i] (L b_i) with the tails times one common L; this is the
-one membership test of a space, used
-by :meth:`OperatorSpace.coords` and :meth:`OperatorSpace.matrix_of` as
-well, and the shape check of :meth:`OperatorSpace.coords` covers both.
+one membership test of a space, used by :meth:`OperatorSpace.coords` and
+:meth:`OperatorSpace.matrix_of` as well, and the shape check of
+:meth:`OperatorSpace.coords` covers both.
 
 A map from an algebra into a space is given by one operator tuple per basis
 element of its source, and every such map is made the same way:
@@ -167,11 +168,12 @@ class OperatorSpace:
         return None if coords is None else [coords.get(t, self.field.zero) for t in range(self.dim)]
 
     def _sparse_coords(self, tup, tails=None):
-        """The nonzero coordinates {t: c} of a tuple of sparse matrices: its
-        nonzero entries at the pivots, or None unless v - sum_t c_t b_t
+        """The nonzero coordinates {t: c} of a tuple of sparse matrices,
+        whose entries over GF(p) may be unreduced ints: its entries at the
+        pivots that are nonzero in the field, or None unless v - sum_t c_t b_t
         vanishes off them.  Over Q, ``tails`` = (L, the tails times L as
         ints) tests an integer tuple v as L v - sum_t c_t (L b_t)."""
-        f, n, index = self.field, self.base.dim, self._pivot_index
+        p, n, index = self.field.char, self.base.dim, self._pivot_index
         L, tails = tails or (1, self._tails)
         coords, residue = {}, {}
         for b, M in enumerate(tup):
@@ -180,14 +182,15 @@ class OperatorSpace:
                     col = (b * n + r) * n + c
                     if col not in index:
                         residue[col] = x
-                    elif x:  # scalars are canonical
+                    else:
                         coords[index[col]] = x
         if L != 1:
             residue = {col: L * x for col, x in residue.items()}
+        coords = linalg.reduced(coords, p)
         for t, a in coords.items():
             for col, y in tails[t].items():
-                residue[col] = f.sub(residue.get(col, 0), f.mul(a, y))
-        return None if any(residue.values()) else coords
+                residue[col] = residue.get(col, 0) - a * y
+        return None if linalg.reduced(residue, p) else coords
 
     def matrix_of(self, tuples) -> list:
         """The matrix whose column p holds the coordinates of ``tuples[p]``."""
@@ -197,7 +200,7 @@ class OperatorSpace:
             if coords is None:
                 raise TupleNotInSpace(f"operator tuple {p} escapes the {self.kind} space")
             cols.append(coords)
-        return linalg.mat_from_cols(self.field, cols, self.dim)
+        return linalg.mat_from_cols(cols, self.dim)
 
     def morphism(self, source: Algebra, matrix) -> ActorMorphism:
         """The linear map from ``source`` into the space with coordinate
@@ -291,21 +294,20 @@ def _require_cpoisson(A: Algebra):
         raise NotCommutativePoisson("base must be a commutative Poisson algebra")
 
 
-def _compose(f, pair, terms) -> dict:
+def _compose(pair, terms) -> dict:
     """One component of an induced product: the sum of s A B over the parsed
     terms (s, A, B) of :class:`_Kind`, each factor a (side, slot) of the
-    pair (t, u) of tuples of sparse matrices; the result may hold explicit
-    zeros."""
+    pair (t, u) of tuples of sparse integer matrices; the result is
+    unreduced and may hold entries that are zero in the field."""
     out = {}
     for s, (ls, lb), (rs, rb) in terms:
         B = pair[rs][rb]
         for i, arow in pair[ls][lb].items():
             orow = out.setdefault(i, {})
             for k, a in arow.items():
-                a = a if s > 0 else f.neg(a)
+                a = a if s > 0 else -a
                 for j, b in B.get(k, {}).items():
-                    x = f.mul(a, b)
-                    orow[j] = f.add(orow[j], x) if j in orow else x
+                    orow[j] = orow[j] + a * b if j in orow else a * b
     return out
 
 
@@ -484,7 +486,7 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
 
         def product(op, a, b):
             pair = (sparse[a], sparse[b])
-            coords = space._sparse_coords([_compose(f, pair, terms) for terms in spec.terms[op]],
+            coords = space._sparse_coords([_compose(pair, terms) for terms in spec.terms[op]],
                                           tails)
             if coords is None:
                 raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")

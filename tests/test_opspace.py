@@ -419,6 +419,47 @@ def test_self_check_reports_the_exact_rational_defect():
     assert all(type(c) is Fraction for c in hit[2])
 
 
+def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
+    # sl2 over GF(3), basis (e, f, h): [e,f] = h, [f,e] = 2h, [h,e] = 2e.
+    # Evaluation reduces a defect or a form mod p once, when it is complete,
+    # so a sum of terms can be a nonzero multiple of 3 before: Jacobi at
+    # (e, f, h) is [[e,f],h] + [[f,h],e] + [[h,e],f] = 0 + 2[f,e] + 2[e,f]
+    # = 4h + 2h = 6h
+    p = 3
+    A = builtin("sl2", GF(p))
+    seen, reduced = Counter(), linalg.reduced
+
+    def recording(v, q):
+        seen["multiple"] += any(x and not x % q for x in v.values())
+        return reduced(v, q)
+
+    monkeypatch.setattr(linalg, "reduced", recording)
+    assert check_identity(A, "lie").holds
+    assert seen.pop("multiple") > 0
+    # d applied to each term of Jacobi: every coefficient is a multiple of 3
+    law = tuple((sign, (laws.ON, "d", node)) for sign, node in laws.JACOBI)
+    assert list(laws.law_rows(A, law, {"d": 0})) == []
+    assert seen.pop("multiple") > 0
+
+    from_products, products = Algebra.from_products.__func__, []
+
+    def recording_from_products(cls, field, dim, names, product, labels=None, pairs=None):
+        def rule(op, i, j):
+            products.append(coords := product(op, i, j))
+            return coords
+
+        return from_products(cls, field, dim, names, rule, labels, pairs)
+
+    monkeypatch.setattr(Algebra, "from_products", classmethod(recording_from_products))
+    space = derivations(A)
+    assert products and all(0 <= c < p for coords in products for c in coords.values())
+    assert all(0 <= c < p for op in space.algebra.ops for _, c in op.sorted_entries())
+    seen.clear()
+    for tup in space.basis:
+        assert next(defining_defects("derivations", A, tup), None) is None
+    assert seen.pop("multiple") > 0
+
+
 def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
     compatibility = laws.compatibility("d", "D")
     law_rows = laws.law_rows
@@ -534,22 +575,24 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
         return counted
 
     monkeypatch.setattr(laws, "_defect", counting_defect)
-    for name in ("mul", "add"):
-        def counting(self, a, b, name=name, orig=getattr(type(field), name)):
+    for module, name in ((laws, "_lincomb"), (opspace, "_compose")):
+        def counting(*args, name=name, orig=getattr(module, name)):
             counts[name] += 1
-            return orig(self, a, b)
+            return orig(*args)
 
-        monkeypatch.setattr(type(field), name, counting)
+        monkeypatch.setattr(module, name, counting)
     # every product of an abelian base is empty, so the self-check evaluates
-    # no law at any argument tuple and adds and multiplies nothing
+    # no law at any argument tuple and combines or composes no vector
     for tup in space.basis:
         assert next(defining_defects("biderivations", A, tup), None) is None
     assert counts == Counter()
     biderivations(A)
-    assert counts["mul"] > 0  # the counters count
+    assert counts["_compose"] > 0  # the counters count
     M = builtin("leibniz_2dim_nonlie", field)
-    next(defining_defects("biderivations", M, biderivations(M).basis[0]), None)
-    assert counts["defect"] > 0
+    basis = biderivations(M).basis
+    counts.clear()
+    next(defining_defects("biderivations", M, basis[0]), None)
+    assert counts["defect"] > 0 and counts["_lincomb"] > 0
 
 
 def test_evaluator_refuses_a_missing_or_misshapen_operator():

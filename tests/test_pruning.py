@@ -16,7 +16,7 @@ from algact.errors import AlgactError
 from algact.fields import GF, Q
 from algact.opspace import _KINDS, SPACE_KINDS, space_of_kind
 
-FIELDS = (Q, GF(3))
+FIELDS = (Q, GF(3), GF(2**61 - 1))  # a large p: unreduced sums of residues are big ints
 
 
 def every_tuple(A, law, operators=None):
@@ -46,7 +46,7 @@ def spaces():
 
 
 def scalars(field):
-    return st.integers(-3, 3).filter(bool) if field == Q else st.integers(1, 2)
+    return st.integers(-3, 3).filter(bool) if field == Q else st.integers(1, field.char - 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -190,7 +190,7 @@ def test_poisson_non_acting_morphism():
     P1, P2 = builtin("poisson_abelian(1)", field), builtin("poisson_abelian(2)", field)
     space = weak_actor(P2, "poisson")
     E12, E21, zero = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]
-    matrix = linalg.mat_from_cols(field, [space.coords((E12, E21, zero))], space.dim)
+    matrix = linalg.mat_from_cols([space.coords((E12, E21, zero))], space.dim)
     report = is_acting_morphism(space.morphism(P1, matrix))
     assert report.to_json_dict(field) == {"acting": False, "witness": [0, 0, 0],
                                           "defect": ["1", "0"]}
