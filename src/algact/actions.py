@@ -351,11 +351,11 @@ def validate_action(a: ActionData) -> ValidationReport:
     witnesses follow the same pattern for their lists.
     """
     conditions = _variety(a.variety).conditions
-    fails = laws.failures(a.kernel, [law for _, law in conditions], a._law_operators(), a.acting)
+    fails = laws.failures(a.kernel, [law for _, law in conditions], [a._law_operators()], a.acting)
     results = []
     for label, law in conditions:
         hit = next(fails(law), None)
-        witness, defect = hit or (None, None)
+        witness, defect = hit[1:] if hit else (None, None)
         results.append(ConditionResult(label, hit is None, witness, defect))
     return ValidationReport(a.variety, results)
 
@@ -682,8 +682,8 @@ def is_acting_morphism(mor: ActorMorphism) -> ActingReport:
 def _acting(a: ActionData) -> ActingReport:
     """The variety's acting law evaluated on the operators of ``a``."""
     law = _variety(a.variety).acting
-    hit = next(laws.failures(a.kernel, [law], a._law_operators(), a.acting)(law), None)
-    return ActingReport(a, True) if hit is None else ActingReport(a, False, *hit)
+    hit = next(laws.failures(a.kernel, [law], [a._law_operators()], a.acting)(law), None)
+    return ActingReport(a, True) if hit is None else ActingReport(a, False, *hit[1:])
 
 
 # -- exhaustive enumeration (small prime fields) -------------------------------

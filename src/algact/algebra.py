@@ -372,7 +372,7 @@ def check_identity(A: Algebra, tag: str) -> IdentityReport:
     for part, law in parts:
         hit = next(fails(law), None)
         if hit is not None:
-            return IdentityReport(tag, False, part, *hit)
+            return IdentityReport(tag, False, part, *hit[1:])
     return _check_jordan(A) if tag == "jordan" else IdentityReport(tag, True)
 
 

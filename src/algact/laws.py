@@ -22,13 +22,15 @@ two ways:
 
 * evaluation computes a law on basis arguments, with known operators, on
   sparse vectors {index: value}.  Its one entry point, :func:`failures`, is
-  built once for an algebra, its laws and their operators: it checks the
-  operator shapes and turns the matrices into sparse columns once, then
-  gives each law's failing basis tuples in lexicographic order, a defect
-  made a dense list only when it is reported, evaluated without an acting
-  algebra only where some term can be nonzero (:func:`_reach`).  It serves
-  the self-check of an operator space after construction, the conditions
-  of an action and its acting law, and the identities of an algebra.
+  built once for an algebra, its laws and a family of operator sets (one
+  set, or none, being a family of one): it checks the operator shapes and
+  turns the matrices into sparse columns once, then gives each law's
+  failing (set, basis tuple) pairs in lexicographic order, a defect made a
+  dense list only when it is reported, evaluated without an acting algebra
+  only where some term of some set can be nonzero (:func:`_reach`).  It
+  serves the self-check of a whole operator-space basis after
+  construction, the conditions of an action and its acting law, and the
+  identities of an algebra.
 * the linear reading, :func:`law_rows`, takes the operators as unknown
   matrices.  Each term holds one ``ON`` node M applied to a node v, inside
   a context C that is linear in M's value, so the term is
@@ -39,23 +41,34 @@ Both readings run one kernel for both fields, Python's own ``+ - *`` on
 the scalars they hold.  Over GF(p) these are residues, and what they make
 is left unreduced until a defect or a form is complete; that is reduced
 mod p once (:func:`algact.linalg.reduced`), so whatever leaves the module
-is a canonical residue.  A term holds at most three products of residues
-summed over n, so the ints stay small.  Over Q the acting path runs on
-Fractions, and the rest on integers (:func:`_over_ints`): every term of a
-law without an acting algebra reads each argument once, so it holds
-exactly ``arity - 1`` product or bracket nodes and as many ``ON`` nodes as
-every other term (0 or 1).  With the operator entries cleared of
-denominators by one common lambda and the constants of both operations by
-one common mu, every term, so the defect, scales by
-lambda^on mu^(arity - 1), and a defect vanishes exactly when its scaled
-form does; a failing one is divided back.
+is a canonical residue.  Over Q the acting path runs on Fractions, and the
+rest on integers: the constants of both operations cleared of
+denominators by one common mu, and each operator set by its own lambda_t.
+Every term of a law without an acting algebra reads each argument once,
+so it holds exactly ``arity - 1`` product or bracket nodes and as many
+``ON`` nodes as every other term (0 or 1); every term, so the defect, of
+set t scales by lambda_t^on mu^(arity - 1), and a defect vanishes exactly
+when its scaled form does; a failing one is divided back.
+
+A law with one ``ON`` node per term is linear in its operator set, so
+without an acting algebra a family of T sets is evaluated as one
+(:func:`_packed`): each operator entry is one int whose bits
+[w t, w (t + 1)) hold set t's entry, and each packed defect holds set t's
+defect in those bits.  The slot width
+w is read off the laws: a term's entries are at most n^a C^b M^m for C the
+largest constant, M the largest operator entry and exponents counted on
+its tree (:func:`_size`, at most n^(2 arity - 1) C^(arity - 1) M), so a
+slot lies within the sum of those over the terms, and w is that bound's
+bit length plus a sign bit.  A packed defect is unpacked only where it is
+nonzero, into balanced slots (they can be negative, :func:`_unpacked`),
+and each slot is reduced mod p on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
 from operator import itemgetter
 
 from . import linalg
@@ -238,6 +251,24 @@ def _slots(law) -> frozenset:
                      if not isinstance(n, int) and n[0] in (ON, AT))
 
 
+@lru_cache(maxsize=None)
+def _size(node) -> tuple:
+    """(a, b, m) such that every entry of ``node``, compiled and read on
+    unit vectors, is at most n^a C^b M^m in absolute value, for C the
+    largest structure constant and M the largest operator entry: an
+    operator applied to a vector sums over at most n entries of a column,
+    and a product of two vectors over at most n^2 products of entries, one
+    sum fewer for each side that is a unit vector."""
+    if isinstance(node, int):
+        return 0, 0, 0
+    if node[0] == ON:
+        a, b, m = _size(node[2])
+        return a + (not isinstance(node[2], int)), b, m + 1
+    (au, bu, mu), (aw, bw, mw) = _size(node[1]), _size(node[2])
+    sums = (not isinstance(node[1], int)) + (not isinstance(node[2], int))
+    return au + aw + sums, bu + bw + 1, mu + mw
+
+
 _ZERO = {}  # the zero vector, shared and never written to
 
 
@@ -247,41 +278,88 @@ class _Env:
     is evaluated in, the operators as sparse columns {col: {row: c}} (a map
     from slot to the columns of its matrix for ``ON`` nodes, and to those of
     each of its matrices over the basis of B for ``AT`` nodes) and the env
-    of B."""
+    of B.  The env of a family of operator sets (:func:`_packed`) also holds
+    their ``count``, the slot ``width`` with its ``mask`` and ``bias``, and
+    over Q the ``scale`` of each set's defects."""
 
-    __slots__ = ("p", "n", "groups", "ops", "acting", "scale")
+    __slots__ = ("p", "n", "groups", "ops", "acting", "count", "width", "mask", "bias", "scale")
 
     def __init__(self, A, ops=None, acting=None):
         self.p, self.n, self.ops, self.acting, self.scale = A.field.char, A.dim, ops, acting, None
         self.groups = (A.ops[0].groups, A.ops[A.bracket_op].groups)
 
 
-def _over_ints(env) -> _Env:
-    """``env`` without an acting algebra read on integers over Q: the
-    operators times one common lambda and both operations times one common
-    mu, with ``scale`` = (lambda, mu).  Over GF(p) ``env`` itself."""
-    if env.p == 0:
-        lam, cols = linalg.cleared_maps(list(env.ops.values()))
-        mu, env.groups = linalg.cleared_maps(env.groups)
-        env.ops, env.scale = dict(zip(env.ops, cols)), (lam, mu)
+def _over_ints(env) -> int:
+    """Over Q, the constants of both operations of ``env`` times one common
+    mu, which is returned; 1 over GF(p)."""
+    if env.p:
+        return 1
+    mu, env.groups = linalg.cleared_maps(env.groups)
+    return mu
+
+
+def _env(A, laws, family, B=None) -> _Env:
+    """The env of ``laws`` on ``family``, a list of operator sets: maps from
+    slot to an n x n matrix, or with B (a family of one) to one such matrix
+    per basis element of B, each turned into sparse columns once.  A slot
+    the laws read that is missing or of another shape raises ShapeMismatch.
+    Without B the family is packed (:func:`_packed`)."""
+    n, sets = A.dim, []
+    slots = sorted(set().union(*map(_slots, laws)))
+    for operators in family:
+        ops = {}
+        for s in slots:
+            if s not in operators:
+                raise ShapeMismatch(f"no operator {s} is given")
+            mats, count = (operators[s], B.dim) if B is not None else ([operators[s]], 1)
+            if len(mats) != count or any(len(M) != n or any(len(row) != n for row in M)
+                                         for M in mats):
+                raise ShapeMismatch(f"operator {s} is not {count} {n}x{n} matrices")
+            cols = [linalg.mat_sparse(zip(*M)) for M in mats]
+            ops[s] = cols if B is not None else cols[0]
+        sets.append(ops)
+    if B is not None:
+        return _Env(A, sets[0], _Env(B))
+    return _packed(_Env(A), laws, slots, sets)
+
+
+def _packed(env, laws, slots, sets) -> _Env:
+    """``env`` reading the operator sets ``sets`` (each a map from slot to
+    sparse columns) as one, as the module docstring describes: over Q each
+    set cleared by its own lambda_t, ``scale`` = (the lambdas, mu); slot t
+    of an operator entry in bits [w t, w (t + 1)), w read off ``laws``.  A
+    law without an ``ON`` node is read on a family of one."""
+    mu, lams = _over_ints(env), [1] * len(sets)
+    if not env.p:
+        for t, ops in enumerate(sets):
+            lams[t], cols = linalg.cleared_maps(list(ops.values()))
+            sets[t] = dict(zip(ops, cols))
+        env.scale = (lams, mu)
+    top = max((abs(x) for ops in sets for cols in ops.values() for col in cols.values()
+               for x in col.values()), default=1)
+    c = max((abs(x) for g in env.groups for v in g.values() for x in v.values()), default=0)
+    bound = max((sum(env.n ** a * c ** b * top ** m for a, b, m in (_size(v) for _, v in law))
+                 for law in laws), default=0)
+    w = bound.bit_length() + 1
+    env.ops = {s: {} for s in slots}
+    for t, ops in enumerate(sets):
+        for s, cols in ops.items():
+            packed = env.ops[s]
+            for j, col in cols.items():
+                into = packed.setdefault(j, {})
+                for i, x in col.items():
+                    into[i] = into.get(i, 0) + (x << w * t)
+    env.count, env.width, env.mask = len(sets), w, (1 << w) - 1
+    env.bias = (1 << w - 1) * ((1 << w * len(sets)) - 1) // env.mask  # 2^(w - 1) in every slot
     return env
 
 
-def _env(A, laws, operators, B=None) -> _Env:
-    """The env of ``laws`` on ``operators``, a map from slot to an n x n
-    matrix, or with B to one such matrix per basis element of B, each turned
-    into sparse columns once.  A slot the laws read that is missing or of
-    another shape raises ShapeMismatch."""
-    n, ops = A.dim, {}
-    for s in sorted(set().union(*map(_slots, laws))):
-        if s not in operators:
-            raise ShapeMismatch(f"no operator {s} is given")
-        mats, count = (operators[s], B.dim) if B is not None else ([operators[s]], 1)
-        if len(mats) != count or any(len(M) != n or any(len(row) != n for row in M) for M in mats):
-            raise ShapeMismatch(f"operator {s} is not {count} {n}x{n} matrices")
-        cols = [linalg.mat_sparse(zip(*M)) for M in mats]
-        ops[s] = cols if B is not None else cols[0]
-    return _Env(A, ops, None if B is None else _Env(B))
+def _unpacked(x, env):
+    """The slots of the packed int x, each a balanced int, set 0 first:
+    with 2^(w - 1) added to every slot (``bias``), slot t is bits
+    [w t, w (t + 1)) less 2^(w - 1)."""
+    x, mask, half = x + env.bias, env.mask, 1 << env.width - 1
+    return [(x >> k & mask) - half for k in range(0, env.width * env.count, env.width)]
 
 
 def _lincomb(terms) -> dict:
@@ -349,8 +427,8 @@ def _compile(node):
 
 def _defect(env, law):
     """The sum of a law's signed terms as a function of the argument tuple:
-    a fresh sparse vector of its nonzero entries, reduced once over GF(p)."""
-    p, terms = env.p, [(sign, _value(_compile(node))) for sign, node in law]
+    a fresh sparse vector, unreduced, that may hold zero entries."""
+    terms = [(sign, _value(_compile(node))) for sign, node in law]
 
     def defect(args):
         acc = {}
@@ -360,7 +438,7 @@ def _defect(env, law):
                     acc[k] = acc[k] + y if sign > 0 else acc[k] - y
                 else:
                     acc[k] = y if sign > 0 else -y
-        return linalg.reduced(acc, p) if acc else acc
+        return acc
 
     return defect
 
@@ -419,46 +497,58 @@ def _candidates(env, law):
     return sorted(out)
 
 
-def failures(A, laws, operators=None, B=None):
+def failures(A, laws, family=None, B=None):
     """The one entry point of evaluation: a function that yields, for one
-    law of ``laws``, (args, defect) at each basis tuple where it fails, the
-    tuples in lexicographic order and the defect a dense vector of ``A``.
+    law of ``laws``, (t, args, defect) wherever operator set t of ``family``
+    fails at a basis tuple args, the tuples in lexicographic order and the
+    sets in order at each, the defect a dense vector of ``A``.
 
-    ``operators`` maps each slot the laws read to an n x n matrix on A, or
-    with B to one such matrix per basis element of B; the shapes are checked
-    and the operators turned into sparse columns once, here.  Without B the
-    tuples are the law's basis arguments in A where some term can be nonzero
-    (:func:`_candidates`), the defect being zero at every other one, and
-    over Q the operators and defects are Fractions but the evaluation runs
-    on integers (:func:`_over_ints`).  With B they are (x, a, b) for a law
-    on two arguments of A, read at each acting element x, and (x, y, a)
-    otherwise, every one of them evaluated.
+    ``family`` lists operator sets, each a map from each slot the laws read
+    to an n x n matrix on A, or with B (a family of one) to one such matrix
+    per basis element of B; the shapes are checked and the operators turned
+    into sparse columns once, here.  No family is a family of one empty set.
+    Without B the sets are packed into one (:func:`_packed`) and each law
+    evaluated once at each basis tuple where some term of some set can be
+    nonzero (:func:`_candidates`), the defect being zero at every other one;
+    a nonzero packed defect is unpacked and each slot reduced mod p.  Over Q
+    the operators and defects are Fractions but the evaluation runs on
+    integers.  With B the tuples are (x, a, b) for a law on two arguments of
+    A, read at each acting element x, and (x, y, a) otherwise, every one of
+    them evaluated.
     """
     f, n = A.field, A.dim
-    env = _env(A, laws, operators or {}, B)
-    if B is None:
-        env = _over_ints(env)
-    else:
+    env = _env(A, laws, ({},) if family is None else family, B)
+    if B is not None:
         at_x = [_Env(A, {s: cols[x] for s, cols in env.ops.items()}) for x in range(B.dim)]
 
-    def fails(law):  # over Q without B, each term is lambda^on mu^(arity - 1) times its value
-        scale = env.scale and env.scale[0] ** _ons(law) * env.scale[1] ** (_arity(law) - 1)
-        if B is None:
-            tuples, defect = _candidates(env, law), _defect(env, law)
-        elif _ons(law):
+    def packed(law):
+        defect, ons, arity = _defect(env, law), _ons(law), _arity(law)
+        for args in _candidates(env, law):
+            by_set = {}
+            for k, x in defect(args).items():
+                if x:  # some slot is nonzero: reduce the nonzero ones
+                    values = _unpacked(x, env)
+                    values = linalg.reduced(dict(compress(enumerate(values), values)), env.p)
+                    for t, y in values.items():
+                        by_set.setdefault(t, {})[k] = y
+            for t, d in sorted(by_set.items()):
+                if env.scale:  # slot t is lambda_t^on mu^(arity - 1) times the defect
+                    den = env.scale[0][t] ** ons * env.scale[1] ** (arity - 1)
+                    d = {k: Fraction(y, den) for k, y in d.items()}
+                yield t, args, [d.get(k, f.zero) for k in range(n)]
+
+    def acting(law):
+        if _ons(law):
             by_x = [_defect(e, law) for e in at_x]
             tuples = iproduct(range(B.dim), range(n), range(n))
             defect = lambda args: by_x[args[0]](args[1:])
         else:
             tuples, defect = iproduct(range(B.dim), range(B.dim), range(n)), _defect(env, law)
         for args in tuples:
-            d = defect(args)
-            if d:
-                if scale:
-                    d = {k: Fraction(x, scale) for k, x in d.items()}
-                yield args, [d.get(k, f.zero) for k in range(n)]
+            if (d := defect(args)) and (d := linalg.reduced(d, env.p)):
+                yield 0, args, [d.get(k, f.zero) for k in range(n)]
 
-    return fails
+    return packed if B is None else acting
 
 
 def _hole(node, hole):
@@ -482,8 +572,8 @@ def law_rows(A, law, blocks):
     is then mu^(arity - 1) times the true one (:func:`_over_ints`), which
     spans the same nullspace.
     """
-    n, env = A.dim, _over_ints(_Env(A, {}))
-    arity = _arity(law)
+    n, env, arity = A.dim, _Env(A, {}), _arity(law)
+    _over_ints(env)
     terms = []
     for sign, node in law:
         (_, slot, v), context = _hole(node, arity)

@@ -120,8 +120,7 @@ def mat_col(A, j) -> list:
 
 def mat_sparse(A) -> dict:
     """The nonzero entries of a dense matrix as {row: {col: c}}."""
-    rows = ((i, {j: x for j, x in enumerate(row) if x}) for i, row in enumerate(A))
-    return {i: row for i, row in rows if row}
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(A) if any(row)}
 
 
 def mat_from_cols(cols: list, rows: int) -> list:

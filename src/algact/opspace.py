@@ -28,10 +28,17 @@ signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
 (:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
 entries, which :func:`space_of_kind` hands as dense rows to
 :func:`algact.linalg.nullspace_basis`.  Its evaluation on sparse vectors is
-the self-check (:func:`defining_defects`), run on each computed basis tuple
-without the rows.  Every law is bilinear in the two algebra arguments, so
-imposing it on all basis pairs is equivalent to imposing it everywhere; the
-self-check evaluates only the pairs where some term can be nonzero.
+the self-check (:func:`defining_defects`), run once on the whole computed
+basis without the rows.  Every law is bilinear in the two algebra
+arguments, so imposing it on all basis pairs is equivalent to imposing it
+everywhere; the self-check evaluates only the pairs where some term of
+some basis tuple can be nonzero.  Each law holds one operator per term, so
+it is linear in the tuple, and it is evaluated once for the whole basis
+(:func:`algact.laws.failures`): each operator entry is one int whose
+w-bit slot t holds tuple t's entry, w read off the law as a bound on
+every slot of its defect, and a defect is split into its balanced slots,
+each reduced mod p, only where it is nonzero.  The first failing tuple,
+then its first law, then its first pair is reported.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples,
@@ -40,9 +47,9 @@ The induced operations are stored once, as the space's ``algebra``: a
 structure-constant :class:`~algact.algebra.Algebra` in that basis.  Closure
 and the defining identities are re-verified on the computed basis during
 construction, on the one integer kernel of :mod:`algact.laws`: the
-self-check through :func:`algact.laws.failures`, and the products with
-Python's ``+ - *`` on the sparse basis tuples, residues over GF(p) and
-over Q each cleared of denominators once (times lambda_t), so a
+self-check through one :func:`algact.laws.failures` per space, and the
+products with Python's ``+ - *`` on the sparse basis tuples, residues over
+GF(p) and over Q each cleared of denominators once (times lambda_t), so a
 coordinate is reduced mod p or divided back only where it is reported.
 The kind's rules compose the sparse tuples only at the basis pairs where a
 column of some term's left factor is a row of its right one (the other
@@ -77,6 +84,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional
 
 from . import laws, linalg
@@ -437,18 +445,20 @@ def _kind(kind: str) -> _Kind:
         raise InputError(f"unknown operator space kind {kind!r}") from None
 
 
-def defining_defects(kind: str, A: Algebra, tup):
-    """Direct evaluation of the defining laws of ``kind`` on a raw matrix
-    tuple, independent of the assembled linear system.
+def defining_defects(kind: str, A: Algebra, tuples):
+    """Direct evaluation of the defining laws of ``kind`` on a list of raw
+    matrix tuples, independent of the assembled linear system.
 
-    Yields (label, (i, j), defect vector) for every violated instance; used
-    as the post-construction self-check and by membership diagnostics.
+    Yields (t, label, (i, j), defect vector) for every violated instance of
+    ``tuples[t]``, by tuple, then in the order of the laws, then of (i, j);
+    used as the post-construction self-check and by membership diagnostics.
+    Every law is evaluated once for all the tuples (:func:`algact.laws.failures`).
     """
     spec = _kind(kind)
-    fails = laws.failures(A, [law for _, law in spec.laws], dict(zip(spec.components, tup)))
-    for label, law in spec.laws:
-        for args, defect in fails(law):
-            yield label, args, defect
+    family = [dict(zip(spec.components, tup)) for tup in tuples]
+    fails = laws.failures(A, [law for _, law in spec.laws], family)
+    hits = [(t, label, args, defect) for label, law in spec.laws for t, args, defect in fails(law)]
+    yield from sorted(hits, key=itemgetter(0))
 
 
 def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
@@ -472,12 +482,9 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
         for v in vectors
     ]
     space = OperatorSpace(A, kind, spec.components, basis, pivots)
-    for tup in basis:
-        bad = next(defining_defects(kind, A, tup), None)
-        if bad is not None:
-            raise ClosureError(
-                f"computed {kind} basis tuple violates {bad[0]} at {bad[1]}"
-            )
+    bad = next(defining_defects(kind, A, basis), None)
+    if bad is not None:
+        raise ClosureError(f"computed {kind} basis tuple violates {bad[1]} at {bad[2]}")
     if spec.ops:
         sparse, tails = space._sparse_basis, None
         if f.char == 0:  # on integers: tuple t times lam[t], the tails times one L
@@ -594,5 +601,5 @@ def check_bim_commutation(V: Algebra) -> CommutationReport:
     bim = bimultipliers(V)
     operators = {"l": [t[0] for t in bim.basis], "r": [t[1] for t in bim.basis]}
     law = laws.PERMUTABLE
-    hit = next(laws.failures(V, [law], operators, bim.as_algebra())(law), None)
-    return CommutationReport(True) if hit is None else CommutationReport(False, hit[0][:2])
+    hit = next(laws.failures(V, [law], [operators], bim.as_algebra())(law), None)
+    return CommutationReport(True) if hit is None else CommutationReport(False, hit[1][:2])

@@ -18,7 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from algact.actions import ActionData, enumerate_actions, validate_action
+from algact.actions import (
+    ActionData,
+    action_to_morphism,
+    enumerate_actions,
+    is_acting_morphism,
+    validate_action,
+)
 from algact.algebra import IDENTITY_TAGS, Algebra, check_identity
 from algact.catalog import builtin, catalog_actions, catalog_algebras
 from algact.errors import AlgactError
@@ -233,3 +239,19 @@ def test_q_and_gf_p_agree_where_p_divides_no_denominator(p):
                 assert constants == _constants(modp.algebra), (name, kind)
                 compared += 1
     assert compared > 50, compared
+    # the verdicts on actions: the conditions validation fails, and whether
+    # the action's morphism into the weak actor passes the acting law
+    modp = dict(catalog_actions(GF(p)), metere_action=builtin("metere_action", GF(p)))
+    verdicts = set()
+    for name, a in catalog_actions(Q) + [("metere_action", builtin("metere_action", Q))]:
+        b = modp.pop(name)
+        entries = [x for mats in a.operators.values() for M in mats for row in M for x in row]
+        if (_constants(a.acting, p) is None or _constants(a.kernel, p) is None
+                or any(_mod(x, p) is None for x in entries)):
+            continue
+        failed = validate_action(a).failed_labels()
+        assert validate_action(b).failed_labels() == failed, name
+        acting = is_acting_morphism(action_to_morphism(a)).acting
+        assert is_acting_morphism(action_to_morphism(b)).acting == acting, name
+        verdicts.add((tuple(failed), acting))
+    assert not modp and verdicts == {((), True), (("L6",), False)}, verdicts

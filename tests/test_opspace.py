@@ -188,15 +188,13 @@ def test_usga_closes_and_selfchecks(name):
     # construction itself re-verifies defining identities and closure
     V = builtin(name)
     space = poisson_usga(V)
-    for tup in space.basis:
-        assert next(defining_defects("usga-poisson", V, tup), None) is None
+    assert next(defining_defects("usga-poisson", V, space.basis), None) is None
 
 
 def test_basis_tuples_satisfy_identities_explicitly():
     A = builtin("leibniz_2dim_nonlie")
     space = biderivations(A)
-    for tup in space.basis:
-        assert next(defining_defects("biderivations", A, tup), None) is None
+    assert next(defining_defects("biderivations", A, space.basis), None) is None
 
 
 def _leaves(node):
@@ -260,14 +258,14 @@ def test_rows_and_self_check_cut_out_the_same_space(field):
                 continue  # the base is outside the kind's variety
             unknowns = len(space.components) * A.dim ** 2
             columns = {}  # (label, args, coordinate) -> {unknown: coefficient}
-            n = A.dim
+            n, units = A.dim, []
             for idx in range(unknowns):
                 flat = linalg.unit_vector(field, unknowns, idx)
-                unit = tuple(linalg.mat_unflatten(flat[b * n * n:(b + 1) * n * n], n, n)
-                             for b in range(len(space.components)))
-                for label, args, defect in defining_defects(kind, A, unit):
-                    for m, c in enumerate(defect):
-                        columns.setdefault((label, args, m), {})[idx] = c
+                units.append(tuple(linalg.mat_unflatten(flat[b * n * n:(b + 1) * n * n], n, n)
+                                   for b in range(len(space.components))))
+            for idx, label, args, defect in defining_defects(kind, A, units):
+                for m, c in enumerate(defect):
+                    columns.setdefault((label, args, m), {})[idx] = c
             rows = [[row.get(idx, field.zero) for idx in range(unknowns)]
                     for row in columns.values()]
             flat_basis = [[x for M in tup for row in M for x in row] for tup in space.basis]
@@ -414,9 +412,9 @@ def test_self_check_reports_the_exact_rational_defect():
     # though the evaluation runs on d = E_00, e0 e0 = 3 e1, e1 e0 = 2 e0
     A = Algebra.from_entries(Q, 2, [{(0, 0, 1): Fraction(1, 2), (1, 0, 0): Fraction(1, 3)}])
     d = [[Fraction(1, 5), Fraction(0)], [Fraction(0), Fraction(0)]]
-    hit = next(defining_defects("derivations", A, (d,)))
-    assert hit == ("derivation", (0, 0), [0, Fraction(-1, 5)])
-    assert all(type(c) is Fraction for c in hit[2])
+    hit = next(defining_defects("derivations", A, [(d,)]))
+    assert hit == (0, "derivation", (0, 0), [0, Fraction(-1, 5)])
+    assert all(type(c) is Fraction for c in hit[3])
 
 
 def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
@@ -455,8 +453,7 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
     assert products and all(0 <= c < p for coords in products for c in coords.values())
     assert all(0 <= c < p for op in space.algebra.ops for _, c in op.sorted_entries())
     seen.clear()
-    for tup in space.basis:
-        assert next(defining_defects("derivations", A, tup), None) is None
+    assert next(defining_defects("derivations", A, space.basis), None) is None
     assert seen.pop("multiple") > 0
 
 
@@ -525,10 +522,72 @@ def test_self_check_agrees_with_the_oracle_on_dense_and_mutated_tuples(p):
                 mutated[b][r][c] = (mutated[b][r][c] + rng.randrange(1, p)) % p
                 tuples += [tup, tuple(mutated)]
             for tup in tuples:
-                holds = next(defining_defects(kind, A, tup), None) is None
+                holds = next(defining_defects(kind, A, [tup]), None) is None
                 assert holds == _ORACLE_LAWS[kind](tup, prod, br, p), (name, kind, tup)
                 verdicts[holds] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+class _Exact:
+    """The oracle's modulus over Q: x % _Exact() is x, so its predicates
+    compare exact values."""
+
+    def __rmod__(self, x):
+        return x
+
+
+def _tables(A):
+    """Each operation of A as the oracle's tensor, of field elements."""
+    n = A.dim
+    return [tuple(tuple(tuple(A.mul_basis(op, i, j)) for j in range(n)) for i in range(n))
+            for op in range(A.num_ops)]
+
+
+@pytest.mark.parametrize("field", [Q, GF(3), GF(7), GF(2**61 - 1)], ids=repr)
+def test_packed_self_check_of_a_whole_basis_agrees_with_each_tuple_alone(field):
+    # the self-check evaluates each law once for a whole basis, its tuples
+    # packed into the slots of one int; with one or two tuples changed in
+    # one entry, the failing tuples are those the oracle fails, and each
+    # failing tuple fails exactly as it does evaluated alone, its first
+    # (label, args, defect) included.  Over Q the
+    # bases come rescaled and the changes are fractions, so the cleared
+    # numerators are large; over GF(2^61 - 1) the changes bring entries
+    # near p - 1
+    p, rng = field.char, random.Random(repr(field))
+    cases = [(name, A) for name, A, _ in catalog_algebras(field)]
+    cases += _rebased_matrix_algebras(field, "T2 M2")
+    if field == Q:
+        cases = [(name + "*s", _rescaled(A)) for name, A in cases]
+    failed = checked = 0
+    for name, A in cases:
+        prod, *rest = _tables(A)
+        br = rest[0] if rest else prod
+        for kind in SPACE_KINDS:
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            n, width = A.dim, len(space.components)
+            tuples = [[[list(row) for row in M] for M in tup] for tup in space.basis]
+            for t in rng.sample(range(space.dim), min(space.dim, rng.choice((1, 2)))):
+                if p == 0:
+                    delta = Fraction(rng.choice((-7, -2, 1, 3, 11)), rng.choice((1, 2, 9, 35)))
+                else:
+                    delta = p - rng.randrange(1, min(p, 4))
+                b, r, c = rng.randrange(width), rng.randrange(n), rng.randrange(n)
+                tuples[t][b][r][c] = field.add(tuples[t][b][r][c], delta)
+            hits = list(defining_defects(kind, A, tuples))
+            failing = {hit[0] for hit in hits}
+            oracle_fails = {t for t, tup in enumerate(tuples)
+                            if not _ORACLE_LAWS[kind](tup, prod, br, p or _Exact())}
+            assert failing == oracle_fails, (name, kind)
+            for t in failing:
+                alone = [(t, *hit[1:]) for hit in defining_defects(kind, A, [tuples[t]])]
+                assert [hit for hit in hits if hit[0] == t] == alone, (name, kind, t)
+            failed += len(failing)
+            checked += 1
+    assert checked > 50 and failed > 30, (checked, failed)
 
 
 def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
@@ -583,15 +642,14 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     # every product of an abelian base is empty, so the self-check evaluates
     # no law at any argument tuple and combines or composes no vector
-    for tup in space.basis:
-        assert next(defining_defects("biderivations", A, tup), None) is None
+    assert next(defining_defects("biderivations", A, space.basis), None) is None
     assert counts == Counter()
     biderivations(A)
     assert counts["_compose"] > 0  # the counters count
     M = builtin("leibniz_2dim_nonlie", field)
     basis = biderivations(M).basis
     counts.clear()
-    next(defining_defects("biderivations", M, basis[0]), None)
+    next(defining_defects("biderivations", M, basis[:1]), None)
     assert counts["defect"] > 0 and counts["_lincomb"] > 0
 
 
@@ -601,12 +659,12 @@ def test_evaluator_refuses_a_missing_or_misshapen_operator():
     big = [[F(0)] * 3 for _ in range(3)]
     for tup in ((d,), (big, d)):  # no D; a 3x3 d on a 2-dimensional base
         with pytest.raises(ShapeMismatch):
-            next(defining_defects("biderivations", A, tup), None)
+            next(defining_defects("biderivations", A, [tup]), None)
     B = builtin("abelian(1)")
     l1, l4 = dict(laws.LEIBNIZ)["L1"], dict(laws.LEIBNIZ)["L4"]
     for law, operators in ((l1, {"l": [d]}), (l1, {"r": [big]}), (l4, {"r": [d, d]})):
         with pytest.raises(ShapeMismatch):
-            next(laws.failures(A, [law], operators, B)(law), None)
+            next(laws.failures(A, [law], [operators], B)(law), None)
 
 
 def test_coords_refuse_a_tuple_of_the_wrong_shape():
