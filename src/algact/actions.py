@@ -231,7 +231,7 @@ class ActionData:
         }
         for slot in self.operators:
             data[_FILE_KEYS[slot]] = [
-                [*idx, f.to_str(c)] for idx, c in self._file_entries(slot) if not f.is_zero(c)
+                [*idx, f.to_str(c)] for idx, c in self._file_entries(slot) if c
             ]
         return data
 
@@ -431,7 +431,7 @@ class SplitExtension:
         KernelMismatch(failure) when v is outside its image."""
         f = self.field
         coords = linalg.solve(f, self.kernel_inj, v)
-        if coords is None or not linalg.vec_eq(f, linalg.mat_vec(f, self.kernel_inj, coords), v):
+        if coords is None or linalg.mat_vec(f, self.kernel_inj, coords) != v:
             raise KernelMismatch(failure)
         return coords
 
@@ -465,9 +465,9 @@ class SplitExtension:
         if k + m != n:
             problems.append(KernelMismatch("base and kernel dimensions do not add up to the total"))
         ps = linalg.mat_mul(f, self.retraction, self.section)
-        if not linalg.mat_eq(f, ps, linalg.mat_identity(f, k)):
+        if ps != linalg.mat_identity(f, k):
             problems.append(NotSplit("retraction . section is not the identity"))
-        if not linalg.mat_is_zero(f, linalg.mat_mul(f, self.retraction, self.kernel_inj)):
+        if any(map(any, linalg.mat_mul(f, self.retraction, self.kernel_inj))):
             problems.append(KernelMismatch("retraction . kernel_inj is not zero"))
         if linalg.mat_rank(f, self.kernel_inj) != m:
             problems.append(KernelMismatch("kernel injection is not injective"))
@@ -501,8 +501,8 @@ def _label_pullback(field, total_labels, matrix):
     labels = []
     for j in range(cols):
         col = linalg.mat_col(matrix, j)
-        hits = [i for i, c in enumerate(col) if not field.is_zero(c)]
-        if len(hits) != 1 or not field.eq(col[hits[0]], field.one):
+        hits = [i for i, c in enumerate(col) if c]
+        if len(hits) != 1 or col[hits[0]] != field.one:
             return None
         labels.append(total_labels[hits[0]])
     return labels
@@ -574,7 +574,6 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
         raise problems[0]
     if E.total.num_ops != v.num_ops:
         raise ShapeMismatch("operation count of the total algebra does not match the variety")
-    f = E.field
     nb, nx = E.base_dim, E.kernel_dim
     s_cols = [linalg.mat_col(E.section, j) for j in range(nb)]
     i_cols = [linalg.mat_col(E.kernel_inj, j) for j in range(nx)]
@@ -597,7 +596,7 @@ def extract_action(E: SplitExtension, variety: str) -> ActionData:
     if "r" not in v.operators:
         # r must be the commutative mirror of l; anything else is not a
         # commutative split extension
-        if any(not linalg.mat_eq(f, R, L) for R, L in zip(operators.pop("r"), operators["l"])):
+        if any(R != L for R, L in zip(operators.pop("r"), operators["l"])):
             raise KernelMismatch("extension is not commutative: r is not the mirror of l")
     return ActionData(variety, B, X, operators)
 

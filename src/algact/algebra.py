@@ -70,7 +70,7 @@ class BilinearOp:
                 raise InputError(f"duplicate structure constant at ({i},{j},{k})")
             seen.add((i, j, k))
             c = field.of(c)
-            if not field.is_zero(c):
+            if c:
                 groups.setdefault((i, j), {})[k] = c
         self.groups = groups
 
@@ -168,10 +168,10 @@ class Algebra:
             for j, yj in ys:
                 group = groups.get((i, j))
                 if group:
-                    c = f.mul(xi, yj)
+                    c = xi * yj
                     for k, ck in group.items():
-                        out[k] = f.add(out[k], f.mul(c, ck))
-        return out
+                        out[k] += c * ck
+        return linalg.canonical(f, out)
 
     def left_matrix_basis(self, op_index: int, a: int):
         """Matrix of x -> e_a . x."""
@@ -327,7 +327,7 @@ def _check_jordan(A):
                 lhs = A.multiply(0, A.mul_basis(0, i, m), sq)
                 rhs = A.multiply(0, A.unit(i), A.multiply(0, em, sq))
                 total = linalg.vec_add(f, total, linalg.vec_sub(f, lhs, rhs))
-            if not linalg.vec_is_zero(f, total):
+            if any(total):
                 return IdentityReport(
                     "jordan", False, failed_part="jordan", witness=(m, *mult), defect=total
                 )
@@ -463,7 +463,7 @@ def is_homomorphism(fmat, A: Algebra, B: Algebra) -> IdentityReport:
                 lhs = linalg.mat_vec(f, fmat, A.mul_basis(op, i, j))
                 rhs = B.multiply(op, cols[i], cols[j])
                 d = linalg.vec_sub(f, lhs, rhs)
-                if not linalg.vec_is_zero(f, d):
+                if any(d):
                     return IdentityReport(
                         "homomorphism", False, failed_part=f"op{op}", witness=(op, i, j), defect=d
                     )

@@ -156,9 +156,8 @@ def _metere_morphism(field) -> MorphismData:
     extension; its acting defect carries the characteristic coefficient 2.
     """
     F1 = _abelian(1, field)
-    one = field.one
     return MorphismData(
-        "leibniz", F1, F1, [([[field.neg(one)]], [[one]])]
+        "leibniz", F1, F1, [([[field.of(-1)]], [[field.one]])]
     )
 
 
@@ -290,7 +289,7 @@ def catalog_actions(field):
     # acting on the line with l = -r
     lie2 = builtin("lie_2dim_nonabelian", field)
     zero, one = field.zero, field.one
-    operators = {"l": [[[zero]], [[field.neg(one)]]], "r": [[[zero]], [[one]]]}
+    operators = {"l": [[[zero]], [[field.of(-1)]]], "r": [[[zero]], [[one]]]}
     out.append(("lie2na_on_abelian1", ActionData("leibniz", lie2, F1, operators)))
     return out
 
@@ -368,11 +367,7 @@ def _fact_b(field):
         mor = action_to_morphism(act)
         c.expect(f"{name}.hom", mor.is_homomorphism, True)
         inner = inner_embedding(mor.space)
-        c.expect(
-            f"{name}.matches_inner",
-            linalg.mat_eq(field, mor.matrix, inner.matrix),
-            True,
-        )
+        c.expect(f"{name}.matches_inner", mor.matrix == inner.matrix, True)
     return c.result()
 
 

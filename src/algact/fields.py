@@ -7,8 +7,12 @@ denominator), prime-field scalars are plain ints in the canonical range
 because several constructions downstream (polarization of squares, the
 factor 2 in defect computations) silently degenerate there.
 
-A field object carries the arithmetic; scalars themselves stay raw Python
-values, which keeps tight enumeration loops cheap.
+Scalars stay raw Python values, and the package computes with Python's own
+operators on them, reducing mod p once where a value leaves.  A field object
+is its characteristic plus the parsing and printing of scalars.  Its
+arithmetic methods are written once, on :class:`Field`, for users and for
+the independent reference in the tests; the package itself calls only
+``inv``, to read a fraction over GF(p).
 """
 
 from __future__ import annotations
@@ -60,21 +64,23 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface: exact arithmetic on raw scalar values."""
+    """A characteristic (0 or an odd prime p) with the parsing and printing
+    of its scalars.  Each arithmetic method is Python's own operator, made
+    canonical by ``of``."""
 
     char: int
 
     def add(self, a, b):
-        raise NotImplementedError
+        return self.of(a + b)
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return self.of(a - b)
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.of(a * b)
 
     def neg(self, a):
-        raise NotImplementedError
+        return self.of(-a)
 
     def inv(self, a):
         raise NotImplementedError
@@ -83,9 +89,6 @@ class Field:
         if self.is_zero(b):
             raise DivisionByZero("division by zero")
         return self.mul(a, self.inv(b))
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_zero(self, a) -> bool:
         return not a  # scalars are canonical, so only zero is falsy
@@ -113,18 +116,6 @@ class Field:
 
 class Rationals(Field):
     char = 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -173,18 +164,6 @@ class PrimeField(Field):
             raise CharTwoForbidden()
         self.p = p
         self.char = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:

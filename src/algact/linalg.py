@@ -5,6 +5,12 @@ is deterministic: reduced row echelon form is unique for a given row space,
 so every subspace in the package has one canonical basis and subspace
 equality is literal equality of bases.
 
+The dense helpers compute with Python's own ``+ - *`` and make each result
+canonical once, through :func:`canonical`: reduced mod p over GF(p), as it
+is over Q.  Scalars in canonical form are equal exactly when they are equal
+as Python values and zero exactly when falsy, so callers compare vectors
+with ``==`` and test them for zero with ``any``.
+
 :func:`rref`, under every nullspace and span in the package, takes and
 returns dense rows.  Inside it runs incremental Gauss-Jordan elimination on
 sparse integer rows, keeping every stored row reduced, so each further row
@@ -28,24 +34,24 @@ def vec_zero(field: Field, n: int) -> list:
     return [field.zero] * n
 
 
-def vec_is_zero(field: Field, v) -> bool:
-    return all(field.is_zero(x) for x in v)
+def canonical(field: Field, v) -> list:
+    """A dense vector of sums and products of canonical scalars, made
+    canonical: reduced mod p over GF(p), as it is over Q, where Fraction
+    arithmetic keeps lowest terms."""
+    p = field.char
+    return [x % p for x in v] if p else v
 
 
 def vec_add(field: Field, u, v) -> list:
-    return [field.add(a, b) for a, b in zip(u, v)]
+    return canonical(field, [a + b for a, b in zip(u, v)])
 
 
 def vec_sub(field: Field, u, v) -> list:
-    return [field.sub(a, b) for a, b in zip(u, v)]
+    return canonical(field, [a - b for a, b in zip(u, v)])
 
 
 def vec_neg(field: Field, v) -> list:
-    return [field.neg(a) for a in v]
-
-
-def vec_eq(field: Field, u, v) -> bool:
-    return len(u) == len(v) and all(field.eq(a, b) for a, b in zip(u, v))
+    return canonical(field, [-a for a in v])
 
 
 def unit_vector(field: Field, n: int, i: int) -> list:
@@ -74,14 +80,6 @@ def mat_neg(field: Field, A) -> list:
     return [vec_neg(field, r) for r in A]
 
 
-def mat_eq(field: Field, A, B) -> bool:
-    return len(A) == len(B) and all(vec_eq(field, ra, rb) for ra, rb in zip(A, B))
-
-
-def mat_is_zero(field: Field, A) -> bool:
-    return all(vec_is_zero(field, r) for r in A)
-
-
 def mat_vec(field: Field, A, v) -> list:
     if A and len(A[0]) != len(v):
         raise DimensionMismatch(f"matrix is {len(A)}x{len(A[0])}, vector has {len(v)}")
@@ -91,9 +89,9 @@ def mat_vec(field: Field, A, v) -> list:
         acc = field.zero
         for j, x in nonzero:
             if a := row[j]:
-                acc = field.add(acc, field.mul(a, x))
+                acc += a * x
         out.append(acc)
-    return out
+    return canonical(field, out)
 
 
 def mat_mul(field: Field, A, B) -> list:
@@ -101,17 +99,13 @@ def mat_mul(field: Field, A, B) -> list:
         raise DimensionMismatch(f"cannot compose {len(A)}x{len(A[0])} with {len(B)}x{len(B[0])}")
     cols = len(B[0]) if B else 0
     out = mat_zero(field, len(A), cols)
-    for i, row in enumerate(A):
-        for k, a in enumerate(row):
-            if field.is_zero(a):
-                continue
-            brow = B[k]
-            orow = out[i]
-            for j in range(cols):
-                b = brow[j]
-                if not field.is_zero(b):
-                    orow[j] = field.add(orow[j], field.mul(a, b))
-    return out
+    for row, orow in zip(A, out):
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        orow[j] += a * b
+    return [canonical(field, orow) for orow in out]
 
 
 def mat_col(A, j) -> list:
@@ -257,7 +251,7 @@ def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
     """Canonical (RREF) basis of the span of the given vectors."""
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch(f"generator has wrong length: expected {n} entries")
-    vecs = [v for v in vectors if not vec_is_zero(field, v)]
+    vecs = [v for v in vectors if any(v)]
     if not vecs:
         return [], []
     return rref(field, vecs)
@@ -277,9 +271,9 @@ def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
         v = vec_zero(field, n)
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(R[r][fc])
+            v[pc] = -R[r][fc]
         vecs.append(v)
-    return span_basis(field, vecs, n)
+    return span_basis(field, vecs, n)  # the RREF makes the negated entries canonical
 
 
 def coords_in_span(field: Field, basis, pivots, v):
@@ -287,12 +281,9 @@ def coords_in_span(field: Field, basis, pivots, v):
     coords = [v[p] for p in pivots]
     residue = list(v)
     for c, b in zip(coords, basis):
-        if field.is_zero(c):
-            continue
-        residue = [field.sub(x, field.mul(c, y)) for x, y in zip(residue, b)]
-    if not vec_is_zero(field, residue):
-        return None
-    return coords
+        if c:
+            residue = [x - c * y for x, y in zip(residue, b)]
+    return None if any(canonical(field, residue)) else coords
 
 
 def in_span(field: Field, basis, pivots, v) -> bool:

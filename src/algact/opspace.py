@@ -229,8 +229,8 @@ class OperatorSpace:
             for M, S in zip(out, tup):
                 for r, row in S.items():
                     for col, x in row.items():
-                        M[r][col] = f.add(M[r][col], f.mul(c, x))
-        return out
+                        M[r][col] += c * x
+        return tuple([linalg.canonical(f, row) for row in M] for M in out)
 
     def as_algebra(self) -> Algebra:
         """The space as a structure-constant algebra in its own basis."""

@@ -320,7 +320,7 @@ def test_zero_action_gives_zero_morphism():
     B = builtin("sl2")
     X = builtin("leibniz_2dim_nonlie")
     mor = action_to_morphism(zero_action("leibniz", B, X))
-    assert linalg.mat_is_zero(Q, mor.matrix)
+    assert not any(map(any, mor.matrix))
 
 
 def test_morphism_roundtrips_on_catalog():
@@ -492,7 +492,7 @@ def assert_all_bider_products_vanish(A):
     for (d1, D1) in space.basis:
         for (d2, D2) in space.basis:
             delta = linalg.mat_sub(f, D2, d2)
-            assert linalg.mat_is_zero(f, linalg.mat_mul(f, D1, delta))
+            assert not any(map(any, linalg.mat_mul(f, D1, delta)))
 
 
 def test_trivial_center_every_hom_is_acting():

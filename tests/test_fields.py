@@ -57,7 +57,6 @@ def test_prime_field_parse_fraction():
 rationals = st.fractions(
     min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**4
 )
-residues5 = st.integers(min_value=0, max_value=4)
 
 
 @given(rationals, rationals, rationals)
@@ -66,18 +65,39 @@ def test_rational_field_axioms(a, b, c):
     assert Q.mul(a, b) == Q.mul(b, a)
     assert Q.mul(a, Q.add(b, c)) == Q.add(Q.mul(a, b), Q.mul(a, c))
     assert Q.add(Q.add(a, b), c) == Q.add(a, Q.add(b, c))
+    assert Q.sub(a, b) == Q.add(a, Q.neg(b)) == a - b
+    assert Q.add(Q.sub(a, b), b) == a and Q.neg(Q.neg(a)) == a
+    outs = [Q.add(a, b), Q.sub(a, b), Q.mul(a, b), Q.neg(a)]
+    if b != 0:
+        assert Q.mul(Q.div(a, b), b) == a and Q.div(a, b) == a / b
+        outs.append(Q.div(a, b))
+    else:
+        with pytest.raises(DivisionByZero):
+            Q.div(a, b)
     if a != 0:
         assert Q.mul(a, Q.inv(a)) == 1
+    assert all(type(x) is Fraction for x in outs)
 
 
-@given(residues5, residues5, residues5)
-def test_prime_field_axioms(a, b, c):
-    f = GF(5)
+@given(st.sampled_from([5, 2**61 - 1]), st.data())
+def test_prime_field_axioms(p, data):
+    f = GF(p)
+    a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
     assert f.add(a, b) == f.add(b, a)
     assert f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.sub(a, b) == f.add(a, f.neg(b))
+    assert f.add(f.sub(a, b), b) == a and f.neg(f.neg(a)) == a
+    outs = [f.add(a, b), f.sub(a, b), f.mul(a, b), f.neg(a)]
+    if b != 0:
+        assert f.mul(f.div(a, b), b) == a
+        outs.append(f.div(a, b))
+    else:
+        with pytest.raises(DivisionByZero):
+            f.div(a, b)
     if a != 0:
         assert f.mul(a, f.inv(a)) == 1
+    assert all(0 <= x < p for x in outs)
 
 
 @given(rationals)

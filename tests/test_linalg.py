@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from algact import linalg
+from algact.algebra import Algebra
 from algact.errors import (
     DimensionMismatch,
     NotAssociative,
@@ -180,6 +181,68 @@ def test_q_nullspace_matches_sympy():
 
 
 # -- callers of rref at their edges --------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dense_helpers_match_field_method_reference(data):
+    # every dense helper computes with Python's operators and reduces once;
+    # the reference below does each step with the Field methods
+    field = data.draw(st.sampled_from(FIELDS + [GF(2**61 - 1)]))
+    entry = scalars(field)
+    m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+    u, v = ([data.draw(entry) for _ in range(k)] for _ in range(2))
+    A = [[data.draw(entry) for _ in range(k)] for _ in range(m)]
+    B = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    add, mul = field.add, field.mul
+
+    def dot(row, w):
+        return combination(field, row, [[x] for x in w])[0] if w else field.zero
+
+    want = {
+        "vec_add": [[add(a, b) for a, b in zip(u, v)]],
+        "vec_sub": [[field.sub(a, b) for a, b in zip(u, v)]],
+        "vec_neg": [[field.neg(a) for a in u]],
+        "mat_vec": [[dot(row, u) for row in A]],
+        "mat_mul": [[dot(row, col) for col in zip(*B)] if B else [] for row in A],
+    }
+    got = {
+        "vec_add": [linalg.vec_add(field, u, v)],
+        "vec_sub": [linalg.vec_sub(field, u, v)],
+        "vec_neg": [linalg.vec_neg(field, u)],
+        "mat_vec": [linalg.mat_vec(field, A, u)],
+        "mat_mul": linalg.mat_mul(field, A, B),
+    }
+    # the nullspace of A: back-substitution on the reference RREF
+    R, pivots = oracle.dense_rref(field, A)
+    free = [c for c in range(k) if c not in pivots]
+    vecs = [[field.one if c == fc else field.zero for c in range(k)] for fc in free]
+    for vec, fc in zip(vecs, free):
+        for row, pc in zip(R, pivots):
+            vec[pc] = field.neg(row[fc])
+    want["nullspace_basis"] = oracle.dense_rref(field, vecs)[0] if vecs else []
+    got["nullspace_basis"] = linalg.nullspace_basis(field, A, k)[0]
+    # coordinates in the RREF basis of A's rows: the coefficients on the
+    # span, None off it
+    coeffs = [data.draw(entry) for _ in R]
+    w = combination(field, coeffs, R) if R else [field.zero] * k
+    want["coords_in_span"] = [coeffs]
+    got["coords_in_span"] = [linalg.coords_in_span(field, R, pivots, w)]
+    if free:  # a step along a free column leaves the span
+        w[free[0]] = add(w[free[0]], field.one)
+        assert linalg.coords_in_span(field, R, pivots, w) is None
+    # a product on F^k with constants c_ijl
+    consts = {(i, j, l): data.draw(entry)
+              for i in range(k) for j in range(k) for l in range(k)}
+    if k:
+        alg = Algebra.from_entries(field, k, [consts.items()])
+        xy = [field.zero] * k
+        for (i, j, l), c in consts.items():
+            xy[l] = add(xy[l], mul(mul(u[i], v[j]), c))
+        want["multiply"], got["multiply"] = [xy], [alg.multiply(0, u, v)]
+    for name, rows in got.items():
+        assert rows == want[name], name
+        assert_canonical_scalars(field, rows)
 
 
 @pytest.mark.parametrize("field", [Q, GF(5)], ids=repr)

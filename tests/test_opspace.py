@@ -684,7 +684,7 @@ def test_coords_refuse_a_tuple_of_the_wrong_shape():
 
 def test_inner_embedding_abelian_is_zero():
     emb = inner_embedding(biderivations(builtin("abelian(2)")))
-    assert linalg.mat_is_zero(Q, emb.matrix)
+    assert not any(map(any, emb.matrix))
     assert emb.is_homomorphism
 
 
@@ -696,7 +696,7 @@ def test_inner_embedding_into_biderivations_is_hom(name):
 
 def test_inner_embedding_poisson_zero_map():
     emb = inner_embedding(poisson_usga(builtin("poisson_abelian(2)")))
-    assert linalg.mat_is_zero(Q, emb.matrix)
+    assert not any(map(any, emb.matrix))
 
 
 @pytest.mark.parametrize(
@@ -775,7 +775,7 @@ def test_bim_commutation_plane_fails_with_witness():
     f = V.field
     lhs = linalg.mat_mul(f, bim.basis[s][0], bim.basis[t][1])
     rhs = linalg.mat_mul(f, bim.basis[t][1], bim.basis[s][0])
-    assert not linalg.mat_eq(f, lhs, rhs)
+    assert lhs != rhs
 
 
 # -- frozen actor space of the line ---------------------------------------------------
