@@ -67,7 +67,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import laws, linalg
-from .algebra import Algebra, is_homomorphism, json_int, json_matrix
+from .algebra import Algebra, homomorphisms, is_homomorphism, json_int, json_matrix
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -690,8 +690,9 @@ def _acting(a: ActionData) -> ActingReport:
 
 def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
     """The weak actor of X and every homomorphism from B into it, as
-    :class:`ActorMorphism` records, found by trying each matrix over the
-    prime field in lexicographic order."""
+    :class:`ActorMorphism` records in lexicographic order of their matrices
+    read row by row: each one :func:`~algact.algebra.homomorphisms` finds is
+    certified by its homomorphism check."""
     f = B.field
     if not isinstance(f, PrimeField):
         raise InputError("exhaustive enumeration needs a prime field")
@@ -702,11 +703,10 @@ def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
     needed = f.p ** (ne * nb)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    candidates = (
-        space.morphism(B, [list(flat[t * nb : (t + 1) * nb]) for t in range(ne)])
-        for flat in iproduct(range(f.p), repeat=ne * nb)
-    )
-    return space, [mor for mor in candidates if mor.hom.holds]
+    found = (space.morphism(B, linalg.mat_from_cols(cols, ne))
+             for cols in homomorphisms(B, space.as_algebra()))
+    homs = [mor for mor in found if mor.hom.holds]
+    return space, sorted(homs, key=lambda mor: [x for row in mor.matrix for x in row])
 
 
 def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
@@ -716,8 +716,10 @@ def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAUL
     and each one whose unpacked action validates is kept.  Every valid
     action is reached: the conditions on two kernel elements are the laws of
     E, and L4-L5, A5-A6 (P1.5-P1.6), P2.2 and P3-P5 say that the map into E
-    is a homomorphism.  ``budget`` bounds the matrices tried,
-    p**(dim E * dim B).
+    is a homomorphism.  The homomorphisms are found column by column, the
+    image of e_i e_j forced or checked once those of e_i and e_j are fixed,
+    and each is certified.  ``budget`` bounds the count of all matrices,
+    p**(dim E * dim B), however few of them the search visits.
     """
     space, homs = _homomorphisms(B, X, variety, budget)
     actions = (_unpack(m, variety) for m in homs)
@@ -725,8 +727,8 @@ def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAUL
 
 
 def enumerate_acting_morphisms(B: Algebra, X: Algebra, variety: str, budget: int = DEFAULT_BUDGET):
-    """All acting homomorphisms from B into the weak actor of X, enumerated
-    entry by entry over the prime field; returns (space, morphisms) with the
-    morphisms in lexicographic order of their matrices."""
+    """All acting homomorphisms from B into the weak actor of X, found column
+    by column over the prime field; returns (space, morphisms) with the
+    morphisms in lexicographic order of their matrices read row by row."""
     space, homs = _homomorphisms(B, X, variety, budget)
     return space, [m for m in homs if _acting(_unpack(m, variety)).acting]

@@ -43,6 +43,7 @@ __all__ = [
     "annihilator",
     "product_subspace",
     "is_homomorphism",
+    "homomorphisms",
     "IDENTITY_TAGS",
     "MAX_FILE_DIM",
 ]
@@ -444,27 +445,94 @@ def product_subspace(A: Algebra, op_index: int):
     return basis
 
 
-def is_homomorphism(fmat, A: Algebra, B: Algebra) -> IdentityReport:
-    """Whether the matrix f (dim B x dim A) satisfies f(x .op y) = f(x) .op f(y)
-    for every operation, checked on all basis pairs of A."""
+def _comparable(A: Algebra, B: Algebra):
     if A.field != B.field:
         raise FieldMismatch("source and target live over different fields")
     if A.num_ops != B.num_ops:
         raise OpArityMismatch("source and target have different operation counts")
+
+
+def _image_defect(A: Algebra, B: Algebra, op: int, i: int, j: int, cols):
+    """f(e_i .op e_j) - f(e_i) .op f(e_j) for the map f with columns
+    ``cols[k]`` = f(e_k), over the columns that are known (not None), and
+    the structure constants {k: c} of e_i .op e_j at the unknown ones."""
+    acc = [-x for x in B.multiply(op, cols[i], cols[j])]
+    unknown = {}
+    for k, c in A.ops[op].groups.get((i, j), {}).items():
+        if cols[k] is None:
+            unknown[k] = c
+        else:
+            acc = [a + c * y for a, y in zip(acc, cols[k])]
+    return linalg.canonical(A.field, acc), unknown
+
+
+def is_homomorphism(fmat, A: Algebra, B: Algebra) -> IdentityReport:
+    """Whether the matrix f (dim B x dim A) satisfies f(x .op y) = f(x) .op f(y)
+    for every operation, checked on all basis pairs of A."""
+    _comparable(A, B)
     if len(fmat) != B.dim or (fmat and len(fmat[0]) != A.dim):
         raise DimensionMismatch(
             f"matrix must be {B.dim}x{A.dim}, got {len(fmat)}x{len(fmat[0]) if fmat else 0}"
         )
-    f = A.field
     cols = [linalg.mat_col(fmat, j) for j in range(A.dim)]
     for op in range(A.num_ops):
         for i in range(A.dim):
             for j in range(A.dim):
-                lhs = linalg.mat_vec(f, fmat, A.mul_basis(op, i, j))
-                rhs = B.multiply(op, cols[i], cols[j])
-                d = linalg.vec_sub(f, lhs, rhs)
+                d = _image_defect(A, B, op, i, j, cols)[0]
                 if any(d):
                     return IdentityReport(
                         "homomorphism", False, failed_part=f"op{op}", witness=(op, i, j), defect=d
                     )
     return IdentityReport("homomorphism", True)
+
+
+def homomorphisms(A: Algebra, B: Algebra):
+    """Every homomorphism f from A into B over a prime field, as its list of
+    columns f(e_0), f(e_1), ..., in no set order, by depth-first search.
+
+    Columns that no product of A has in its support are fixed first, then
+    the rest, each in index order.  Once f(e_i) and f(e_j) are fixed,
+    f(e_i e_j) = f(e_i) f(e_j) is linear in the free columns, with scalar
+    constants the same in every coordinate of B: with none free it is a
+    check that prunes the branch when it fails, otherwise an equation.  One
+    RREF of the equations, the next column ordered last, finds them
+    inconsistent (pruned), forces that column or leaves it all of B.
+    """
+    _comparable(A, B)
+    f, n, m = A.field, A.dim, B.dim
+    outputs = {k for op in A.ops for group in op.groups.values() for k in group}
+    order = sorted(range(n), key=lambda j: (j in outputs, j))
+    cols = [None] * n
+
+    def search(d, pending):
+        # pending: (pair, defect, unknown constants) of each pair (op, i, j)
+        # whose columns are fixed and whose product has a free column
+        if d == n:
+            yield list(cols)
+            return
+        j, free = order[d], order[d + 1:] + order[d:d + 1]
+        values = iproduct(range(f.p), repeat=m)
+        if pending:
+            rows = [[eq.get(k, f.zero) for k in free] + linalg.vec_neg(f, defect)
+                    for _, defect, eq in pending]
+            R, pivots = linalg.rref(f, rows)
+            if pivots[-1] >= len(free):
+                return  # inconsistent
+            if pivots[-1] == len(free) - 1:
+                values = [R[-1][len(free):]]  # forced
+        fixed = order[:d + 1]
+        new = [(op, a, b) for op in range(A.num_ops) for a in fixed for b in fixed if j in (a, b)]
+        for v in values:
+            cols[j] = list(v)
+            nxt = []
+            for pair in [old for old, _, _ in pending] + new:
+                defect, eq = _image_defect(A, B, *pair, cols)
+                if eq:
+                    nxt.append((pair, defect, eq))
+                elif any(defect):
+                    break
+            else:
+                yield from search(d + 1, nxt)
+        cols[j] = None
+
+    return search(0, [])

@@ -10,6 +10,10 @@ of an action and keeps those that the package's validator passes.  It
 shares the validator with the package but not the weak actor, through which
 the package enumerates actions.
 
+:func:`matrix_walk_homomorphisms` tries every matrix of a map into an
+operator space and keeps those that pass the package's homomorphism check;
+the package's column search is tested against it, list against list.
+
 :func:`identity_report` checks the multilinear identities of an algebra
 on basis tuples, each written out from its definition, and
 :func:`jordan_holds_pointwise` checks the Jordan identity at every pair of
@@ -44,6 +48,19 @@ def brute_force_actions(B, X, variety):
         if validate_action(a).passed:
             found.append(a)
     return sorted(found, key=ActionData.canonical_key)
+
+
+def matrix_walk_homomorphisms(B, space):
+    """Every homomorphism from B into the induced algebra of ``space`` over
+    GF(p), as the package's ``ActorMorphism`` records, by trying each
+    matrix in lexicographic order of its entries read row by row."""
+    nb = B.dim
+    found = []
+    for flat in product(range(B.field.p), repeat=space.dim * nb):
+        mor = space.morphism(B, [list(flat[t * nb:(t + 1) * nb]) for t in range(space.dim)])
+        if mor.is_homomorphism:
+            found.append(mor)
+    return found
 
 
 def tables(A):

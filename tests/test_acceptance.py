@@ -199,6 +199,21 @@ def test_criterion_3_enumeration_bijection():
     )
 
 
+@pytest.mark.parametrize("kernel,count", [("heisenberg", 1377), ("abelian(2)", 273)])
+def test_enumeration_beyond_the_matrix_walk(kernel, count):
+    # dim E = 8 and dim B = 2: 3^16 matrices, which the column search never
+    # tries, since [e2, e2] = e1 in L2 forces the image of e1
+    t0 = time.perf_counter()
+    field = GF(3)
+    L2, X = builtin("leibniz_2dim_nonlie", field), builtin(kernel, field)
+    acts = enumerate_actions(L2, X, "leibniz", budget=3 ** 16)
+    space, homs = enumerate_acting_morphisms(L2, X, "leibniz", budget=3 ** 16)
+    elapsed = time.perf_counter() - t0
+    assert space.dim == 8
+    assert len(acts) == len(homs) == count
+    assert elapsed < 30.0, f"(L2, {kernel}) took {elapsed:.2f}s (budget 30s)"
+
+
 # -- criterion 4 ----------------------------------------------------------------
 
 

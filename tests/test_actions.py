@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact import laws, linalg
+from algact import algebra, laws, linalg, opspace
 from algact.actions import (
     VARIETIES,
     ActionData,
@@ -20,12 +20,14 @@ from algact.actions import (
     validate_action,
     weak_actor,
     zero_action,
+    _homomorphisms,
 )
 from algact.algebra import Algebra, check_identity
 from algact.catalog import (
     biadjoint_action,
     builtin,
     catalog_actions,
+    catalog_algebras,
     inner_action,
 )
 from algact.errors import (
@@ -36,12 +38,15 @@ from algact.errors import (
     KernelMismatch,
     NotAHomomorphism,
     NotSplit,
+    OpArityMismatch,
     ShapeMismatch,
 )
 from algact.fields import GF, Q
 from algact.opspace import space_of_kind
 
 import oracle
+from test_metamorphic import _rebase
+from test_opspace import _unimodular
 from test_report_digest import _extension_reports
 
 
@@ -633,6 +638,87 @@ def test_enumerate_deterministic():
     a1 = enumerate_actions(F1, F1, "leibniz")
     a2 = enumerate_actions(F1, F1, "leibniz")
     assert [a.to_json_dict() for a in a1] == [a.to_json_dict() for a in a2]
+
+
+def _small_pairs(field):
+    """Every (B, X, variety) from the catalog algebras of dimension at most 2
+    whose weak actor E exists and has p^(dim E * dim B) <= 3^10, with the
+    weak actor."""
+    algebras = [A for _, A, _ in catalog_algebras(field) if A.dim <= 2]
+    out = []
+    for X in algebras:
+        for variety in VARIETIES:
+            try:
+                space = weak_actor(X, variety)
+            except AlgactError:
+                continue
+            out += [(B, X, variety, space) for B in algebras
+                    if field.p ** (space.dim * B.dim) <= 3 ** 10]
+    return out
+
+
+def _outcome(run):
+    """The matrices of the homomorphisms ``run`` returns, or its error type."""
+    try:
+        return [mor.matrix for mor in run()]
+    except AlgactError as exc:
+        return type(exc)
+
+
+def test_column_search_matches_the_matrix_walk():
+    # the search against every matrix tried, list against list, on the small
+    # catalog pairs, on the same pairs with B in a random unimodular basis,
+    # and with dim E = 0 and dim B = 0; a two-operation B on a one-operation
+    # weak actor raises OpArityMismatch on both sides
+    field = GF(3)
+    rng = random.Random(23)
+    pairs = _small_pairs(field)
+    pairs += [(_rebase(B, *_unimodular(rng, B.dim)), X, variety, space)
+              for B, X, variety, space in pairs if B.dim == 2]
+    Z = Algebra.from_entries(field, 0, [{}], names=["bracket"])
+    L2 = builtin("leibniz_2dim_nonlie", field)
+    pairs += [(B, X, "leibniz", weak_actor(X, "leibniz")) for B, X in ((Z, Z), (Z, L2), (L2, Z))]
+    errors = 0
+    for B, X, variety, space in pairs:
+        walk = _outcome(lambda: oracle.matrix_walk_homomorphisms(B, space))
+        search = _outcome(lambda: _homomorphisms(B, X, variety, 3 ** 10)[1])
+        assert search == walk, (B, X, variety)
+        errors += walk is OpArityMismatch
+    assert len(pairs) > 300 and errors > 0
+
+
+def test_propagation_forces_the_bracket_column(monkeypatch):
+    # in L2, [e2, e2] = e1, so phi(e1) is forced by phi(e2): the 9 leaves of
+    # the search are the 9 homomorphisms into the actor of F1, each checked
+    # once, where the matrix walk tried 81 matrices.  Into the actor of L2,
+    # F1 forces nothing, and the checks at the leaves leave 15 of 27 columns
+    field = GF(3)
+    L2, F1 = builtin("leibniz_2dim_nonlie", field), builtin("abelian(1)", field)
+    calls = []
+
+    def counting(fmat, A, B):
+        calls.append(fmat)
+        return algebra.is_homomorphism(fmat, A, B)
+
+    monkeypatch.setattr(opspace, "is_homomorphism", counting)
+    for B, X, count in ((L2, F1, 9), (F1, L2, 15)):
+        calls.clear()
+        homs = _homomorphisms(B, X, "leibniz", DEFAULT_BUDGET)[1]
+        assert len(homs) == len(calls) == count
+    # the search itself evaluates e2 e2 at each of the 9 values of phi(e2),
+    # then e2 e2, e1 e1, e1 e2 and e2 e1 at the one forced phi(e1)
+    products, defect = [], algebra._image_defect
+    monkeypatch.setattr(algebra, "_image_defect", lambda *args: products.append(args) or defect(*args))
+    assert len(list(algebra.homomorphisms(L2, weak_actor(F1, "leibniz").as_algebra()))) == 9
+    assert len(products) == 9 + 9 * 4
+
+
+def test_two_operation_acting_algebra_on_a_leibniz_kernel_is_refused():
+    field = GF(3)
+    P1, F1 = builtin("poisson_abelian(1)", field), builtin("abelian(1)", field)
+    for run in (enumerate_acting_morphisms, enumerate_actions):
+        with pytest.raises(OpArityMismatch):
+            run(P1, F1, "leibniz")
 
 
 # -- serialization ---------------------------------------------------------------------

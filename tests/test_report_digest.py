@@ -41,6 +41,8 @@ from algact.errors import AlgactError
 from algact.fields import GF, Q
 from algact.opspace import SPACE_KINDS, check_bim_commutation, defining_defects, space_of_kind
 
+import oracle
+
 FIELDS = (Q, GF(3), GF(5))
 MUTATIONS_PER_ACTION = 20
 
@@ -153,22 +155,12 @@ def _pairs(field):
     return out
 
 
-def _homomorphisms(B, space):
-    """Every homomorphism from B into the space's induced algebra, by
-    trying every matrix over the prime field."""
-    nb = B.dim
-    for flat in product(range(B.field.p), repeat=space.dim * nb):
-        mor = space.morphism(B, [list(flat[t * nb:(t + 1) * nb]) for t in range(space.dim)])
-        if mor.is_homomorphism:
-            yield mor
-
-
 def _acting_reports():
     reports = []
     for field in (GF(3), GF(5)):
         for name, B, X, variety in _pairs(field):
             space = weak_actor(X, variety)
-            for mor in _homomorphisms(B, space):
+            for mor in oracle.matrix_walk_homomorphisms(B, space):
                 report = is_acting_morphism(mor)
                 reports.append({"field": repr(field), "pair": name, "variety": variety,
                                 "matrix": mor.matrix, "report": report.to_json_dict(field)})
