@@ -692,7 +692,7 @@ def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
     """The weak actor of X and every homomorphism from B into it, as
     :class:`ActorMorphism` records in lexicographic order of their matrices
     read row by row: each one :func:`~algact.algebra.homomorphisms` finds is
-    certified by its homomorphism check."""
+    certified by its homomorphism check, or raises NotAHomomorphism."""
     f = B.field
     if not isinstance(f, PrimeField):
         raise InputError("exhaustive enumeration needs a prime field")
@@ -703,9 +703,10 @@ def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
     needed = f.p ** (ne * nb)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    found = (space.morphism(B, linalg.mat_from_cols(cols, ne))
-             for cols in homomorphisms(B, space.as_algebra()))
-    homs = [mor for mor in found if mor.hom.holds]
+    homs = [space.morphism(B, linalg.mat_from_cols(cols, ne))
+            for cols in homomorphisms(B, space.as_algebra())]
+    if bad := [mor.hom.witness for mor in homs if not mor.hom.holds]:
+        raise NotAHomomorphism(f"the search found a map with defect at {bad[0]}")
     return space, sorted(homs, key=lambda mor: [x for row in mor.matrix for x in row])
 
 

@@ -248,21 +248,18 @@ def _eliminate(r: dict, lead: dict, c: int, p: int) -> None:
 
 
 def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
-    """Canonical (RREF) basis of the span of the given vectors."""
+    """Canonical (RREF) basis of the span of the vectors, zero ones skipped."""
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch(f"generator has wrong length: expected {n} entries")
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return [], []
-    return rref(field, vecs)
+    return rref(field, vectors)
 
 
 def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
-    """Canonical basis of {x : rows . x = 0} in F^n."""
+    """Canonical basis of {x : rows . x = 0} in F^n; with no rows, the identity."""
     if any(len(row) != n for row in rows):
         raise DimensionMismatch(f"equation has wrong length: expected {n} coefficients")
     if not rows:
-        return rref(field, mat_identity(field, n)) if n else ([], [])
+        return mat_identity(field, n), list(range(n))
     R, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -284,10 +281,6 @@ def coords_in_span(field: Field, basis, pivots, v):
         if c:
             residue = [x - c * y for x, y in zip(residue, b)]
     return None if any(canonical(field, residue)) else coords
-
-
-def in_span(field: Field, basis, pivots, v) -> bool:
-    return coords_in_span(field, basis, pivots, v) is not None
 
 
 def solve(field: Field, A, b):

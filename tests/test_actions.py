@@ -713,6 +713,24 @@ def test_propagation_forces_the_bracket_column(monkeypatch):
     assert len(products) == 9 + 9 * 4
 
 
+def test_a_searched_map_that_is_no_homomorphism_is_an_error(monkeypatch):
+    # the check of each map the search returns is a certificate: a wrong
+    # search raises, where dropping the map would report fewer actions.
+    # phi(e1) = (1, 0), phi(e2) = 0 breaks phi([e2, e2]) = [phi(e2), phi(e2)]
+    field = GF(3)
+    L2, F1 = builtin("leibniz_2dim_nonlie", field), builtin("abelian(1)", field)
+    search = algebra.homomorphisms
+
+    def wrong(A, B):
+        yield from search(A, B)
+        yield [[1, 0], [0, 0]]
+
+    monkeypatch.setattr("algact.actions.homomorphisms", wrong)
+    for run in (enumerate_actions, enumerate_acting_morphisms):
+        with pytest.raises(NotAHomomorphism, match=r"\(0, 1, 1\)"):
+            run(L2, F1, "leibniz")
+
+
 def test_two_operation_acting_algebra_on_a_leibniz_kernel_is_refused():
     field = GF(3)
     P1, F1 = builtin("poisson_abelian(1)", field), builtin("abelian(1)", field)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from algact import catalog
 from algact.algebra import check_identity
 from algact.catalog import (
     FACTS,
@@ -48,9 +49,20 @@ def test_builtin_names_listed():
 
 
 def test_catalog_algebras_pass_their_variety():
-    for field in (Q, GF(5)):
+    # builtin loads a record unchecked, so this is the check of the catalog data
+    for field in (Q, GF(3), GF(5), GF(7)):
         for name, alg, tag in catalog_algebras(field):
             assert check_identity(alg, tag).holds, (name, field)
+
+
+def test_builtin_loads_a_record_without_checking_its_identity(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_identity called")
+
+    monkeypatch.setattr(catalog, "check_identity", refuse)
+    for name in catalog._ALGEBRAS:
+        for field in (Q, GF(3)):
+            assert builtin(name, field) == catalog._catalog_algebra(name, field)[0], name
 
 
 def test_catalog_actions_all_valid():

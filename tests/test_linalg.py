@@ -38,6 +38,17 @@ def test_nullspace_zero_system_is_standard_basis():
     assert linalg.nullspace_basis(Q, [[F(0), F(0)]], 2)[0] == basis
 
 
+def test_nullspace_without_equations_is_the_identity_without_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for field in (Q, GF(3)):
+        for n in range(5):
+            assert linalg.nullspace_basis(field, [], n) == (linalg.mat_identity(field, n),
+                                                           list(range(n)))
+
+
 def test_nullspace_one_equation_mod3_canonicalized():
     f = GF(3)
     basis, _ = linalg.nullspace_basis(f, [[1, 1]], 2)  # x + y = 0
@@ -181,6 +192,32 @@ def test_q_nullspace_matches_sympy():
 
 
 # -- callers of rref at their edges --------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_span_basis_hands_zero_generators_to_rref(data):
+    # rref skips a zero row, so span_basis filters none: it passes its
+    # generators on as given, and zeros interleaved change nothing
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(0, 5))
+    gens = data.draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=6))
+    mixed = list(gens)
+    for at in data.draw(st.lists(st.integers(0, len(gens)), min_size=1, max_size=3)):
+        mixed.insert(at, [field.zero] * n)
+    seen, rref = [], linalg.rref
+
+    def spy(f, rows):
+        seen.append(list(rows))
+        return rref(f, rows)
+
+    linalg.rref = spy  # by hand: @given refuses the function-scoped monkeypatch
+    try:
+        got = linalg.span_basis(field, mixed, n)
+    finally:
+        linalg.rref = rref
+    assert seen == [mixed]
+    assert got == linalg.span_basis(field, gens, n) == rref(field, gens)
 
 
 @settings(max_examples=100, deadline=None)

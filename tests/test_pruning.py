@@ -4,6 +4,7 @@ written out below, on sparse and mutated inputs: a pruning that skips a
 tuple with a nonzero defect shows up here, where dense inputs would hide it.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -92,3 +93,59 @@ def test_pruned_identity_check_equals_evaluation_at_every_tuple(data):
             assert (rep.failed_part, rep.witness, rep.defect) == (first[0], *first[1]), (ops, tag)
         elif tag != "jordan":  # the cubic law is checked apart from the laws
             assert rep.holds, (ops, tag)
+
+
+# -- compiled nodes that no law of the table reaches ---------------------------------
+
+
+def constants(field):
+    """Nonzero structure constants; over Q with denominators, which the
+    evaluation clears."""
+    if field == Q:
+        return st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    return st.integers(1, field.char - 1)
+
+
+def random_algebra(data, field, dim, names=None):
+    index = st.integers(0, dim - 1)
+    entries = data.draw(st.dictionaries(st.tuples(index, index, index), constants(field),
+                                        max_size=2 * dim))
+    return Algebra.from_entries(field, dim, [entries], names=names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_product_of_two_compound_factors_matches_a_dense_reference(data):
+    # (xy)(zw): both factors of the outer product are products themselves
+    field, dim = data.draw(st.sampled_from((Q, GF(3)))), data.draw(st.integers(1, 3))
+    A = random_algebra(data, field, dim)
+    law = ((1, laws._p(laws._p(0, 1), laws._p(2, 3))),)
+    expected = []
+    for args in iproduct(range(dim), repeat=4):
+        x, y, z, w = map(A.unit, args)
+        d = A.multiply(0, A.multiply(0, x, y), A.multiply(0, z, w))
+        if any(d):
+            expected.append((0, args, d))
+    assert list(laws.failures(A, [law])(law)) == expected, A.ops[0].groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_an_operator_at_a_compound_element_on_a_compound_argument_matches_a_dense_reference(data):
+    # l_[x,y]([a, a]) = sum_p [x, y]_p l_p([a, a]), x, y in B and a in X
+    field = data.draw(st.sampled_from((Q, GF(3))))
+    nb, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    B = random_algebra(data, field, nb, names=["bracket"])
+    X = random_algebra(data, field, n, names=["bracket"])
+    entry = st.one_of(st.just(field.zero), constants(field))
+    ls = [[[data.draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(nb)]
+    law = ((1, laws._at("l", laws._b(0, 1), laws._b(2, 2))),)
+    expected = []
+    for x, y, a in iproduct(range(nb), range(nb), range(n)):
+        c = B.multiply(0, B.unit(x), B.unit(y))
+        v = X.multiply(0, X.unit(a), X.unit(a))
+        d = [field.of(sum(c[p] * ls[p][k][j] * v[j] for p in range(nb) for j in range(n)))
+             for k in range(n)]
+        if any(d):
+            expected.append((0, (x, y, a), d))
+    assert list(laws.failures(X, [law], [{"l": ls}], B)(law)) == expected, (B, X, ls)
