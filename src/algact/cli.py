@@ -47,7 +47,7 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, an oversized integer or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad, too deeply nested or non-UTF-8 JSON
         raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 

@@ -11,14 +11,14 @@ is over Q.  Scalars in canonical form are equal exactly when they are equal
 as Python values and zero exactly when falsy, so callers compare vectors
 with ``==`` and test them for zero with ``any``.
 
-:func:`rref`, under every nullspace and span in the package, takes and
-returns dense rows.  Inside it runs incremental Gauss-Jordan elimination on
-sparse integer rows, keeping every stored row reduced, so each further row
-is cleared in one pass over the pivot columns it touches: over Q
-fraction-free on primitive integer rows, dividing only in the final
-normalisation; over GF(p) on residues reduced once per row operation.  The
-entry points refuse rows, generators or right-hand sides of the wrong
-length with :class:`DimensionMismatch`.
+:func:`rref` takes and returns dense rows; one call runs under every
+nullspace and span in the package.  Inside it runs incremental
+Gauss-Jordan elimination on sparse integer rows, keeping every stored row
+reduced, so each further row is cleared in one pass over the pivot columns
+it touches: over Q fraction-free on primitive integer rows, dividing only
+in the final normalisation; over GF(p) on residues reduced once per row
+operation.  The entry points refuse rows, generators or right-hand sides
+of the wrong length with :class:`DimensionMismatch`.
 """
 
 from __future__ import annotations
@@ -163,15 +163,9 @@ def rref(field: Field, rows) -> tuple[list, list]:
     pivots = sorted(echelon)
     out = []
     for c in pivots:
-        dense = [field.zero] * ncols
-        r = echelon[c]
-        if p:
-            for k, v in r.items():
-                dense[k] = v
-        else:
-            a = r[c]
-            for k, v in r.items():
-                dense[k] = Fraction(v, a)
+        r, dense = echelon[c], [field.zero] * ncols
+        for k, v in r.items():
+            dense[k] = v if p else Fraction(v, r[c])
         out.append(dense)
     return out, pivots
 
@@ -255,22 +249,30 @@ def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
 
 
 def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
-    """Canonical basis of {x : rows . x = 0} in F^n; with no rows, the identity."""
+    """Canonical (RREF) basis of {x : rows . x = 0} in F^n and its pivots;
+    with no rows, the identity.
+
+    One RREF of the rows with their columns reversed gives it.  Read in the
+    original order, each of its rows ends at its pivot pc, with 1 there and
+    0 at every other pivot.  For each free column c, v_c holds 1 at c, 0 at
+    the other free columns and -row(pc)[c] at each pivot pc, nonzero only
+    when c < pc.  So v_c leads at c, and the v_c in the order of c are
+    already the RREF of the nullspace, with the free columns as pivots.
+    """
     if any(len(row) != n for row in rows):
         raise DimensionMismatch(f"equation has wrong length: expected {n} coefficients")
     if not rows:
         return mat_identity(field, n), list(range(n))
-    R, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    R, pivots = rref(field, [row[::-1] for row in rows])
+    ending = {n - 1 - pc: row for row, pc in zip(R, pivots)}  # rows still reversed
+    free = [c for c in range(n) if c not in ending]
     vecs = []
-    for fc in free:
-        v = vec_zero(field, n)
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        vecs.append(v)
-    return span_basis(field, vecs, n)  # the RREF makes the negated entries canonical
+    for c in free:
+        v = unit_vector(field, n, c)
+        for pc, row in ending.items():
+            v[pc] = -row[n - 1 - c]
+        vecs.append(canonical(field, v))
+    return vecs, free
 
 
 def coords_in_span(field: Field, basis, pivots, v):
@@ -284,11 +286,8 @@ def coords_in_span(field: Field, basis, pivots, v):
 
 
 def solve(field: Field, A, b):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Used where a specific preimage is needed (kernel coordinates of a split
-    extension); when A has full column rank the solution is unique.
-    """
+    """One exact solution of A x = b, or None if inconsistent: the only one
+    when A has full column rank, as for kernel coordinates in an extension."""
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
     if len(b) != nrows:

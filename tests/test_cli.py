@@ -434,3 +434,20 @@ def test_bad_input_exits_2(command, data, tmp_path):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert "error [" in err
+
+
+@pytest.mark.parametrize("command", [
+    ARGV["check"], ARGV["space"], ARGV["validate"],
+    ("action", "semidirect", "FILE", "-o", "OUT"), ARGV["extract"], ARGV["morphism"],
+    ARGV["enumerate"],
+], ids=" ".join)
+def test_too_deeply_nested_json_is_an_input_error(command, tmp_path):
+    # json.load gives up on deep nesting with a RecursionError, which must
+    # end as an input error (exit 2), not a traceback (exit 1)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    files = {"FILE": str(path), "OUT": str(tmp_path / "out.json")}
+    code, out, err = run_cli(*(files.get(arg, arg) for arg in command))
+    assert (code, out) == (2, "")
+    assert "error [InputError]" in err and "not valid UTF-8 JSON" in err
+    assert not (tmp_path / "out.json").exists()

@@ -49,6 +49,29 @@ def test_nullspace_without_equations_is_the_identity_without_elimination(monkeyp
                                                            list(range(n)))
 
 
+@pytest.mark.parametrize("field", [Q, GF(3), GF(7)], ids=repr)
+def test_nullspace_with_equations_runs_one_elimination(field, monkeypatch):
+    # the kernel is read off one RREF of the rows with reversed columns,
+    # already canonical: no second RREF of the kernel vectors
+    calls, rref = [], linalg.rref
+
+    def spy(f, rows):
+        calls.append(len(rows))
+        return rref(f, rows)
+
+    def refuse(*args):
+        raise AssertionError("span_basis called")
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(linalg, "span_basis", refuse)
+    rows = [[field.of(x) for x in row]  # rank 2: the third row is the sum of the others
+            for row in ([1, 2, 0, 1, 3], [0, 1, 1, 2, 0], [1, 3, 1, 3, 3])]
+    basis, pivots = linalg.nullspace_basis(field, rows, 5)
+    assert calls == [3]
+    assert (basis, pivots) == oracle.dense_rref(field, basis) and len(basis) == 5 - 2
+    assert all(not any(linalg.mat_vec(field, rows, v)) for v in basis)
+
+
 def test_nullspace_one_equation_mod3_canonicalized():
     f = GF(3)
     basis, _ = linalg.nullspace_basis(f, [[1, 1]], 2)  # x + y = 0
@@ -257,8 +280,10 @@ def test_dense_helpers_match_field_method_reference(data):
     for vec, fc in zip(vecs, free):
         for row, pc in zip(R, pivots):
             vec[pc] = field.neg(row[fc])
-    want["nullspace_basis"] = oracle.dense_rref(field, vecs)[0] if vecs else []
-    got["nullspace_basis"] = linalg.nullspace_basis(field, A, k)[0]
+    want_basis, want_pivots = oracle.dense_rref(field, vecs) if vecs else ([], [])
+    basis, null_pivots = linalg.nullspace_basis(field, A, k)
+    assert null_pivots == want_pivots
+    want["nullspace_basis"], got["nullspace_basis"] = want_basis, basis
     # coordinates in the RREF basis of A's rows: the coefficients on the
     # span, None off it
     coeffs = [data.draw(entry) for _ in R]
