@@ -67,7 +67,9 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import laws, linalg
-from .algebra import Algebra, homomorphisms, is_homomorphism, json_int, json_matrix
+from .algebra import (
+    Algebra, homomorphisms, is_homomorphism, json_matrix, json_pair, json_tensor, prime_field,
+)
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -77,7 +79,7 @@ from .errors import (
     NotSplit,
     ShapeMismatch,
 )
-from .fields import Field, PrimeField
+from .fields import Field
 from .opspace import ActorMorphism, OperatorSpace, space_of_kind
 
 __all__ = [
@@ -200,8 +202,7 @@ class ActionData:
             if slot not in v.operators:
                 continue
             mats = operators.get(slot, [[[f.zero] * nx] * nx] * nb)
-            if len(mats) != nb or any(len(M) != nx or any(len(row) != nx for row in M) for M in mats):
-                raise ShapeMismatch(f"operator {slot} must be {nb} {nx}x{nx} matrices")
+            linalg.check_shape(mats, nb, nx, nx, error=ShapeMismatch, what=f"operator {slot}")
             self.operators[slot] = tuple(tuple(tuple(f.of(x) for x in row) for row in M) for M in mats)
 
     @property
@@ -237,12 +238,7 @@ class ActionData:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ActionData":
-        try:
-            variety = data["variety"]
-            acting = Algebra.from_json_dict(data["acting"])
-            kernel = Algebra.from_json_dict(data["kernel"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed action description: {exc}") from exc
+        variety, acting, kernel = json_pair(data, "action description")
         f, nb, nx = acting.field, acting.dim, kernel.dim
         operators = {}
         for slot, key in _FILE_KEYS.items():
@@ -251,19 +247,9 @@ class ActionData:
                 continue
             shape, cell = _file_layout(slot, nb, nx)
             mats = [[[f.zero] * nx for _ in range(nx)] for _ in range(nb)]
-            seen = set()
-            try:
-                for i, j, k, value in entries:
-                    i, j, k = (json_int(x, "tensor entry index") for x in (i, j, k))
-                    if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
-                        raise ShapeMismatch(f"tensor entry ({i},{j},{k}) out of range")
-                    if (i, j, k) in seen:
-                        raise InputError(f"repeated tensor entry ({i},{j},{k})")
-                    seen.add((i, j, k))
-                    p, m, y = cell(i, j, k)
-                    mats[p][m][y] = f.of(value)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"malformed action tensor entry: {exc}") from exc
+            for idx, c in json_tensor(f, entries, shape).items():
+                p, m, y = cell(*idx)
+                mats[p][m][y] = c
             operators[slot] = mats
         return cls(variety, acting, kernel, operators)
 
@@ -408,8 +394,7 @@ class SplitExtension:
         n, m, k = total.dim, len(i[0]) if i else 0, len(pi)
         for name, M, rows, cols in (("kernel_inj", i, n, m), ("retraction", pi, k, n),
                                     ("section", s, n, k)):
-            if len(M) != rows or any(len(row) != cols for row in M):
-                raise ShapeMismatch(f"{name} must be a {rows}x{cols} matrix")
+            linalg.check_shape(M, rows, cols, error=ShapeMismatch, what=name)
         return cls(total, i, pi, s)
 
     # -- derived algebras ----------------------------------------------------
@@ -693,9 +678,7 @@ def _homomorphisms(B: Algebra, X: Algebra, variety: str, budget: int):
     :class:`ActorMorphism` records in lexicographic order of their matrices
     read row by row: each one :func:`~algact.algebra.homomorphisms` finds is
     certified by its homomorphism check, or raises NotAHomomorphism."""
-    f = B.field
-    if not isinstance(f, PrimeField):
-        raise InputError("exhaustive enumeration needs a prime field")
+    f = prime_field(B.field)
     if f != X.field:
         raise ShapeMismatch("acting and kernel algebras live over different fields")
     space = weak_actor(X, variety)

@@ -30,7 +30,7 @@ from .errors import (
     OpArityMismatch,
     OpIndexOutOfRange,
 )
-from .fields import Field
+from .fields import Field, PrimeField
 
 __all__ = [
     "BilinearOp",
@@ -57,23 +57,17 @@ MAX_FILE_DIM = 128
 class BilinearOp:
     """One structure-constant tensor, stored once and sparse: ``groups`` maps
     (i, j) to e_i e_j as a sparse vector {k: c} of its nonzero constants, so
-    memory grows with the nonzero constants, not with the dimension."""
+    memory grows with the nonzero constants, not with the dimension.  They
+    are given as file entries [i, j, k, c], read by :func:`json_tensor`."""
 
     __slots__ = ("name", "groups")
 
     def __init__(self, field: Field, dim: int, entries, name: str = "mul"):
         self.name = name
-        seen, groups = set(), {}
-        for (i, j, k), c in (entries.items() if isinstance(entries, dict) else entries):
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise InputError(f"structure constant index ({i},{j},{k}) out of range")
-            if (i, j, k) in seen:
-                raise InputError(f"duplicate structure constant at ({i},{j},{k})")
-            seen.add((i, j, k))
-            c = field.of(c)
+        self.groups = {}
+        for (i, j, k), c in json_tensor(field, entries, (dim, dim, dim)).items():
             if c:
-                groups.setdefault((i, j), {})[k] = c
-        self.groups = groups
+                self.groups.setdefault((i, j), {})[k] = c
 
     def sorted_entries(self):
         return sorted(((i, j, k), c) for (i, j), group in self.groups.items()
@@ -99,15 +93,16 @@ class Algebra:
 
     @classmethod
     def from_entries(cls, field, dim, op_entries, names=None, labels=None):
-        """Build from a list of entry iterables, one per operation."""
+        """Build from one map {(i, j, k): c}, or list of pairs ((i, j, k), c),
+        per operation."""
         if names is None:
             names = ["mul", "bracket"][: len(op_entries)]
         if len(names) != len(op_entries):
             raise OpArityMismatch("give one name per operation")
-        ops = [
-            BilinearOp(field, dim, entries, name)
-            for entries, name in zip(op_entries, names)
-        ]
+        ops = []
+        for entries, name in zip(op_entries, names):
+            pairs = entries.items() if isinstance(entries, dict) else entries
+            ops.append(BilinearOp(field, dim, [(*ijk, c) for ijk, c in pairs], name))
         return cls(field, dim, ops, labels)
 
     @classmethod
@@ -121,15 +116,15 @@ class Algebra:
         on every pair, or with ``pairs`` only on the pairs ``pairs[op]``
         outside which the product is known to vanish.
         """
-        op_entries = [
-            [
-                ((i, j, k), c)
+        ops = [
+            BilinearOp(field, dim, [
+                (i, j, k, c)
                 for i, j in (iproduct(range(dim), repeat=2) if pairs is None else pairs[op])
                 for k, c in product(op, i, j).items()
-            ]
-            for op in range(len(names))
+            ], name)
+            for op, name in enumerate(names)
         ]
-        return cls.from_entries(field, dim, op_entries, names=names, labels=labels)
+        return cls(field, dim, ops, labels)
 
     @property
     def num_ops(self) -> int:
@@ -223,16 +218,12 @@ class Algebra:
         ops = []
         try:
             for pos, op in enumerate(raw_ops):
-                entries = [
-                    (tuple(json_int(x, "entry index") for x in (i, j, k)), field.of(c))
-                    for i, j, k, c in op.get("entries", [])
-                ]
                 name = op.get("name")
                 if name is not None and not isinstance(name, str):
                     raise InputError(f"operation name must be a string, got {name!r}")
                 name = name or ("bracket" if pos == 1 else "mul")
-                ops.append(BilinearOp(field, dim, entries, name))
-        except (AttributeError, TypeError, ValueError) as exc:
+                ops.append(BilinearOp(field, dim, op.get("entries", []), name))
+        except (AttributeError, TypeError) as exc:
             raise InputError(f"malformed algebra operation: {exc}") from exc
         return cls(field, dim, ops, labels)
 
@@ -307,6 +298,36 @@ def json_list(x, what: str) -> list:
 def json_matrix(field, x, what: str) -> list:
     """The matrix of ``field`` scalars held as a JSON list of row lists."""
     return [[field.of(c) for c in json_list(row, f"a row of {what}")] for row in json_list(x, what)]
+
+
+def json_tensor(field, entries, shape) -> dict:
+    """{(i, j, k): c} of the sparse tensor of ``shape`` held as entries
+    [i, j, k, c], as in algebra and action files: each index a JSON integer
+    inside the shape, each (i, j, k) given once.  A malformed entry raises
+    InputError; a c that is no scalar, what ``field.of`` raises."""
+    ni, nj, nk = shape
+    tensor = {}
+    try:
+        for i, j, k, c in entries:
+            if not (type(i) is type(j) is type(k) is int
+                    and 0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
+                raise InputError(f"tensor entry ({i}, {j}, {k}) is not an integer index into {shape}")
+            if (i, j, k) in tensor:
+                raise InputError(f"duplicate tensor entry at ({i}, {j}, {k})")
+            tensor[i, j, k] = field.of(c)
+    except (TypeError, ValueError) as exc:  # not a list of 4-entry lists
+        raise InputError(f"malformed tensor entry: {exc}") from exc
+    return tensor
+
+
+def json_pair(data, what: str) -> tuple:
+    """(variety, acting, kernel) of a file that pairs two algebras, as action,
+    morphism and pair files do; the variety is returned as given."""
+    try:
+        variety, acting, kernel = data["variety"], data["acting"], data["kernel"]
+        return variety, Algebra.from_json_dict(acting), Algebra.from_json_dict(kernel)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
 
 
 def _check_jordan(A):
@@ -466,10 +487,7 @@ def is_homomorphism(fmat, A: Algebra, B: Algebra) -> IdentityReport:
     """Whether the matrix f (dim B x dim A) satisfies f(x .op y) = f(x) .op f(y)
     for every operation, checked on all basis pairs of A."""
     _comparable(A, B)
-    if len(fmat) != B.dim or (fmat and len(fmat[0]) != A.dim):
-        raise DimensionMismatch(
-            f"matrix must be {B.dim}x{A.dim}, got {len(fmat)}x{len(fmat[0]) if fmat else 0}"
-        )
+    linalg.check_shape(fmat, B.dim, A.dim)
     cols = [linalg.mat_col(fmat, j) for j in range(A.dim)]
     for op in range(A.num_ops):
         for i in range(A.dim):
@@ -480,6 +498,13 @@ def is_homomorphism(fmat, A: Algebra, B: Algebra) -> IdentityReport:
                         "homomorphism", False, failed_part=f"op{op}", witness=(op, i, j), defect=d
                     )
     return IdentityReport("homomorphism", True)
+
+
+def prime_field(field: Field) -> PrimeField:
+    """``field`` itself if it is a prime field, over which maps can be enumerated."""
+    if not isinstance(field, PrimeField):
+        raise InputError(f"the search runs over a prime field, not {field!r}")
+    return field
 
 
 def homomorphisms(A: Algebra, B: Algebra):
@@ -494,8 +519,8 @@ def homomorphisms(A: Algebra, B: Algebra):
     RREF of the equations, the next column ordered last, finds them
     inconsistent (pruned), forces that column or leaves it all of B.
     """
+    f, n, m = prime_field(A.field), A.dim, B.dim
     _comparable(A, B)
-    f, n, m = A.field, A.dim, B.dim
     outputs = {k for op in A.ops for group in op.groups.values() for k in group}
     order = sorted(range(n), key=lambda j: (j in outputs, j))
     cols = [None] * n

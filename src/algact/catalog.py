@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 from . import linalg
 from .algebra import (
-    Algebra, annihilator, check_identity, json_list, json_matrix, product_subspace,
+    Algebra, annihilator, check_identity, json_list, json_matrix, json_pair, prime_field,
+    product_subspace,
 )
 from .actions import (
     ActionData,
@@ -133,20 +134,16 @@ class MorphismData:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            acting = Algebra.from_json_dict(data["acting"])
-            kernel = Algebra.from_json_dict(data["kernel"])
-            f = acting.field
-            images = [
-                tuple(json_matrix(f, comp, "an image") for comp in json_list(tup, "an image"))
-                for tup in json_list(data["images"], "images")
-            ]
-            if len(images) != acting.dim:
-                raise ShapeMismatch(f"{len(images)} images for an acting algebra of "
-                                    f"dimension {acting.dim}; give one per basis element")
-            return cls(data["variety"], acting, kernel, images)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed morphism description: {exc}") from exc
+        variety, acting, kernel = json_pair(data, "morphism description")
+        f = acting.field
+        images = [
+            tuple(json_matrix(f, comp, "an image") for comp in json_list(tup, "an image"))
+            for tup in json_list(data.get("images"), "images")
+        ]
+        if len(images) != acting.dim:
+            raise ShapeMismatch(f"{len(images)} images for an acting algebra of "
+                                f"dimension {acting.dim}; give one per basis element")
+        return cls(variety, acting, kernel, images)
 
 
 def _metere_morphism(field) -> MorphismData:
@@ -573,7 +570,6 @@ class SearchReport:
     dim: int
     samples: int
     seed: int
-    sampled: int
     poisson: int
     eqpois: int
     usga_poisson_ok: int
@@ -586,7 +582,7 @@ class SearchReport:
             "samples": self.samples,
             "seed": self.seed,
             "counts": {
-                "sampled": self.sampled,
+                "sampled": self.samples,
                 "poisson": self.poisson,
                 "eqpois_holds": self.eqpois,
                 "usga_poisson": self.usga_poisson_ok,
@@ -596,7 +592,7 @@ class SearchReport:
 
     def to_text(self) -> str:
         lines = [
-            f"sampled {self.sampled} structure pairs over GF({self.p}) in dim {self.dim}",
+            f"sampled {self.samples} structure pairs over GF({self.p}) in dim {self.dim}",
             f"  poisson algebras:          {self.poisson}",
             f"  with commuting multipliers: {self.eqpois}",
             f"  actor space again poisson:  {self.usga_poisson_ok}",
@@ -613,8 +609,7 @@ def open_problem_search(field: PrimeField, dim: int, samples: int, seed: int) ->
     and trivially partitionable.  Every finding carries a self-contained
     witness bundle for re-verification.
     """
-    if not isinstance(field, PrimeField):
-        raise InputError("the search runs over a prime field")
+    prime_field(field)
     if dim < 0 or dim > 4:
         raise InputError("search dimension is limited to 0..4")
     if samples < 0:
@@ -654,7 +649,6 @@ def open_problem_search(field: PrimeField, dim: int, samples: int, seed: int) ->
         dim=dim,
         samples=samples,
         seed=seed,
-        sampled=samples,
         poisson=n_poisson,
         eqpois=n_eqpois,
         usga_poisson_ok=n_ok,

@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from .algebra import Algebra, IDENTITY_TAGS, check_identity
+from .algebra import Algebra, IDENTITY_TAGS, check_identity, json_pair
 from .actions import (
     ActionData,
     DEFAULT_BUDGET,
@@ -51,10 +51,6 @@ def _load_json_file(path: str):
         raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
-def _load_algebra(path: str) -> Algebra:
-    return Algebra.from_json_dict(_load_json_file(path))
-
-
 def _write_output(path: str, data) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -75,7 +71,7 @@ def _parse_field(text: str) -> Field:
 
 
 def _cmd_check(args, out) -> int:
-    A = _load_algebra(args.file)
+    A = Algebra.from_json_dict(_load_json_file(args.file))
     report = check_identity(A, args.identity)
     if args.json:
         out.write(_dump_json(report.to_json_dict(A.field)))
@@ -92,7 +88,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_space(args, out) -> int:
-    A = _load_algebra(args.file)
+    A = Algebra.from_json_dict(_load_json_file(args.file))
     space = space_of_kind(A, args.kind)
     alg = space.algebra
     if args.output:
@@ -209,13 +205,7 @@ def _cmd_hunt(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    data = _load_json_file(args.pairfile)
-    try:
-        variety = data["variety"]
-        acting = Algebra.from_json_dict(data["acting"])
-        kernel = Algebra.from_json_dict(data["kernel"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed pair file: {exc}") from exc
+    variety, acting, kernel = json_pair(_load_json_file(args.pairfile), "pair file")
     found = enumerate_actions(acting, kernel, variety, budget=args.budget)
     if args.json:
         out.write(
@@ -240,69 +230,52 @@ def build_parser() -> argparse.ArgumentParser:
         "finite-dimensional algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command
+    common.add_argument("--json", action="store_true")
 
-    p_check = sub.add_parser("check", help="test a named identity of an algebra file")
-    p_check.add_argument("file")
-    p_check.add_argument("--identity", required=True, choices=IDENTITY_TAGS)
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(fn=_cmd_check)
+    def command(subparsers, name, fn, file=None, **kwargs):
+        """The parser of one command, which ``fn`` runs, reading ``file`` if given."""
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        if file:
+            p.add_argument(file)
+        p.set_defaults(fn=fn)
+        return p
 
-    p_space = sub.add_parser("space", help="compute an operator space")
-    p_space.add_argument("file")
-    p_space.add_argument("--kind", required=True, choices=SPACE_KINDS)
-    p_space.add_argument("-o", "--output", help="write the induced algebra as a file")
-    p_space.add_argument("--json", action="store_true")
-    p_space.set_defaults(fn=_cmd_space)
+    p = command(sub, "check", _cmd_check, "file", help="test a named identity of an algebra file")
+    p.add_argument("--identity", required=True, choices=IDENTITY_TAGS)
+
+    p = command(sub, "space", _cmd_space, "file", help="compute an operator space")
+    p.add_argument("--kind", required=True, choices=SPACE_KINDS)
+    p.add_argument("-o", "--output", help="write the induced algebra as a file")
 
     p_action = sub.add_parser("action", help="validate, build or split actions")
     action_sub = p_action.add_subparsers(dest="subcommand", required=True)
-
-    p_av = action_sub.add_parser("validate")
-    p_av.add_argument("file")
-    p_av.add_argument("--json", action="store_true")
-    p_av.set_defaults(fn=_cmd_action_validate)
-
-    p_as = action_sub.add_parser("semidirect")
-    p_as.add_argument("file")
-    p_as.add_argument("-o", "--output", required=True)
-    p_as.add_argument("--json", action="store_true")
-    p_as.set_defaults(fn=_cmd_action_semidirect)
-
-    p_ae = action_sub.add_parser("extract")
-    p_ae.add_argument("file")
-    p_ae.add_argument("--variety", required=True, choices=VARIETIES)
-    p_ae.add_argument("-o", "--output")
-    p_ae.add_argument("--json", action="store_true")
-    p_ae.set_defaults(fn=_cmd_action_extract)
+    command(action_sub, "validate", _cmd_action_validate, "file")
+    p = command(action_sub, "semidirect", _cmd_action_semidirect, "file")
+    p.add_argument("-o", "--output", required=True)
+    p = command(action_sub, "extract", _cmd_action_extract, "file")
+    p.add_argument("--variety", required=True, choices=VARIETIES)
+    p.add_argument("-o", "--output")
 
     p_mor = sub.add_parser("morphism", help="test morphisms into a weak actor")
     mor_sub = p_mor.add_subparsers(dest="subcommand", required=True)
-    p_mc = mor_sub.add_parser("check")
-    p_mc.add_argument("file")
-    p_mc.add_argument("--json", action="store_true")
-    p_mc.set_defaults(fn=_cmd_morphism_check)
+    command(mor_sub, "check", _cmd_morphism_check, "file")
 
-    p_repro = sub.add_parser("repro", help="replay the built-in fact suite")
-    p_repro.add_argument("--fact", action="append", help="restrict to a fact id (repeatable)")
-    p_repro.add_argument("--field", default="Q", help="Q or an odd prime")
-    p_repro.add_argument("--json", action="store_true")
-    p_repro.set_defaults(fn=_cmd_repro)
+    p = command(sub, "repro", _cmd_repro, help="replay the built-in fact suite")
+    p.add_argument("--fact", action="append", help="restrict to a fact id (repeatable)")
+    p.add_argument("--field", default="Q", help="Q or an odd prime")
 
-    p_hunt = sub.add_parser("hunt", help="random search for an actor-space counterexample")
-    p_hunt.add_argument("--p", type=int, required=True)
-    p_hunt.add_argument("--dim", type=int, required=True)
-    p_hunt.add_argument("--samples", type=int, required=True)
-    p_hunt.add_argument("--seed", type=int, default=0)
-    p_hunt.add_argument("--json", action="store_true")
-    p_hunt.set_defaults(fn=_cmd_hunt)
+    p = command(sub, "hunt", _cmd_hunt, help="random search for an actor-space counterexample")
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
 
-    p_enum = sub.add_parser("enumerate", help="exhaust all valid actions of a pair")
-    p_enum.add_argument("pairfile")
-    p_enum.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="most matrices into the weak actor to try, p^(dim E * dim B) "
-                        "(default: 3^10)")
-    p_enum.add_argument("--json", action="store_true")
-    p_enum.set_defaults(fn=_cmd_enumerate)
+    p = command(sub, "enumerate", _cmd_enumerate, "pairfile",
+                help="exhaust all valid actions of a pair")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most matrices into the weak actor to try, p^(dim E * dim B) "
+                   "(default: 3^10)")
 
     return parser
 

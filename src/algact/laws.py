@@ -312,9 +312,7 @@ def _env(A, laws, family, B=None) -> _Env:
             if s not in operators:
                 raise ShapeMismatch(f"no operator {s} is given")
             mats, count = (operators[s], B.dim) if B is not None else ([operators[s]], 1)
-            if len(mats) != count or any(len(M) != n or any(len(row) != n for row in M)
-                                         for M in mats):
-                raise ShapeMismatch(f"operator {s} is not {count} {n}x{n} matrices")
+            linalg.check_shape(mats, count, n, n, error=ShapeMismatch, what=f"operator {s}")
             cols = [linalg.mat_sparse(zip(*M)) for M in mats]
             ops[s] = cols if B is not None else cols[0]
         sets.append(ops)

@@ -17,8 +17,9 @@ Gauss-Jordan elimination on sparse integer rows, keeping every stored row
 reduced, so each further row is cleared in one pass over the pivot columns
 it touches: over Q fraction-free on primitive integer rows, dividing only
 in the final normalisation; over GF(p) on residues reduced once per row
-operation.  The entry points refuse rows, generators or right-hand sides
-of the wrong length with :class:`DimensionMismatch`.
+operation.  The entry points refuse rows, generators, right-hand sides
+or matrix rows of the wrong length with :class:`DimensionMismatch`, each
+row checked by :func:`check_shape`.
 """
 
 from __future__ import annotations
@@ -80,9 +81,20 @@ def mat_neg(field: Field, A) -> list:
     return [vec_neg(field, r) for r in A]
 
 
+def check_shape(A, *shape, error=DimensionMismatch, what: str = "matrix") -> None:
+    """Raise ``error`` unless A is a nested list of ``shape``: ``shape[0]``
+    entries, each of them ``shape[1]`` entries long, and so on, checked on
+    every row and not only on the first."""
+    level = [A]
+    for depth, n in enumerate(shape):
+        if depth:
+            level = [x for parent in level for x in parent]
+        if any(len(x) != n for x in level):
+            raise error(f"{what} must have shape {shape}")
+
+
 def mat_vec(field: Field, A, v) -> list:
-    if A and len(A[0]) != len(v):
-        raise DimensionMismatch(f"matrix is {len(A)}x{len(A[0])}, vector has {len(v)}")
+    check_shape(A, len(A), len(v))
     nonzero = [(j, x) for j, x in enumerate(v) if x]  # scalars are canonical
     out = []
     for row in A:
@@ -95,9 +107,9 @@ def mat_vec(field: Field, A, v) -> list:
 
 
 def mat_mul(field: Field, A, B) -> list:
-    if A and B and len(A[0]) != len(B):
-        raise DimensionMismatch(f"cannot compose {len(A)}x{len(A[0])} with {len(B)}x{len(B[0])}")
     cols = len(B[0]) if B else 0
+    check_shape(A, len(A), len(B))
+    check_shape(B, len(B), cols)
     out = mat_zero(field, len(A), cols)
     for row, orow in zip(A, out):
         for a, brow in zip(row, B):
@@ -145,8 +157,7 @@ def rref(field: Field, rows) -> tuple[list, list]:
     """
     p = field.char
     ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise DimensionMismatch(f"rows of different lengths: expected {ncols} entries each")
+    check_shape(rows, len(rows), ncols, what="the rows")
     echelon: dict[int, dict] = {}  # pivot column -> the reduced row that leads there
     for row in rows:
         if len(echelon) == ncols:
@@ -243,8 +254,7 @@ def _eliminate(r: dict, lead: dict, c: int, p: int) -> None:
 
 def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
     """Canonical (RREF) basis of the span of the vectors, zero ones skipped."""
-    if any(len(v) != n for v in vectors):
-        raise DimensionMismatch(f"generator has wrong length: expected {n} entries")
+    check_shape(vectors, len(vectors), n, what="the generators")
     return rref(field, vectors)
 
 
@@ -259,8 +269,7 @@ def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
     when c < pc.  So v_c leads at c, and the v_c in the order of c are
     already the RREF of the nullspace, with the free columns as pivots.
     """
-    if any(len(row) != n for row in rows):
-        raise DimensionMismatch(f"equation has wrong length: expected {n} coefficients")
+    check_shape(rows, len(rows), n, what="the equations")
     if not rows:
         return mat_identity(field, n), list(range(n))
     R, pivots = rref(field, [row[::-1] for row in rows])
@@ -290,8 +299,7 @@ def solve(field: Field, A, b):
     when A has full column rank, as for kernel coordinates in an extension."""
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    if len(b) != nrows:
-        raise DimensionMismatch(f"A has {nrows} rows, b has {len(b)} entries")
+    check_shape(b, nrows, what="the right-hand side")
     aug = [list(row) + [b[i]] for i, row in enumerate(A)]
     R, pivots = rref(field, aug)
     x = vec_zero(field, ncols)

@@ -169,9 +169,8 @@ class OperatorSpace:
         """Coordinates of an operator tuple in the basis; None if outside.
         Raises ShapeMismatch unless the tuple holds one n x n matrix per
         component."""
-        n, width = self.base.dim, len(self.components)
-        if len(tup) != width or any(len(M) != n or any(len(row) != n for row in M) for M in tup):
-            raise ShapeMismatch(f"an operator tuple of this space is {width} {n}x{n} matrices")
+        n = self.base.dim
+        linalg.check_shape(tup, len(self.components), n, n, error=ShapeMismatch, what="operator tuple")
         coords = self._sparse_coords([linalg.mat_sparse(M) for M in tup])
         return None if coords is None else [coords.get(t, self.field.zero) for t in range(self.dim)]
 
@@ -214,8 +213,7 @@ class OperatorSpace:
         """The linear map from ``source`` into the space with coordinate
         matrix ``matrix``, with its homomorphism property checked against
         the induced operations."""
-        if len(matrix) != self.dim or (matrix and len(matrix[0]) != source.dim):
-            raise ShapeMismatch(f"morphism matrix must be {self.dim}x{source.dim}")
+        linalg.check_shape(matrix, self.dim, source.dim, error=ShapeMismatch, what="morphism matrix")
         hom = is_homomorphism(matrix, source, self.as_algebra())
         return ActorMorphism(self, source, matrix, hom)
 

@@ -556,6 +556,14 @@ def test_enumerate_budget_guard():
     assert len(enumerate_actions(L2, L2, "leibniz", budget=3 ** 6)) == 15
 
 
+def test_enumerate_refuses_a_field_that_is_not_prime_first():
+    # before the weak actor is built (bimultipliers need an associative
+    # kernel) and before the budget is read
+    A, X = builtin("abelian(1)"), builtin("lie_2dim_nonabelian")
+    with pytest.raises(InputError, match="prime field"):
+        enumerate_actions(A, X, "associative", budget=0)
+
+
 def test_enumerate_zero_dims():
     Z = Algebra.from_entries(GF(3), 0, [{}], names=["bracket"])
     acts = enumerate_actions(Z, Z, "leibniz")

@@ -353,6 +353,18 @@ def test_non_homomorphism_reports_witness(leib2, abelian2):
     assert rep.witness == (0, 1, 1)
 
 
+def test_is_homomorphism_checks_every_row_of_the_matrix():
+    A = builtin("lie_2dim_nonabelian", GF(3))
+    with pytest.raises(DimensionMismatch):
+        is_homomorphism([[1, 0], [0]], A, A)
+
+
+def test_homomorphism_search_refuses_a_field_that_is_not_prime():
+    A = builtin("lie_2dim_nonabelian")
+    with pytest.raises(InputError, match="prime field"):
+        algebra.homomorphisms(A, A)
+
+
 def test_homomorphism_search_prunes_inconsistent_equations(monkeypatch):
     # A = <e0 e0 = e2, e1 e1 = e2> into B = <e0 e0 = e1>: once phi(e0) and
     # phi(e1) are fixed, phi(e2) must equal both phi(e0)^2 and phi(e1)^2,

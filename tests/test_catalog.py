@@ -119,7 +119,7 @@ def test_fact_statements_are_self_contained():
 
 def test_open_problem_search_line():
     report = open_problem_search(GF(3), 1, 100, 0)
-    assert report.sampled == 100
+    assert report.to_json_dict()["counts"]["sampled"] == 100
     # dim-1 Poisson algebras have zero bracket; their actor space is Poisson
     assert report.poisson > 0
     assert report.eqpois == report.poisson
@@ -129,7 +129,7 @@ def test_open_problem_search_line():
 
 def test_open_problem_search_empty():
     report = open_problem_search(GF(3), 2, 0, 7)
-    assert report.sampled == 0
+    assert report.to_json_dict()["counts"]["sampled"] == 0
     assert report.findings == []
 
 

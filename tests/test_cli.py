@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from algact.actions import semidirect
+from algact.actions import DEFAULT_BUDGET, semidirect
 from algact.catalog import MorphismData, biadjoint_action, builtin, catalog_algebras
-from algact.cli import main
+from algact.cli import build_parser, main
 from algact.errors import AlgactError
 from algact.fields import GF, Q
 from algact.opspace import SPACE_KINDS, space_of_kind
@@ -451,3 +451,91 @@ def test_too_deeply_nested_json_is_an_input_error(command, tmp_path):
     assert (code, out) == (2, "")
     assert "error [InputError]" in err and "not valid UTF-8 JSON" in err
     assert not (tmp_path / "out.json").exists()
+
+
+# -- the front door: one reader per file shape, one --json ----------------------------
+
+# each malformed [i, j, k, c] entry, for a 1-dimensional B acting on a
+# 1-dimensional X, so that every tensor of either file has the shape 1x1x1
+MALFORMED_ENTRIES = {
+    "bool-index": [[True, 0, 0, "1"]],
+    "index-out-of-range": [[0, 1, 0, "1"]],
+    "repeated-index": [[0, 0, 0, "1"], [0, 0, 0, "2"]],
+    "entry-with-3-fields": [[0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("entries", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES)
+def test_algebra_and_action_files_refuse_a_malformed_entry_alike(entries, tmp_path):
+    files = {
+        ("check", "FILE", "--identity", "lie"):
+            {**F1_GF3, "ops": [{"name": "mul", "entries": entries}]},
+        ("action", "validate", "FILE"):
+            {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, "l": entries},
+    }
+    errors = []
+    for argv, data in files.items():
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(*(str(path) if arg == "FILE" else arg for arg in argv))
+        assert (code, out) == (2, ""), argv
+        errors.append(err.split("]")[0])
+    assert errors == ["error [InputError"] * 2
+
+
+PAIRED_FILES = {
+    ("action", "validate", "FILE"): {"l": []},
+    ("morphism", "check", "FILE"): {"images": [[[[0]], [[0]]]]},
+    ("enumerate", "FILE"): {},
+}
+
+
+@pytest.mark.parametrize("key", ["variety", "acting", "kernel"])
+@pytest.mark.parametrize("argv,extra", PAIRED_FILES.items(), ids=[a[0] for a in PAIRED_FILES])
+def test_a_file_without_variety_acting_or_kernel_is_an_input_error(argv, extra, key, tmp_path):
+    data = {"variety": "leibniz", "acting": F1_GF3, "kernel": F1_GF3, **extra}
+    complete = tmp_path / "complete.json"
+    complete.write_text(json.dumps(data))
+    del data[key]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(*(str(complete) if arg == "FILE" else arg for arg in argv))[0] in (0, 1)
+    code, out, err = run_cli(*(str(path) if arg == "FILE" else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error [InputError]: ") and key in err
+
+
+# every leaf command: each option (or positional) and its default
+LEAF_OPTIONS = {
+    "check": {"file": None, "--identity": None, "--json": False},
+    "space": {"file": None, "--kind": None, "-o --output": None, "--json": False},
+    "action validate": {"file": None, "--json": False},
+    "action semidirect": {"file": None, "-o --output": None, "--json": False},
+    "action extract": {"file": None, "--variety": None, "-o --output": None, "--json": False},
+    "morphism check": {"file": None, "--json": False},
+    "repro": {"--fact": None, "--field": "Q", "--json": False},
+    "hunt": {"--p": None, "--dim": None, "--samples": None, "--seed": 0, "--json": False},
+    "enumerate": {"pairfile": None, "--budget": DEFAULT_BUDGET, "--json": False},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def test_every_leaf_command_keeps_its_options():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert sorted(leaves) == sorted(LEAF_OPTIONS)
+    for name, parser in leaves.items():
+        options = {
+            " ".join(a.option_strings) or a.dest: a.default
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        assert options == LEAF_OPTIONS[name], name
+        assert callable(parser.get_default("fn")), name
+

@@ -429,6 +429,19 @@ def test_a_redundant_row_costs_one_elimination_per_pivot_it_touches(field, monke
 # -- shape checks at the entry points --------------------------------------------
 
 
+def test_mat_vec_checks_every_row_of_the_matrix():
+    # the second row is one entry short; reading only the first row missed it
+    with pytest.raises(DimensionMismatch):
+        linalg.mat_vec(GF(3), [[1, 0], [1]], [1, 1])
+
+
+def test_mat_mul_checks_every_row_of_both_factors():
+    with pytest.raises(DimensionMismatch):
+        linalg.mat_mul(GF(3), [[1, 0], [1]], [[1], [1]])
+    with pytest.raises(DimensionMismatch):
+        linalg.mat_mul(GF(3), [[1, 0], [0, 1]], [[1, 1], [1]])
+
+
 def test_nullspace_refuses_equations_of_the_wrong_length():
     with pytest.raises(DimensionMismatch):
         linalg.nullspace_basis(GF(3), [[1, 0, 1, 1]], 3)  # one coefficient too many

@@ -679,6 +679,16 @@ def test_coords_refuse_a_tuple_of_the_wrong_shape():
             space.matrix_of([tup])
 
 
+def test_morphism_checks_every_row_of_the_matrix():
+    B = builtin("abelian(2)", GF(3))
+    space = biderivations(builtin("abelian(1)", GF(3)))
+    matrix = [[0] * B.dim for _ in range(space.dim)]
+    matrix[-1].pop()  # the last row is one entry short
+    assert space.dim > 1
+    with pytest.raises(ShapeMismatch):
+        space.morphism(B, matrix)
+
+
 # -- inner embeddings --------------------------------------------------------------
 
 
