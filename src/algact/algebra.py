@@ -423,11 +423,11 @@ class Centers:
 
 
 def _annihilating_rows(A: Algebra, op: int):
-    """The equations of {x : x.A = 0} and of {x : A.x = 0} in x, one row per
-    (j, m): the coordinate m of e_a . e_j, resp. e_j . e_a, over a."""
-    f, n = A.field, A.dim
-    left = [[f.zero] * n for _ in range(n * n)]
-    right = [[f.zero] * n for _ in range(n * n)]
+    """The equations of {x : x.A = 0} and of {x : A.x = 0} in x, one sparse
+    row {a: c} per (j, m): c the coordinate m of e_a . e_j, resp. e_j . e_a."""
+    n = A.dim
+    left = [{} for _ in range(n * n)]
+    right = [{} for _ in range(n * n)]
     for (i, j), group in A.ops[op].groups.items():
         for m, c in group.items():
             left[j * n + m][i] = right[i * n + m][j] = c

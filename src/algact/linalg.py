@@ -11,15 +11,12 @@ is over Q.  Scalars in canonical form are equal exactly when they are equal
 as Python values and zero exactly when falsy, so callers compare vectors
 with ``==`` and test them for zero with ``any``.
 
-:func:`rref` takes and returns dense rows; one call runs under every
-nullspace and span in the package.  Inside it runs incremental
-Gauss-Jordan elimination on sparse integer rows, keeping every stored row
-reduced, so each further row is cleared in one pass over the pivot columns
-it touches: over Q fraction-free on primitive integer rows, dividing only
-in the final normalisation; over GF(p) on residues reduced once per row
-operation.  The entry points refuse rows, generators, right-hand sides
-or matrix rows of the wrong length with :class:`DimensionMismatch`, each
-row checked by :func:`check_shape`.
+One elimination on sparse integer rows, :func:`_echelon`, runs under every
+nullspace and span: :func:`rref` takes and returns dense rows, and
+:func:`nullspace_basis` takes the sparse equations {column: scalar} of the
+laws as they are and makes no dense row.  Rows, operands and right-hand
+sides of the wrong length, and equation columns outside ``range(n)``, are
+refused with :class:`DimensionMismatch`.
 """
 
 from __future__ import annotations
@@ -44,10 +41,12 @@ def canonical(field: Field, v) -> list:
 
 
 def vec_add(field: Field, u, v) -> list:
+    check_shape(v, len(u), what="the second vector")
     return canonical(field, [a + b for a, b in zip(u, v)])
 
 
 def vec_sub(field: Field, u, v) -> list:
+    check_shape(v, len(u), what="the second vector")
     return canonical(field, [a - b for a, b in zip(u, v)])
 
 
@@ -70,10 +69,12 @@ def mat_identity(field: Field, n: int) -> list:
 
 
 def mat_add(field: Field, A, B) -> list:
+    check_shape(B, len(A), what="the second matrix")
     return [vec_add(field, ra, rb) for ra, rb in zip(A, B)]
 
 
 def mat_sub(field: Field, A, B) -> list:
+    check_shape(B, len(A), what="the second matrix")
     return [vec_sub(field, ra, rb) for ra, rb in zip(A, B)]
 
 
@@ -142,35 +143,13 @@ def mat_rank(field: Field, A) -> int:
 
 
 def rref(field: Field, rows) -> tuple[list, list]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    The RREF of a row space is unique, which is what makes every basis in
-    this package canonical.  It is built by incremental Gauss-Jordan
-    elimination on sparse integer rows, and every stored row stays reduced:
-    it holds no pivot column but its own.  Each new row is cleared at the
-    pivot columns in its support, once each, so a redundant row costs one
-    elimination per pivot column it touches.  A row that survives leads at
-    its smallest column and clears that column from the stored rows.  Over
-    Q the rows are primitive integer rows and only the final normalisation
-    divides; over GF(p) they are monic residue rows.  All rows must have
-    the same length.
-    """
+    """Reduced row echelon form of dense rows of one length; returns
+    (nonzero rows, pivot columns).  The RREF of a row space is unique, which
+    is what makes every basis in this package canonical."""
     p = field.char
     ncols = len(rows[0]) if rows else 0
     check_shape(rows, len(rows), ncols, what="the rows")
-    echelon: dict[int, dict] = {}  # pivot column -> the reduced row that leads there
-    for row in rows:
-        if len(echelon) == ncols:
-            break  # full rank: every further row reduces to zero
-        r = _int_row(row, p)
-        for c in [c for c in r if c in echelon]:
-            _eliminate(r, echelon[c], c, p)
-        if r:
-            c = min(r)
-            lead = echelon[c] = _normalise_lead(r, c, p)
-            for other in echelon.values():
-                if c in other and other is not lead:
-                    _eliminate(other, lead, c, p)
+    echelon = _echelon(p, (_int_row(row, p) for row in rows), ncols)
     pivots = sorted(echelon)
     out = []
     for c in pivots:
@@ -181,12 +160,47 @@ def rref(field: Field, rows) -> tuple[list, list]:
     return out, pivots
 
 
+def _echelon(p: int, int_rows, ncols: int, lead_at=min) -> dict:
+    """{pivot column: its reduced row} of the sparse integer rows of
+    :func:`_int_entries` by incremental Gauss-Jordan elimination, the rows
+    read lazily and no further than full rank.
+
+    Every stored row stays reduced: it holds no pivot column but its own.
+    Each new row is cleared at the pivot columns in its support, once each,
+    so a redundant row costs one elimination per pivot column it touches.
+    A row that survives leads at its smallest column (its largest for
+    ``lead_at=max``, the columns in reverse order) and clears that column
+    from the stored rows.  Over Q the rows stay primitive integer rows,
+    positive at their pivot; over GF(p) they are monic.
+    """
+    echelon: dict[int, dict] = {}
+    for r in int_rows:
+        for c in [c for c in r if c in echelon]:
+            _eliminate(r, echelon[c], c, p)
+        if r:
+            c = lead_at(r)
+            lead = echelon[c] = _normalise_lead(r, c, p)
+            for other in echelon.values():
+                if c in other and other is not lead:
+                    _eliminate(other, lead, c, p)
+            if len(echelon) == ncols:
+                break  # full rank: every further row reduces to zero
+    return echelon
+
+
 def _int_row(row, p: int) -> dict:
-    """The nonzero entries of a dense row as {column: int}: residues over
-    GF(p), a primitive integer multiple of the row over Q (p = 0)."""
+    """A dense row as {column: int}, made by :func:`_int_entries`."""
+    return _int_entries(enumerate(row), p)
+
+
+def _int_entries(entries, p: int) -> dict:
+    """The pairs (column, scalar) with a nonzero scalar as {column: int}:
+    residues mod p, or over Q a primitive multiple, cleared only if not all ints."""
     if p:
-        return {c: v for c, x in enumerate(row) if (v := x % p)}
-    _, (r,) = cleared([{c: x for c, x in enumerate(row) if x}])
+        return {c: v for c, x in entries if (v := x % p)}
+    r = {c: x for c, x in entries if x}
+    if not all(type(x) is int for x in r.values()):
+        _, (r,) = cleared([r])
     g = gcd(*r.values())
     return {c: x // g for c, x in r.items()} if g > 1 else r
 
@@ -260,28 +274,25 @@ def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
 
 def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
     """Canonical (RREF) basis of {x : rows . x = 0} in F^n and its pivots;
-    with no rows, the identity.
+    with no rows, the identity.  Each row is a map {column: scalar}.
 
-    One RREF of the rows with their columns reversed gives it.  Read in the
-    original order, each of its rows ends at its pivot pc, with 1 there and
-    0 at every other pivot.  For each free column c, v_c holds 1 at c, 0 at
-    the other free columns and -row(pc)[c] at each pivot pc, nonzero only
-    when c < pc.  So v_c leads at c, and the v_c in the order of c are
-    already the RREF of the nullspace, with the free columns as pivots.
+    One elimination on the columns in reverse order gives it: each reduced
+    row ends at its pivot pc, with 1 there once divided and 0 at every
+    other pivot.  For each free column c, v_c holds 1 at c, 0 at the other
+    free columns and -row(pc)[c] at each pivot pc, nonzero only when
+    c < pc.  So v_c leads at c, and the v_c in the order of c are already
+    the RREF of the nullspace, with the free columns as pivots.
     """
-    check_shape(rows, len(rows), n, what="the equations")
-    if not rows:
-        return mat_identity(field, n), list(range(n))
-    R, pivots = rref(field, [row[::-1] for row in rows])
-    ending = {n - 1 - pc: row for row, pc in zip(R, pivots)}  # rows still reversed
-    free = [c for c in range(n) if c not in ending]
-    vecs = []
-    for c in free:
-        v = unit_vector(field, n, c)
-        for pc, row in ending.items():
-            v[pc] = -row[n - 1 - c]
-        vecs.append(canonical(field, v))
-    return vecs, free
+    if any(row and (min(row) < 0 or max(row) >= n) for row in rows):
+        raise DimensionMismatch(f"the equations must have their columns in range({n})")
+    p = field.char
+    echelon = _echelon(p, (_int_entries(row.items(), p) for row in rows), n, max)
+    at = {c: unit_vector(field, n, c) for c in range(n) if c not in echelon}
+    for pc, r in echelon.items():
+        for c, x in r.items():
+            if c != pc:  # a free column: the row holds no other pivot
+                at[c][pc] = -x % p if p else Fraction(-x, r[pc])
+    return list(at.values()), list(at)
 
 
 def coords_in_span(field: Field, basis, pivots, v):

@@ -26,7 +26,7 @@ primed name standing for the component of u: the bimultiplier product
 (f,F)(f',F') = (ff', F'F) is ``"ff', F'F"``.  A law is a
 signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
 (:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
-entries, which :func:`space_of_kind` hands as dense rows to
+entries, which :func:`space_of_kind` hands as they are, sparse forms, to
 :func:`algact.linalg.nullspace_basis`.  Its evaluation on sparse vectors is
 the self-check (:func:`defining_defects`), run once on the whole computed
 basis without the rows.  Every law is bilinear in the two algebra
@@ -464,16 +464,9 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
     spec = _kind(kind)
     spec.precondition(A)
     f, n = A.field, A.dim
-    unknowns = len(spec.components) * n * n
     blocks = {name: b for b, name in enumerate(spec.components)}
-    rows = []
-    for _, law in spec.laws:
-        for form in laws.law_rows(A, law, blocks):
-            row = [f.zero] * unknowns
-            for idx, c in form.items():
-                row[idx] = c
-            rows.append(row)
-    vectors, pivots = linalg.nullspace_basis(f, rows, unknowns)
+    rows = [form for _, law in spec.laws for form in laws.law_rows(A, law, blocks)]
+    vectors, pivots = linalg.nullspace_basis(f, rows, len(spec.components) * n * n)
     basis = [
         tuple(linalg.mat_unflatten(v[b * n * n : (b + 1) * n * n], n, n)
               for b in range(len(spec.components)))

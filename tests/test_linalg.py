@@ -26,23 +26,48 @@ def F(x):
     return Fraction(x)
 
 
+def sparse(rows):
+    """Dense rows as the sparse rows {column: scalar} of nullspace_basis,
+    zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def dense(field, rows, n):
+    """Sparse rows {column: scalar} as dense rows of canonical scalars."""
+    return [[field.of(row.get(c, 0)) for c in range(n)] for row in rows]
+
+
+def reference_nullspace(field, rows, n):
+    """The RREF basis of the nullspace of dense rows, and its pivots:
+    back-substitution on the reference RREF, re-reduced by it."""
+    R, pivots = oracle.dense_rref(field, rows)
+    free = [c for c in range(n) if c not in pivots]
+    vecs = [[field.one if c == fc else field.zero for c in range(n)] for fc in free]
+    for vec, fc in zip(vecs, free):
+        for row, pc in zip(R, pivots):
+            vec[pc] = field.neg(row[fc])
+    return oracle.dense_rref(field, vecs) if vecs else ([], [])
+
+
 def test_nullspace_identity_system_empty():
-    basis, _ = linalg.nullspace_basis(Q, linalg.mat_identity(Q, 3), 3)
+    basis, _ = linalg.nullspace_basis(Q, sparse(linalg.mat_identity(Q, 3)), 3)
     assert basis == []
 
 
 def test_nullspace_zero_system_is_standard_basis():
     basis, _ = linalg.nullspace_basis(Q, [], 2)
     assert basis == [[F(1), F(0)], [F(0), F(1)]]
-    # rows that are all zero cut out nothing either
-    assert linalg.nullspace_basis(Q, [[F(0), F(0)]], 2)[0] == basis
+    # rows that are all zero cut out nothing either, stored or empty
+    assert linalg.nullspace_basis(Q, [{0: F(0), 1: F(0)}], 2)[0] == basis
+    assert linalg.nullspace_basis(Q, [{}, {}], 2)[0] == basis
 
 
 def test_nullspace_without_equations_is_the_identity_without_elimination(monkeypatch):
     def refuse(*args):
-        raise AssertionError("rref called")
+        raise AssertionError("eliminated")
 
     monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
     for field in (Q, GF(3)):
         for n in range(5):
             assert linalg.nullspace_basis(field, [], n) == (linalg.mat_identity(field, n),
@@ -51,22 +76,24 @@ def test_nullspace_without_equations_is_the_identity_without_elimination(monkeyp
 
 @pytest.mark.parametrize("field", [Q, GF(3), GF(7)], ids=repr)
 def test_nullspace_with_equations_runs_one_elimination(field, monkeypatch):
-    # the kernel is read off one RREF of the rows with reversed columns,
-    # already canonical: no second RREF of the kernel vectors
-    calls, rref = [], linalg.rref
+    # the kernel is read off one elimination of the rows with reversed
+    # columns, already canonical: no second RREF of the kernel vectors
+    calls, echelon = [], linalg._echelon
 
-    def spy(f, rows):
-        calls.append(len(rows))
-        return rref(f, rows)
+    def spy(p, int_rows, *args):
+        int_rows = list(int_rows)
+        calls.append(len(int_rows))
+        return echelon(p, int_rows, *args)
 
     def refuse(*args):
-        raise AssertionError("span_basis called")
+        raise AssertionError("a dense RREF ran")
 
-    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(linalg, "span_basis", refuse)
     rows = [[field.of(x) for x in row]  # rank 2: the third row is the sum of the others
             for row in ([1, 2, 0, 1, 3], [0, 1, 1, 2, 0], [1, 3, 1, 3, 3])]
-    basis, pivots = linalg.nullspace_basis(field, rows, 5)
+    basis, pivots = linalg.nullspace_basis(field, sparse(rows), 5)
     assert calls == [3]
     assert (basis, pivots) == oracle.dense_rref(field, basis) and len(basis) == 5 - 2
     assert all(not any(linalg.mat_vec(field, rows, v)) for v in basis)
@@ -74,7 +101,7 @@ def test_nullspace_with_equations_runs_one_elimination(field, monkeypatch):
 
 def test_nullspace_one_equation_mod3_canonicalized():
     f = GF(3)
-    basis, _ = linalg.nullspace_basis(f, [[1, 1]], 2)  # x + y = 0
+    basis, _ = linalg.nullspace_basis(f, [{0: 1, 1: 1}], 2)  # x + y = 0
     assert basis == [[1, 2]]
 
 
@@ -187,6 +214,47 @@ def test_rref_matches_dense_reference(case):
     assert_canonical_scalars(field, got_rows)
 
 
+@st.composite
+def sparse_systems(draw):
+    """(field, rows, n): sparse rows {column: scalar} in F^n, over Q with
+    Fraction entries, int entries (whole rows of them times a common
+    factor, so not primitive) or both; explicit zero entries and empty rows
+    mixed in, and some rows sums of earlier ones."""
+    field = draw(st.sampled_from([Q, GF(3), GF(7), GF(2**61 - 1)]))
+    n = draw(st.integers(0, 8))
+    if field == Q:
+        entry = st.one_of(st.integers(-9, 9), scalars(Q))
+    else:
+        entry = scalars(field)
+    columns = st.integers(0, n - 1) if n else st.nothing()
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = draw(st.dictionaries(columns, entry, max_size=n))
+        if field == Q and draw(st.booleans()):  # a non-primitive int row
+            factor = draw(st.integers(2, 6))
+            row = {c: factor * draw(st.integers(-5, 5)) for c in row}
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append({c: field.add(field.of(a.get(c, 0)), field.of(b.get(c, 0)))
+                     for c in {*a, *b}})
+    return field, rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+@example((Q, [{}, {0: 0, 2: F(0)}], 3))
+@example((Q, [{0: 4, 1: -6}, {1: F("1/2"), 2: F("-3/4")}], 3))
+@example((GF(2**61 - 1), [{1: 2**61 - 2, 0: 0}, {}], 2))
+def test_sparse_nullspace_matches_dense_reference(case):
+    field, rows, n = case
+    before = copy.deepcopy(rows)
+    got = linalg.nullspace_basis(field, rows, n)
+    assert rows == before  # the input is left as it was
+    assert got == reference_nullspace(field, dense(field, rows, n), n)
+    assert_canonical_scalars(field, got[0])
+
+
 def test_rref_clears_non_integer_rationals():
     rows = [[F("1/2"), F("-1/3"), F(0)], [F("-3/4"), F("1/2"), F("5/7")]]
     got, pivots = linalg.rref(Q, rows)
@@ -202,7 +270,7 @@ def test_q_nullspace_matches_sympy():
         nrows, n = rng.randint(1, 7), rng.randint(1, 9)
         rows = [[F(rng.choice([0, 0, 0, 1, -1, 2, -3])) / rng.choice([1, 1, 2, 3])
                  for _ in range(n)] for _ in range(nrows)]
-        basis, _ = linalg.nullspace_basis(Q, rows, n)
+        basis, _ = linalg.nullspace_basis(Q, sparse(rows), n)
         kernel = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                                for r in rows]).nullspace()
         assert len(basis) == len(kernel)
@@ -273,17 +341,12 @@ def test_dense_helpers_match_field_method_reference(data):
         "mat_vec": [linalg.mat_vec(field, A, u)],
         "mat_mul": linalg.mat_mul(field, A, B),
     }
-    # the nullspace of A: back-substitution on the reference RREF
-    R, pivots = oracle.dense_rref(field, A)
-    free = [c for c in range(k) if c not in pivots]
-    vecs = [[field.one if c == fc else field.zero for c in range(k)] for fc in free]
-    for vec, fc in zip(vecs, free):
-        for row, pc in zip(R, pivots):
-            vec[pc] = field.neg(row[fc])
-    want_basis, want_pivots = oracle.dense_rref(field, vecs) if vecs else ([], [])
-    basis, null_pivots = linalg.nullspace_basis(field, A, k)
+    want_basis, want_pivots = reference_nullspace(field, A, k)
+    basis, null_pivots = linalg.nullspace_basis(field, sparse(A), k)
     assert null_pivots == want_pivots
     want["nullspace_basis"], got["nullspace_basis"] = want_basis, basis
+    R, pivots = oracle.dense_rref(field, A)
+    free = [c for c in range(k) if c not in pivots]
     # coordinates in the RREF basis of A's rows: the coefficients on the
     # span, None off it
     coeffs = [data.draw(entry) for _ in R]
@@ -338,15 +401,16 @@ def test_coords_in_span_over_prime_field():
 
 
 def _law_systems(monkeypatch, field, algebras, kinds):
-    """(label, rows) of every rref input that ``space_of_kind`` builds."""
+    """(label, rows, unknowns) of every nullspace system, in sparse rows,
+    that ``space_of_kind`` builds."""
     systems, label = [], None
-    rref = linalg.rref
+    nullspace = linalg.nullspace_basis
 
-    def recording(f, rows):
-        systems.append((label, [list(r) for r in rows]))
-        return rref(f, rows)
+    def recording(f, rows, n):
+        systems.append((label, [dict(r) for r in rows], n))
+        return nullspace(f, rows, n)
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    monkeypatch.setattr(linalg, "nullspace_basis", recording)
     for name, A in algebras:
         for kind in kinds:
             label = f"{field!r} {name} {kind}"
@@ -360,19 +424,52 @@ def _law_systems(monkeypatch, field, algebras, kinds):
 
 
 def test_rref_matches_dense_reference_on_operator_space_systems(monkeypatch):
+    # the systems go to nullspace_basis as sparse rows; rref is checked on
+    # them made dense, and the nullspace on the sparse rows themselves
     gf7 = _law_systems(monkeypatch, GF(7), _rebased_matrix_algebras(GF(7), "T2 M2"),
                        SPACE_KINDS)
     t2 = [(n, A) for n, A in _rebased_matrix_algebras(Q, "T2 M2") if n == "T2.poisson"]
     q = _law_systems(monkeypatch, Q, t2, ["usga-poisson"])
     # multipliers and usga-cpoisson need a commutative base
-    kinds = {label.split()[-1] for label, _ in gf7}
+    kinds = {label.split()[-1] for label, _, _ in gf7}
     assert kinds == set(SPACE_KINDS) - {"multipliers", "usga-cpoisson"}
-    assert sum(len(rows) for _, rows in gf7) > 1000 and q
+    assert sum(len(rows) for _, rows, _ in gf7) > 1000 and q
     for field, systems in ((GF(7), gf7), (Q, q)):
-        for label, rows in systems:
-            got = linalg.rref(field, rows)
-            assert got == oracle.dense_rref(field, rows), label
+        for label, rows, n in systems:
+            dense_rows = dense(field, rows, n)
+            got = linalg.rref(field, dense_rows)
+            assert got == oracle.dense_rref(field, dense_rows), label
             assert_canonical_scalars(field, got[0])
+            basis = linalg.nullspace_basis(field, rows, n)
+            assert basis == reference_nullspace(field, dense_rows, n), label
+            assert_canonical_scalars(field, basis[0])
+
+
+@pytest.mark.parametrize("field", [Q, GF(7)], ids=repr)
+def test_space_of_kind_builds_no_dense_row(field, monkeypatch):
+    # the law_rows forms go to the elimination as they are: no dense row is
+    # made, so neither the dense RREF nor its row reader runs
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("rref", "_int_row"):
+        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    built = set()
+    for _, A in _rebased_matrix_algebras(field, "T2 M2"):
+        for kind in SPACE_KINDS:
+            try:
+                space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            built.add(kind)
+    assert built == set(SPACE_KINDS) - {"multipliers", "usga-cpoisson"}
+    assert calls == []
 
 
 def _reduced_and_echelon_bases(field, rng, rank, ncols):
@@ -443,12 +540,33 @@ def test_mat_mul_checks_every_row_of_both_factors():
 
 
 def test_nullspace_refuses_equations_of_the_wrong_length():
+    # a column key outside range(n), even with a zero coefficient or after
+    # a row that already reaches full rank
     with pytest.raises(DimensionMismatch):
-        linalg.nullspace_basis(GF(3), [[1, 0, 1, 1]], 3)  # one coefficient too many
+        linalg.nullspace_basis(GF(3), [{0: 1, 2: 1, 3: 1}], 3)  # one column too many
     with pytest.raises(DimensionMismatch):
-        linalg.nullspace_basis(GF(3), [[1, 0]], 3)  # one too few
+        linalg.nullspace_basis(GF(3), [{-1: 1, 0: 1}], 3)
     with pytest.raises(DimensionMismatch):
-        linalg.nullspace_basis(Q, [[F(1), F(0), F(0)], [F(0), F(1)]], 3)
+        linalg.nullspace_basis(Q, [{0: F(1)}, {1: F(0), 3: F(0)}], 3)
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(GF(7), [{0: 1}, {1: 1}, {2: 5}], 2)
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(GF(7), [{0: 1}], 0)
+
+
+UNEQUAL_OPERANDS = [
+    ("vec_add", [1, 2], [1]),
+    ("vec_sub", [1], [1, 2]),
+    ("mat_add", [[1, 2]], [[1, 2], [0, 1]]),
+    ("mat_sub", [[1, 2], [0, 1]], [[1, 2], [0]]),  # the second rows differ
+]
+
+
+@pytest.mark.parametrize("name,a,b", UNEQUAL_OPERANDS, ids=[c[0] for c in UNEQUAL_OPERANDS])
+def test_sums_refuse_operands_of_different_lengths(name, a, b):
+    # zip stopped at the shorter operand and returned a truncated sum
+    with pytest.raises(DimensionMismatch):
+        getattr(linalg, name)(GF(3), a, b)
 
 
 @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1]], [[0, 1], [1, 0, 1]]], ids=str)

@@ -266,10 +266,9 @@ def test_rows_and_self_check_cut_out_the_same_space(field):
             for idx, label, args, defect in defining_defects(kind, A, units):
                 for m, c in enumerate(defect):
                     columns.setdefault((label, args, m), {})[idx] = c
-            rows = [[row.get(idx, field.zero) for idx in range(unknowns)]
-                    for row in columns.values()]
             flat_basis = [[x for M in tup for row in M for x in row] for tup in space.basis]
-            assert linalg.nullspace_basis(field, rows, unknowns)[0] == flat_basis, (name, kind)
+            assert (linalg.nullspace_basis(field, list(columns.values()), unknowns)[0]
+                    == flat_basis), (name, kind)
             checked += 1
     assert checked > len(SPACE_KINDS)
 
