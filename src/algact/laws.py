@@ -39,10 +39,11 @@ two ways:
 
 Both readings run one kernel for both fields, Python's own ``+ - *`` on
 the scalars they hold.  Over GF(p) these are residues, and what they make
-is left unreduced until a defect or a form is complete; that is reduced
-mod p once (:func:`algact.linalg.reduced`), so whatever leaves the module
-is a canonical residue.  Over Q the acting path runs on Fractions, and the
-rest on integers: the constants of both operations cleared of
+is left unreduced until a defect is complete; that is reduced mod p once
+(:func:`algact.linalg.reduced`), so a defect leaves the module as
+canonical residues.  A form leaves it unreduced, for the one reduction of
+the elimination that reads it.  Over Q the acting path runs on Fractions,
+and the rest on integers: the constants of both operations cleared of
 denominators by one common mu, and each operator set by its own lambda_t.
 Every term of a law without an acting algebra reads each argument once,
 so it holds exactly ``arity - 1`` product or bracket nodes and as many
@@ -61,7 +62,8 @@ its tree (:func:`_size`, at most n^(2 arity - 1) C^(arity - 1) M), so a
 slot lies within the sum of those over the terms, and w is that bound's
 bit length plus a sign bit.  A packed defect is unpacked only where it is
 nonzero, into balanced slots (they can be negative, :func:`_unpacked`),
-and each slot is reduced mod p on its own.
+and each slot is reduced mod p on its own.  A family of one has one slot,
+which is the whole int, so its defect is reduced as it is.
 """
 
 from __future__ import annotations
@@ -519,17 +521,23 @@ def failures(A, laws, family=None, B=None):
     if B is not None:
         at_x = [_Env(A, {s: cols[x] for s, cols in env.ops.items()}) for x in range(B.dim)]
 
+    def by_set(d):
+        """{t: the nonzero entries of set t's defect} of the packed defect d."""
+        if env.count == 1:  # each entry is the one slot's value
+            return {0: d} if (d := linalg.reduced(d, env.p)) else {}
+        out = {}
+        for k, x in d.items():
+            if x:  # some slot is nonzero: reduce the nonzero ones
+                values = _unpacked(x, env)
+                values = linalg.reduced(dict(compress(enumerate(values), values)), env.p)
+                for t, y in values.items():
+                    out.setdefault(t, {})[k] = y
+        return out
+
     def packed(law):
         defect, ons, arity = _defect(env, law), _ons(law), _arity(law)
         for args in _candidates(env, law):
-            by_set = {}
-            for k, x in defect(args).items():
-                if x:  # some slot is nonzero: reduce the nonzero ones
-                    values = _unpacked(x, env)
-                    values = linalg.reduced(dict(compress(enumerate(values), values)), env.p)
-                    for t, y in values.items():
-                        by_set.setdefault(t, {})[k] = y
-            for t, d in sorted(by_set.items()):
+            for t, d in sorted(by_set(defect(args)).items()):
                 if env.scale:  # slot t is lambda_t^on mu^(arity - 1) times the defect
                     den = env.scale[0][t] ** ons * env.scale[1] ** (arity - 1)
                     d = {k: Fraction(y, den) for k, y in d.items()}
@@ -561,12 +569,16 @@ def _hole(node, hole):
 
 
 def law_rows(A, law, blocks):
-    """The nonzero linear forms of ``law`` over unknown operator entries.
+    """The linear forms of ``law`` over unknown operator entries, one list
+    per basis tuple, the tuples in lexicographic order and each list built
+    only when it is asked for.
 
     The operator in slot s is the unknown n x n matrix stored row-major from
-    index ``blocks[s] * n * n``.  Forms come per basis tuple in
-    lexicographic order, one per output coordinate, each reduced once over
-    GF(p).  Over Q they are read on integers: every form of one basis tuple
+    index ``blocks[s] * n * n``.  A list holds one form per output
+    coordinate, those with no term left out; its ints are left unreduced
+    over GF(p), for the one reduction that reads them
+    (:func:`algact.linalg.nullspace_basis`), so a form can be zero in the
+    field.  Over Q they are read on integers: every form of one basis tuple
     is then mu^(arity - 1) times the true one (:func:`_over_ints`), which
     spans the same nullspace.
     """
@@ -587,6 +599,4 @@ def law_rows(A, law, blocks):
                     idx = off + k * n + j
                     for m, c in image:
                         forms[m][idx] = forms[m][idx] + a * c if idx in forms[m] else a * c
-        for form in forms:
-            if form := linalg.reduced(form, env.p):
-                yield form
+        yield [form for form in forms if form]

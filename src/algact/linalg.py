@@ -14,9 +14,11 @@ with ``==`` and test them for zero with ``any``.
 One elimination on sparse integer rows, :func:`_echelon`, runs under every
 nullspace and span: :func:`rref` takes and returns dense rows, and
 :func:`nullspace_basis` takes the sparse equations {column: scalar} of the
-laws as they are and makes no dense row.  Rows, operands and right-hand
-sides of the wrong length, and equation columns outside ``range(n)``, are
-refused with :class:`DimensionMismatch`.
+laws as they are and makes no dense row.  The kernel reads its rows
+lazily, each eliminated before the next is read, and a nullspace can be
+extended by more rows without eliminating the first ones again.  Rows,
+operands and right-hand sides of the wrong length, and equation columns
+outside ``range(n)``, are refused with :class:`DimensionMismatch`.
 """
 
 from __future__ import annotations
@@ -160,10 +162,11 @@ def rref(field: Field, rows) -> tuple[list, list]:
     return out, pivots
 
 
-def _echelon(p: int, int_rows, ncols: int, lead_at=min) -> dict:
+def _echelon(p: int, int_rows, ncols: int, lead_at=min, echelon=None) -> dict:
     """{pivot column: its reduced row} of the sparse integer rows of
     :func:`_int_entries` by incremental Gauss-Jordan elimination, the rows
-    read lazily and no further than full rank.
+    read lazily and no further than full rank.  Given the ``echelon`` of
+    earlier rows, it goes on from there, in place.
 
     Every stored row stays reduced: it holds no pivot column but its own.
     Each new row is cleared at the pivot columns in its support, once each,
@@ -173,7 +176,7 @@ def _echelon(p: int, int_rows, ncols: int, lead_at=min) -> dict:
     from the stored rows.  Over Q the rows stay primitive integer rows,
     positive at their pivot; over GF(p) they are monic.
     """
-    echelon: dict[int, dict] = {}
+    echelon = {} if echelon is None else echelon
     for r in int_rows:
         for c in [c for c in r if c in echelon]:
             _eliminate(r, echelon[c], c, p)
@@ -195,7 +198,8 @@ def _int_row(row, p: int) -> dict:
 
 def _int_entries(entries, p: int) -> dict:
     """The pairs (column, scalar) with a nonzero scalar as {column: int}:
-    residues mod p, or over Q a primitive multiple, cleared only if not all ints."""
+    residues mod p, the one reduction of the ints of the law forms, or over
+    Q a primitive multiple, cleared only if not all ints."""
     if p:
         return {c: v for c, x in entries if (v := x % p)}
     r = {c: x for c, x in entries if x}
@@ -272,9 +276,13 @@ def span_basis(field: Field, vectors, n: int) -> tuple[list, list]:
     return rref(field, vectors)
 
 
-def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
+def nullspace_basis(field: Field, rows, n: int, echelon=None) -> tuple[list, list]:
     """Canonical (RREF) basis of {x : rows . x = 0} in F^n and its pivots;
-    with no rows, the identity.  Each row is a map {column: scalar}.
+    with no rows, the identity.  Each row is a map {column: scalar}, over
+    GF(p) of ints that may be unreduced.  The rows are read once, in order,
+    each checked as it is read, and past full rank only for that check.
+    ``echelon``, a dict, holds the elimination of the rows read so far: a
+    later call with it adds its rows without eliminating those again.
 
     One elimination on the columns in reverse order gives it: each reduced
     row ends at its pivot pc, with 1 there once divided and 0 at every
@@ -283,16 +291,25 @@ def nullspace_basis(field: Field, rows, n: int) -> tuple[list, list]:
     c < pc.  So v_c leads at c, and the v_c in the order of c are already
     the RREF of the nullspace, with the free columns as pivots.
     """
-    if any(row and (min(row) < 0 or max(row) >= n) for row in rows):
-        raise DimensionMismatch(f"the equations must have their columns in range({n})")
-    p = field.char
-    echelon = _echelon(p, (_int_entries(row.items(), p) for row in rows), n, max)
+    p, rows = field.char, _in_columns(rows, n)
+    echelon = _echelon(p, (_int_entries(row.items(), p) for row in rows), n, max, echelon)
+    for _ in rows:  # past full rank
+        pass
     at = {c: unit_vector(field, n, c) for c in range(n) if c not in echelon}
     for pc, r in echelon.items():
         for c, x in r.items():
             if c != pc:  # a free column: the row holds no other pivot
                 at[c][pc] = -x % p if p else Fraction(-x, r[pc])
     return list(at.values()), list(at)
+
+
+def _in_columns(rows, n: int):
+    """The sparse rows, each checked, as it is read, to have its columns in
+    ``range(n)``."""
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= n):
+            raise DimensionMismatch(f"the equations must have their columns in range({n})")
+        yield row
 
 
 def coords_in_span(field: Field, basis, pivots, v):

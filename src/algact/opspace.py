@@ -26,19 +26,28 @@ primed name standing for the component of u: the bimultiplier product
 (f,F)(f',F') = (ff', F'F) is ``"ff', F'F"``.  A law is a
 signed tree of :mod:`algact.laws`, read two ways.  Its linear reading
 (:func:`algact.laws.law_rows`) gives the rows over the unknown matrix
-entries, which :func:`space_of_kind` hands as they are, sparse forms, to
-:func:`algact.linalg.nullspace_basis`.  Its evaluation on sparse vectors is
-the self-check (:func:`defining_defects`), run once on the whole computed
-basis without the rows.  Every law is bilinear in the two algebra
-arguments, so imposing it on all basis pairs is equivalent to imposing it
-everywhere; the self-check evaluates only the pairs where some term of
-some basis tuple can be nonzero.  Each law holds one operator per term, so
-it is linear in the tuple, and it is evaluated once for the whole basis
-(:func:`algact.laws.failures`): each operator entry is one int whose
-w-bit slot t holds tuple t's entry, w read off the law as a bound on
-every slot of its defect, and a defect is split into its balanced slots,
-each reduced mod p, only where it is nonzero.  The first failing tuple,
-then its first law, then its first pair is reported.
+entries, sparse forms, which :func:`space_of_kind` hands to
+:func:`algact.linalg.nullspace_basis` lazily and args-major: at each basis
+pair (e_i, e_j) in lexicographic order, the forms of every law there.
+The args row of e_i is every pair with e_i first.  The elimination stops
+at the end of the first args row that adds no pivot, and no later row is
+built.  Its evaluation on sparse vectors is the self-check
+(:func:`defining_defects`), run once on the whole candidate basis of that
+prefix, without the rows.  The candidate contains the space, since its
+rows are some of the space's rows.  A candidate that passes the self-check
+lies inside the space, so the two are equal, and so are their canonical
+bases.  A candidate that fails has the other rows added to the same
+elimination and is checked again; a failure then is a ClosureError.  The
+stop rule reads only the rank, and has no tuned constant.  Every law is
+bilinear in the two algebra arguments, so imposing it on all basis pairs
+is equivalent to imposing it everywhere; the self-check evaluates only the
+pairs where some term of some basis tuple can be nonzero.  Each law holds
+one operator per term, so it is linear in the tuple, and it is evaluated
+once for the whole basis (:func:`algact.laws.failures`): each operator
+entry is one int whose w-bit slot t holds tuple t's entry, w read off the
+law as a bound on every slot of its defect, and a defect is split into its
+balanced slots, each reduced mod p, only where it is nonzero.  The first
+failing tuple, then its first law, then its first pair is reported.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples,
@@ -84,6 +93,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -459,23 +469,47 @@ def defining_defects(kind: str, A: Algebra, tuples):
     yield from sorted(hits, key=itemgetter(0))
 
 
+def _row_groups(A: Algebra, spec: _Kind):
+    """The forms of the laws of ``spec`` on A, args-major and lazily: one
+    iterator per basis element e_i, holding at each pair (e_i, e_j) in turn
+    the forms of every law there (:func:`algact.laws.law_rows`, the laws
+    being bilinear)."""
+    n, blocks = A.dim, {name: b for b, name in enumerate(spec.components)}
+    per_args = zip(*(laws.law_rows(A, law, blocks) for _, law in spec.laws))
+    for _ in range(n):
+        yield (form for at in islice(per_args, n) for forms in at for form in forms)
+
+
+def _prefix(groups, echelon: dict):
+    """The rows of ``groups`` up to the end of the first group that adds no
+    pivot to ``echelon``, the elimination that reads them one by one."""
+    for group in groups:
+        rank = len(echelon)
+        yield from group
+        if len(echelon) == rank:
+            return
+
+
 def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
     """The operator space of ``kind`` on ``A``, built from its laws."""
     spec = _kind(kind)
     spec.precondition(A)
-    f, n = A.field, A.dim
-    blocks = {name: b for b, name in enumerate(spec.components)}
-    rows = [form for _, law in spec.laws for form in laws.law_rows(A, law, blocks)]
-    vectors, pivots = linalg.nullspace_basis(f, rows, len(spec.components) * n * n)
-    basis = [
-        tuple(linalg.mat_unflatten(v[b * n * n : (b + 1) * n * n], n, n)
-              for b in range(len(spec.components)))
-        for v in vectors
-    ]
-    space = OperatorSpace(A, kind, spec.components, basis, pivots)
+    f, n, k = A.field, A.dim, len(spec.components)
+    groups, echelon = _row_groups(A, spec), {}
+
+    def basis_of(rows):  # the basis tuples and pivots of all the rows read so far
+        vectors, pivots = linalg.nullspace_basis(f, rows, k * n * n, echelon)
+        return [tuple(linalg.mat_unflatten(v[b * n * n : (b + 1) * n * n], n, n)
+                      for b in range(k)) for v in vectors], pivots
+
+    basis, pivots = basis_of(_prefix(groups, echelon))
     bad = next(defining_defects(kind, A, basis), None)
+    if bad is not None:  # the prefix missed an instance: add the other rows
+        basis, pivots = basis_of(chain.from_iterable(groups))
+        bad = next(defining_defects(kind, A, basis), None)
     if bad is not None:
         raise ClosureError(f"computed {kind} basis tuple violates {bad[1]} at {bad[2]}")
+    space = OperatorSpace(A, kind, spec.components, basis, pivots)
     if spec.ops:
         sparse, tails = space._sparse_basis, None
         if f.char == 0:  # on integers: tuple t times lam[t], the tails times one L

@@ -255,6 +255,36 @@ def test_sparse_nullspace_matches_dense_reference(case):
     assert_canonical_scalars(field, got[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.data())
+def test_a_nullspace_extended_by_more_rows_is_that_of_all_of_them(case, data):
+    # the rows come lazily, in two parts, the second part added to the
+    # elimination of the first; over GF(p) as unreduced ints
+    field, rows, n = case
+    if field.char:
+        rows = [{c: x + data.draw(st.integers(-3, 3)) * field.char for c, x in row.items()}
+                for row in rows]
+    k, echelon = data.draw(st.integers(0, len(rows))), {}
+    got = linalg.nullspace_basis(field, iter(rows[:k]), n, echelon)
+    assert got == reference_nullspace(field, dense(field, rows[:k], n), n)
+    got = linalg.nullspace_basis(field, iter(rows[k:]), n, echelon)
+    assert got == reference_nullspace(field, dense(field, rows, n), n)
+    assert_canonical_scalars(field, got[0])
+
+
+def test_nullspace_eliminates_each_row_before_it_reads_the_next():
+    # what a caller that stops a lazy source on the rank relies on
+    rows, ranks, echelon = [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}, {2: 1}], [], {}
+
+    def source():
+        for row in rows:
+            ranks.append(len(echelon))
+            yield row
+
+    linalg.nullspace_basis(GF(3), source(), 4, echelon)
+    assert ranks == [0, 1, 1, 2] and len(echelon) == 3
+
+
 def test_rref_clears_non_integer_rationals():
     rows = [[F("1/2"), F("-1/3"), F(0)], [F("-3/4"), F("1/2"), F("5/7")]]
     got, pivots = linalg.rref(Q, rows)
@@ -401,14 +431,19 @@ def test_coords_in_span_over_prime_field():
 
 
 def _law_systems(monkeypatch, field, algebras, kinds):
-    """(label, rows, unknowns) of every nullspace system, in sparse rows,
-    that ``space_of_kind`` builds."""
-    systems, label = [], None
+    """(label, rows, unknowns, basis and pivots) of every nullspace that
+    ``space_of_kind`` reads, the rows as sparse maps: a call that extends
+    the elimination of the one before holds the rows of both."""
+    systems, label, last = [], None, (None, [])
     nullspace = linalg.nullspace_basis
 
-    def recording(f, rows, n):
-        systems.append((label, [dict(r) for r in rows], n))
-        return nullspace(f, rows, n)
+    def recording(f, rows, n, echelon=None):
+        nonlocal last
+        read = list(last[1]) if echelon is not None and echelon is last[0] else []
+        last = echelon, read
+        got = nullspace(f, (read.append(dict(r)) or r for r in rows), n, echelon)
+        systems.append((label, read, n, got))
+        return got
 
     monkeypatch.setattr(linalg, "nullspace_basis", recording)
     for name, A in algebras:
@@ -431,18 +466,18 @@ def test_rref_matches_dense_reference_on_operator_space_systems(monkeypatch):
     t2 = [(n, A) for n, A in _rebased_matrix_algebras(Q, "T2 M2") if n == "T2.poisson"]
     q = _law_systems(monkeypatch, Q, t2, ["usga-poisson"])
     # multipliers and usga-cpoisson need a commutative base
-    kinds = {label.split()[-1] for label, _, _ in gf7}
+    kinds = {label.split()[-1] for label, *_ in gf7}
     assert kinds == set(SPACE_KINDS) - {"multipliers", "usga-cpoisson"}
-    assert sum(len(rows) for _, rows, _ in gf7) > 1000 and q
+    assert sum(len(rows) for _, rows, *_ in gf7) > 1000 and q
     for field, systems in ((GF(7), gf7), (Q, q)):
-        for label, rows, n in systems:
+        for label, rows, n, got in systems:
             dense_rows = dense(field, rows, n)
-            got = linalg.rref(field, dense_rows)
-            assert got == oracle.dense_rref(field, dense_rows), label
+            reduced = linalg.rref(field, dense_rows)
+            assert reduced == oracle.dense_rref(field, dense_rows), label
+            assert_canonical_scalars(field, reduced[0])
+            reference = reference_nullspace(field, dense_rows, n)
+            assert got == reference == linalg.nullspace_basis(field, rows, n), label
             assert_canonical_scalars(field, got[0])
-            basis = linalg.nullspace_basis(field, rows, n)
-            assert basis == reference_nullspace(field, dense_rows, n), label
-            assert_canonical_scalars(field, basis[0])
 
 
 @pytest.mark.parametrize("field", [Q, GF(7)], ids=repr)
@@ -552,6 +587,25 @@ def test_nullspace_refuses_equations_of_the_wrong_length():
         linalg.nullspace_basis(GF(7), [{0: 1}, {1: 1}, {2: 5}], 2)
     with pytest.raises(DimensionMismatch):
         linalg.nullspace_basis(GF(7), [{0: 1}], 0)
+
+
+def test_nullspace_refuses_a_lazy_row_outside_the_columns():
+    # each row is checked as it is read, the source read once; past full
+    # rank the rest is still read for the check
+    read = []
+
+    def source(rows):
+        for row in rows:
+            read.append(row)
+            yield row
+
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(GF(3), source([{0: 1}, {1: 2, 3: 1}, {2: 1}]), 3)
+    assert read == [{0: 1}, {1: 2, 3: 1}]
+    with pytest.raises(DimensionMismatch):
+        linalg.nullspace_basis(Q, source([{0: F(1)}, {1: F(1)}, {-1: F(0)}]), 2)
+    with pytest.raises(DimensionMismatch):  # a row that extends an elimination
+        linalg.nullspace_basis(GF(7), source([{2: 1}]), 2, {0: {0: 1}})
 
 
 UNEQUAL_OPERANDS = [

@@ -3,7 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 import pytest
 
@@ -418,8 +418,9 @@ def test_self_check_reports_the_exact_rational_defect():
 
 def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
     # sl2 over GF(3), basis (e, f, h): [e,f] = h, [f,e] = 2h, [h,e] = 2e.
-    # Evaluation reduces a defect or a form mod p once, when it is complete,
-    # so a sum of terms can be a nonzero multiple of 3 before: Jacobi at
+    # Evaluation reduces a defect mod p once, when it is complete, and the
+    # elimination a form once, when it reads it, so a sum of terms can be a
+    # nonzero multiple of 3 before: Jacobi at
     # (e, f, h) is [[e,f],h] + [[f,h],e] + [[h,e],f] = 0 + 2[f,e] + 2[e,f]
     # = 4h + 2h = 6h
     p = 3
@@ -435,8 +436,10 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
     assert seen.pop("multiple") > 0
     # d applied to each term of Jacobi: every coefficient is a multiple of 3
     law = tuple((sign, (laws.ON, "d", node)) for sign, node in laws.JACOBI)
-    assert list(laws.law_rows(A, law, {"d": 0})) == []
-    assert seen.pop("multiple") > 0
+    forms = [form for at in laws.law_rows(A, law, {"d": 0}) for form in at]
+    assert forms and all(x and not x % p for form in forms for x in form.values())
+    assert linalg.nullspace_basis(A.field, forms, 9) == (linalg.mat_identity(A.field, 9),
+                                                         list(range(9)))
 
     from_products, products = Algebra.from_products.__func__, []
 
@@ -457,19 +460,88 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
 
 
 def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
+    # the prefix of the rows misses the law, so do all the rows: the
+    # self-check refuses the prefix, then the basis of every row
     compatibility = laws.compatibility("d", "D")
     law_rows = laws.law_rows
 
     def rows_without_compatibility(A, law, blocks):
-        return iter(()) if law == compatibility else law_rows(A, law, blocks)
+        groups = law_rows(A, law, blocks)
+        return ([] for _ in groups) if law == compatibility else groups
 
     A = builtin("leibniz_2dim_nonlie")
     full = biderivations(A).dim
+    checked, defects = [], opspace.defining_defects
     monkeypatch.setattr(laws, "law_rows", rows_without_compatibility)
+    monkeypatch.setattr(opspace, "defining_defects",
+                        lambda *args: checked.append(len(args[2])) or defects(*args))
     with pytest.raises(ClosureError, match="computed biderivations basis tuple violates compatibility"):
         biderivations(A)
+    assert len(checked) == 2 and checked[0] >= checked[1] > full
     monkeypatch.setattr(opspace, "defining_defects", lambda *args: iter(()))
     assert biderivations(A).dim > full  # the space grows without the law
+
+
+def _checked_builds(monkeypatch, algebras, prefix):
+    """{(name, kind): (basis, pivots, induced tensor, self-checks run)} of
+    every kind on ``algebras`` that is defined there, its rows cut by
+    ``prefix`` in place of :func:`opspace._prefix`."""
+    checks, defects = [], opspace.defining_defects
+    monkeypatch.setattr(opspace, "_prefix", prefix)
+    monkeypatch.setattr(opspace, "defining_defects",
+                        lambda *args: checks.append(args) or defects(*args))
+    out = {}
+    for name, A in algebras:
+        for kind in SPACE_KINDS:
+            checks.clear()
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            tensor = space.algebra and space.algebra.to_json_dict()
+            out[name, kind] = space.basis, space.pivots, tensor, len(checks)
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, GF(3), GF(7)], ids=repr)
+def test_a_prefix_of_one_group_ends_in_the_space_of_all_rows(field, monkeypatch):
+    # stopped after the rows at the first argument e_0, the self-check
+    # refuses the candidate wherever it is too large, and the rows of every
+    # other argument go into the same elimination
+    algebras = _rebased_matrix_algebras(field, "T2 M2")
+    every = _checked_builds(monkeypatch, algebras,
+                            lambda groups, echelon: chain.from_iterable(groups))
+    first = _checked_builds(monkeypatch, algebras, lambda groups, echelon: next(groups))
+    assert every.keys() == first.keys() and len(every) == 24
+    for key, (basis, pivots, tensor, checks) in first.items():
+        assert (basis, pivots, tensor) == every[key][:3], key
+        assert every[key][3] == 1 and checks in (1, 2), key
+    # the fallback ran on most of them (19 or 20 of the 24)
+    assert sum(checks == 2 for *_, checks in first.values()) > len(first) // 2
+
+
+def test_the_self_check_refuses_a_prefix_that_stops_too_early(monkeypatch):
+    # T2 rebased over GF(3): the rows at e_1 add no pivot to those at e_0,
+    # so the prefix stops there, but those at e_2 add one; the candidate
+    # derivation space of dimension 3 fails at (e_2, e_0), and the rows at
+    # e_2 cut it down to the space of all rows
+    (A,) = [A for name, A in _rebased_matrix_algebras(GF(3), 0) if name == "T2.assoc"]
+    spec, ranks = opspace._KINDS["derivations"], []
+    echelon = {}
+    for group in opspace._row_groups(A, spec):
+        linalg.nullspace_basis(A.field, group, 9, echelon)
+        ranks.append(len(echelon))
+    assert ranks == [6, 6, 7]
+    every = _checked_builds(monkeypatch, [("T2", A)],
+                            lambda groups, echelon: chain.from_iterable(groups))
+    checks, defects = [], opspace.defining_defects
+    monkeypatch.setattr(opspace, "defining_defects",
+                        lambda *args: checks.append(next(defects(*args), None)) or defects(*args))
+    space = derivations(A)
+    assert [None if hit is None else hit[1:3] for hit in checks] == [("derivation", (2, 0)), None]
+    assert (space.basis, space.pivots) == every["T2", "derivations"][:2] and space.dim == 2
 
 
 # each kind's defining laws as the hand-written predicates of the oracle, on
