@@ -139,7 +139,12 @@ class Algebra:
         if not 0 <= op_index < len(self.ops):
             raise OpIndexOutOfRange(f"operation index {op_index} out of range")
 
+    def _check_basis(self, *indices):
+        if not all(0 <= i < self.dim for i in indices):
+            raise DimensionMismatch(f"basis index outside range({self.dim}) in {indices}")
+
     def unit(self, i: int):
+        self._check_basis(i)
         return linalg.unit_vector(self.field, self.dim, i)
 
     def zero_vec(self):
@@ -147,6 +152,7 @@ class Algebra:
 
     def mul_basis(self, op_index: int, i: int, j: int):
         self._check_op(op_index)
+        self._check_basis(i, j)
         group = self.ops[op_index].groups.get((i, j), {})
         return [group.get(k, self.field.zero) for k in range(self.dim)]
 

@@ -242,50 +242,40 @@ def catalog_algebras(field):
     return out
 
 
+# (variety, acting, kernel) of catalog_actions, in order: kernel None for the
+# inner action of the acting algebra on itself, else the zero action
+_CATALOG_ACTIONS = (
+    [("leibniz", name, kernel) for name in leibniz_names() for kernel in (None, "abelian(1)")]
+    + [("associative", name, None)
+       for name in ("assoc_unital_1dim", "assoc_trunc_poly", "assoc_triangular")]
+    + [("associative", "assoc_trunc_poly", "assoc_unital_1dim")]
+    + [("poisson", name, None)
+       for name in ("poisson_triangular", "poisson_trunc_poly", "poisson_abelian(1)")]
+    + [("cpoisson", name, None)
+       for name in ("poisson_trunc_poly", "cpoisson_solv2", "poisson_abelian(2)")]
+    + [("poisson", "poisson_trunc_poly", "poisson_abelian(1)"),
+       ("cpoisson", "cpoisson_solv2", "poisson_abelian(1)")]
+)
+_INNER_LABELS = {"leibniz": "biadjoint", "associative": "inner", "poisson": "inner_poisson",
+                 "cpoisson": "inner_cpoisson"}
+
+
 def catalog_actions(field):
     """Named valid actions used by the roundtrip and closure suites."""
-    F1 = _abelian(1, field)
     out = []
-    for name in leibniz_names():
-        A = builtin(name, field)
-        out.append((f"biadjoint({name})", biadjoint_action(A)))
-        out.append((f"zero(leibniz,{name},abelian(1))", zero_action("leibniz", A, F1)))
-    for name in ("assoc_unital_1dim", "assoc_trunc_poly", "assoc_triangular"):
-        A = builtin(name, field)
-        out.append((f"inner({name})", inner_action(A, "associative")))
-    out.append(
-        (
-            "zero(associative,assoc_trunc_poly,assoc_unital_1dim)",
-            zero_action("associative", builtin("assoc_trunc_poly", field),
-                        builtin("assoc_unital_1dim", field)),
-        )
-    )
-    for name in ("poisson_triangular", "poisson_trunc_poly", "poisson_abelian(1)"):
-        A = builtin(name, field)
-        out.append((f"inner_poisson({name})", inner_action(A, "poisson")))
-    for name in ("poisson_trunc_poly", "cpoisson_solv2", "poisson_abelian(2)"):
-        A = builtin(name, field)
-        out.append((f"inner_cpoisson({name})", inner_action(A, "cpoisson")))
-    out.append(
-        (
-            "zero(poisson,poisson_trunc_poly,poisson_abelian(1))",
-            zero_action("poisson", builtin("poisson_trunc_poly", field),
-                        builtin("poisson_abelian(1)", field)),
-        )
-    )
-    out.append(
-        (
-            "zero(cpoisson,cpoisson_solv2,poisson_abelian(1))",
-            zero_action("cpoisson", builtin("cpoisson_solv2", field),
-                        builtin("poisson_abelian(1)", field)),
-        )
-    )
+    for variety, acting, kernel in _CATALOG_ACTIONS:
+        A = builtin(acting, field)
+        if kernel is None:
+            out.append((f"{_INNER_LABELS[variety]}({acting})", inner_action(A, variety)))
+        else:
+            out.append((f"zero({variety},{acting},{kernel})",
+                        zero_action(variety, A, builtin(kernel, field))))
     # a nonzero non-inner Leibniz action: the 2-dim nonabelian Lie algebra
     # acting on the line with l = -r
     lie2 = builtin("lie_2dim_nonabelian", field)
     zero, one = field.zero, field.one
     operators = {"l": [[[zero]], [[field.of(-1)]]], "r": [[[zero]], [[one]]]}
-    out.append(("lie2na_on_abelian1", ActionData("leibniz", lie2, F1, operators)))
+    out.append(("lie2na_on_abelian1", ActionData("leibniz", lie2, _abelian(1, field), operators)))
     return out
 
 

@@ -65,15 +65,15 @@ column of some term's left factor is a row of its right one (the other
 products are zero); each product hands
 :meth:`~algact.algebra.Algebra.from_products` only its nonzero coordinates,
 and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero entries.
-Since b_i[p_j] = delta_ij at the pivot columns p_j, the coordinates of a
-product v are its entries v[p_j], and v - sum_i v[p_i] b_i vanishes at
-every pivot column by construction.  Membership is therefore checked at
-the non-pivot columns only, against each basis vector's nonzero entries
-there (its tail), mod p over GF(p), and over Q for an integer product as
-L v - sum_i v[p_i] (L b_i) with the tails times one common L; this is the
-one membership test of a space, used by :meth:`OperatorSpace.coords` and
-:meth:`OperatorSpace.matrix_of` as well, and the shape check of
-:meth:`OperatorSpace.coords` covers both.
+Since b_t[p_s] = delta_ts at the pivot columns p_s, the coordinates of a
+tuple v are its entries c_t = v[p_t], and v - sum_t c_t b_t vanishes at
+every pivot column.  Membership is therefore checked at the other columns
+only, by the one test of a space (:meth:`OperatorSpace._sparse_coords`):
+L v - sum_t c_t (L b_t) = 0, mod p over GF(p), on flat entries
+{(b n + r) n + c: x}, against each basis vector's entries off the pivots
+(its tail), stored once times the one integer L that clears their
+denominators (L = 1 over GF(p)).  An induced product is composed straight
+into flat entries; :meth:`OperatorSpace.coords` flattens its dense tuple.
 
 A map from an algebra into a space is given by one operator tuple per basis
 element of its source, and every such map is made the same way:
@@ -152,20 +152,13 @@ class OperatorSpace:
     algebra: Optional[Algebra] = None
 
     def __post_init__(self):
-        n = self.base.dim
         self._pivot_index = {p: t for t, p in enumerate(self.pivots)}
-        # the basis once more, sparse, and each vector's entries off the pivots
+        # the basis once more, sparse, and each vector's entries off the
+        # pivots, all times the one int _scale that clears their denominators
         self._sparse_basis = [tuple(linalg.mat_sparse(M) for M in tup) for tup in self.basis]
-        self._tails = [
-            {
-                col: x
-                for b, M in enumerate(tup)
-                for r, row in M.items()
-                for c, x in row.items()
-                if (col := (b * n + r) * n + c) not in self._pivot_index
-            }
-            for tup in self._sparse_basis
-        ]
+        self._scale, self._tails = linalg.cleared(
+            [{col: x for col, x in _flat(tup).items() if col not in self._pivot_index}
+             for tup in self.basis])
 
     @property
     def dim(self) -> int:
@@ -181,31 +174,24 @@ class OperatorSpace:
         component."""
         n = self.base.dim
         linalg.check_shape(tup, len(self.components), n, n, error=ShapeMismatch, what="operator tuple")
-        coords = self._sparse_coords([linalg.mat_sparse(M) for M in tup])
+        coords = self._sparse_coords(_flat(tup))
         return None if coords is None else [coords.get(t, self.field.zero) for t in range(self.dim)]
 
-    def _sparse_coords(self, tup, tails=None):
-        """The nonzero coordinates {t: c} of a tuple of sparse matrices,
-        whose entries over GF(p) may be unreduced ints: its entries at the
-        pivots that are nonzero in the field, or None unless v - sum_t c_t b_t
-        vanishes off them.  Over Q, ``tails`` = (L, the tails times L as
-        ints) tests an integer tuple v as L v - sum_t c_t (L b_t)."""
-        p, n, index = self.field.char, self.base.dim, self._pivot_index
-        L, tails = tails or (1, self._tails)
+    def _sparse_coords(self, v):
+        """The nonzero coordinates {t: c} of a tuple given by its flat entries
+        v = {(b n + r) n + c: x}, over GF(p) maybe unreduced ints: c_t = v at
+        pivot t where that is nonzero in the field, or None unless
+        L v - sum_t c_t (L b_t) vanishes, L = ``_scale``."""
+        p, L, index = self.field.char, self._scale, self._pivot_index
         coords, residue = {}, {}
-        for b, M in enumerate(tup):
-            for r, row in M.items():
-                for c, x in row.items():
-                    col = (b * n + r) * n + c
-                    if col not in index:
-                        residue[col] = x
-                    else:
-                        coords[index[col]] = x
-        if L != 1:
-            residue = {col: L * x for col, x in residue.items()}
+        for col, x in v.items():
+            if col in index:
+                coords[index[col]] = x
+            else:
+                residue[col] = L * x
         coords = linalg.reduced(coords, p)
         for t, a in coords.items():
-            for col, y in tails[t].items():
+            for col, y in self._tails[t].items():
                 residue[col] = residue.get(col, 0) - a * y
         return None if linalg.reduced(residue, p) else coords
 
@@ -228,8 +214,10 @@ class OperatorSpace:
         return ActorMorphism(self, source, matrix, hom)
 
     def tuple_from_coords(self, coords) -> tuple:
-        """The operator tuple sum_t coords[t] basis[t], as dense matrices."""
+        """The operator tuple sum_t coords[t] basis[t], as dense matrices.
+        Raises ShapeMismatch unless there is one coordinate per basis tuple."""
         f, n = self.field, self.base.dim
+        linalg.check_shape(coords, self.dim, error=ShapeMismatch, what="coordinate vector")
         out = tuple([[f.zero] * n for _ in range(n)] for _ in self.components)
         for c, tup in zip(coords, self._sparse_basis):
             if not c:  # scalars are canonical
@@ -310,20 +298,28 @@ def _require_cpoisson(A: Algebra):
         raise NotCommutativePoisson("base must be a commutative Poisson algebra")
 
 
-def _compose(pair, terms) -> dict:
-    """One component of an induced product: the sum of s A B over the parsed
-    terms (s, A, B) of :class:`_Kind`, each factor a (side, slot) of the
-    pair (t, u) of tuples of sparse integer matrices; the result is
-    unreduced and may hold entries that are zero in the field."""
+def _flat(tup) -> dict:
+    """The nonzero entries {(b n + r) n + c: x} of a tuple of dense n x n
+    matrices, flattened as the rows of :func:`algact.laws.law_rows` are."""
+    return {col: x for col, x in enumerate(chain.from_iterable(chain.from_iterable(tup))) if x}
+
+
+def _compose(pair, rule, n: int) -> dict:
+    """An induced product as flat entries {(b n + i) n + j: x}, component b
+    the sum of s A B over the parsed terms (s, A, B) of ``rule[b]``, each
+    factor a (side, slot) of the pair (t, u) of sparse integer tuples;
+    unreduced, so an entry may be zero in the field."""
     out = {}
-    for s, (ls, lb), (rs, rb) in terms:
-        B = pair[rs][rb]
-        for i, arow in pair[ls][lb].items():
-            orow = out.setdefault(i, {})
-            for k, a in arow.items():
-                a = a if s > 0 else -a
-                for j, b in B.get(k, {}).items():
-                    orow[j] = orow[j] + a * b if j in orow else a * b
+    for b, terms in enumerate(rule):
+        for s, (ls, lb), (rs, rb) in terms:
+            B = pair[rs][rb]
+            for i, arow in pair[ls][lb].items():
+                at = (b * n + i) * n
+                for k, a in arow.items():
+                    a = a if s > 0 else -a
+                    for j, x in B.get(k, {}).items():
+                        col = at + j
+                        out[col] = out[col] + a * x if col in out else a * x
     return out
 
 
@@ -459,7 +455,7 @@ def defining_defects(kind: str, A: Algebra, tuples):
 
     Yields (t, label, (i, j), defect vector) for every violated instance of
     ``tuples[t]``, by tuple, then in the order of the laws, then of (i, j);
-    used as the post-construction self-check and by membership diagnostics.
+    the self-check of :func:`space_of_kind` on its candidate basis.
     Every law is evaluated once for all the tuples (:func:`algact.laws.failures`).
     """
     spec = _kind(kind)
@@ -511,18 +507,15 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
         raise ClosureError(f"computed {kind} basis tuple violates {bad[1]} at {bad[2]}")
     space = OperatorSpace(A, kind, spec.components, basis, pivots)
     if spec.ops:
-        sparse, tails = space._sparse_basis, None
-        if f.char == 0:  # on integers: tuple t times lam[t], the tails times one L
+        sparse = space._sparse_basis
+        if f.char == 0:  # on integers: tuple t times lam[t]
             lam, sparse = zip(*map(linalg.cleared_maps, sparse)) if sparse else ((), ())
-            tails = linalg.cleared(space._tails)
 
         def product(op, a, b):
-            pair = (sparse[a], sparse[b])
-            coords = space._sparse_coords([_compose(pair, terms) for terms in spec.terms[op]],
-                                          tails)
+            coords = space._sparse_coords(_compose((sparse[a], sparse[b]), spec.terms[op], n))
             if coords is None:
                 raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
-            if tails:  # the product of the integer tuples is lam[a] lam[b] times the true one
+            if f.char == 0:  # the product of the integer tuples is lam[a] lam[b] times the true one
                 coords = {t: Fraction(c, lam[a] * lam[b]) for t, c in coords.items()}
             return coords
 

@@ -67,6 +67,24 @@ def test_multiply_validates_shapes(leib2):
         leib2.multiply(0, [F(1)], leib2.unit(0))
 
 
+def test_unit_refuses_an_index_outside_the_basis():
+    A = builtin("heisenberg")
+    assert A.unit(2) == [F(0), F(0), F(1)]
+    for i in (3, 9, -1):  # -1 would otherwise index the last entry
+        with pytest.raises(DimensionMismatch):
+            A.unit(i)
+
+
+def test_mul_basis_refuses_an_index_outside_the_basis(leib2):
+    assert leib2.mul_basis(0, 1, 1) == [F(1), F(0)]
+    for i, j in ((0, 5), (5, 1), (2, 0), (0, -1)):  # (0, 5) has no group: not a zero product
+        with pytest.raises(DimensionMismatch):
+            leib2.mul_basis(0, i, j)
+    for by in (leib2.left_matrix_basis, leib2.right_matrix_basis):
+        with pytest.raises(DimensionMismatch):
+            by(0, 2)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.integers(-9, 9), min_size=6, max_size=6))
 def test_multiply_bilinear(vals):

@@ -388,21 +388,58 @@ def test_induced_tensor_matches_raw_composition():
     assert checked == set(_reference_ops(Q, (), ()))
 
 
+@pytest.mark.parametrize("field", [Q, GF(3), GF(7)], ids=repr)
+def test_each_basis_tuple_has_its_unit_vector_as_coordinates(field):
+    # coords and the induced tensor share one membership test, which checks
+    # a tuple against the tails times the one L that clears them: every kind
+    # on the catalog and on rebased T2 and M2, and over Q on both rescaled,
+    # where the tails have denominators and so L > 1.  Over Q a tuple with
+    # fractional entries is placed, and one just off the span is refused.
+    cases = [A for _, A, _ in catalog_algebras(field)]
+    cases += [A for _, A in _rebased_matrix_algebras(field, "T2 M2")]
+    if field == Q:
+        cases += [_rescaled(A) for A in cases]
+    scales = set()
+    for A in cases:
+        for kind in SPACE_KINDS:
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            units = [linalg.unit_vector(field, space.dim, t) for t in range(space.dim)]
+            assert [space.coords(tup) for tup in space.basis] == units, (A, kind)
+            scales.add(space._scale)
+            if space._scale == 1 or not 0 < space.dim < len(_flat(space.basis[0])):
+                continue
+            first, last = space.basis[0], space.basis[-1]
+            v = tuple([[x / 3 + y / 7 for x, y in zip(r, s)] for r, s in zip(M, N)]
+                      for M, N in zip(first, last))
+            assert space.coords(v) == [x / 3 + y / 7 for x, y in zip(units[0], units[-1])]
+            n, col = A.dim, next(c for c in range(len(_flat(first))) if c not in space.pivots)
+            v[col // n // n][col // n % n][col % n] += Fraction(1, 5)
+            assert space.coords(v) is None, (A, kind)
+    assert scales == {1} if field.char else max(scales) > 1
+
+
 def test_escaping_product_raises_closure_error(monkeypatch):
     # plain composition dd' of two derivations is not a derivation: on sl2 it
     # escapes at the first basis pair, on the sparse heisenberg algebra first
-    # at (0, 3), after pairs whose composites vanish or stay in the span
+    # at (0, 3), after pairs whose composites vanish or stay in the span; the
+    # same over Q and over GF(p)
     spec = opspace._KINDS["derivations"]
-    heisenberg = derivations(builtin("heisenberg"))
-    escaping = [(a, b) for a, b in iproduct(range(heisenberg.dim), repeat=2)
-                if heisenberg.coords((linalg.mat_mul(Q, heisenberg.basis[a][0],
-                                                     heisenberg.basis[b][0]),)) is None]
-    assert escaping[0] == (0, 3)
+    fields = (Q, GF(3), GF(7))
+    for field in fields:
+        heisenberg = derivations(builtin("heisenberg", field))
+        escaping = [(a, b) for a, b in iproduct(range(heisenberg.dim), repeat=2)
+                    if heisenberg.coords((linalg.mat_mul(field, heisenberg.basis[a][0],
+                                                         heisenberg.basis[b][0]),)) is None]
+        assert escaping[0] == (0, 3), field
     monkeypatch.setitem(opspace._KINDS, "derivations",
                         dataclasses.replace(spec, ops=(("bracket", "dd'"),)))
-    for name, pair in (("sl2", (0, 0)), ("heisenberg", (0, 3))):
+    for field, (name, pair) in iproduct(fields, (("sl2", (0, 0)), ("heisenberg", (0, 3)))):
         with pytest.raises(ClosureError, match=re.escape(f"escaped the span at basis pair {pair}")):
-            derivations(builtin(name))
+            derivations(builtin(name, field))
 
 
 def test_self_check_reports_the_exact_rational_defect():
@@ -748,6 +785,12 @@ def test_coords_refuse_a_tuple_of_the_wrong_shape():
             space.coords(tup)
         with pytest.raises(ShapeMismatch):
             space.matrix_of([tup])
+    # and coordinate vectors of the wrong length, which a zip against the basis would cut
+    line = biderivations(builtin("abelian(1)", GF(3)))
+    assert line.dim == 2 and line.tuple_from_coords([1, 2]) == ([[1]], [[2]])
+    for coords in ([1], [1, 2, 3]):
+        with pytest.raises(ShapeMismatch):
+            line.tuple_from_coords(coords)
 
 
 def test_morphism_checks_every_row_of_the_matrix():
