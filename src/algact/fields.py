@@ -35,7 +35,18 @@ __all__ = ["Field", "Rationals", "PrimeField", "Q", "GF"]
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
-_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # no exponents, decimals or spaces
+
+
+def _literal(x: str):
+    """A literal of the one form ``to_str`` writes: an int, or a Fraction."""
+    match = _RATIONAL_LITERAL.fullmatch(x)
+    if not match:
+        raise InputError(f"bad rational literal {x!r}: write -?digits or -?digits/digits")
+    try:
+        return Fraction(x) if match[1] else int(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational literal {x!r}") from exc
 
 
 def is_prime(n: int) -> bool:
@@ -127,13 +138,7 @@ class Rationals(Field):
 
     def of(self, x):
         if isinstance(x, str):
-            # only the form to_str writes: no exponents, decimals or spaces
-            if not _RATIONAL_LITERAL.fullmatch(x):
-                raise InputError(f"bad rational literal {x!r}: write -?digits or -?digits/digits")
-            try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad rational literal {x!r}") from exc
+            x = _literal(x)
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         raise FieldMismatch(f"{x!r} is not a rational scalar")
@@ -175,7 +180,7 @@ class PrimeField(Field):
 
     def of(self, x):
         if isinstance(x, str):
-            x = Q.of(x)  # one literal form for both fields; a/b reads as a * b^-1
+            x = _literal(x)  # one literal form for both fields; a/b reads as a * b^-1
         if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         if isinstance(x, Fraction):

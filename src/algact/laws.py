@@ -53,24 +53,22 @@ when its scaled form does; a failing one is divided back.
 
 A law with one ``ON`` node per term is linear in its operator set, so
 without an acting algebra a family of T sets is evaluated as one
-(:func:`_packed`): each operator entry is one int whose bits
-[w t, w (t + 1)) hold set t's entry, and each packed defect holds set t's
-defect in those bits.  The slot width
-w is read off the laws: a term's entries are at most n^a C^b M^m for C the
-largest constant, M the largest operator entry and exponents counted on
-its tree (:func:`_size`, at most n^(2 arity - 1) C^(arity - 1) M), so a
-slot lies within the sum of those over the terms, and w is that bound's
-bit length plus a sign bit.  A packed defect is unpacked only where it is
-nonzero, into balanced slots (they can be negative, :func:`_unpacked`),
-and each slot is reduced mod p on its own.  A family of one has one slot,
-which is the whole int, so its defect is reduced as it is.
+(:func:`_packed`): each operator entry, and so each defect entry, is one
+int whose slot t (:class:`algact.linalg.Slots`) holds set t's.  A term's
+entries are at most n^a C^b M^m for C the largest constant, M the largest
+operator entry and exponents counted on its tree (:func:`_size`), so the
+sum of those over the terms bounds a slot, whose bits are the bound's and a
+sign bit.  A defect entry is tested for zero in the field in a few int
+operations, a nonzero multiple of p in a slot counting as zero, and only
+one that fails is read into balanced slots, each reduced mod p.  A family
+of one has one slot, the whole int, so its defect is reduced as it is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product as iproduct
+from itertools import product as iproduct
 from operator import itemgetter
 
 from . import linalg
@@ -281,10 +279,10 @@ class _Env:
     from slot to the columns of its matrix for ``ON`` nodes, and to those of
     each of its matrices over the basis of B for ``AT`` nodes) and the env
     of B.  The env of a family of operator sets (:func:`_packed`) also holds
-    their ``count``, the slot ``width`` with its ``mask`` and ``bias``, and
-    over Q the ``scale`` of each set's defects."""
+    their :class:`~algact.linalg.Slots` and over Q the ``scale`` of each
+    set's defects."""
 
-    __slots__ = ("p", "n", "groups", "ops", "acting", "count", "width", "mask", "bias", "scale")
+    __slots__ = ("p", "n", "groups", "ops", "acting", "slots", "scale")
 
     def __init__(self, A, ops=None, acting=None):
         self.p, self.n, self.ops, self.acting, self.scale = A.field.char, A.dim, ops, acting, None
@@ -326,8 +324,8 @@ def _env(A, laws, family, B=None) -> _Env:
 def _packed(env, laws, slots, sets) -> _Env:
     """``env`` reading the operator sets ``sets`` (each a map from slot to
     sparse columns) as one, as the module docstring describes: over Q each
-    set cleared by its own lambda_t, ``scale`` = (the lambdas, mu); slot t
-    of an operator entry in bits [w t, w (t + 1)), w read off ``laws``.  A
+    set cleared by its own lambda_t, ``scale`` = (the lambdas, mu); set t's
+    operator entry in slot t of one int, the slots sized off ``laws``.  A
     law without an ``ON`` node is read on a family of one."""
     mu, lams = _over_ints(env), [1] * len(sets)
     if not env.p:
@@ -340,8 +338,8 @@ def _packed(env, laws, slots, sets) -> _Env:
     c = max((abs(x) for g in env.groups for v in g.values() for x in v.values()), default=0)
     bound = max((sum(env.n ** a * c ** b * top ** m for a, b, m in (_size(v) for _, v in law))
                  for law in laws), default=0)
-    w = bound.bit_length() + 1
-    env.ops = {s: {} for s in slots}
+    env.slots = linalg.Slots(len(sets), bound.bit_length() + 1, env.p)
+    w, env.ops = env.slots.width, {s: {} for s in slots}
     for t, ops in enumerate(sets):
         for s, cols in ops.items():
             packed = env.ops[s]
@@ -349,17 +347,7 @@ def _packed(env, laws, slots, sets) -> _Env:
                 into = packed.setdefault(j, {})
                 for i, x in col.items():
                     into[i] = into.get(i, 0) + (x << w * t)
-    env.count, env.width, env.mask = len(sets), w, (1 << w) - 1
-    env.bias = (1 << w - 1) * ((1 << w * len(sets)) - 1) // env.mask  # 2^(w - 1) in every slot
     return env
-
-
-def _unpacked(x, env):
-    """The slots of the packed int x, each a balanced int, set 0 first:
-    with 2^(w - 1) added to every slot (``bias``), slot t is bits
-    [w t, w (t + 1)) less 2^(w - 1)."""
-    x, mask, half = x + env.bias, env.mask, 1 << env.width - 1
-    return [(x >> k & mask) - half for k in range(0, env.width * env.count, env.width)]
 
 
 def _lincomb(terms) -> dict:
@@ -510,7 +498,8 @@ def failures(A, laws, family=None, B=None):
     Without B the sets are packed into one (:func:`_packed`) and each law
     evaluated once at each basis tuple where some term of some set can be
     nonzero (:func:`_candidates`), the defect being zero at every other one;
-    a nonzero packed defect is unpacked and each slot reduced mod p.  Over Q
+    a packed defect entry nonzero in the field is read slot by slot, each
+    slot reduced mod p.  Over Q
     the operators and defects are Fractions but the evaluation runs on
     integers.  With B the tuples are (x, a, b) for a law on two arguments of
     A, read at each acting element x, and (x, y, a) otherwise, every one of
@@ -523,14 +512,14 @@ def failures(A, laws, family=None, B=None):
 
     def by_set(d):
         """{t: the nonzero entries of set t's defect} of the packed defect d."""
-        if env.count == 1:  # each entry is the one slot's value
+        slots = env.slots
+        if slots.count == 1:  # each entry is the one slot's value
             return {0: d} if (d := linalg.reduced(d, env.p)) else {}
         out = {}
         for k, x in d.items():
-            if x:  # some slot is nonzero: reduce the nonzero ones
-                values = _unpacked(x, env)
-                values = linalg.reduced(dict(compress(enumerate(values), values)), env.p)
-                for t, y in values.items():
+            if x and not slots.zero(x):  # some slot is nonzero in the field
+                values = {t: slots.at(x, t) for t in range(slots.count)}
+                for t, y in linalg.reduced(values, env.p).items():
                     out.setdefault(t, {})[k] = y
         return out
 

@@ -230,6 +230,37 @@ def reduced(v: dict, p: int) -> dict:
     return {k: r for k, x in v.items() if (r := x % p if p else x)}
 
 
+class Slots:
+    """``count`` ints |y_t| < 2^(bits - 1) in one int sum_t y_t 2^(width t)
+    (SIMD within a register).  :meth:`at` adds 2^(bits - 1) to each slot
+    (``bias``), so none borrows.  :meth:`zero` tests every slot mod p: with
+    c, a multiple of p above each |y|, added to every slot, slot t holds
+    v_t = y_t + c > 0; times M = ceil(2^S / p), shifted by S and masked, it
+    holds floor(v_t / p) (the error of M stays below 1), and the int is p
+    times those exactly when p divides each v_t.  A slot has room for v_t M."""
+
+    def __init__(self, count: int, bits: int, p: int):
+        self.count, self.bits, self.p, self.half = count, bits, p, 1 << bits - 1
+        c = -(-self.half // p) * p if p else 0
+        self.shift = (c + self.half).bit_length() + p.bit_length()
+        self.mul = -(-(1 << self.shift) // p) if p else 0
+        self.width = ((c + self.half) * self.mul).bit_length() if p else bits
+        ones = ((1 << self.width * count) - 1) // ((1 << self.width) - 1)
+        self.bias, self.mask, self.offset = self.half * ones, (1 << bits) - 1, c * ones
+        self.quot = ((1 << self.width - self.shift) - 1) * ones
+
+    def at(self, x: int, t: int) -> int:
+        """The value of slot t of x."""
+        return (x + self.bias >> self.width * t & self.mask) - self.half
+
+    def zero(self, x: int) -> bool:
+        """Whether every slot of x is zero in the field."""
+        if not self.p:
+            return not x
+        x += self.offset
+        return x == self.p * ((x * self.mul >> self.shift) & self.quot)
+
+
 def _normalise_lead(r: dict, c: int, p: int) -> dict:
     """r scaled so its entry at column c is 1 over GF(p), positive over Q."""
     if p:

@@ -43,37 +43,29 @@ bilinear in the two algebra arguments, so imposing it on all basis pairs
 is equivalent to imposing it everywhere; the self-check evaluates only the
 pairs where some term of some basis tuple can be nonzero.  Each law holds
 one operator per term, so it is linear in the tuple, and it is evaluated
-once for the whole basis (:func:`algact.laws.failures`): each operator
-entry is one int whose w-bit slot t holds tuple t's entry, w read off the
-law as a bound on every slot of its defect, and a defect is split into its
-balanced slots, each reduced mod p, only where it is nonzero.  The first
-failing tuple, then its first law, then its first pair is reported.
+once for the whole basis (:func:`algact.laws.failures`), each operator
+entry one int whose slot t holds tuple t's entry.  The first failing
+tuple, then its first law, then its first pair is reported.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples,
 and the space keeps one sparse copy, each component as ``{row: {col: c}}``.
 The induced operations are stored once, as the space's ``algebra``: a
-structure-constant :class:`~algact.algebra.Algebra` in that basis.  Closure
-and the defining identities are re-verified on the computed basis during
-construction, on the one integer kernel of :mod:`algact.laws`: the
-self-check through one :func:`algact.laws.failures` per space, and the
-products with Python's ``+ - *`` on the sparse basis tuples, residues over
-GF(p) and over Q each cleared of denominators once (times lambda_t), so a
-coordinate is reduced mod p or divided back only where it is reported.
-The kind's rules compose the sparse tuples only at the basis pairs where a
-column of some term's left factor is a row of its right one (the other
-products are zero); each product hands
-:meth:`~algact.algebra.Algebra.from_products` only its nonzero coordinates,
-and :meth:`OperatorSpace.tuple_from_coords` sums only nonzero entries.
-Since b_t[p_s] = delta_ts at the pivot columns p_s, the coordinates of a
-tuple v are its entries c_t = v[p_t], and v - sum_t c_t b_t vanishes at
-every pivot column.  Membership is therefore checked at the other columns
-only, by the one test of a space (:meth:`OperatorSpace._sparse_coords`):
-L v - sum_t c_t (L b_t) = 0, mod p over GF(p), on flat entries
-{(b n + r) n + c: x}, against each basis vector's entries off the pivots
-(its tail), stored once times the one integer L that clears their
-denominators (L = 1 over GF(p)).  An induced product is composed straight
-into flat entries; :meth:`OperatorSpace.coords` flattens its dense tuple.
+structure-constant :class:`~algact.algebra.Algebra` in that basis, each
+product composed only at the basis pairs where a column of some term's
+left factor is a row of its right one, on the basis tuples times L (below),
+and handing :meth:`~algact.algebra.Algebra.from_products` only its nonzero
+coordinates.  Since b_t[p_s] = delta_ts at the pivot columns p_s, the
+coordinates of a tuple v are its entries c_t = v[p_t].  The one membership
+test of a space (:meth:`OperatorSpace._sparse_coords`) checks
+L v - sum_t c_t (L b_t) = 0 row by row, L the one int that clears the
+basis's denominators (1 over GF(p)): a row of n entries is one int, in the
+slots of :class:`algact.linalg.Slots`, with a bit mask of the columns where
+it can be nonzero, and the L b_t are packed once.  A product is composed
+row by row, row i of A B being sum_k A[i][k] row_k(B), and read only at the
+pivot slots inside its masks.  The c_t are read raw, so a product in the
+span over Z leaves each row exactly 0, and the zero test mod p runs only
+on the other rows.
 
 A map from an algebra into a space is given by one operator tuple per basis
 element of its source, and every such map is made the same way:
@@ -152,13 +144,19 @@ class OperatorSpace:
     algebra: Optional[Algebra] = None
 
     def __post_init__(self):
-        self._pivot_index = {p: t for t, p in enumerate(self.pivots)}
-        # the basis once more, sparse, and each vector's entries off the
-        # pivots, all times the one int _scale that clears their denominators
+        n = self.base.dim
         self._sparse_basis = [tuple(linalg.mat_sparse(M) for M in tup) for tup in self.basis]
-        self._scale, self._tails = linalg.cleared(
-            [{col: x for col, x in _flat(tup).items() if col not in self._pivot_index}
-             for tup in self.basis])
+        # the basis times the one int _scale that clears it, its largest entry
+        k, (self._scale, scaled) = len(self.components), linalg.cleared_maps(
+            [M for tup in self._sparse_basis for M in tup])
+        self._scaled = [scaled[t * k:(t + 1) * k] for t in range(self.dim)]
+        self._top = max((abs(x) for M in scaled for row in M.values() for x in row.values()),
+                        default=0)
+        self._row_pivots = {}  # {b n + r: [the bit mask of its pivots, {c: t}]}
+        for t, p in enumerate(self.pivots):
+            row = self._row_pivots.setdefault(p // n, [0, {}])
+            row[0], row[1][p % n] = row[0] | 1 << p % n, t
+        self._packings = {}
 
     @property
     def dim(self) -> int:
@@ -174,26 +172,48 @@ class OperatorSpace:
         component."""
         n = self.base.dim
         linalg.check_shape(tup, len(self.components), n, n, error=ShapeMismatch, what="operator tuple")
-        coords = self._sparse_coords(_flat(tup))
-        return None if coords is None else [coords.get(t, self.field.zero) for t in range(self.dim)]
+        den, tup = linalg.cleared_maps([linalg.mat_sparse(M) for M in tup])
+        slots = self._slots(max((abs(x) for M in tup for row in M.values() for x in row.values()),
+                                default=0))
+        coords = self._sparse_coords(_packed_rows(slots, tup), slots)
+        if coords is None:
+            return None
+        if not self.field.char:
+            coords = {t: Fraction(c, den) for t, c in coords.items()}
+        return [coords.get(t, self.field.zero) for t in range(self.dim)]
 
-    def _sparse_coords(self, v):
-        """The nonzero coordinates {t: c} of a tuple given by its flat entries
-        v = {(b n + r) n + c: x}, over GF(p) maybe unreduced ints: c_t = v at
-        pivot t where that is nonzero in the field, or None unless
-        L v - sum_t c_t (L b_t) vanishes, L = ``_scale``."""
-        p, L, index = self.field.char, self._scale, self._pivot_index
-        coords, residue = {}, {}
-        for col, x in v.items():
-            if col in index:
-                coords[index[col]] = x
-            else:
-                residue[col] = L * x
-        coords = linalg.reduced(coords, p)
-        for t, a in coords.items():
-            for col, y in self._tails[t].items():
-                residue[col] = residue.get(col, 0) - a * y
-        return None if linalg.reduced(residue, p) else coords
+    def _slots(self, top: int) -> linalg.Slots:
+        """Slots for rows of n entries at most ``top``, whose bits bound each
+        slot of :meth:`_sparse_coords`; each L b_t is packed in them once."""
+        bits = (top * (self._scale + self.dim * self._top)).bit_length() + 1
+        bits = min((b for b in self._packings if b >= bits), default=bits)  # wider ones fit too
+        if bits not in self._packings:
+            slots = linalg.Slots(self.base.dim, bits, self.field.char)
+            self._packings[bits] = slots, [_packed_rows(slots, tup) for tup in self._scaled]
+        return self._packings[bits][0]
+
+    def _sparse_coords(self, rows, slots):
+        """The nonzero coordinates {t: c} of a tuple given by its rows
+        {b n + r: (x, mask)} in ``slots`` (:func:`_packed_rows`), maybe of
+        unreduced ints: c_t = its entry at pivot t, or None unless each row
+        of L v - sum_t c_t (L b_t) is zero in the field, L = ``_scale``."""
+        coords, residue, L, pivots = {}, {}, self._scale, self._row_pivots
+        for R, (x, m) in rows.items():
+            residue[R] = L * x
+            if R in pivots:  # the pivot slots inside the mask, lowest first
+                hits, at = m & pivots[R][0], pivots[R][1]
+                while hits:
+                    c, hits = (hits & -hits).bit_length() - 1, hits & hits - 1
+                    if a := slots.at(x, c):
+                        coords[at[c]] = a
+        packed = self._packings[slots.bits][1]
+        for t, a in coords.items():  # raw, so a row in the span over Z leaves exactly 0
+            for R, (y, _) in packed[t].items():
+                residue[R] = residue[R] - a * y if R in residue else -a * y
+        for r in residue.values():
+            if r and not slots.zero(r):
+                return None
+        return linalg.reduced(coords, self.field.char)
 
     def matrix_of(self, tuples) -> list:
         """The matrix whose column p holds the coordinates of ``tuples[p]``."""
@@ -298,28 +318,35 @@ def _require_cpoisson(A: Algebra):
         raise NotCommutativePoisson("base must be a commutative Poisson algebra")
 
 
-def _flat(tup) -> dict:
-    """The nonzero entries {(b n + r) n + c: x} of a tuple of dense n x n
-    matrices, flattened as the rows of :func:`algact.laws.law_rows` are."""
-    return {col: x for col, x in enumerate(chain.from_iterable(chain.from_iterable(tup))) if x}
+def _packed_rows(slots, tup) -> dict:
+    """A tuple of sparse components {r: {c: x}} as rows {b n + r: (x packed
+    in ``slots``, the bit mask of the columns c)}, n = ``slots.count``."""
+    out, w, n = {}, slots.width, slots.count
+    for b, M in enumerate(tup):
+        for r, row in M.items():
+            x = m = 0
+            for c, y in row.items():
+                x, m = x + (y << w * c), m | 1 << c
+            out[b * n + r] = x, m
+    return out
 
 
-def _compose(pair, rule, n: int) -> dict:
-    """An induced product as flat entries {(b n + i) n + j: x}, component b
-    the sum of s A B over the parsed terms (s, A, B) of ``rule[b]``, each
-    factor a (side, slot) of the pair (t, u) of sparse integer tuples;
-    unreduced, so an entry may be zero in the field."""
+def _composed(pair, rule, scaled, packed, n) -> dict:
+    """An induced product as rows {b n + i: (x, mask)}, unreduced: component
+    b the sum of s A B over the terms (s, A, B) of ``rule[b]``, each factor
+    a (side, slot) of the pair (t, u) of basis tuples, A read on their
+    ``scaled`` components and B on their ``packed`` rows."""
     out = {}
     for b, terms in enumerate(rule):
         for s, (ls, lb), (rs, rb) in terms:
-            B = pair[rs][rb]
-            for i, arow in pair[ls][lb].items():
-                at = (b * n + i) * n
+            B, off = packed[pair[rs]], rb * n
+            for i, arow in scaled[pair[ls]][lb].items():
+                x, m = out.get(b * n + i, (0, 0))
                 for k, a in arow.items():
-                    a = a if s > 0 else -a
-                    for j, x in B.get(k, {}).items():
-                        col = at + j
-                        out[col] = out[col] + a * x if col in out else a * x
+                    if e := B.get(off + k):
+                        x, m = x + (a if s > 0 else -a) * e[0], m | e[1]
+                if m:
+                    out[b * n + i] = x, m
     return out
 
 
@@ -507,21 +534,28 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
         raise ClosureError(f"computed {kind} basis tuple violates {bad[1]} at {bad[2]}")
     space = OperatorSpace(A, kind, spec.components, basis, pivots)
     if spec.ops:
-        sparse = space._sparse_basis
-        if f.char == 0:  # on integers: tuple t times lam[t]
-            lam, sparse = zip(*map(linalg.cleared_maps, sparse)) if sparse else ((), ())
-
-        def product(op, a, b):
-            coords = space._sparse_coords(_compose((sparse[a], sparse[b]), spec.terms[op], n))
-            if coords is None:
-                raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
-            if f.char == 0:  # the product of the integer tuples is lam[a] lam[b] times the true one
-                coords = {t: Fraction(c, lam[a] * lam[b]) for t, c in coords.items()}
-            return coords
-
-        space.algebra = Algebra.from_products(f, space.dim, [name for name, _ in spec.ops], product,
-                                              pairs=[_pairs(sparse, terms) for terms in spec.terms])
+        space.algebra = _induced(space, spec)
     return space
+
+
+def _induced(space: OperatorSpace, spec: _Kind) -> Algebra:
+    """The induced operations of ``spec`` on ``space``, a product outside
+    the span a ClosureError at its basis pair, composed on the L b_t: entries
+    at most T n e^2, for T terms a component and e the largest L b_t entry."""
+    f, n, L = space.field, space.base.dim, space._scale
+    slots = space._slots(max(map(len, chain.from_iterable(spec.terms))) * n * space._top ** 2)
+    packed = space._packings[slots.bits][1]
+
+    def product(op, a, b):
+        rows = _composed((a, b), spec.terms[op], space._scaled, packed, n)
+        if (coords := space._sparse_coords(rows, slots)) is None:
+            raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
+        if f.char == 0:  # the product of the scaled tuples is L^2 times the true one
+            coords = {t: Fraction(c, L * L) for t, c in coords.items()}
+        return coords
+
+    return Algebra.from_products(f, space.dim, [name for name, _ in spec.ops], product,
+                                 pairs=[_pairs(space._sparse_basis, terms) for terms in spec.terms])
 
 
 def derivations(A: Algebra) -> OperatorSpace:

@@ -22,9 +22,16 @@ elements; both share no code with the package's law table.
 :func:`dense_rref` is the textbook Gauss-Jordan elimination on dense rows,
 one ``Field`` call per scalar; the package's sparse integer RREF is tested
 against it.
+
+:func:`flat_compose` and :func:`flat_membership` are the induced tensor as
+the package once computed it, one matrix entry at a time on flat entries
+{(b n + r) n + c: x}; :func:`induced_tables` runs them on every basis pair,
+and the package's packed rows are tested against it.
 """
 
-from itertools import product
+from fractions import Fraction
+from itertools import chain, product
+from math import lcm
 
 # the operators of each variety; r is the mirror of l in cpoisson
 ACTION_OPERATORS = {"leibniz": "lr", "associative": "lr", "poisson": "lrk", "cpoisson": "lk"}
@@ -375,3 +382,85 @@ def dense_rref(field, rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def flat_compose(pair, rule, n):
+    """An induced product as flat entries {(b n + i) n + j: x}, component b
+    the sum of s A B over the parsed terms (s, A, B) of ``rule[b]``, each
+    factor a (side, slot) of the pair (t, u) of sparse integer tuples
+    {row: {col: x}}; unreduced, so an entry may be zero in the field."""
+    out = {}
+    for b, terms in enumerate(rule):
+        for s, (ls, lb), (rs, rb) in terms:
+            B = pair[rs][rb]
+            for i, arow in pair[ls][lb].items():
+                at = (b * n + i) * n
+                for k, a in arow.items():
+                    a = a if s > 0 else -a
+                    for j, x in B.get(k, {}).items():
+                        col = at + j
+                        out[col] = out[col] + a * x if col in out else a * x
+    return out
+
+
+def _flat(tup):
+    return {col: x for col, x in enumerate(chain.from_iterable(chain.from_iterable(tup))) if x}
+
+
+def _reduced(v, p):
+    return {k: r for k, x in v.items() if (r := x % p if p else x)}
+
+
+def flat_membership(basis, pivots, p):
+    """The coordinates of flat entries v in the RREF basis of dense matrix
+    tuples with ``pivots``, as a function of v: the nonzero {t: c}, c_t = v
+    at pivot t, or None unless L v - sum_t c_t (L b_t) vanishes, checked off
+    the pivots against each basis vector's entries there (its tail) times
+    the one int L that clears them."""
+    index = {col: t for t, col in enumerate(pivots)}
+    tails = [{col: x for col, x in _flat(tup).items() if col not in index} for tup in basis]
+    L = lcm(*(Fraction(x).denominator for tail in tails for x in tail.values()))
+    tails = [{col: x * L for col, x in tail.items()} for tail in tails]
+
+    def coords(v):
+        coords, residue = {}, {}
+        for col, x in v.items():
+            if col in index:
+                coords[index[col]] = x
+            else:
+                residue[col] = L * x
+        coords = _reduced(coords, p)
+        for t, a in coords.items():
+            for col, y in tails[t].items():
+                residue[col] = residue.get(col, 0) - a * y
+        return None if _reduced(residue, p) else coords
+
+    return coords
+
+
+def induced_tables(space, terms):
+    """The structure constants {(a, b): {t: c}} of each induced operation of
+    ``space``, whose rules are parsed as ``terms``, at every basis pair in
+    lexicographic order: the flat product of the basis tuples a and b (over
+    Q each cleared of denominators by its own lam) placed by
+    :func:`flat_membership`.  A product outside the span raises the
+    package's ClosureError at its pair."""
+    from algact.errors import ClosureError
+
+    p, n = space.field.char, space.base.dim
+    lams = [lcm(*(Fraction(x).denominator for x in _flat(tup).values())) for tup in space.basis]
+    sparse = [tuple({r: {c: x * lam for c, x in enumerate(row) if x} for r, row in enumerate(M)}
+                    for M in tup) for tup, lam in zip(space.basis, lams)]
+    coords_of = flat_membership(space.basis, space.pivots, p)
+    tables = []
+    for rule in terms:
+        table = {}
+        for a, b in product(range(space.dim), repeat=2):
+            coords = coords_of(flat_compose((sparse[a], sparse[b]), rule, n))
+            if coords is None:
+                raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
+            if coords:
+                table[a, b] = {t: c if p else Fraction(c, lams[a] * lams[b])
+                               for t, c in coords.items()}
+        tables.append(table)
+    return tables

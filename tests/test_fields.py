@@ -8,6 +8,7 @@ from algact.errors import (
     CharTwoForbidden,
     DivisionByZero,
     FieldMismatch,
+    InputError,
     NotPrime,
 )
 from algact.fields import Field, GF, Q
@@ -52,6 +53,27 @@ def test_prime_field_parse_fraction():
     assert GF(5).of("1/2") == 3  # a string a/b reads as a * b^-1
     with pytest.raises(DivisionByZero):
         Q.inv(0)
+
+
+@given(st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+       st.sampled_from([3, 7, 2**61 - 1]))
+def test_a_literal_reads_as_its_fraction_in_both_fields(s, p):
+    # a literal without "/" is read with int(), one with it as a Fraction:
+    # both fields agree with Fraction(s) on every form the regex admits,
+    # signs, leading zeros and zero denominators included
+    try:
+        x = Fraction(s)
+    except ZeroDivisionError:
+        for f in (Q, GF(p)):
+            with pytest.raises(InputError):
+                f.of(s)
+        return
+    assert Q.of(s) == x and type(Q.of(s)) is Fraction
+    if x.denominator % p == 0:
+        with pytest.raises(DivisionByZero):
+            GF(p).of(s)
+    else:
+        assert GF(p).of(s) == GF(p).of(x) and type(GF(p).of(s)) is int
 
 
 rationals = st.fractions(

@@ -641,3 +641,63 @@ def test_solve_refuses_a_right_hand_side_of_the_wrong_length(b):
     A = [[F(1), F(0)], [F(1), F(1)], [F(0), F(1)]]
     with pytest.raises(DimensionMismatch):
         linalg.solve(Q, A, b)
+
+
+# -- the slot kernel -----------------------------------------------------------
+
+_SLOT_FIELDS = [0, 3, 7, 2**61 - 1]  # 0 is Q
+
+
+def _packed(slots, values):
+    return sum(y << slots.width * t for t, y in enumerate(values))
+
+
+@st.composite
+def slot_cases(draw):
+    """(p, bound, values): up to a dozen values of |y| <= bound, drawn among
+    the extremes, nonzero multiples of p and a few failing slots among many
+    zeros in the field."""
+    p = draw(st.sampled_from(_SLOT_FIELDS))
+    bound = draw(st.integers(1, 2**draw(st.sampled_from((3, 12, 40, 90)))))
+    multiple = st.integers(1, bound // p).map(lambda k: k * p) if p and bound >= p else st.just(0)
+    value = st.one_of(
+        st.sampled_from([0, bound, -bound]),
+        st.integers(-bound, bound),
+        multiple,
+        multiple.map(lambda y: -y),
+    )
+    values = draw(st.lists(value, min_size=1, max_size=12))
+    if draw(st.booleans()):  # every slot zero in the field but one
+        values = [y if p and not y % p else 0 for y in values]
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.integers(-bound, bound))
+    return p, bound, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(slot_cases())
+@example((3, 3, [3, -3, 0, 3]))  # nonzero multiples of p only
+@example((7, 2**40, [7 * 5**16, -(2**40), 1]))  # one failing slot at the end
+@example((2**61 - 1, 2**90, [2**61 - 1, -(2**61 - 1), 2**90]))
+@example((0, 5, [0, 0, -1, 0]))
+def test_the_slot_kernel_reads_and_tests_each_slot_as_alone(case):
+    # the width read off the bound, as each user reads it: every slot reads
+    # back as it was, and the int is zero in the field exactly when each
+    # slot is, a nonzero multiple of p counting as zero
+    p, bound, values = case
+    slots = linalg.Slots(len(values), bound.bit_length() + 1, p)
+    x = _packed(slots, values)
+    assert [slots.at(x, t) for t in range(len(values))] == values
+    assert slots.zero(x) == all((y % p if p else y) == 0 for y in values)
+
+
+@pytest.mark.parametrize("p", _SLOT_FIELDS)
+def test_a_slot_one_bit_narrower_than_its_bound_reads_wrong(p):
+    # one bit short of the width read off the bound, the extremes of the
+    # bound no longer read back
+    failed = 0
+    for bound in (1, 5, 6, 2**20 - 1, 2**20, 3 * 2**61):
+        for values in ([bound, 0], [-bound, 0], [0, bound, -bound]):
+            slots = linalg.Slots(len(values), bound.bit_length(), p)
+            x = _packed(slots, values)
+            failed += [slots.at(x, t) for t in range(len(values))] != values
+    assert failed > 0

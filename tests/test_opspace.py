@@ -327,13 +327,14 @@ def _unimodular(rng, n):
     return P, Pinv
 
 
-def _rebased_matrix_algebras(field, seed):
-    """T2 and M2 as an associative, a Lie (commutator) and a Poisson algebra,
-    each in the basis f_i = sum_a P[a][i] E_a of one seeded unimodular P."""
+def _rebased_matrix_algebras(field, seed, bases=(("T2", 2, True), ("M2", 2, False))):
+    """T2 and M2 (or the (name, size, upper) of ``bases``) as an
+    associative, a Lie (commutator) and a Poisson algebra, each in the basis
+    f_i = sum_a P[a][i] E_a of one seeded unimodular P."""
     rng = random.Random(seed)
     out = []
-    for name, upper in (("T2", True), ("M2", False)):
-        n, prod = _matrix_algebra(2, upper)
+    for name, size, upper in bases:
+        n, prod = _matrix_algebra(size, upper)
         P, Pinv = _unimodular(rng, n)
         new = {}
         for i, j in iproduct(range(n), repeat=2):
@@ -422,6 +423,98 @@ def test_each_basis_tuple_has_its_unit_vector_as_coordinates(field):
     assert scales == {1} if field.char else max(scales) > 1
 
 
+def _operation_tables(algebra):
+    """Each operation of ``algebra`` as {(i, j): {k: c}}."""
+    tables = []
+    for op in algebra.ops:
+        table = {}
+        for (i, j, k), c in op.sorted_entries():
+            table.setdefault((i, j), {})[k] = c
+        tables.append(table)
+    return tables
+
+
+def _probe_tuples(rng, space):
+    """Tuples to place in ``space``: its basis, a combination of it, a
+    random tuple, and a basis tuple with one row off its pivot dropped and
+    one with an entry off the pivots moved, the last three most likely
+    outside the span."""
+    f, n, k = space.field, space.base.dim, len(space.components)
+    out = list(space.basis)
+    out.append(tuple([[f.of(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+                     for _ in range(k)))
+    if not space.dim:
+        return out
+    coeffs = [f.of(rng.choice(("1", "-2", "3/4", "-7/2", "5"))) for _ in space.basis]
+    out.append(tuple([[f.of(sum(c * tup[b][r][col] for c, tup in zip(coeffs, space.basis)))
+                       for col in range(n)] for r in range(n)] for b in range(k)))
+    t = rng.randrange(space.dim)
+    rows = [(b, r) for b, M in enumerate(space.basis[t]) for r, row in enumerate(M)
+            if any(row) and b * n + r != space.pivots[t] // n]
+    if rows:
+        dropped = [[list(row) for row in M] for M in space.basis[t]]
+        b, r = rng.choice(rows)
+        dropped[b][r] = [f.zero] * n
+        out.append(tuple(dropped))
+    moved = [[list(row) for row in M] for M in space.basis[t]]
+    off = [c for c in range(k * n * n) if c not in space.pivots]
+    if off:
+        c = rng.choice(off)
+        moved[c // n // n][c // n % n][c % n] = f.add(moved[c // n // n][c // n % n][c % n], f.one)
+        out.append(tuple(moved))
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, GF(3), GF(7), GF(2**61 - 1)], ids=repr)
+def test_induced_tensor_and_coords_match_the_flat_oracle(field):
+    # the packed rows against the flat entries the package once composed
+    # and tested one at a time (oracle.flat_compose, oracle.flat_membership):
+    # every kind on the catalog and on rebased T2, M2 and T3.  coords places
+    # the basis, a combination of it, a random tuple, and a basis tuple with
+    # a row dropped or an entry moved as the oracle does; the induced tensor
+    # is the oracle's, and with a spurious basis vector added (a space that
+    # need not close) both raise the same ClosureError at the same first pair
+    rng = random.Random(repr(field))
+    cases = [(name, A) for name, A, _ in catalog_algebras(field)]
+    cases += _rebased_matrix_algebras(field, "T2 M2")
+    cases += _rebased_matrix_algebras(field, "T3", (("T3", 3, True),))
+    checked = escaped = outside = 0
+    for name, A in cases:
+        for kind in SPACE_KINDS:
+            try:
+                space = space_of_kind(A, kind)
+            except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
+                    OpArityMismatch):
+                continue  # the base is outside the kind's variety
+            coords_of = oracle.flat_membership(space.basis, space.pivots, field.char)
+            for tup in _probe_tuples(rng, space):
+                want = coords_of(oracle._flat(tup))
+                if want is not None:
+                    want = [want.get(t, field.zero) for t in range(space.dim)]
+                assert space.coords(tup) == want, (name, kind)
+                outside += want is None
+            spec = opspace._KINDS[kind]
+            if not spec.ops:
+                continue
+            assert _operation_tables(space.algebra) == oracle.induced_tables(space, spec.terms)
+            n, k = A.dim, len(space.components)
+            extra = [field.of(rng.randint(-2, 2)) for _ in range(k * n * n)]
+            rows, pivots = oracle.dense_rref(field, [_flat(tup) for tup in space.basis] + [extra])
+            basis = [tuple(linalg.mat_unflatten(v[b * n * n:(b + 1) * n * n], n, n)
+                           for b in range(k)) for v in rows]
+            spurious = opspace.OperatorSpace(A, kind, space.components, basis, pivots)
+            try:
+                want = oracle.induced_tables(spurious, spec.terms)
+            except ClosureError as exc:
+                with pytest.raises(ClosureError, match=re.escape(str(exc))):
+                    opspace._induced(spurious, spec)
+                escaped += 1
+            else:
+                assert _operation_tables(opspace._induced(spurious, spec)) == want, (name, kind)
+            checked += 1
+    assert checked > 40 and escaped > 10 and outside > 40, (checked, escaped, outside)
+
+
 def test_escaping_product_raises_closure_error(monkeypatch):
     # plain composition dd' of two derivations is not a derivation: on sl2 it
     # escapes at the first basis pair, on the sparse heisenberg algebra first
@@ -491,9 +584,26 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
     space = derivations(A)
     assert products and all(0 <= c < p for coords in products for c in coords.values())
     assert all(0 <= c < p for op in space.algebra.ops for _, c in op.sorted_entries())
+    # the self-check of the whole basis tests each packed defect entry with
+    # the slot kernel: an entry whose slots are nonzero multiples of 3
+    # passes it, and no slot is decoded
+    zero, at = linalg.Slots.zero, linalg.Slots.at
+
+    def recording_zero(slots, x):
+        verdict = zero(slots, x)
+        values = [at(slots, x, t) for t in range(slots.count)]
+        seen["multiple"] += verdict and any(y and not y % p for y in values)
+        return verdict
+
+    def recording_at(slots, x, t):
+        seen["read"] += 1
+        return at(slots, x, t)
+
+    monkeypatch.setattr(linalg.Slots, "zero", recording_zero)
+    monkeypatch.setattr(linalg.Slots, "at", recording_at)
     seen.clear()
     assert next(defining_defects("derivations", A, space.basis), None) is None
-    assert seen.pop("multiple") > 0
+    assert seen.pop("multiple") > 0 and seen.pop("read", 0) == 0
 
 
 def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
@@ -742,7 +852,7 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
         return counted
 
     monkeypatch.setattr(laws, "_defect", counting_defect)
-    for module, name in ((laws, "_lincomb"), (opspace, "_compose")):
+    for module, name in ((laws, "_lincomb"), (opspace, "_composed"), (linalg.Slots, "zero")):
         def counting(*args, name=name, orig=getattr(module, name)):
             counts[name] += 1
             return orig(*args)
@@ -753,7 +863,10 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
     assert next(defining_defects("biderivations", A, space.basis), None) is None
     assert counts == Counter()
     biderivations(A)
-    assert counts["_compose"] > 0  # the counters count
+    assert counts["_composed"] == len(calls)  # the counters count, once a product
+    # each product is Z-span of unit tuples and its coordinates are read raw,
+    # so every row of its residue is exactly 0 and the slot kernel never runs
+    assert counts["zero"] == 0
     M = builtin("leibniz_2dim_nonlie", field)
     basis = biderivations(M).basis
     counts.clear()
