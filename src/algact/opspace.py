@@ -172,48 +172,50 @@ class OperatorSpace:
         component."""
         n = self.base.dim
         linalg.check_shape(tup, len(self.components), n, n, error=ShapeMismatch, what="operator tuple")
-        den, tup = linalg.cleared_maps([linalg.mat_sparse(M) for M in tup])
-        slots = self._slots(max((abs(x) for M in tup for row in M.values() for x in row.values()),
-                                default=0))
-        coords = self._sparse_coords(_packed_rows(slots, tup), slots)
+        den, tup = 1, [linalg.mat_sparse(M) for M in tup]
+        if not self.field.char:
+            den, tup = linalg.cleared_maps(tup)
+        packing = self._slots(max((abs(x) for M in tup for row in M.values() for x in row.values()),
+                                  default=0))
+        coords = self._sparse_coords(_packed_rows(packing[0], tup), packing)
         if coords is None:
             return None
         if not self.field.char:
             coords = {t: Fraction(c, den) for t, c in coords.items()}
         return [coords.get(t, self.field.zero) for t in range(self.dim)]
 
-    def _slots(self, top: int) -> linalg.Slots:
+    def _slots(self, top: int) -> tuple:
         """Slots for rows of n entries at most ``top``, whose bits bound each
-        slot of :meth:`_sparse_coords`; each L b_t is packed in them once."""
+        slot of :meth:`_sparse_coords`, and the rows of each L b_t packed in
+        them, made once."""
+        top = max(top, self.field.char - 1)  # over GF(p), one width for canonical entries too
         bits = (top * (self._scale + self.dim * self._top)).bit_length() + 1
         bits = min((b for b in self._packings if b >= bits), default=bits)  # wider ones fit too
         if bits not in self._packings:
             slots = linalg.Slots(self.base.dim, bits, self.field.char)
             self._packings[bits] = slots, [_packed_rows(slots, tup) for tup in self._scaled]
-        return self._packings[bits][0]
+        return self._packings[bits]
 
-    def _sparse_coords(self, rows, slots):
+    def _sparse_coords(self, rows, packing):
         """The nonzero coordinates {t: c} of a tuple given by its rows
-        {b n + r: (x, mask)} in ``slots`` (:func:`_packed_rows`), maybe of
-        unreduced ints: c_t = its entry at pivot t, or None unless each row
-        of L v - sum_t c_t (L b_t) is zero in the field, L = ``_scale``."""
-        coords, residue, L, pivots = {}, {}, self._scale, self._row_pivots
+        {b n + r: (x, mask)} in the slots of ``packing`` (:meth:`_slots`), of
+        maybe unreduced ints: c_t is its entry at pivot t, mod p, or None
+        unless each row of L v - sum_t c_t (L b_t) is zero in the field."""
+        (slots, packed), coords, residue, L, p = packing, {}, {}, self._scale, packing[0].p
         for R, (x, m) in rows.items():
-            residue[R] = L * x
-            if R in pivots:  # the pivot slots inside the mask, lowest first
-                hits, at = m & pivots[R][0], pivots[R][1]
-                while hits:
+            residue[R] = residue[R] + L * x if R in residue else L * x
+            if (at := self._row_pivots.get(R)) and (hits := m & at[0]):
+                while hits:  # the pivot slots inside the mask, lowest first
                     c, hits = (hits & -hits).bit_length() - 1, hits & hits - 1
-                    if a := slots.at(x, c):
-                        coords[at[c]] = a
-        packed = self._packings[slots.bits][1]
-        for t, a in coords.items():  # raw, so a row in the span over Z leaves exactly 0
-            for R, (y, _) in packed[t].items():
-                residue[R] = residue[R] - a * y if R in residue else -a * y
+                    if a := slots.at(x, c):  # raw, so a row in the span over Z leaves exactly 0
+                        for S, (y, _) in packed[at[1][c]].items():
+                            residue[S] = residue[S] - a * y if S in residue else -a * y
+                        if r := a % p if p else a:
+                            coords[at[1][c]] = r
         for r in residue.values():
             if r and not slots.zero(r):
                 return None
-        return linalg.reduced(coords, self.field.char)
+        return coords
 
     def matrix_of(self, tuples) -> list:
         """The matrix whose column p holds the coordinates of ``tuples[p]``."""
@@ -543,12 +545,11 @@ def _induced(space: OperatorSpace, spec: _Kind) -> Algebra:
     the span a ClosureError at its basis pair, composed on the L b_t: entries
     at most T n e^2, for T terms a component and e the largest L b_t entry."""
     f, n, L = space.field, space.base.dim, space._scale
-    slots = space._slots(max(map(len, chain.from_iterable(spec.terms))) * n * space._top ** 2)
-    packed = space._packings[slots.bits][1]
+    packing = space._slots(max(map(len, chain.from_iterable(spec.terms))) * n * space._top ** 2)
 
     def product(op, a, b):
-        rows = _composed((a, b), spec.terms[op], space._scaled, packed, n)
-        if (coords := space._sparse_coords(rows, slots)) is None:
+        rows = _composed((a, b), spec.terms[op], space._scaled, packing[1], n)
+        if (coords := space._sparse_coords(rows, packing)) is None:
             raise ClosureError(f"induced operation escaped the span at basis pair ({a}, {b})")
         if f.char == 0:  # the product of the scaled tuples is L^2 times the true one
             coords = {t: Fraction(c, L * L) for t, c in coords.items()}
