@@ -42,12 +42,11 @@ homomorphism report is read, never recomputed.
 
 Validation labels follow the classical condition lists: L1..L6 for Leibniz,
 A1..A6 for associative (the same list that reappears inside P1), and
-P1.1..P1.6, P2.1, P2.2, P3..P8 for Poisson.  The lists live in
-:mod:`algact.laws` as signed trees: the conditions on two kernel elements
-are the weak actor's defining laws evaluated on l_x, r_x and k_x (L1-L3 the
-biderivation laws for d = r_x and D = -l_x, A1-A3 the bimultiplier laws,
-P2.1, P6, P7, P8 the Poisson actor laws), and the rest apply the operators
-at acting elements in the same format.  Every
+P1.1..P1.6, P2.1, P2.2, P3..P8 for Poisson.  Each list is read off the weak
+actor's record (:func:`~algact.opspace.conditions`): its defining laws on
+l_x, r_x and k_x (L1-L3, A1-A3, P2.1, P6-P8), the conditions that the map
+into it respects its induced operations (L4-L5, A5-A6, P2.2, P3-P5), and
+the acting law, written by hand (L6, and A4 as permutability).  Every
 condition is multilinear in its algebra arguments, so evaluating it on basis
 tuples is exhaustive.
 
@@ -80,7 +79,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .opspace import ActorMorphism, OperatorSpace, space_of_kind
+from .opspace import ActorMorphism, OperatorSpace, conditions, signed_slot, space_of_kind
 
 __all__ = [
     "VARIETIES",
@@ -104,39 +103,46 @@ __all__ = [
 ]
 
 
-def signed_slot(slot):
-    """(sign, name) of a slot name, where "-r" stands for the negated r."""
-    return (-1, slot[1:]) if slot.startswith("-") else (1, slot)
-
-
 @dataclass(frozen=True)
 class _Variety:
     """A variety's weak actor and how its actions meet it.
 
     The morphism value of an acting element x is the tuple of the operators
-    named in ``slots``, where ``"-r"`` stands for -r_x.  ``conditions`` lists
-    (label, law) in canonical label order; ``acting`` is the law that picks
+    named in ``slots``, where ``"-r"`` stands for -r_x.  ``sources`` lists
+    (label, source) in canonical label order, read once into ``conditions``
+    (:func:`~algact.opspace.conditions`); ``acting`` is the law that picks
     the acting morphisms among the homomorphisms into the weak actor.
     """
 
     kind: str
     slots: tuple
     num_ops: int
-    conditions: tuple
+    sources: tuple
     acting: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "conditions", conditions(self.kind, self.slots, self.sources))
 
     @property
     def operators(self) -> tuple:
         return tuple(signed_slot(s)[1] for s in self.slots)
 
 
+_ASSOCIATIVE = (("A1", "left"), ("A2", "right"), ("A3", "mixed"), ("A4", laws.MIDDLE),
+                ("A5", ("mul", "f")), ("A6", ("mul", "F")))
+_POISSON = tuple(("P1." + label[1:], s) for label, s in _ASSOCIATIVE) + (
+    ("P2.1", "lie_derivation"), ("P2.2", ("bracket", "d")), ("P3", ("mul", "d")),
+    ("P4", ("bracket", "f")), ("P5", ("bracket", "F")), ("P6", "V1"), ("P7", "V2"), ("P8", "V3"))
 _VARIETIES = {
-    "associative": _Variety("bimultipliers", ("l", "r"), 1, laws.ASSOCIATIVE, laws.PERMUTABLE),
-    "leibniz": _Variety("biderivations", ("-r", "l"), 1, laws.LEIBNIZ, laws.L6),
-    "poisson": _Variety("usga-poisson", ("l", "r", "k"), 2, laws.POISSON, laws.PERMUTABLE),
-    # r mirrors l, so the Poisson laws apply unchanged
-    "cpoisson": _Variety("usga-cpoisson", ("l", "k"), 2, laws.POISSON, laws.PERMUTABLE),
+    "associative": _Variety("bimultipliers", ("l", "r"), 1, _ASSOCIATIVE, laws.PERMUTABLE),
+    "leibniz": _Variety("biderivations", ("-r", "l"), 1, (
+        ("L1", "derivation"), ("L2", "antiderivation"), ("L3", "compatibility"),
+        ("L4", ("bracket", "d")), ("L5", ("bracket", "D")), ("L6", laws.L6)), laws.L6),
+    "poisson": _Variety("usga-poisson", ("l", "r", "k"), 2, _POISSON, laws.PERMUTABLE),
 }
+# r mirrors l, so the Poisson conditions apply unchanged, kept as they are read
+_VARIETIES["cpoisson"] = _Variety("usga-cpoisson", ("l", "k"), 2, _VARIETIES["poisson"].conditions,
+                                  laws.PERMUTABLE)
 
 VARIETIES = tuple(_VARIETIES)
 _VARIETY_OF_KIND = {v.kind: name for name, v in _VARIETIES.items()}
@@ -336,10 +342,10 @@ def validate_action(a: ActionData) -> ValidationReport:
     a, b in X, and for L4-L6 they are (x, y, a); associative/Poisson
     witnesses follow the same pattern for their lists.
     """
-    conditions = _variety(a.variety).conditions
-    fails = laws.failures(a.kernel, [law for _, law in conditions], [a._law_operators()], a.acting)
+    v = _variety(a.variety)
+    fails = laws.failures(a.kernel, [law for _, law in v.conditions], [a._law_operators()], a.acting)
     results = []
-    for label, law in conditions:
+    for label, law in v.conditions:
         hit = next(fails(law), None)
         witness, defect = hit[1:] if hit else (None, None)
         results.append(ConditionResult(label, hit is None, witness, defect))
@@ -698,12 +704,11 @@ def enumerate_actions(B: Algebra, X: Algebra, variety: str, budget: int = DEFAUL
 
     The candidates are the homomorphisms from B into the weak actor E of X,
     and each one whose unpacked action validates is kept.  Every valid
-    action is reached: the conditions on two kernel elements are the laws of
-    E, and L4-L5, A5-A6 (P1.5-P1.6), P2.2 and P3-P5 say that the map into E
-    is a homomorphism.  The homomorphisms are found column by column, the
-    image of e_i e_j forced or checked once those of e_i and e_j are fixed,
-    and each is certified.  ``budget`` bounds the count of all matrices,
-    p**(dim E * dim B), however few of them the search visits.
+    action is reached: its conditions include E's laws and that the map
+    into E is a homomorphism.  The homomorphisms are found column by column,
+    the image of e_i e_j forced or checked once those of e_i and e_j are
+    fixed, and each is certified.  ``budget`` bounds the count of all
+    matrices, p**(dim E * dim B), however few of them the search visits.
     """
     space, homs = _homomorphisms(B, X, variety, budget)
     actions = (_unpack(m, variety) for m in homs)

@@ -210,8 +210,8 @@ def builtin(name: str, field: Optional[Field] = None):
     if name.startswith("poisson_abelian(") and name.endswith(")"):
         return _poisson_abelian(_parse_n(name[16:-1]), field)
     if name.startswith("biadjoint(") and name.endswith(")"):
-        inner = builtin(name[10:-1], field)
-        return biadjoint_action(inner)
+        if isinstance(inner := builtin(name[10:-1], field), Algebra):  # else refused below
+            return biadjoint_action(inner)
     if name == "metere_morphism":
         return _metere_morphism(field)
     if name == "metere_action":

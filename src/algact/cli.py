@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "enumerate", _cmd_enumerate, "pairfile",
                 help="exhaust all valid actions of a pair")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most matrices into the weak actor to try, p^(dim E * dim B) "
-                   "(default: 3^10)")
+                   help="bound on p^(dim E * dim B), the count of all matrices into the "
+                   "weak actor, however few the search visits (default: 3^10)")
 
     return parser
 

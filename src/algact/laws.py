@@ -14,7 +14,8 @@ A node is a tree over basis arguments numbered from 0.  It is one of
   node of the acting algebra B) applied to u.
 
 So :func:`derivation` is ``M(x.y) - M(x).y - x.M(y)``, and the Leibniz
-condition L4 is ``r_[x,y](a) - r_y(r_x(a)) + r_x(r_y(a))``.
+condition L4, the d component of the biderivation bracket read at d = -r
+(:func:`algact.opspace.conditions`), is ``r_[x,y](a) + r_x(r_y(a)) - r_y(r_x(a))``.
 
 Every law is multilinear in its arguments, so imposing it on basis
 arguments is equivalent to imposing it everywhere.  The one format is read
@@ -141,68 +142,19 @@ def v2(F, d):
     return ((1, _on(F, _b(0, 1))), (-1, _b(_on(F, 0), 1)), (1, _p(0, _on(d, 1))))
 
 
-# -- action conditions -------------------------------------------------------------
+# -- acting laws -----------------------------------------------------------------
 #
-# For x, y in B and a, b in X: l_x(a) = x*a, r_x(a) = a*x and k_x(a) = {x, a}.
-# The conditions on two kernel elements a, b (indices 0, 1) are laws of the
-# weak actor, read at each acting element x.  The others take x, y, a as the
-# indices 0, 1, 2.  A homomorphism into the weak actor comes from an action
-# exactly when its operators satisfy the acting law: L6 for Leibniz
-# algebras, PERMUTABLE for associative and Poisson algebras.
+# On x, y in B and a in X (indices 0, 1, 2), l_x(a) = x*a, r_x(a) = a*x and
+# k_x(a) = {x, a}: a homomorphism into the weak actor comes from an action
+# exactly when its operators satisfy L6 (Leibniz) or PERMUTABLE (associative
+# and Poisson).  The other conditions are read off the weak actor.
 
 # l_x (l_y + r_y) = 0
 L6 = ((1, _at("l", 0, _at("l", 1, 2))), (1, _at("l", 0, _at("r", 1, 2))))
 # l_x r_y = r_y l_x
 PERMUTABLE = ((1, _at("l", 0, _at("r", 1, 2))), (-1, _at("r", 1, _at("l", 0, 2))))
-
-LEIBNIZ = (
-    ("L1", derivation("r", BRACKET)),
-    ("L2", antiderivation("l", BRACKET)),
-    ("L3", ((1, _b(0, _on("r", 1))), (1, _b(0, _on("l", 1))))),  # [a, r_x(b)] + [a, l_x(b)] = 0
-    # r_[x,y] = r_y r_x - r_x r_y
-    ("L4", ((1, _at("r", _b(0, 1), 2)),
-            (-1, _at("r", 1, _at("r", 0, 2))),
-            (1, _at("r", 0, _at("r", 1, 2))))),
-    # l_[x,y] = r_y l_x - l_x r_y
-    ("L5", ((1, _at("l", _b(0, 1), 2)),
-            (-1, _at("r", 1, _at("l", 0, 2))),
-            (1, _at("l", 0, _at("r", 1, 2))))),
-    ("L6", L6),
-)
-
-_ASSOCIATIVE = (
-    left_multiplier("l"),  # x*(ab) = (x*a)b
-    right_multiplier("r"),  # (ab)*x = a(b*x)
-    mixed("l", "r"),  # a(x*b) = (a*x)b
-    ((1, _at("r", 1, _at("l", 0, 2))), (-1, _at("l", 0, _at("r", 1, 2)))),  # (x*a)*y = x*(a*y)
-    ((1, _at("l", _p(0, 1), 2)), (-1, _at("l", 0, _at("l", 1, 2)))),  # (xy)*a = x*(y*a)
-    ((1, _at("r", _p(0, 1), 2)), (-1, _at("r", 1, _at("r", 0, 2)))),  # a*(xy) = (a*x)*y
-)
-
-ASSOCIATIVE = tuple(zip(("A1", "A2", "A3", "A4", "A5", "A6"), _ASSOCIATIVE))
-
-POISSON = tuple(zip(("P1.1", "P1.2", "P1.3", "P1.4", "P1.5", "P1.6"), _ASSOCIATIVE)) + (
-    ("P2.1", derivation("k", BRACKET)),
-    # k_[x,y] = k_x k_y - k_y k_x
-    ("P2.2", ((1, _at("k", _b(0, 1), 2)),
-              (-1, _at("k", 0, _at("k", 1, 2))),
-              (1, _at("k", 1, _at("k", 0, 2))))),
-    # k_xy = l_x k_y + r_y k_x
-    ("P3", ((1, _at("k", _p(0, 1), 2)),
-            (-1, _at("l", 0, _at("k", 1, 2))),
-            (-1, _at("r", 1, _at("k", 0, 2))))),
-    # l_[x,y] = l_x k_y - k_y l_x
-    ("P4", ((1, _at("l", _b(0, 1), 2)),
-            (-1, _at("l", 0, _at("k", 1, 2))),
-            (1, _at("k", 1, _at("l", 0, 2))))),
-    # r_[x,y] = r_x k_y - k_y r_x
-    ("P5", ((1, _at("r", _b(0, 1), 2)),
-            (-1, _at("r", 0, _at("k", 1, 2))),
-            (1, _at("k", 1, _at("r", 0, 2))))),
-    ("P6", v1("l", "k")),
-    ("P7", v2("r", "k")),
-    ("P8", derivation("k", PRODUCT)),
-)
+# (x*a)*y = x*(a*y), PERMUTABLE the other way round: A4 and P1.4
+MIDDLE = ((1, _at("r", 1, _at("l", 0, 2))), (-1, _at("l", 0, _at("r", 1, 2))))
 
 
 # -- identities of an algebra ------------------------------------------------------

@@ -443,8 +443,7 @@ _KINDS = {
     ),
     "usga-poisson": _Kind(
         ("f", "F", "d"),
-        tuple(("bim." + label, law) for label, law in _BIMULTIPLIER_LAWS)
-        + (
+        _BIMULTIPLIER_LAWS + (
             ("lie_derivation", laws.derivation("d", BRACKET)),
             ("V3", laws.derivation("d", PRODUCT)),
             ("V1", laws.v1("f", "d")),
@@ -476,6 +475,50 @@ def _kind(kind: str) -> _Kind:
         return _KINDS[kind]
     except KeyError:
         raise InputError(f"unknown operator space kind {kind!r}") from None
+
+
+def signed_slot(slot):
+    """(sign, name) of a slot name, where "-r" stands for the negated r."""
+    return (-1, slot[1:]) if slot.startswith("-") else (1, slot)
+
+
+def _renamed(node, names):
+    """(sign, node): ``node`` renamed by ``names`` {slot: (sign, name)}, signs multiplied."""
+    if isinstance(node, int):
+        return 1, node
+    if node[0] in (laws.ON, laws.AT):
+        (sign, name), (inner, u) = names[node[1]], _renamed(node[-1], names)
+        return sign * inner, (node[0], name, *node[2:-1], u)
+    (su, u), (sw, w) = _renamed(node[1], names), _renamed(node[2], names)
+    return su * sw, (node[0], u, w)
+
+
+def conditions(kind: str, slots: tuple, sources: tuple) -> tuple:
+    """(label, law) for each (label, source) of ``sources``, read off the
+    record of ``kind`` with the action operators ``slots`` as its components.
+    A source is a defining law's label (on a, b in X, indices 0, 1, at each
+    acting element); an (operation, component) pair, the condition that the
+    map into the weak actor respects that component (on x, y in B and a in X,
+    indices 0, 1, 2: its value at x.y less its rule's composites at x and y);
+    or a law, kept as it is.  A read law is scaled so that its first term is
+    positive, which keeps its zero set."""
+    spec = _kind(kind)
+    names = dict(zip(spec.components, map(signed_slot, slots)))
+    at = lambda b, x, u: (laws.AT, spec.components[b], x, u)
+
+    def read(source):
+        if isinstance(source, str):
+            law = dict(spec.laws)[source]
+        elif isinstance(source[0], str):
+            op, b = [name for name, _ in spec.ops].index(source[0]), spec.components.index(source[1])
+            law = ((1, at(b, (BRACKET if source[0] == "bracket" else PRODUCT, 0, 1), 2)),) + tuple(
+                (-s, at(lb, ls, at(rb, rs, 2))) for s, (ls, lb), (rs, rb) in spec.terms[op][b])
+        else:
+            return source
+        law = [(s * sign, node) for s, v in law for sign, node in [_renamed(v, names)]]
+        return tuple((s * law[0][0], node) for s, node in law)
+
+    return tuple((label, read(source)) for label, source in sources)
 
 
 def defining_defects(kind: str, A: Algebra, tuples):

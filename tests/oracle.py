@@ -5,10 +5,13 @@ identities directly from their definitions, sharing no code with the
 package's linear-system path.  They confirm that exhaustive enumeration
 counts equal p**(nullspace dimension).
 
-:func:`brute_force_actions` tries every assignment of the operator matrices
-of an action and keeps those that the package's validator passes.  It
-shares the validator with the package but not the weak actor, through which
-the package enumerates actions.
+``LEIBNIZ``, ``ASSOCIATIVE`` and ``POISSON`` are the paper's condition
+lists, transcribed by hand as signed trees of :mod:`algact.laws`; the
+package reads its lists off the weak actor's records instead, and is tested
+against these.  :func:`brute_force_actions` tries every assignment of the
+operator matrices of an action and keeps those that pass these lists, run
+through the package's law evaluator.  It shares neither the weak actor,
+through which the package enumerates actions, nor the lists read off it.
 
 :func:`matrix_walk_homomorphisms` tries every matrix of a map into an
 operator space and keeps those that pass the package's homomorphism check;
@@ -33,18 +36,102 @@ from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 
+from algact.laws import AT, BRACKET, ON, PRODUCT
+
 # the operators of each variety; r is the mirror of l in cpoisson
 ACTION_OPERATORS = {"leibniz": "lr", "associative": "lr", "poisson": "lrk", "cpoisson": "lk"}
 
 
+def _p(u, w):
+    return (PRODUCT, u, w)
+
+
+def _b(u, w):
+    return (BRACKET, u, w)
+
+
+def _on(s, u):
+    return (ON, s, u)
+
+
+def _at(s, x, u):
+    return (AT, s, x, u)
+
+
+# For x, y in B and a, b in X: l_x(a) = x*a, r_x(a) = a*x and k_x(a) = {x, a}.
+# A condition on a, b (indices 0, 1) holds at each acting element x; the
+# others take x, y, a as the indices 0, 1, 2.
+LEIBNIZ = (
+    # r_x[a,b] = [r_x(a), b] + [a, r_x(b)]
+    ("L1", ((1, _on("r", _b(0, 1))), (-1, _b(_on("r", 0), 1)), (-1, _b(0, _on("r", 1))))),
+    # l_x[a,b] = [l_x(a), b] - [l_x(b), a]
+    ("L2", ((1, _on("l", _b(0, 1))), (-1, _b(_on("l", 0), 1)), (1, _b(_on("l", 1), 0)))),
+    # [a, r_x(b)] + [a, l_x(b)] = 0
+    ("L3", ((1, _b(0, _on("r", 1))), (1, _b(0, _on("l", 1))))),
+    # r_[x,y] = r_y r_x - r_x r_y
+    ("L4", ((1, _at("r", _b(0, 1), 2)),
+            (-1, _at("r", 1, _at("r", 0, 2))),
+            (1, _at("r", 0, _at("r", 1, 2))))),
+    # l_[x,y] = r_y l_x - l_x r_y
+    ("L5", ((1, _at("l", _b(0, 1), 2)),
+            (-1, _at("r", 1, _at("l", 0, 2))),
+            (1, _at("l", 0, _at("r", 1, 2))))),
+    # l_x (l_y + r_y) = 0
+    ("L6", ((1, _at("l", 0, _at("l", 1, 2))), (1, _at("l", 0, _at("r", 1, 2))))),
+)
+
+_ASSOCIATIVE = (
+    ((1, _on("l", _p(0, 1))), (-1, _p(_on("l", 0), 1))),  # x*(ab) = (x*a)b
+    ((1, _on("r", _p(0, 1))), (-1, _p(0, _on("r", 1)))),  # (ab)*x = a(b*x)
+    ((1, _p(0, _on("l", 1))), (-1, _p(_on("r", 0), 1))),  # a(x*b) = (a*x)b
+    ((1, _at("r", 1, _at("l", 0, 2))), (-1, _at("l", 0, _at("r", 1, 2)))),  # (x*a)*y = x*(a*y)
+    ((1, _at("l", _p(0, 1), 2)), (-1, _at("l", 0, _at("l", 1, 2)))),  # (xy)*a = x*(y*a)
+    ((1, _at("r", _p(0, 1), 2)), (-1, _at("r", 1, _at("r", 0, 2)))),  # a*(xy) = (a*x)*y
+)
+
+ASSOCIATIVE = tuple(zip(("A1", "A2", "A3", "A4", "A5", "A6"), _ASSOCIATIVE))
+
+POISSON = tuple(zip(("P1.1", "P1.2", "P1.3", "P1.4", "P1.5", "P1.6"), _ASSOCIATIVE)) + (
+    # k_x[a,b] = [k_x(a), b] + [a, k_x(b)]
+    ("P2.1", ((1, _on("k", _b(0, 1))), (-1, _b(_on("k", 0), 1)), (-1, _b(0, _on("k", 1))))),
+    # k_[x,y] = k_x k_y - k_y k_x
+    ("P2.2", ((1, _at("k", _b(0, 1), 2)),
+              (-1, _at("k", 0, _at("k", 1, 2))),
+              (1, _at("k", 1, _at("k", 0, 2))))),
+    # k_xy = l_x k_y + r_y k_x
+    ("P3", ((1, _at("k", _p(0, 1), 2)),
+            (-1, _at("l", 0, _at("k", 1, 2))),
+            (-1, _at("r", 1, _at("k", 0, 2))))),
+    # l_[x,y] = l_x k_y - k_y l_x
+    ("P4", ((1, _at("l", _b(0, 1), 2)),
+            (-1, _at("l", 0, _at("k", 1, 2))),
+            (1, _at("k", 1, _at("l", 0, 2))))),
+    # r_[x,y] = r_x k_y - k_y r_x
+    ("P5", ((1, _at("r", _b(0, 1), 2)),
+            (-1, _at("r", 0, _at("k", 1, 2))),
+            (1, _at("k", 1, _at("r", 0, 2))))),
+    # l_x[a,b] = [l_x(a), b] - k_x(b) a
+    ("P6", ((1, _on("l", _b(0, 1))), (-1, _b(_on("l", 0), 1)), (1, _p(_on("k", 1), 0)))),
+    # r_x[a,b] = [r_x(a), b] - a k_x(b)
+    ("P7", ((1, _on("r", _b(0, 1))), (-1, _b(_on("r", 0), 1)), (1, _p(0, _on("k", 1))))),
+    # k_x(ab) = k_x(a) b + a k_x(b)
+    ("P8", ((1, _on("k", _p(0, 1))), (-1, _p(_on("k", 0), 1)), (-1, _p(0, _on("k", 1))))),
+)
+
+# the condition list of each variety; r mirrors l in cpoisson, so Poisson's holds
+CONDITIONS = {"leibniz": LEIBNIZ, "associative": ASSOCIATIVE, "poisson": POISSON,
+              "cpoisson": POISSON}
+
+
 def brute_force_actions(B, X, variety):
     """All valid actions of B on X over GF(p), sorted canonically, by
-    validating every assignment of the operator matrices l, r and k at the
-    basis elements of B."""
-    from algact.actions import ActionData, validate_action
+    evaluating the reference list of ``variety`` on every assignment of the
+    operator matrices l, r and k at the basis elements of B."""
+    from algact import laws
+    from algact.actions import ActionData
 
     nb, nx = B.dim, X.dim
-    names = ACTION_OPERATORS[variety]
+    names, conditions = ACTION_OPERATORS[variety], [law for _, law in CONDITIONS[variety]]
     found = []
     for flat in product(range(B.field.p), repeat=len(names) * nb * nx * nx):
         entries = iter(flat)
@@ -52,7 +139,8 @@ def brute_force_actions(B, X, variety):
                             for _ in range(nb)]
                      for name in names}
         a = ActionData(variety, B, X, operators)
-        if validate_action(a).passed:
+        fails = laws.failures(X, conditions, [a._law_operators()], B)
+        if all(next(fails(law), None) is None for law in conditions):
             found.append(a)
     return sorted(found, key=ActionData.canonical_key)
 

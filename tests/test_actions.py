@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact import algebra, laws, linalg, opspace
+from algact import actions, algebra, laws, linalg, opspace
 from algact.actions import (
     VARIETIES,
     ActionData,
@@ -95,6 +96,8 @@ def test_metere_action_fails_exactly_l6():
     cond = rep.condition("L6")
     assert cond.witness == (0, 0, 0)
     assert cond.defect == [F(2)]
+    with pytest.raises(KeyError):
+        rep.condition("L9")
 
 
 def test_poisson_inner_action_valid():
@@ -134,6 +137,28 @@ def test_action_shape_validation():
     with pytest.raises(ShapeMismatch):
         ActionData("cpoisson", builtin("poisson_abelian(1)"),
                    builtin("poisson_abelian(1)"), {"r": [[[F(1)]]]})
+    with pytest.raises(ShapeMismatch, match="different fields"):
+        ActionData("leibniz", B, builtin("abelian(1)", GF(3)))
+
+
+@pytest.mark.parametrize("variety", VARIETIES)
+def test_condition_lists_read_off_the_weak_actor_are_the_papers(variety):
+    # the same labels in the same order as the hand transcription, and each
+    # law the same multiset of signed terms
+    derived, reference = actions._VARIETIES[variety].conditions, oracle.CONDITIONS[variety]
+    assert [label for label, _ in derived] == [label for label, _ in reference]
+    for (label, law), (_, ref) in zip(derived, reference):
+        assert Counter(law) == Counter(ref), label
+
+
+def test_only_the_acting_law_is_written_by_hand():
+    # every other condition is read off the weak actor's record, by label
+    # or by (operation, component)
+    by_hand = {"leibniz": {"L6": laws.L6}, "associative": {"A4": laws.MIDDLE},
+               "poisson": {"P1.4": laws.MIDDLE}}
+    for name, kept in by_hand.items():
+        sources = actions._VARIETIES[name].sources
+        assert {label: s for label, s in sources if not isinstance(s[0], str)} == kept, name
 
 
 # -- semidirect -------------------------------------------------------------------

@@ -22,6 +22,7 @@ from algact.algebra import (
 from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
     DimensionMismatch,
+    FieldMismatch,
     InputError,
     OpArityMismatch,
     OpIndexOutOfRange,
@@ -375,6 +376,17 @@ def test_is_homomorphism_checks_every_row_of_the_matrix():
     A = builtin("lie_2dim_nonabelian", GF(3))
     with pytest.raises(DimensionMismatch):
         is_homomorphism([[1, 0], [0]], A, A)
+    with pytest.raises(FieldMismatch):  # and the fields of its source and target
+        is_homomorphism([[1, 0], [0, 1]], A, builtin("lie_2dim_nonabelian", GF(5)))
+
+
+def test_an_algebra_refuses_a_bad_dimension_label_count_or_identity_tag():
+    with pytest.raises(InputError, match="nonnegative"):
+        Algebra(Q, -1, [])
+    with pytest.raises(InputError, match="label count"):
+        Algebra.from_entries(Q, 2, [{}], labels=["x"])
+    with pytest.raises(InputError, match="unknown identity tag"):
+        check_identity(builtin("abelian(1)"), "nope")
 
 
 def test_homomorphism_search_refuses_a_field_that_is_not_prime():

@@ -33,8 +33,11 @@ def test_builtin_leibniz_2dim_nonlie():
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(UnknownName):
-        builtin("no_such_algebra")
+    # a bad dimension, and a biadjoint of a name that is no algebra, are no builtin either
+    for name in ("no_such_algebra", "abelian(x)", "abelian(-1)", "biadjoint(metere_action)",
+                 "biadjoint(metere_morphism)", "biadjoint(biadjoint(sl2))"):
+        with pytest.raises(UnknownName):
+            builtin(name)
 
 
 def test_builtin_names_listed():

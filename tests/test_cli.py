@@ -175,6 +175,14 @@ def test_action_semidirect_extract_roundtrip(files, tmp_path):
     extracted = json.loads(out)
     original = json.loads(Path(files["biadj.json"]).read_text())
     assert extracted == json.loads(json.dumps(original, sort_keys=True))
+    # with --json, semidirect prints the extension it writes
+    code, out, _ = run_cli("action", "semidirect", files["biadj.json"], "-o", sd, "--json")
+    assert code == 0 and out == Path(sd).read_text()
+    # with -o, extract writes the action and says where
+    back = str(tmp_path / "back.json")
+    code, out, _ = run_cli("action", "extract", sd, "--variety", "leibniz", "-o", back)
+    assert (code, out) == (0, f"derived action written to {back}\n")
+    assert json.loads(Path(back).read_text()) == extracted
 
 
 def test_action_extract_refuses_a_section_that_is_no_homomorphism(tmp_path):
@@ -195,6 +203,14 @@ def test_action_semidirect_refuses_invalid(files, tmp_path):
     )
     assert code == 1
     assert "L6" in out
+    # with --json it prints the validation report, and writes nothing
+    code, out, _ = run_cli(
+        "action", "semidirect", files["metere_action.json"],
+        "-o", str(tmp_path / "no.json"), "--json",
+    )
+    _, report, _ = run_cli("action", "validate", files["metere_action.json"], "--json")
+    assert (code, out) == (1, report)
+    assert not (tmp_path / "no.json").exists()
 
 
 def test_repro_field_choice():
@@ -268,6 +284,12 @@ def test_hunt_deterministic_json():
     assert out1 == out2
     data = json.loads(out1)
     assert data["counts"]["sampled"] == 60
+    code, out, _ = run_cli(*args[:-1])  # without --json: the funnel, one line a stage
+    assert code == 0
+    assert out.splitlines()[0] == "sampled 60 structure pairs over GF(3) in dim 1"
+    assert [line.split(":")[0].strip() for line in out.splitlines()[1:]] == [
+        "poisson algebras", "with commuting multipliers", "actor space again poisson",
+        "candidate counterexamples"]
 
 
 def test_enumerate_pairfile(files):
@@ -315,6 +337,17 @@ def test_malformed_file_is_exit_2(tmp_path):
     code, _, err = run_cli("check", str(bad), "--identity", "lie")
     assert code == 2
     assert "InputError" in err
+    # and a file that cannot be read at all
+    code, out, err = run_cli("check", str(tmp_path / "absent.json"), "--identity", "lie")
+    assert (code, out) == (2, "")
+    assert err.startswith("error [InputError]: cannot read")
+
+
+def test_an_output_that_cannot_be_written_is_exit_2(files, tmp_path):
+    path = str(tmp_path / "no_such_dir" / "out.json")
+    code, out, err = run_cli("space", files["p_abelian2.json"], "--kind", "usga-poisson", "-o", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error [InputError]: cannot write {path}")
 
 
 def test_check_json_output_roundtrips(files):

@@ -49,7 +49,11 @@ def test_prime_field_parse_fraction():
         f.of(Fraction(1, 7))
     with pytest.raises(FieldMismatch):
         f.of(0.5)
+    with pytest.raises(FieldMismatch):
+        Q.of(1.5)
     assert GF(5).inv(2) == 3
+    with pytest.raises(DivisionByZero):
+        GF(5).inv(0)
     assert GF(5).of("1/2") == 3  # a string a/b reads as a * b^-1
     with pytest.raises(DivisionByZero):
         Q.inv(0)

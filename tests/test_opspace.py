@@ -7,11 +7,12 @@ from itertools import chain, product as iproduct
 
 import pytest
 
-from algact import laws, linalg, opspace
+from algact import actions, laws, linalg, opspace
 from algact.algebra import _IDENTITIES, Algebra, check_identity
 from algact.catalog import builtin, catalog_algebras
 from algact.errors import (
     ClosureError,
+    InputError,
     NotAssociative,
     NotCommutative,
     NotCommutativePoisson,
@@ -139,6 +140,14 @@ def test_antiderivations_have_no_algebra():
     space = anti_derivations(builtin("abelian(1)"))
     with pytest.raises(OpArityMismatch):
         space.as_algebra()
+
+
+def test_an_unknown_kind_or_one_without_inner_elements_is_an_input_error():
+    A = builtin("abelian(1)")
+    with pytest.raises(InputError, match="unknown operator space kind"):
+        space_of_kind(A, "nope")
+    with pytest.raises(InputError, match="no inner elements"):
+        inner_tuple(A, "antiderivations", 0)
 
 
 # -- closure and self-checks -------------------------------------------------------
@@ -882,7 +891,7 @@ def test_evaluator_refuses_a_missing_or_misshapen_operator():
         with pytest.raises(ShapeMismatch):
             next(defining_defects("biderivations", A, [tup]), None)
     B = builtin("abelian(1)")
-    l1, l4 = dict(laws.LEIBNIZ)["L1"], dict(laws.LEIBNIZ)["L4"]
+    l1, l4 = (dict(actions._VARIETIES["leibniz"].conditions)[label] for label in ("L1", "L4"))
     for law, operators in ((l1, {"l": [d]}), (l1, {"r": [big]}), (l4, {"r": [d, d]})):
         with pytest.raises(ShapeMismatch):
             next(laws.failures(A, [law], [operators], B)(law), None)
