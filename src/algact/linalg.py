@@ -11,12 +11,13 @@ is over Q.  Scalars in canonical form are equal exactly when they are equal
 as Python values and zero exactly when falsy, so callers compare vectors
 with ``==`` and test them for zero with ``any``.
 
-One elimination on sparse integer rows, :func:`_echelon`, runs under every
-nullspace and span: :func:`rref` takes and returns dense rows, and
-:func:`nullspace_basis` takes the sparse equations {column: scalar} of the
-laws as they are and makes no dense row.  The kernel reads its rows
-lazily, each eliminated before the next is read, and a nullspace can be
-extended by more rows without eliminating the first ones again.  Rows,
+One elimination, :func:`_echelon`, runs under every nullspace and span:
+:func:`rref` takes and returns dense rows, and :func:`nullspace_basis`
+takes the sparse equations {column: scalar} of the laws as they are and
+makes no dense row.  The kernel reads its rows lazily, each eliminated
+before the next is read, and a nullspace can be extended by more rows
+without eliminating the first ones again.  Over GF(p) a row is one int
+whose :class:`Slots` hold its residues, reduced mod p once per row.  Rows,
 operands and right-hand sides of the wrong length, and equation columns
 outside ``range(n)``, are refused with :class:`DimensionMismatch`.
 """
@@ -24,6 +25,7 @@ outside ``range(n)``, are refused with :class:`DimensionMismatch`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
@@ -148,60 +150,90 @@ def rref(field: Field, rows) -> tuple[list, list]:
     """Reduced row echelon form of dense rows of one length; returns
     (nonzero rows, pivot columns).  The RREF of a row space is unique, which
     is what makes every basis in this package canonical."""
-    p = field.char
     ncols = len(rows[0]) if rows else 0
     check_shape(rows, len(rows), ncols, what="the rows")
-    echelon = _echelon(p, (_int_row(row, p) for row in rows), ncols)
-    pivots = sorted(echelon)
-    out = []
-    for c in pivots:
-        r, dense = echelon[c], [field.zero] * ncols
-        for k, v in r.items():
-            dense[k] = v if p else Fraction(v, r[c])
-        out.append(dense)
+    echelon = _echelon(field.char, map(enumerate, rows), ncols)
+    pivots, free = sorted(echelon), [c for c in range(ncols) if c not in echelon]
+    out = [unit_vector(field, ncols, pc) for pc in pivots]
+    for row, pc in zip(out, pivots):
+        for c, x in _free_entries(field, ncols, echelon[pc], pc, free):
+            row[c] = x
     return out, pivots
 
 
-def _echelon(p: int, int_rows, ncols: int, lead_at=min, echelon=None) -> dict:
-    """{pivot column: its reduced row} of the sparse integer rows of
-    :func:`_int_entries` by incremental Gauss-Jordan elimination, the rows
-    read lazily and no further than full rank.  Given the ``echelon`` of
-    earlier rows, it goes on from there, in place.
+def _echelon(p: int, rows, ncols: int, lead_at=min, echelon=None) -> dict:
+    """{pivot column: its reduced row} of ``rows``, each an iterable of
+    pairs (column, scalar), by incremental Gauss-Jordan elimination, the
+    rows read lazily and no further than full rank.  Given the ``echelon``
+    of earlier rows (same p and ncols), it goes on from there, in place.
 
     Every stored row stays reduced: it holds no pivot column but its own.
     Each new row is cleared at the pivot columns in its support, once each,
     so a redundant row costs one elimination per pivot column it touches.
     A row that survives leads at its smallest column (its largest for
     ``lead_at=max``, the columns in reverse order) and clears that column
-    from the stored rows.  Over Q the rows stay primitive integer rows,
-    positive at their pivot; over GF(p) they are monic.
+    from the stored rows.  Over Q the rows are :func:`_int_entries`,
+    positive at their pivot.  Over GF(p) a row is one int, its residues in
+    the slots of :func:`_packing`, and stored rows are monic.  A row is
+    packed in one pass, gaining (p - v) times the row of each pivot c where
+    it holds v, and reduced once: the stored rows hold no other pivot, so
+    no slot passes p + ncols (p - 1)^2 before.
     """
     echelon = {} if echelon is None else echelon
-    for r in int_rows:
-        for c in [c for c in r if c in echelon]:
-            _eliminate(r, echelon[c], c, p)
-        if r:
-            c = lead_at(r)
-            lead = echelon[c] = _normalise_lead(r, c, p)
-            for other in echelon.values():
-                if c in other and other is not lead:
-                    _eliminate(other, lead, c, p)
+    if not p:
+        for r in map(_int_entries, rows):
+            for c in [c for c in r if c in echelon]:
+                _eliminate(r, echelon[c], c)
+            if r:
+                c = lead_at(r)
+                lead = echelon[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
+                for other in echelon.values():
+                    if c in other and other is not lead:
+                        _eliminate(other, lead, c)
+                if len(echelon) == ncols:
+                    break  # full rank: every further row reduces to zero
+        return echelon
+    slots = _packing(p, ncols)
+    w, mask, mod = slots.width, slots.mask, slots.mod
+    for entries in rows:
+        x = 0
+        for c, v in entries:
+            if v := v % p:
+                x += v << w * c
+                if c in echelon:
+                    x += (p - v) * echelon[c]
+        if x := mod(x):
+            # the lead slot holds the lowest set bit for min, the highest for max
+            c = (lead_at((x & -x).bit_length(), x.bit_length()) - 1) // w
+            lead = echelon[c] = mod(x * pow(x >> w * c & mask, -1, p))
+            for k, other in echelon.items():
+                if k != c and (a := other >> w * c & mask):
+                    echelon[k] = mod(other + (p - a) * lead)
             if len(echelon) == ncols:
-                break  # full rank: every further row reduces to zero
+                break
     return echelon
 
 
-def _int_row(row, p: int) -> dict:
-    """A dense row as {column: int}, made by :func:`_int_entries`."""
-    return _int_entries(enumerate(row), p)
+@cache
+def _packing(p: int, ncols: int) -> Slots:
+    """The :class:`Slots` of a row of ``ncols`` residues mod p in
+    :func:`_echelon`, with room for p + ncols (p - 1)^2."""
+    return Slots(ncols, (p + ncols * (p - 1) ** 2).bit_length() + 1, p)
 
 
-def _int_entries(entries, p: int) -> dict:
-    """The pairs (column, scalar) with a nonzero scalar as {column: int}:
-    residues mod p, the one reduction of the ints of the law forms, or over
-    Q a primitive multiple, cleared only if not all ints."""
-    if p:
-        return {c: v for c, x in entries if (v := x % p)}
+def _free_entries(field: Field, ncols: int, r, pc: int, free: list) -> list:
+    """The nonzero entries (column, scalar) of the stored row r of
+    :func:`_echelon` off its pivot pc, all in ``free``, the columns of no
+    pivot: packed slots over GF(p), over Q divided by the entry at pc."""
+    if p := field.char:
+        slots = _packing(p, ncols)
+        return [(c, x) for c in free if (x := r >> slots.width * c & slots.mask)]
+    return [(c, Fraction(x, r[pc])) for c, x in r.items() if c != pc]
+
+
+def _int_entries(entries) -> dict:
+    """The pairs (column, scalar) over Q with a nonzero scalar as
+    {column: int}: a primitive multiple, cleared only if not all ints."""
     r = {c: x for c, x in entries if x}
     if not all(type(x) is int for x in r.values()):
         _, (r,) = cleared([r])
@@ -237,7 +269,8 @@ class Slots:
     c, a multiple of p above each |y|, added to every slot, slot t holds
     v_t = y_t + c > 0; times M = ceil(2^S / p), shifted by S and masked, it
     holds floor(v_t / p) (the error of M stays below 1), and the int is p
-    times those exactly when p divides each v_t.  A slot has room for v_t M."""
+    times those exactly when p divides each v_t; less p times those, it is
+    :meth:`mod`, each v_t mod p.  A slot has room for v_t M."""
 
     def __init__(self, count: int, bits: int, p: int):
         self.count, self.bits, self.p, self.half = count, bits, p, 1 << bits - 1
@@ -253,6 +286,11 @@ class Slots:
         """The value of slot t of x."""
         return (x + self.bias >> self.width * t & self.mask) - self.half
 
+    def mod(self, x: int) -> int:
+        """x with every slot reduced into [0, p), over GF(p)."""
+        x += self.offset
+        return x - self.p * ((x * self.mul >> self.shift) & self.quot)
+
     def zero(self, x: int) -> bool:
         """Whether every slot of x is zero in the field."""
         if not self.p:
@@ -261,28 +299,11 @@ class Slots:
         return x == self.p * ((x * self.mul >> self.shift) & self.quot)
 
 
-def _normalise_lead(r: dict, c: int, p: int) -> dict:
-    """r scaled so its entry at column c is 1 over GF(p), positive over Q."""
-    if p:
-        inv = pow(r[c], p - 2, p)
-        return {k: v * inv % p for k, v in r.items()}
-    return {k: -v for k, v in r.items()} if r[c] < 0 else r
-
-
-def _eliminate(r: dict, lead: dict, c: int, p: int) -> None:
-    """Clear column c of r, in place, with the reduced row ``lead`` whose
-    pivot is c.  ``lead`` holds no other pivot column, so r gains or loses
-    no entry at one.  Over Q, r becomes a primitive multiple of
+def _eliminate(r: dict, lead: dict, c: int) -> None:
+    """Clear column c of the integer row r, in place, with the reduced row
+    ``lead`` whose pivot is c.  ``lead`` holds no other pivot column, so r
+    gains or loses no entry at one; r becomes a primitive multiple of
     lead[c] r - r[c] lead."""
-    if p:
-        b = r[c]
-        for k, v in lead.items():
-            x = (r.get(k, 0) - b * v) % p
-            if x:
-                r[k] = x
-            else:
-                r.pop(k, None)
-        return
     a, b = lead[c], r[c]
     g = gcd(a, b)
     a, b = a // g, b // g
@@ -313,7 +334,8 @@ def nullspace_basis(field: Field, rows, n: int, echelon=None) -> tuple[list, lis
     GF(p) of ints that may be unreduced.  The rows are read once, in order,
     each checked as it is read, and past full rank only for that check.
     ``echelon``, a dict, holds the elimination of the rows read so far: a
-    later call with it adds its rows without eliminating those again.
+    later call with it, over the same field and n, adds its rows without
+    eliminating those again.
 
     One elimination on the columns in reverse order gives it: each reduced
     row ends at its pivot pc, with 1 there once divided and 0 at every
@@ -323,15 +345,15 @@ def nullspace_basis(field: Field, rows, n: int, echelon=None) -> tuple[list, lis
     the RREF of the nullspace, with the free columns as pivots.
     """
     p, rows = field.char, _in_columns(rows, n)
-    echelon = _echelon(p, (_int_entries(row.items(), p) for row in rows), n, max, echelon)
+    echelon = _echelon(p, (row.items() for row in rows), n, max, echelon)
     for _ in rows:  # past full rank
         pass
-    at = {c: unit_vector(field, n, c) for c in range(n) if c not in echelon}
+    free = [c for c in range(n) if c not in echelon]
+    at = {c: unit_vector(field, n, c) for c in free}
     for pc, r in echelon.items():
-        for c, x in r.items():
-            if c != pc:  # a free column: the row holds no other pivot
-                at[c][pc] = -x % p if p else Fraction(-x, r[pc])
-    return list(at.values()), list(at)
+        for c, x in _free_entries(field, n, r, pc, free):
+            at[c][pc] = p - x if p else -x
+    return list(at.values()), free
 
 
 def _in_columns(rows, n: int):

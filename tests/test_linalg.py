@@ -67,14 +67,15 @@ def test_nullspace_without_equations_is_the_identity_without_elimination(monkeyp
         raise AssertionError("eliminated")
 
     monkeypatch.setattr(linalg, "rref", refuse)
-    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)  # over Q
+    monkeypatch.setattr(linalg.Slots, "mod", refuse)  # over GF(p), once per row
     for field in (Q, GF(3)):
         for n in range(5):
             assert linalg.nullspace_basis(field, [], n) == (linalg.mat_identity(field, n),
                                                            list(range(n)))
 
 
-@pytest.mark.parametrize("field", [Q, GF(3), GF(7)], ids=repr)
+@pytest.mark.parametrize("field", [Q, GF(3), GF(7), GF(2**31 - 1)], ids=repr)
 def test_nullspace_with_equations_runs_one_elimination(field, monkeypatch):
     # the kernel is read off one elimination of the rows with reversed
     # columns, already canonical: no second RREF of the kernel vectors
@@ -144,7 +145,7 @@ def test_mat_mul_shapes():
 
 # -- the sparse integer RREF against the dense Field-method reference -----------
 
-FIELDS = [Q, GF(3), GF(5), GF(7)]
+FIELDS = [Q, GF(3), GF(5), GF(7), GF(2**31 - 1)]
 
 
 def scalars(field):
@@ -220,7 +221,7 @@ def sparse_systems(draw):
     Fraction entries, int entries (whole rows of them times a common
     factor, so not primitive) or both; explicit zero entries and empty rows
     mixed in, and some rows sums of earlier ones."""
-    field = draw(st.sampled_from([Q, GF(3), GF(7), GF(2**61 - 1)]))
+    field = draw(st.sampled_from([Q, GF(3), GF(7), GF(2**31 - 1), GF(2**61 - 1)]))
     n = draw(st.integers(0, 8))
     if field == Q:
         entry = st.one_of(st.integers(-9, 9), scalars(Q))
@@ -270,6 +271,83 @@ def test_a_nullspace_extended_by_more_rows_is_that_of_all_of_them(case, data):
     got = linalg.nullspace_basis(field, iter(rows[k:]), n, echelon)
     assert got == reference_nullspace(field, dense(field, rows, n), n)
     assert_canonical_scalars(field, got[0])
+
+
+# -- the packed GF(p) kernel against the dense reference ------------------------
+
+PACKED_FIELDS = [GF(3), GF(7), GF(2**31 - 1)]
+
+
+def _kernel_rows(field, rows, ncols, lead_at, split):
+    """{pivot: dense row} of the packed kernel on the sparse int rows, fed
+    in two parts, the second resuming the elimination of the first."""
+    echelon = {}
+    for part in (rows[:split], rows[split:]):
+        linalg._echelon(field.char, (r.items() for r in part), ncols, lead_at, echelon)
+    free = [c for c in range(ncols) if c not in echelon]
+    out = {pc: linalg.unit_vector(field, ncols, pc) for pc in echelon}
+    for pc, r in echelon.items():
+        for c, x in linalg._free_entries(field, ncols, r, pc, free):
+            out[pc][c] = x
+    return out
+
+
+def _reference_rows(field, rows, ncols, lead_at):
+    """{pivot: dense row} of the dense reference RREF; for ``lead_at=max``
+    that of the rows with their columns reversed, read back in order."""
+    flip = (lambda row: row[::-1]) if lead_at is max else (lambda row: row)
+    R, pivots = oracle.dense_rref(field, [flip(row) for row in dense(field, rows, ncols)])
+    return {(ncols - 1 - c if lead_at is max else c): flip(r) for r, c in zip(R, pivots)}
+
+
+@st.composite
+def packed_systems(draw):
+    """(field, rows, ncols, lead_at, split): up to 80 columns, sparse rows
+    of unreduced ints, negative ones and ones of 70 bits among them, some
+    rows unreduced sums of earlier ones."""
+    field = draw(st.sampled_from(PACKED_FIELDS))
+    ncols, p = draw(st.integers(0, 80)), field.char
+    entry = st.one_of(st.integers(-3 * p, 3 * p), st.integers(-(2**70), 2**70),
+                      st.sampled_from([0, p - 1, -1, p, -p]))
+    columns = st.integers(0, ncols - 1) if ncols else st.nothing()
+    rows = draw(st.lists(st.dictionaries(columns, entry, max_size=min(ncols, 12)), max_size=12))
+    for _ in range(draw(st.integers(0, 6)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(st.integers(-2, 2))
+        rows.append({c: a.get(c, 0) + k * b.get(c, 0) for c in {*a, *b}})
+    return (field, rows, ncols, draw(st.sampled_from([min, max])),
+            draw(st.integers(0, len(rows))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_systems())
+@example((GF(3), [{0: -1, 1: 4}, {0: 2, 1: -4}], 2, min, 1))  # a row that is 3 times the other
+@example((GF(2**31 - 1), [{79: -(2**70)}, {0: 2**31 - 1}], 80, max, 0))
+def test_the_packed_kernel_matches_the_dense_reference(case):
+    field, rows, ncols, lead_at, split = case
+    assert _kernel_rows(field, rows, ncols, lead_at, split) == \
+        _reference_rows(field, rows, ncols, lead_at)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS + [GF(5), GF(11)], ids=repr)
+@pytest.mark.parametrize("lead_at", [min, max], ids=lambda f: f.__name__)
+def test_the_packed_kernel_holds_its_largest_slot(field, lead_at):
+    # The stored rows hold p - 1 at the last column, and the row that
+    # completes the rank has 1 at each other pivot, so each of them adds
+    # (p - 1)^2 to the last slot: p - 1 + (ncols - 1) (p - 1)^2, the most a
+    # slot can reach before the reduction.  For max the columns are mirrored.
+    # Over GF(5) and GF(11) a slot one bit narrower overflows at some ncols;
+    # over the other fields the slack of the slot geometry hides it.
+    p = field.char
+    for ncols in range(1, 81):
+        last = ncols - 1
+        v = p - 1 if (p - 1 + last) % p else p - 2  # the row survives: rank = ncols
+        rows = [{i: 1, last: p - 1} for i in range(last)]
+        rows.append({**{i: 1 for i in range(last)}, last: v})
+        if lead_at is max:
+            rows = [{last - c: x for c, x in row.items()} for row in rows]
+        got = _kernel_rows(field, rows, ncols, lead_at, ncols)
+        assert len(got) == ncols and got == _reference_rows(field, rows, ncols, lead_at), ncols
 
 
 def test_nullspace_eliminates_each_row_before_it_reads_the_next():
@@ -483,7 +561,7 @@ def test_rref_matches_dense_reference_on_operator_space_systems(monkeypatch):
 @pytest.mark.parametrize("field", [Q, GF(7)], ids=repr)
 def test_space_of_kind_builds_no_dense_row(field, monkeypatch):
     # the law_rows forms go to the elimination as they are: no dense row is
-    # made, so neither the dense RREF nor its row reader runs
+    # made, so the dense RREF, the only reader of dense rows, never runs
     calls = []
 
     def spy(name, fn):
@@ -492,8 +570,7 @@ def test_space_of_kind_builds_no_dense_row(field, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("rref", "_int_row"):
-        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg, "rref", spy("rref", linalg.rref))
     built = set()
     for _, A in _rebased_matrix_algebras(field, "T2 M2"):
         for kind in SPACE_KINDS:
@@ -524,6 +601,17 @@ def _reduced_and_echelon_bases(field, rng, rank, ncols):
     return R, pivots, [combination(field, t, R) for t in T]
 
 
+class _CountingEchelon(dict):
+    """An echelon that counts the reads of its stored rows: the kernel reads
+    the row of a pivot once for each multiply-add (an elimination) with it."""
+
+    reads = 0
+
+    def __getitem__(self, c):
+        self.reads += 1
+        return super().__getitem__(c)
+
+
 @pytest.mark.parametrize("field", [Q, GF(7)], ids=repr)
 def test_a_redundant_row_costs_one_elimination_per_pivot_it_touches(field, monkeypatch):
     # Counts, not times.  The redundant rows are sparse at the pivot
@@ -538,14 +626,15 @@ def test_a_redundant_row_costs_one_elimination_per_pivot_it_touches(field, monke
                                      picked))
     rows = echelon + redundant
     calls = 0
-    eliminate = linalg._eliminate
+    kernel = linalg._echelon
 
-    def counting(*args):
+    def counting(p, int_rows, ncols):
         nonlocal calls
-        calls += 1
-        eliminate(*args)
+        store = kernel(p, int_rows, ncols, min, _CountingEchelon())
+        calls += store.reads  # the reads of rref's own decode come later
+        return store
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
 
     def cost(prefix):
         nonlocal calls
@@ -555,7 +644,7 @@ def test_a_redundant_row_costs_one_elimination_per_pivot_it_touches(field, monke
 
     for k in range(len(echelon), len(rows)):
         touched = sum(1 for c in pivots if rows[k][c])
-        assert cost(rows[: k + 1]) - cost(rows[:k]) <= touched, k
+        assert touched and cost(rows[: k + 1]) - cost(rows[:k]) == touched, k
 
 
 # -- shape checks at the entry points --------------------------------------------
@@ -604,8 +693,10 @@ def test_nullspace_refuses_a_lazy_row_outside_the_columns():
     assert read == [{0: 1}, {1: 2, 3: 1}]
     with pytest.raises(DimensionMismatch):
         linalg.nullspace_basis(Q, source([{0: F(1)}, {1: F(1)}, {-1: F(0)}]), 2)
+    echelon = {}
+    linalg.nullspace_basis(GF(7), [{0: 1}], 2, echelon)
     with pytest.raises(DimensionMismatch):  # a row that extends an elimination
-        linalg.nullspace_basis(GF(7), source([{2: 1}]), 2, {0: {0: 1}})
+        linalg.nullspace_basis(GF(7), source([{2: 1}]), 2, echelon)
 
 
 UNEQUAL_OPERANDS = [
@@ -681,13 +772,16 @@ def slot_cases(draw):
 @example((0, 5, [0, 0, -1, 0]))
 def test_the_slot_kernel_reads_and_tests_each_slot_as_alone(case):
     # the width read off the bound, as each user reads it: every slot reads
-    # back as it was, and the int is zero in the field exactly when each
-    # slot is, a nonzero multiple of p counting as zero
+    # back as it was, reduces to its own residue, and the int is zero in the
+    # field exactly when each slot is, a nonzero multiple of p counting as zero
     p, bound, values = case
     slots = linalg.Slots(len(values), bound.bit_length() + 1, p)
     x = _packed(slots, values)
     assert [slots.at(x, t) for t in range(len(values))] == values
     assert slots.zero(x) == all((y % p if p else y) == 0 for y in values)
+    if p:  # every slot reduced into [0, p), each as alone
+        r, whole = slots.mod(x), (1 << slots.width) - 1
+        assert [r >> slots.width * t & whole for t in range(len(values))] == [y % p for y in values]
 
 
 @pytest.mark.parametrize("p", _SLOT_FIELDS)
