@@ -58,7 +58,8 @@ class BilinearOp:
     """One structure-constant tensor, stored once and sparse: ``groups`` maps
     (i, j) to e_i e_j as a sparse vector {k: c} of its nonzero constants, so
     memory grows with the nonzero constants, not with the dimension.  They
-    are given as file entries [i, j, k, c], read by :func:`json_tensor`."""
+    are given as file entries [i, j, k, c], read by :func:`json_tensor`, or
+    as ``groups`` already (:meth:`from_groups`)."""
 
     __slots__ = ("name", "groups")
 
@@ -68,6 +69,14 @@ class BilinearOp:
         for (i, j, k), c in json_tensor(field, entries, (dim, dim, dim)).items():
             if c:
                 self.groups.setdefault((i, j), {})[k] = c
+
+    @classmethod
+    def from_groups(cls, groups: dict, name: str) -> "BilinearOp":
+        """The operation whose ``groups`` are given, taken as they are: their
+        indices in range and their constants canonical and nonzero."""
+        op = cls.__new__(cls)
+        op.name, op.groups = name, groups
+        return op
 
     def sorted_entries(self):
         return sorted(((i, j, k), c) for (i, j), group in self.groups.items()
@@ -110,20 +119,22 @@ class Algebra:
         """The algebra whose operation ``op`` (named ``names[op]``) sends
         (e_i, e_j) to the sparse coordinate vector ``product(op, i, j)``, a
         map {k: c}; only its entries are read, and zero values are dropped.
+        The coordinates are computed, not read from a file, so they are
+        taken as they are: each k in range(dim) and each c canonical in
+        ``field`` (a Fraction over Q, a residue in [0, p) over GF(p)).
 
         The rule is called for op, then (i, j), each in increasing order,
         so the first error it raises is the one at the first such triple:
-        on every pair, or with ``pairs`` only on the pairs ``pairs[op]``
-        outside which the product is known to vanish.
+        on every pair, or with ``pairs`` only on the distinct pairs
+        ``pairs[op]`` outside which the product is known to vanish.
         """
-        ops = [
-            BilinearOp(field, dim, [
-                (i, j, k, c)
-                for i, j in (iproduct(range(dim), repeat=2) if pairs is None else pairs[op])
-                for k, c in product(op, i, j).items()
-            ], name)
-            for op, name in enumerate(names)
-        ]
+        ops = []
+        for op, name in enumerate(names):
+            groups = {}
+            for i, j in iproduct(range(dim), repeat=2) if pairs is None else pairs[op]:
+                if group := {k: c for k, c in product(op, i, j).items() if c}:
+                    groups[i, j] = group
+            ops.append(BilinearOp.from_groups(groups, name))
         return cls(field, dim, ops, labels)
 
     @property

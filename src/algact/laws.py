@@ -1,6 +1,7 @@
 """The laws of operator spaces, actions and algebras, each written once.
 
-A *law* is a tuple of signed terms ``(sign, node)`` whose sum must vanish.
+A *law* is a tuple of signed terms ``(sign, node)``, each sign 1 or -1,
+whose sum must vanish.
 A node is a tree over basis arguments numbered from 0.  It is one of
 
 * an argument index;
@@ -27,8 +28,9 @@ two ways:
   set, or none, being a family of one): it checks the operator shapes and
   turns the matrices into sparse columns once, then gives each law's
   failing (set, basis tuple) pairs in lexicographic order, a defect made a
-  dense list only when it is reported, evaluated without an acting algebra
-  only where some term of some set can be nonzero (:func:`_reach`).  It
+  dense list only when it is reported.  Without an acting algebra a law is
+  evaluated once per prefix of its arguments, all but the last, and only
+  where some term of some set can be nonzero (:func:`_prefixes`).  It
   serves the self-check of a whole operator-space basis after
   construction, the conditions of an action and its acting law, and the
   identities of an algebra.
@@ -41,9 +43,9 @@ two ways:
 Both readings run one kernel for both fields, Python's own ``+ - *`` on
 the scalars they hold.  Over GF(p) these are residues, and what they make
 is left unreduced until a defect is complete; that is reduced mod p once
-(:func:`algact.linalg.reduced`), so a defect leaves the module as
-canonical residues.  A form leaves it unreduced, for the one reduction of
-the elimination that reads it.  Over Q the acting path runs on Fractions,
+(:func:`algact.linalg.reduced`, or slot by slot when packed), so a defect
+leaves the module as canonical residues.  A form leaves it unreduced, for
+the one reduction of the elimination that reads it.  Over Q the acting path runs on Fractions,
 and the rest on integers: the constants of both operations cleared of
 denominators by one common mu, and each operator set by its own lambda_t.
 Every term of a law without an acting algebra reads each argument once,
@@ -52,17 +54,26 @@ so it holds exactly ``arity - 1`` product or bracket nodes and as many
 set t scales by lambda_t^on mu^(arity - 1), and a defect vanishes exactly
 when its scaled form does; a failing one is divided back.
 
-A law with one ``ON`` node per term is linear in its operator set, so
-without an acting algebra a family of T sets is evaluated as one
-(:func:`_packed`): each operator entry, and so each defect entry, is one
-int whose slot t (:class:`algact.linalg.Slots`) holds set t's.  A term's
-entries are at most n^a C^b M^m for C the largest constant, M the largest
-operator entry and exponents counted on its tree (:func:`_size`), so the
-sum of those over the terms bounds a slot, whose bits are the bound's and a
-sign bit.  A defect entry is tested for zero in the field in a few int
-operations, a nonzero multiple of p in a slot counting as zero, and only
-one that fails is read into balanced slots, each reduced mod p.  A family
-of one has one slot, the whole int, so its defect is reduced as it is.
+A law with one ``ON`` node per term is linear in its operator set, and
+every law is linear in its last argument, so without an acting algebra a
+family of T sets on an n-dimensional algebra is evaluated as one
+(:func:`_packed`): each operator entry is one int whose slot t
+(:class:`algact.linalg.Slots`) holds set t's, and the last argument is the
+packed units {k: 1 in slot k T}, every e_k at once.  So one evaluation at a
+prefix of the other arguments gives a defect whose entries hold, in slot
+(k, t) at ``width (k T + t)``, set t's defect at (prefix, e_k): exactly the
+value an evaluation at that one tuple would give.  The nodes next to the
+last argument read rows packed once, each the first time it is read
+(:func:`_row`): e_a e_k and e_k e_a under each operation and M(e_k), for
+every k at once.  A term's entries are at most n^a C^b M^m for C the
+largest constant, M the largest operator entry and exponents counted on
+its tree (:func:`_size`), so the sum of those over the terms bounds a slot,
+whose bits are the bound's and a sign bit.  A defect entry is tested for
+zero in the field in a few int operations, a nonzero multiple of p in a
+slot counting as zero, and only one that fails is read, slot by slot,
+lowest first (:func:`_failing`): so the failures come in the order of the
+basis tuples and, at each, of the sets, and a caller that stops at the
+first one evaluates no prefix after it.
 """
 
 from __future__ import annotations
@@ -231,14 +242,16 @@ class _Env:
     from slot to the columns of its matrix for ``ON`` nodes, and to those of
     each of its matrices over the basis of B for ``AT`` nodes) and the env
     of B.  The env of a family of operator sets (:func:`_packed`) also holds
-    their :class:`~algact.linalg.Slots` and over Q the ``scale`` of each
-    set's defects."""
+    their :class:`~algact.linalg.Slots`, over Q the ``scale`` of each set's
+    defects, and the packed last argument: its ``units``, their ``stride``
+    and the ``rows`` read next to it (:func:`_row`)."""
 
-    __slots__ = ("p", "n", "groups", "ops", "acting", "slots", "scale")
+    __slots__ = ("p", "n", "groups", "ops", "acting", "slots", "scale", "units", "stride", "rows")
 
     def __init__(self, A, ops=None, acting=None):
         self.p, self.n, self.ops, self.acting, self.scale = A.field.char, A.dim, ops, acting, None
         self.groups = (A.ops[0].groups, A.ops[A.bracket_op].groups)
+        self.rows = {}
 
 
 def _over_ints(env) -> int:
@@ -277,9 +290,9 @@ def _packed(env, laws, slots, sets) -> _Env:
     """``env`` reading the operator sets ``sets`` (each a map from slot to
     sparse columns) as one, as the module docstring describes: over Q each
     set cleared by its own lambda_t, ``scale`` = (the lambdas, mu); set t's
-    operator entry in slot t of one int, the slots sized off ``laws``.  A
-    law without an ``ON`` node is read on a family of one."""
-    mu, lams = _over_ints(env), [1] * len(sets)
+    operator entry in slot t of one int and the unit e_k of the last
+    argument 1 in slot k T, for T sets, the slots sized off ``laws``."""
+    mu, lams, count = _over_ints(env), [1] * len(sets), len(sets)
     if not env.p:
         for t, ops in enumerate(sets):
             lams[t], cols = linalg.cleared_maps(list(ops.values()))
@@ -290,8 +303,10 @@ def _packed(env, laws, slots, sets) -> _Env:
     c = max((abs(x) for g in env.groups for v in g.values() for x in v.values()), default=0)
     bound = max((sum(env.n ** a * c ** b * top ** m for a, b, m in (_size(v) for _, v in law))
                  for law in laws), default=0)
-    env.slots = linalg.Slots(len(sets), bound.bit_length() + 1, env.p)
+    env.slots = linalg.Slots(env.n * count, bound.bit_length() + 1, env.p)
     w, env.ops = env.slots.width, {s: {} for s in slots}
+    env.stride = w * count
+    env.units = {k: 1 << env.stride * k for k in range(env.n)}
     for t, ops in enumerate(sets):
         for s, cols in ops.items():
             packed = env.ops[s]
@@ -302,90 +317,161 @@ def _packed(env, laws, slots, sets) -> _Env:
     return env
 
 
-def _lincomb(terms) -> dict:
-    """sum c v over the pairs (c, v) of a scalar and a sparse vector or None,
-    unreduced."""
-    out = {}
-    for c, v in terms:
+def _row(env, key) -> dict:
+    """A row of ``env`` read next to the packed last argument, built the
+    first time it is read: (s,) is M_s(e_k) for every k, and (g, a, side)
+    under operation g (0 the product, 1 the bracket) is e_a e_k for every k,
+    or e_k e_a with ``side`` 1.  Its entry m is the int sum_k v_k
+    2^(stride k), for v_k entry m of the product at e_k."""
+    row = env.rows.get(key)
+    if row is None:
+        row = env.rows[key] = {}
+        if len(key) == 1:
+            at = env.ops[key[0]].items()
+        else:
+            (g, a, side), get = key, env.groups[key[0]].get
+            at = ((k, get((k, a) if side else (a, k))) for k in range(env.n))
+        for k, v in at:
+            if v:
+                shift = env.stride * k
+                for m, x in v.items():
+                    row[m] = row[m] + (x << shift) if m in row else x << shift
+    return row
+
+
+def _add(acc, pairs, sign=1) -> dict:
+    """``acc`` plus sign * sum x v, in place and unreduced, over the pairs
+    (x, v) of a scalar and a sparse vector or None; the sign is 1 or -1."""
+    for x, v in pairs:
         if v:
+            if sign < 0:
+                x = -x
             for k, y in v.items():
-                out[k] = out[k] + c * y if k in out else c * y
-    return out
-
-
-def _apply(cols, v) -> dict:
-    """The matrix with sparse columns ``cols`` applied to the sparse v."""
-    return _lincomb((x, cols.get(j)) for j, x in v.items())
+                acc[k] = acc[k] + x * y if k in acc else x * y
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _compile(node):
-    """``node`` on basis arguments, compiled once for every algebra.
-
-    A leaf compiles to its argument index, standing for a unit vector; any
-    other node to a function fn(env, args) of an :class:`_Env` and the
-    argument tuple that returns a sparse vector {index: value}, which the
-    caller only reads.
-    """
+def _compile(node, last=None):
+    """``node`` on basis arguments, compiled once for every algebra, as
+    (read, pairs) with one of them None: read(env, args) returns the sparse
+    vector {index: value} of ``node``, which the caller only reads, and
+    pairs(env, args) the pairs (x, v) of a scalar and a sparse vector or
+    None whose sum x v it is.  ``env`` is an :class:`_Env` and ``args`` the
+    argument tuple.  A leaf stands for a unit vector; the leaf ``last``, the
+    last argument of a packed env, for its packed ``units``, the nodes next
+    to it reading its packed rows (:func:`_row`) and ``args`` holding the
+    other arguments."""
     if isinstance(node, int):
-        return node
+        if node == last:
+            return (lambda env, args: env.units), None
+        return (lambda env, args: {args[node]: 1}), None
     tag = node[0]
     if tag == ON:
-        s, u = node[1], _compile(node[2])
+        s, u = node[1], node[2]
         if isinstance(u, int):
-            return lambda env, args: env.ops[s].get(args[u], _ZERO)
-        return lambda env, args: _apply(env.ops[s], u(env, args))
+            if u == last:  # M_s(e_k) for every k
+                key = (s,)
+                return (lambda env, args: _row(env, key)), None
+            return (lambda env, args: env.ops[s].get(args[u], _ZERO)), None
+        v = _value(u, last)
+
+        def on(env, args):
+            cols = env.ops[s]
+            return ((x, cols.get(j)) for j, x in v(env, args).items())
+
+        return None, on
     if tag == AT:
-        s, x, u = node[1], _compile(node[2]), _compile(node[3])
+        s, x, u = node[1], node[2], node[3]
         if isinstance(x, int) and isinstance(u, int):
-            return lambda env, args: env.ops[s][args[x]].get(args[u], _ZERO)
+            return (lambda env, args: env.ops[s][args[x]].get(args[u], _ZERO)), None
         if isinstance(x, int):
-            return lambda env, args: _apply(env.ops[s][args[x]], u(env, args))
+            v = _value(u, last)
+
+            def at(env, args):
+                cols = env.ops[s][args[x]]
+                return ((y, cols.get(j)) for j, y in v(env, args).items())
+
+            return None, at
+        xv = _value(x)
         if isinstance(u, int):  # sum_p x_p S_p(u)
-            return lambda env, args: _lincomb(
-                (c, env.ops[s][p].get(args[u])) for p, c in x(env.acting, args).items())
-        return lambda env, args: _lincomb((c, _apply(env.ops[s][p], u(env, args)))
-                                          for p, c in x(env.acting, args).items())
+            return None, lambda env, args: (
+                (c, env.ops[s][p].get(args[u])) for p, c in xv(env.acting, args).items())
+        v = _value(u, last)
+
+        def at_compound(env, args):  # sum_p x_p sum_j u_j S_p(e_j)
+            mats, vals = env.ops[s], v(env, args).items()
+            return ((c * y, mats[p].get(j)) for p, c in xv(env.acting, args).items()
+                    for j, y in vals)
+
+        return None, at_compound
     g = 1 if tag == BRACKET else 0
-    u, w = _compile(node[1]), _compile(node[2])
+    u, w = node[1], node[2]
     if isinstance(u, int) and isinstance(w, int):
-        return lambda env, args: env.groups[g].get((args[u], args[w]), _ZERO)
+        if w == last:
+            return (lambda env, args: _row(env, (g, args[u], 0))), None
+        if u == last:
+            return (lambda env, args: _row(env, (g, args[w], 1))), None
+        return (lambda env, args: env.groups[g].get((args[u], args[w]), _ZERO)), None
     if isinstance(u, int):  # e_i . w needs no product of coefficients
-        return lambda env, args: _lincomb(
-            (y, env.groups[g].get((args[u], j))) for j, y in w(env, args).items())
+        wv = _value(w, last)
+        if u == last:
+            return None, lambda env, args: (
+                (y, _row(env, (g, j, 1))) for j, y in wv(env, args).items())
+
+        def left(env, args):
+            groups, i = env.groups[g], args[u]
+            return ((y, groups.get((i, j))) for j, y in wv(env, args).items())
+
+        return None, left
+    uv = _value(u, last)
     if isinstance(w, int):
-        return lambda env, args: _lincomb(
-            (x, env.groups[g].get((i, args[w]))) for i, x in u(env, args).items())
+        if w == last:
+            return None, lambda env, args: (
+                (x, _row(env, (g, i, 0))) for i, x in uv(env, args).items())
+
+        def right(env, args):
+            groups, j = env.groups[g], args[w]
+            return ((x, groups.get((i, j))) for i, x in uv(env, args).items())
+
+        return None, right
+    wv = _value(w, last)
 
     def product(env, args):
-        groups, wv = env.groups[g], w(env, args)
-        return _lincomb((x * y, grp) for i, x in u(env, args).items()
-                        for j, y in wv.items() if (grp := groups.get((i, j))))
+        groups, right = env.groups[g], wv(env, args).items()
+        return ((x * y, grp) for i, x in uv(env, args).items()
+                for j, y in right if (grp := groups.get((i, j))))
 
-    return product
+    return None, product
 
 
-def _defect(env, law):
+def _value(node, last=None):
+    """A compiled node as a function fn(env, args) of its sparse vector."""
+    read, pairs = _compile(node, last)
+    return read or (lambda env, args: _add({}, pairs(env, args)))
+
+
+def _defect(env, law, last=None):
     """The sum of a law's signed terms as a function of the argument tuple:
-    a fresh sparse vector, unreduced, that may hold zero entries."""
-    terms = [(sign, _value(_compile(node))) for sign, node in law]
+    a fresh sparse vector, unreduced, that may hold zero entries, every term
+    added into it.  With ``last`` the argument tuple is all arguments but
+    that one, which ``env`` packs."""
+    terms = [(sign, *_compile(node, last)) for sign, node in law]
 
     def defect(args):
         acc = {}
-        for sign, term in terms:
-            for k, y in term(env, args).items():
-                if k in acc:
-                    acc[k] = acc[k] + y if sign > 0 else acc[k] - y
-                else:
-                    acc[k] = y if sign > 0 else -y
+        for sign, read, pairs in terms:
+            if read is None:
+                _add(acc, pairs(env, args), sign)
+            elif sign > 0:
+                for k, y in read(env, args).items():
+                    acc[k] = acc[k] + y if k in acc else y
+            else:
+                for k, y in read(env, args).items():
+                    acc[k] = acc[k] - y if k in acc else -y
         return acc
 
     return defect
-
-
-def _value(c):
-    """A compiled node as a function fn(env, args); a leaf is a unit vector."""
-    return (lambda env, args: {args[c]: 1}) if isinstance(c, int) else c
 
 
 @lru_cache(maxsize=None)
@@ -423,18 +509,44 @@ def _reach(node):
     return vu + vw, product
 
 
-def _candidates(env, law):
-    """The basis tuples where some term of ``law``, which reads each argument
-    once, can be nonzero, in lexicographic order."""
-    out, whole = set(), env.n ** _arity(law)
+def _prefixes(env, law):
+    """The prefixes, all arguments but the last, of the basis tuples where
+    some term of ``law``, which reads each argument once, can be nonzero, in
+    lexicographic order."""
+    out, arity = set(), _arity(law)
     for _, node in law:
         args, reach = _reach(node)
-        keys = reach(env) if list(args) == sorted(args) else map(  # in argument order
-            itemgetter(*map(args.index, range(len(args)))), reach(env))
-        out.update(keys)
-        if len(out) == whole:  # every tuple: the other terms add none
-            return iproduct(range(env.n), repeat=_arity(law))
+        where = list(map(args.index, range(arity - 1)))  # each prefix argument in the term
+        if where == list(range(arity - 1)):
+            pick = itemgetter(slice(arity - 1))
+        elif len(where) == 1:
+            pick = itemgetter(slice(where[0], where[0] + 1))
+        else:
+            pick = itemgetter(*where)
+        out.update(map(pick, reach(env)))
+        if len(out) == env.n ** (arity - 1):  # every prefix: the other terms add none
+            return iproduct(range(env.n), repeat=arity - 1)
     return sorted(out)
+
+
+def _failing(slots, d):
+    """(s, {m: y}) for each slot s of the packed defect d where some entry m
+    is nonzero in the field, lowest first, y the value of slot s at entry m,
+    a residue over GF(p).  Only an entry that fails
+    :meth:`~algact.linalg.Slots.zero` is read, and slot by slot, as asked."""
+    bad = {m: x for m, x in d.items() if x and not slots.zero(x)}
+    if not bad:
+        return
+    w = slots.width
+    if slots.p:  # each slot a residue: read by a shift and a mask
+        bad, mask = {m: slots.mod(x) for m, x in bad.items()}, (1 << w) - 1
+        read = lambda x, s: x >> w * s & mask
+    else:
+        read = slots.at
+    lowest = (min((x & -x).bit_length() for x in bad.values()) - 1) // w  # its lowest set bit
+    for s in range(lowest, slots.count):
+        if out := {m: y for m, x in bad.items() if (y := read(x, s))}:
+            yield s, out
 
 
 def failures(A, laws, family=None, B=None):
@@ -447,42 +559,36 @@ def failures(A, laws, family=None, B=None):
     to an n x n matrix on A, or with B (a family of one) to one such matrix
     per basis element of B; the shapes are checked and the operators turned
     into sparse columns once, here.  No family is a family of one empty set.
-    Without B the sets are packed into one (:func:`_packed`) and each law
-    evaluated once at each basis tuple where some term of some set can be
-    nonzero (:func:`_candidates`), the defect being zero at every other one;
-    a packed defect entry nonzero in the field is read slot by slot, each
-    slot reduced mod p.  Over Q
-    the operators and defects are Fractions but the evaluation runs on
-    integers.  With B the tuples are (x, a, b) for a law on two arguments of
-    A, read at each acting element x, and (x, y, a) otherwise, every one of
-    them evaluated.
+
+    Without B the T sets are packed into one (:func:`_packed`) and so is the
+    last argument: each law is evaluated once at each prefix of the other
+    arguments where some term of some set can be nonzero
+    (:func:`_prefixes`), the defect being zero at every other one, and that
+    one evaluation holds the defect of set t at (prefix, e_k) in slot
+    k T + t of each entry.  The failing slots are decoded lowest first
+    (:func:`_failing`), so in the order of (args, t), and only as far as
+    they are read: the caller that takes the first failure evaluates the
+    prefixes up to the first failing one.  Over Q the operators and defects
+    are Fractions but the evaluation runs on integers.  With B the tuples
+    are (x, a, b) for a law on two arguments of A, read at each acting
+    element x, and (x, y, a) otherwise, every one of them evaluated.
     """
     f, n = A.field, A.dim
-    env = _env(A, laws, ({},) if family is None else family, B)
+    family = ({},) if family is None else family
+    env = _env(A, laws, family, B)
     if B is not None:
         at_x = [_Env(A, {s: cols[x] for s, cols in env.ops.items()}) for x in range(B.dim)]
 
-    def by_set(d):
-        """{t: the nonzero entries of set t's defect} of the packed defect d."""
-        slots = env.slots
-        if slots.count == 1:  # each entry is the one slot's value
-            return {0: d} if (d := linalg.reduced(d, env.p)) else {}
-        out = {}
-        for k, x in d.items():
-            if x and not slots.zero(x):  # some slot is nonzero in the field
-                values = {t: slots.at(x, t) for t in range(slots.count)}
-                for t, y in linalg.reduced(values, env.p).items():
-                    out.setdefault(t, {})[k] = y
-        return out
-
     def packed(law):
-        defect, ons, arity = _defect(env, law), _ons(law), _arity(law)
-        for args in _candidates(env, law):
-            for t, d in sorted(by_set(defect(args)).items()):
+        ons, arity, count = _ons(law), _arity(law), len(family)
+        defect = _defect(env, law, arity - 1)
+        for prefix in _prefixes(env, law):
+            for s, d in _failing(env.slots, defect(prefix)):
+                k, t = divmod(s, count)
                 if env.scale:  # slot t is lambda_t^on mu^(arity - 1) times the defect
                     den = env.scale[0][t] ** ons * env.scale[1] ** (arity - 1)
-                    d = {k: Fraction(y, den) for k, y in d.items()}
-                yield t, args, [d.get(k, f.zero) for k in range(n)]
+                    d = {m: Fraction(y, den) for m, y in d.items()}
+                yield t, prefix + (k,), [d.get(m, f.zero) for m in range(n)]
 
     def acting(law):
         if _ons(law):
@@ -528,7 +634,7 @@ def law_rows(A, law, blocks):
     terms = []
     for sign, node in law:
         (_, slot, v), context = _hole(node, arity)
-        terms.append((sign, blocks[slot] * n * n, _value(_compile(v)), _value(_compile(context))))
+        terms.append((sign, blocks[slot] * n * n, _value(v), _value(context)))
     for args in iproduct(range(n), repeat=arity):
         forms = [{} for _ in range(n)]
         for sign, off, v, context in terms:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algact import algebra, linalg
+from algact.actions import extract_action, semidirect
 from algact.algebra import (
     IDENTITY_TAGS,
     MAX_FILE_DIM,
@@ -19,8 +20,9 @@ from algact.algebra import (
     leibniz_kernel,
     product_subspace,
 )
-from algact.catalog import builtin, catalog_algebras
+from algact.catalog import builtin, catalog_actions, catalog_algebras, open_problem_search
 from algact.errors import (
+    AlgactError,
     DimensionMismatch,
     FieldMismatch,
     InputError,
@@ -28,6 +30,7 @@ from algact.errors import (
     OpIndexOutOfRange,
 )
 from algact.fields import GF, Q
+from algact.opspace import SPACE_KINDS, space_of_kind
 
 import oracle
 
@@ -265,6 +268,49 @@ def test_jordan_matches_pointwise_oracle():
         verdicts[holds, check_identity(A, "commutative").holds] += 1
     # both verdicts occur among commutative products
     assert verdicts[True, True] > 0 and verdicts[False, True] > 0, verdicts
+
+
+def test_from_products_takes_canonical_coordinates_as_they_are(monkeypatch):
+    # the rule's coordinates are stored as given, zero values dropped, with
+    # no file reader in between: the algebra is the one its entries give
+    rule = lambda op, i, j: {0: (i + 2 * j) % 5, 1: 0, 2: (op + i * j) % 5}
+    built = Algebra.from_products(GF(5), 3, ["mul", "bracket"], rule)
+    entries = [{(i, j, k): c for i, j in product(range(3), repeat=2)
+                for k, c in rule(op, i, j).items() if c} for op in range(2)]
+    assert built == Algebra.from_entries(GF(5), 3, entries, names=["mul", "bracket"])
+    assert [op.groups for op in built.ops] == [
+        op.groups for op in Algebra.from_entries(GF(5), 3, entries).ops]
+    # so every caller hands it canonical coordinates at indices in range:
+    # the induced operations of the weak actors, the semidirect products and
+    # the pullbacks of extraction, and the open-problem search
+    seen, from_products = [], Algebra.from_products.__func__
+
+    def recording(cls, field, dim, names, rule, labels=None, pairs=None):
+        def recorded(op, i, j):
+            seen.append((field, dim, coords := rule(op, i, j)))
+            return coords
+
+        return from_products(cls, field, dim, names, recorded, labels, pairs)
+
+    monkeypatch.setattr(Algebra, "from_products", classmethod(recording))
+    counts = []
+    for field in (Q, GF(3)):
+        for _, A, _ in catalog_algebras(field):
+            for kind in SPACE_KINDS:
+                try:
+                    space_of_kind(A, kind)
+                except AlgactError:
+                    continue  # the base is outside the kind's variety
+        counts.append(len(seen))
+        for _, act in catalog_actions(field):
+            extract_action(semidirect(act), act.variety)
+        counts.append(len(seen))
+    open_problem_search(GF(3), 2, 40, 9)
+    counts.append(len(seen))
+    assert 0 < counts[0] < counts[1] < counts[2] < counts[3] < counts[4], counts
+    for field, dim, coords in seen:
+        for k, c in coords.items():
+            assert 0 <= k < dim and type(c) is type(field.of(c)) and c == field.of(c), (field, c)
 
 
 def test_hash_agrees_with_eq_across_operation_names():

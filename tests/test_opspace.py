@@ -564,15 +564,30 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
     # = 4h + 2h = 6h
     p = 3
     A = builtin("sl2", GF(p))
-    seen, reduced = Counter(), linalg.reduced
+    # the identity check and the self-check test each packed defect entry
+    # with the slot kernel: an entry whose slots are nonzero multiples of 3
+    # passes it, and no slot is decoded
+    seen, zero, at, mod = Counter(), linalg.Slots.zero, linalg.Slots.at, linalg.Slots.mod
 
-    def recording(v, q):
-        seen["multiple"] += any(x and not x % q for x in v.values())
-        return reduced(v, q)
+    def recording_zero(slots, x):
+        verdict = zero(slots, x)
+        values = [at(slots, x, t) for t in range(slots.count)]
+        seen["multiple"] += verdict and any(y and not y % p for y in values)
+        return verdict
 
-    monkeypatch.setattr(linalg, "reduced", recording)
+    def recording_read(read):
+        def recorded(*args):
+            seen["read"] += 1
+            return read(*args)
+
+        return recorded
+
+    monkeypatch.setattr(linalg.Slots, "zero", recording_zero)
+    monkeypatch.setattr(linalg.Slots, "at", recording_read(at))
+    monkeypatch.setattr(linalg.Slots, "mod", recording_read(mod))
+    # Jacobi at the prefix (e, f) holds 6h in the slot of e_k = h
     assert check_identity(A, "lie").holds
-    assert seen.pop("multiple") > 0
+    assert seen.pop("multiple") > 0 and seen.pop("read", 0) == 0
     # d applied to each term of Jacobi: every coefficient is a multiple of 3
     law = tuple((sign, (laws.ON, "d", node)) for sign, node in laws.JACOBI)
     forms = [form for at in laws.law_rows(A, law, {"d": 0}) for form in at]
@@ -593,23 +608,6 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
     space = derivations(A)
     assert products and all(0 <= c < p for coords in products for c in coords.values())
     assert all(0 <= c < p for op in space.algebra.ops for _, c in op.sorted_entries())
-    # the self-check of the whole basis tests each packed defect entry with
-    # the slot kernel: an entry whose slots are nonzero multiples of 3
-    # passes it, and no slot is decoded
-    zero, at = linalg.Slots.zero, linalg.Slots.at
-
-    def recording_zero(slots, x):
-        verdict = zero(slots, x)
-        values = [at(slots, x, t) for t in range(slots.count)]
-        seen["multiple"] += verdict and any(y and not y % p for y in values)
-        return verdict
-
-    def recording_at(slots, x, t):
-        seen["read"] += 1
-        return at(slots, x, t)
-
-    monkeypatch.setattr(linalg.Slots, "zero", recording_zero)
-    monkeypatch.setattr(linalg.Slots, "at", recording_at)
     seen.clear()
     assert next(defining_defects("derivations", A, space.basis), None) is None
     assert seen.pop("multiple") > 0 and seen.pop("read", 0) == 0
@@ -851,8 +849,8 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
 
     counts, defect = Counter(), laws._defect
 
-    def counting_defect(env, law):
-        fn = defect(env, law)
+    def counting_defect(env, law, last=None):
+        fn = defect(env, law, last)
 
         def counted(args):
             counts["defect"] += 1
@@ -861,7 +859,7 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
         return counted
 
     monkeypatch.setattr(laws, "_defect", counting_defect)
-    for module, name in ((laws, "_lincomb"), (opspace, "_composed"), (linalg.Slots, "zero")):
+    for module, name in ((laws, "_add"), (opspace, "_composed"), (linalg.Slots, "zero")):
         def counting(*args, name=name, orig=getattr(module, name)):
             counts[name] += 1
             return orig(*args)
@@ -880,7 +878,7 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
     basis = biderivations(M).basis
     counts.clear()
     next(defining_defects("biderivations", M, basis[:1]), None)
-    assert counts["defect"] > 0 and counts["_lincomb"] > 0
+    assert counts["defect"] > 0 and counts["_add"] > 0
 
 
 def test_evaluator_refuses_a_missing_or_misshapen_operator():

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from algact import laws, linalg
@@ -149,3 +150,82 @@ def test_an_operator_at_a_compound_element_on_a_compound_argument_matches_a_dens
         if any(d):
             expected.append((0, (x, y, a), d))
     assert list(laws.failures(X, [law], [{"l": ls}], B)(law)) == expected, (B, X, ls)
+
+
+# -- the packed last argument: every slot (k, t) of one evaluation ------------------
+
+ON_LAWS = (
+    laws.derivation("M", laws.PRODUCT), laws.derivation("M", laws.BRACKET),
+    laws.antiderivation("M", laws.BRACKET), laws.left_multiplier("M"),
+    laws.right_multiplier("M"), laws.mixed("M", "N"), laws.compatibility("M", "N"),
+    laws.v1("M", "N"), laws.v2("M", "N"),
+)
+IDENTITY_LAWS = (laws.ASSOCIATIVITY, laws.RIGHT_LEIBNIZ, laws.JACOBI, laws.POISSON_COMPAT,
+                 laws.COMMUTATIVITY, laws.ANTICOMMUTATIVITY)
+
+
+def every_set(A, law, family):
+    """The failures of ``family`` as ``laws.failures`` reports them, from
+    :func:`every_tuple` on each set alone: by args, then by set."""
+    hits = [(t, *hit) for t, operators in enumerate(family)
+            for hit in every_tuple(A, law, operators)]
+    return sorted(hits, key=lambda hit: (hit[1], hit[0]))
+
+
+def dense_algebra(data, field, dim, ops):
+    """``ops`` operations whose tensors hold up to dim^3 nonzero constants."""
+    index = st.integers(0, dim - 1)
+    tensors = [data.draw(st.dictionaries(st.tuples(index, index, index), constants(field),
+                                         max_size=dim ** 3)) for _ in range(ops)]
+    return Algebra.from_entries(field, dim, tensors,
+                                names=["mul", "bracket"] if ops == 2 else ["bracket"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_family_fails_at_every_slot_as_each_set_alone(data):
+    # several sets failing at several e_k of one prefix: the one evaluation
+    # per prefix decodes them in the order (args, t), each as it fails alone
+    field, dim = data.draw(st.sampled_from(FIELDS)), data.draw(st.integers(1, 4))
+    A = dense_algebra(data, field, dim, data.draw(st.integers(1, 2)))
+    law = data.draw(st.sampled_from(ON_LAWS))
+    entry = st.one_of(st.just(field.zero), constants(field))
+    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    family = [{s: data.draw(matrix) for s in ("M", "N")}
+              for _ in range(data.draw(st.integers(1, 5)))]
+    assert list(laws.failures(A, [law], family)(law)) == every_set(A, law, family), family
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_identities_fail_at_every_slot_as_each_tuple_alone(data):
+    # the arity-3 identities on algebras of dimension up to 6: n slots, one
+    # per e_k, in each evaluation
+    field, dim = data.draw(st.sampled_from(FIELDS)), data.draw(st.integers(1, 6))
+    A = dense_algebra(data, field, dim, 2)
+    for law in IDENTITY_LAWS:
+        assert list(laws.failures(A, [law])(law)) == every_set(A, law, [{}]), (A, law)
+
+
+# M(xy) + M(x)y + xM(y), its terms signed alike, so that they add up
+ADDITIVE = tuple((1, node) for _, node in laws.derivation("M", laws.PRODUCT))
+
+
+@pytest.mark.parametrize("field", (GF(5), GF(11), GF(2**61 - 1), Q), ids=repr)
+def test_the_packed_evaluation_holds_its_largest_slot(field):
+    # Every structure constant is C and every entry of the last set's
+    # operator is M, so each term of ADDITIVE is n C M at every coordinate
+    # and the defect 3 n C M, the bound that sizes the slots: slot
+    # (n - 1, T - 1), the highest of the packed int, holds the largest value
+    # a slot can.  The other sets hold smaller entries, set t in slots
+    # (k, t) below it.  Over Q, M is negative, the value -3 n C M.
+    C, M = (field.char - 1, field.char - 1) if field.char else (7, -5)
+    for n, count in ((1, 1), (1, 3), (2, 2), (3, 4), (4, 3), (4, 6)):  # p divides no 3 n
+        A = Algebra.from_entries(field, n, [{ijk: C for ijk in iproduct(range(n), repeat=3)}])
+        family = [{"M": [[field.of((t + i * n + j) % 3) for j in range(n)] for i in range(n)]}
+                  for t in range(count - 1)]
+        family.append({"M": [[field.of(M)] * n for _ in range(n)]})
+        hits = list(laws.failures(A, [ADDITIVE], family)(ADDITIVE))
+        assert hits == every_set(A, ADDITIVE, family), (n, count)
+        last = (count - 1, (n - 1,) * 2, [field.of(3 * n * C * M)] * n)
+        assert hits[-1] == last, (n, count)
