@@ -329,7 +329,8 @@ def _row(env, key) -> dict:
         if len(key) == 1:
             at = env.ops[key[0]].items()
         else:
-            (g, a, side), get = key, env.groups[key[0]].get
+            g, a, side = key
+            get = env.groups[g].get
             at = ((k, get((k, a) if side else (a, k))) for k in range(env.n))
         for k, v in at:
             if v:
