@@ -20,16 +20,27 @@ without eliminating the first ones again.  Over GF(p) a row is one int
 whose :class:`Slots` hold its residues, reduced mod p once per row.  Rows,
 operands and right-hand sides of the wrong length, and equation columns
 outside ``range(n)``, are refused with :class:`DimensionMismatch`.
+
+Over Q, :func:`lifted_nullspace` eliminates integer rows mod the one prime
+q = 2^31 - 1 on the packed kernel and lifts each entry of the nullspace by
+rational reconstruction (:func:`reconstruct`): the fraction a/b with
+|a|, b <= isqrt(q // 2) congruent to it, which is unique when it exists.
+The lift is a candidate, not a result.  It keeps every zero and every unit
+entry, so its vectors are in RREF at the free columns mod q, and there are
+n - rank_q >= n - rank_Q of them.  So once a caller has checked that they
+lie in the nullspace over Q, they are its canonical basis: vectors of the
+space in RREF, at least as many as its dimension.  :mod:`algact.opspace`
+checks that with the self-check that every build runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DimensionMismatch
-from .fields import Field
+from .fields import GF, Field
 
 
 def vec_zero(field: Field, n: int) -> list:
@@ -354,6 +365,47 @@ def nullspace_basis(field: Field, rows, n: int, echelon=None) -> tuple[list, lis
         for c, x in _free_entries(field, n, r, pc, free):
             at[c][pc] = p - x if p else -x
     return list(at.values()), free
+
+
+# the prime of lifted_nullspace: a slot of the packed kernel is about twice
+# as wide as its values, about 140 bits here at 32 columns, so at 2^61 - 1
+# the lift was only at parity with the exact route
+LIFT_FIELD = GF(2**31 - 1)
+
+
+def lifted_nullspace(field: Field, rows, n: int, echelon: dict):
+    """Over Q, :func:`nullspace_basis` of integer rows mod q = 2^31 - 1,
+    each entry lifted by :func:`reconstruct` into the canonical scalars of
+    ``field``, or None when an entry has no lift.  ``echelon`` holds the
+    elimination mod q, as in :func:`nullspace_basis`.  The lift is exact
+    only for a caller that checks it (see the module docstring)."""
+    q = LIFT_FIELD.char
+    vectors, free = nullspace_basis(LIFT_FIELD, rows, n, echelon)
+    lifted = []
+    for v, c in zip(vectors, free):
+        lifted.append(w := unit_vector(field, n, c))
+        for pc in echelon:  # off c, v is zero but at the pivot columns
+            if x := v[pc]:
+                if (y := reconstruct(x, q)) is None:
+                    return None
+                w[pc] = y
+    return lifted, free
+
+
+def reconstruct(u: int, q: int):
+    """The fraction a/b = u mod q with |a|, b <= isqrt(q // 2), by the
+    extended Euclidean algorithm on (q, u) stopped at the first remainder
+    within the bound (Wang, Guy and Davenport), or None if there is none.
+    It is unique: two such, a/b and c/d, have ad - bc divisible by q and
+    |ad - bc| <= 2 isqrt(q // 2)^2 < q, so ad = bc."""
+    bound = isqrt(q // 2)
+    r0, r1, t0, t1 = q, u % q, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def _in_columns(rows, n: int):

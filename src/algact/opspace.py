@@ -38,14 +38,24 @@ rows are some of the space's rows.  A candidate that passes the self-check
 lies inside the space, so the two are equal, and so are their canonical
 bases.  A candidate that fails has the other rows added to the same
 elimination and is checked again; a failure then is a ClosureError.  The
-stop rule reads only the rank, and has no tuned constant.  Every law is
-bilinear in the two algebra arguments, so imposing it on all basis pairs
-is equivalent to imposing it everywhere; the self-check evaluates only the
-pairs where some term of some basis tuple can be nonzero.  Each law holds
-one operator per term, so it is linear in the tuple, and it is evaluated
-once for the whole basis (:func:`algact.laws.failures`), each operator
-entry one int whose slot t holds tuple t's entry.  The first failing
-tuple, then its first law, then its first pair is reported.
+stop rule reads only the rank, and has no tuned constant.  Over Q the
+elimination runs mod q = 2^31 - 1 (:func:`algact.linalg.lifted_nullspace`),
+its rank mod q standing in the stop rule, and the candidate is the lift of
+that nullspace.  A lift that passes the self-check is exact: its vectors
+lie in the space, are reduced at the free columns mod q, and number
+n - rank_q >= n - rank_Q >= the space's dimension, so they are its
+canonical basis.  A refused prefix goes on mod q with the other rows.  An
+entry with no lift, or a lift refused on all rows (the rank drops mod q),
+sends the build to the exact elimination over Q, on the rows already read,
+kept as read, then on the rest; only that route raises the ClosureError.
+Every law is bilinear in the two algebra arguments, so imposing it on all
+basis pairs is equivalent to imposing it everywhere; the self-check
+evaluates only the pairs where some term of some basis tuple can be
+nonzero.  Each law holds one operator per term, so it is linear in the
+tuple, and it is evaluated once for the whole basis
+(:func:`algact.laws.failures`), each operator entry one int whose slot t
+holds tuple t's entry.  The first failing tuple, then its first law, then
+its first pair is reported.
 
 The computed basis is canonical (reduced row echelon over the flattened
 matrix tuple); :func:`space_of_kind` unflattens it once into matrix tuples,
@@ -563,18 +573,35 @@ def space_of_kind(A: Algebra, kind: str) -> OperatorSpace:
     spec = _kind(kind)
     spec.precondition(A)
     f, n, k = A.field, A.dim, len(spec.components)
-    groups, echelon = _row_groups(A, spec), {}
+    groups, exact, modular, read = _row_groups(A, spec), {}, {}, []
 
-    def basis_of(rows):  # the basis tuples and pivots of all the rows read so far
-        vectors, pivots = linalg.nullspace_basis(f, rows, k * n * n, echelon)
-        return [tuple(linalg.mat_unflatten(v[b * n * n : (b + 1) * n * n], n, n)
-                      for b in range(k)) for v in vectors], pivots
+    def sound(nullspace, first):
+        """(basis, pivots, first defect) of the rows ``first``, then, if the
+        self-check refuses that and rows are left, of those too; None once
+        ``nullspace`` gives none."""
+        got, rest = nullspace(first), chain.from_iterable(groups)
+        while got is not None:
+            basis = [tuple(linalg.mat_unflatten(v[b * n * n : (b + 1) * n * n], n, n)
+                           for b in range(k)) for v in got[0]]
+            bad = next(defining_defects(kind, A, basis), None)
+            if bad is None or (row := next(rest, None)) is None:
+                return basis, got[1], bad
+            got = nullspace(chain((row,), rest))
+        return None
 
-    basis, pivots = basis_of(_prefix(groups, echelon))
-    bad = next(defining_defects(kind, A, basis), None)
-    if bad is not None:  # the prefix missed an instance: add the other rows
-        basis, pivots = basis_of(chain.from_iterable(groups))
-        bad = next(defining_defects(kind, A, basis), None)
+    def eliminated(rows):
+        return linalg.nullspace_basis(f, rows, k * n * n, exact)
+
+    def lifted(rows):  # over Q, mod q, the rows kept as read for the exact route
+        return linalg.lifted_nullspace(f, (read.append(row) or row for row in rows), k * n * n, modular)
+
+    if f.char:
+        found = sound(eliminated, _prefix(groups, exact))
+    else:
+        found = sound(lifted, _prefix(groups, modular))
+        if found is None or found[2] is not None:  # no lift, or one refused on all rows
+            found = sound(eliminated, read)
+    basis, pivots, bad = found
     if bad is not None:
         raise ClosureError(f"computed {kind} basis tuple violates {bad[1]} at {bad[2]}")
     space = OperatorSpace(A, kind, spec.components, basis, pivots)

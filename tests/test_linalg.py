@@ -508,12 +508,13 @@ def test_coords_in_span_over_prime_field():
 # -- the operator-space systems and the cost of redundant rows ------------------
 
 
-def _law_systems(monkeypatch, field, algebras, kinds):
+def _law_systems(monkeypatch, field, algebras, kinds, route="nullspace_basis"):
     """(label, rows, unknowns, basis and pivots) of every nullspace that
-    ``space_of_kind`` reads, the rows as sparse maps: a call that extends
-    the elimination of the one before holds the rows of both."""
+    ``space_of_kind`` reads through ``linalg.<route>``, the rows as sparse
+    maps: a call that extends the elimination of the one before holds the
+    rows of both."""
     systems, label, last = [], None, (None, [])
-    nullspace = linalg.nullspace_basis
+    nullspace = getattr(linalg, route)
 
     def recording(f, rows, n, echelon=None):
         nonlocal last
@@ -523,7 +524,7 @@ def _law_systems(monkeypatch, field, algebras, kinds):
         systems.append((label, read, n, got))
         return got
 
-    monkeypatch.setattr(linalg, "nullspace_basis", recording)
+    monkeypatch.setattr(linalg, route, recording)
     for name, A in algebras:
         for kind in kinds:
             label = f"{field!r} {name} {kind}"
@@ -537,12 +538,14 @@ def _law_systems(monkeypatch, field, algebras, kinds):
 
 
 def test_rref_matches_dense_reference_on_operator_space_systems(monkeypatch):
-    # the systems go to nullspace_basis as sparse rows; rref is checked on
-    # them made dense, and the nullspace on the sparse rows themselves
+    # the systems go to nullspace_basis as sparse rows, over Q to
+    # lifted_nullspace, which eliminates them mod 2^31 - 1; rref is checked
+    # on them made dense, and the nullspace, lifted over Q, on the sparse
+    # rows themselves
     gf7 = _law_systems(monkeypatch, GF(7), _rebased_matrix_algebras(GF(7), "T2 M2"),
                        SPACE_KINDS)
     t2 = [(n, A) for n, A in _rebased_matrix_algebras(Q, "T2 M2") if n == "T2.poisson"]
-    q = _law_systems(monkeypatch, Q, t2, ["usga-poisson"])
+    q = _law_systems(monkeypatch, Q, t2, ["usga-poisson"], "lifted_nullspace")
     # multipliers and usga-cpoisson need a commutative base
     kinds = {label.split()[-1] for label, *_ in gf7}
     assert kinds == set(SPACE_KINDS) - {"multipliers", "usga-cpoisson"}

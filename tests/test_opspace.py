@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product as iproduct
+from math import isqrt
 
 import pytest
 
@@ -234,7 +235,7 @@ def test_laws_evaluated_without_an_acting_algebra_are_homogeneous():
 
 
 # s_i of a diagonal change of basis e_i -> s_i e_i, so that constants are not integers
-_SCALES = (Fraction(1, 2), Fraction(3), Fraction(2, 5), Fraction(-7, 3), Fraction(5, 4))
+_SCALES = (Fraction(1, 2), Fraction(3), Fraction(2, 5), Fraction(-7, 3), Fraction(5, 4), Fraction(-4, 9))
 
 
 def _rescaled(A):
@@ -615,7 +616,8 @@ def test_a_nonzero_multiple_of_p_counts_as_zero(monkeypatch):
 
 def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
     # the prefix of the rows misses the law, so do all the rows: the
-    # self-check refuses the prefix, then the basis of every row
+    # self-check refuses the lifted basis of the prefix mod 2^31 - 1, which
+    # here holds every row, then the exact basis of every row
     compatibility = laws.compatibility("d", "D")
     law_rows = laws.law_rows
 
@@ -625,22 +627,24 @@ def test_self_check_catches_a_law_missing_from_the_rows(monkeypatch):
 
     A = builtin("leibniz_2dim_nonlie")
     full = biderivations(A).dim
-    checked, defects = [], opspace.defining_defects
+    checked, defects, routes = [], opspace.defining_defects, _routes(monkeypatch)
     monkeypatch.setattr(laws, "law_rows", rows_without_compatibility)
     monkeypatch.setattr(opspace, "defining_defects",
                         lambda *args: checked.append(len(args[2])) or defects(*args))
     with pytest.raises(ClosureError, match="computed biderivations basis tuple violates compatibility"):
         biderivations(A)
+    assert routes == ["lift", "exact"]
     assert len(checked) == 2 and checked[0] >= checked[1] > full
     monkeypatch.setattr(opspace, "defining_defects", lambda *args: iter(()))
     assert biderivations(A).dim > full  # the space grows without the law
 
 
 def _checked_builds(monkeypatch, algebras, prefix):
-    """{(name, kind): (basis, pivots, induced tensor, self-checks run)} of
-    every kind on ``algebras`` that is defined there, its rows cut by
-    ``prefix`` in place of :func:`opspace._prefix`."""
-    checks, defects = [], opspace.defining_defects
+    """{(name, kind): (basis, pivots, induced tensor, self-checks run,
+    routes over Q (:func:`_routes`))} of every kind on ``algebras`` that is
+    defined there, its rows cut by ``prefix`` in place of
+    :func:`opspace._prefix`."""
+    checks, defects, routes = [], opspace.defining_defects, _routes(monkeypatch)
     monkeypatch.setattr(opspace, "_prefix", prefix)
     monkeypatch.setattr(opspace, "defining_defects",
                         lambda *args: checks.append(args) or defects(*args))
@@ -648,13 +652,14 @@ def _checked_builds(monkeypatch, algebras, prefix):
     for name, A in algebras:
         for kind in SPACE_KINDS:
             checks.clear()
+            routes.clear()
             try:
                 space = space_of_kind(A, kind)
             except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson,
                     OpArityMismatch):
                 continue  # the base is outside the kind's variety
             tensor = space.algebra and space.algebra.to_json_dict()
-            out[name, kind] = space.basis, space.pivots, tensor, len(checks)
+            out[name, kind] = space.basis, space.pivots, tensor, len(checks), list(routes)
     monkeypatch.undo()
     return out
 
@@ -669,11 +674,13 @@ def test_a_prefix_of_one_group_ends_in_the_space_of_all_rows(field, monkeypatch)
                             lambda groups, echelon: chain.from_iterable(groups))
     first = _checked_builds(monkeypatch, algebras, lambda groups, echelon: next(groups))
     assert every.keys() == first.keys() and len(every) == 24
-    for key, (basis, pivots, tensor, checks) in first.items():
+    for key, (basis, pivots, tensor, checks, routes) in first.items():
         assert (basis, pivots, tensor) == every[key][:3], key
         assert every[key][3] == 1 and checks in (1, 2), key
+        # over Q the other rows go into the same elimination mod 2^31 - 1
+        assert routes == (["lift"] * checks if field == Q else []), key
     # the fallback ran on most of them (19 or 20 of the 24)
-    assert sum(checks == 2 for *_, checks in first.values()) > len(first) // 2
+    assert sum(checks == 2 for *_, checks, _ in first.values()) > len(first) // 2
 
 
 def test_the_self_check_refuses_a_prefix_that_stops_too_early(monkeypatch):
@@ -696,6 +703,165 @@ def test_the_self_check_refuses_a_prefix_that_stops_too_early(monkeypatch):
     space = derivations(A)
     assert [None if hit is None else hit[1:3] for hit in checks] == [("derivation", (2, 0)), None]
     assert (space.basis, space.pivots) == every["T2", "derivations"][:2] and space.dim == 2
+
+
+# -- over Q: the elimination mod 2^31 - 1, lifted ------------------------------
+
+
+def _routes(monkeypatch):
+    """The routes that builds over Q take, in order: "lift" or "no lift" for
+    each call of ``linalg.lifted_nullspace``, "exact" for each call of
+    ``linalg.nullspace_basis`` over Q."""
+    routes, lifted, nullspace = [], linalg.lifted_nullspace, linalg.nullspace_basis
+
+    def lift(*args):
+        got = lifted(*args)
+        routes.append("no lift" if got is None else "lift")
+        return got
+
+    def exact(field, *args):
+        if field == Q:
+            routes.append("exact")
+        return nullspace(field, *args)
+
+    monkeypatch.setattr(linalg, "lifted_nullspace", lift)
+    monkeypatch.setattr(linalg, "nullspace_basis", exact)
+    return routes
+
+
+def _every_row(A, kind):
+    """The basis vectors and pivots of every row of ``kind`` on A,
+    eliminated exactly at once."""
+    spec = opspace._KINDS[kind]
+    rows = [form for group in opspace._row_groups(A, spec) for form in group]
+    return linalg.nullspace_basis(A.field, rows, len(spec.components) * A.dim ** 2)
+
+
+def _built(A, kind):
+    """(basis, pivots, induced tensor) of ``kind`` on A, or None outside its variety."""
+    try:
+        space = space_of_kind(A, kind)
+    except (NotAssociative, NotCommutative, NotCommutativePoisson, NotPoisson, OpArityMismatch):
+        return None
+    return space.basis, space.pivots, space.algebra and space.algebra.ops
+
+
+def test_the_lifted_route_builds_the_exact_spaces(monkeypatch):
+    # every kind over Q on the catalog, on rebased T2, M2 and T3 and on
+    # those rescaled, whose bases have denominators, and T4 Lie
+    # biderivations: the lift is accepted, and the basis, pivots, scalar
+    # types and induced tensor are those of the exact route on every row
+    cases = [(name, A, SPACE_KINDS) for name, A, _ in catalog_algebras(Q)]
+    rebased = _rebased_matrix_algebras(Q, 0, (("T2", 2, True), ("M2", 2, False), ("T3", 3, True)))
+    cases += [(name + tag, B, SPACE_KINDS) for name, A in rebased
+              for tag, B in (("", A), ("*s", _rescaled(A)))]
+    cases += [(name, A, ["biderivations"])
+              for name, A in _rebased_matrix_algebras(Q, 3, (("T4", 4, True),)) if name == "T4.lie"]
+    routes, checked, denominators = _routes(monkeypatch), 0, 0
+    for name, A, kinds in cases:
+        for kind in kinds:
+            routes.clear()
+            if (lifted := _built(A, kind)) is None:
+                continue
+            assert "lift" in routes and "exact" not in routes, (name, kind, routes)
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "lifted_nullspace", lambda *args: None)
+                exact = _built(A, kind)
+            assert "exact" in routes, (name, kind)
+            assert lifted[:2] == exact[:2], (name, kind)
+            flat = [[x for M in tup for row in M for x in row] for tup in lifted[0]]
+            assert (flat, lifted[1]) == _every_row(A, kind), (name, kind)
+            assert {type(x) for v in flat for x in v} <= {Fraction}, (name, kind)
+            tensors = [[[(key, c, type(c)) for key, c in op.sorted_entries()] for op in ops or ()]
+                       for ops in (lifted[2], exact[2])]
+            assert tensors[0] == tensors[1], (name, kind)
+            denominators += any(x.denominator > 1 for v in flat for x in v)
+            checked += 1
+    assert checked > 140 and denominators > 40, (checked, denominators)
+
+
+def test_reconstruction_stops_at_the_bound():
+    # isqrt(q // 2) = 32767 for q = 2^31 - 1: a/b lifts for |a|, b up to it
+    q = linalg.LIFT_FIELD.char
+    assert isqrt(q // 2) == 32767
+
+    def lifted(a, b):
+        return linalg.reconstruct(a * pow(b, -1, q) % q, q)
+
+    for a, b in [(0, 1), (1, 1), (-1, 1), (32767, 1), (-32767, 1), (1, 32767), (-1, 32767),
+                 (32767, 32766), (-32766, 32767), (3, 7)]:
+        assert lifted(a, b) == Fraction(a, b) and type(lifted(a, b)) is Fraction, (a, b)
+    for a, b in [(32768, 1), (-32768, 1), (1, 32768), (-1, 32768), (32768, 32767)]:
+        assert lifted(a, b) is None, (a, b)
+
+
+def _scaled_first(A, s):
+    """A in the basis s e_0, e_1, ...: its constants scaled by s_i s_j / s_k."""
+    scales = [Fraction(s)] + [Fraction(1)] * (A.dim - 1)
+    return Algebra.from_entries(
+        A.field, A.dim,
+        [{(i, j, k): scales[i] * scales[j] / scales[k] * c for (i, j, k), c in op.sorted_entries()}
+         for op in A.ops],
+        names=[op.name for op in A.ops])
+
+
+@pytest.mark.parametrize("s", [32767, -32767, Fraction(1, 32767), 32768, -32768, Fraction(1, 32768)],
+                         ids=str)
+def test_a_basis_entry_beyond_the_bound_takes_the_exact_route(s, monkeypatch):
+    # the derivations of rebased T2 in the basis s e_0, e_1, e_2 hold 1/s or
+    # s beside 0 and 1: they lift up to 32767, and beyond it the build
+    # runs the exact route, which gives the basis of every row
+    (A,) = [_scaled_first(A, s) for name, A in _rebased_matrix_algebras(Q, 0) if name == "T2.assoc"]
+    top = max(abs(Fraction(s).numerator), Fraction(s).denominator)
+    routes = _routes(monkeypatch)
+    space = derivations(A)
+    entries = {abs(x) for tup in space.basis for M in tup for row in M for x in row}
+    assert max(max(x.numerator, x.denominator) for x in entries) == top
+    assert routes[0] == ("lift" if top <= 32767 else "no lift")
+    assert ("exact" in routes) == (top > 32767), routes
+    monkeypatch.undo()
+    flat = [[x for M in tup for row in M for x in row] for tup in space.basis]
+    assert (flat, space.pivots) == _every_row(A, "derivations")
+
+
+def test_a_bracket_that_vanishes_mod_the_prime_takes_the_exact_route(monkeypatch):
+    # rebased T2 and T3 as Lie algebras with the bracket times 2^31 - 1:
+    # every row vanishes mod q, so the lift holds every tuple; the
+    # self-check refuses it on the prefix and on all rows, and the exact
+    # route gives the biderivations of the unscaled bracket
+    q = linalg.LIFT_FIELD.char
+    algebras = _rebased_matrix_algebras(Q, 0, (("T2", 2, True), ("T3", 3, True)))
+    for name, A in [(name, A) for name, A in algebras if name.endswith(".lie")]:
+        B = Algebra.from_entries(Q, A.dim, [{key: q * c for key, c in A.ops[0].sorted_entries()}],
+                                 names=["bracket"])
+        forms = [form for group in opspace._row_groups(B, opspace._KINDS["biderivations"])
+                 for form in group]
+        assert forms and all(x % q == 0 for form in forms for x in form.values()), name
+        want = biderivations(A)
+        routes = _routes(monkeypatch)
+        got = biderivations(B)
+        monkeypatch.undo()
+        assert routes == ["lift", "lift", "exact"], (name, routes)
+        assert (got.basis, got.pivots) == (want.basis, want.pivots) and got.dim > 0, name
+        assert got.algebra.to_json_dict() == want.algebra.to_json_dict(), name
+
+
+def test_a_refused_prefix_lift_goes_on_mod_the_prime(monkeypatch):
+    # T4 as a Lie algebra in its standard basis: the prefix stops too early
+    # there (the rows at e_0 and e_1 add no pivot to those before), the
+    # self-check refuses its lift, and the other rows go into the same
+    # elimination mod q, whose lift is the basis of every row
+    n, prod = _matrix_algebra(4, True)
+    bracket = {(i, j, k): v for (i, j, k), v in prod.items()}
+    for (i, j, k), v in prod.items():
+        bracket[j, i, k] = bracket.get((j, i, k), 0) - v
+    A = Algebra.from_entries(Q, n, [bracket], names=["bracket"])
+    routes = _routes(monkeypatch)
+    space = biderivations(A)
+    monkeypatch.undo()
+    assert routes == ["lift", "lift"]
+    flat = [[x for M in tup for row in M for x in row] for tup in space.basis]
+    assert (flat, space.pivots) == _every_row(A, "biderivations") and space.dim > 0
 
 
 # each kind's defining laws as the hand-written predicates of the oracle, on
