@@ -7,13 +7,13 @@ Leibniz, Lie and Jordan algebras; two operations (product first, bracket
 second) cover Poisson-type algebras.
 
 Identity checking is exhaustive over basis tuples.  Every identity but
-Jordan's is a multilinear law of :mod:`algact.laws`, evaluated there on the
-basis tuples where one of its terms can be nonzero (it vanishes on the
-others), so vanishing on basis tuples is equivalent to vanishing
-everywhere.  The Jordan identity, cubic in one variable, is written here
-and checked through all of its multihomogeneous components.  Failing checks
-always return the lexicographically first witness tuple together with its
-nonzero defect, so reports are reproducible.
+Jordan's is a multilinear law of :mod:`algact.laws`, evaluated there once at
+every prefix of its arguments, the last one every basis element at once, so
+vanishing on basis tuples is equivalent to vanishing everywhere.  The
+Jordan identity, cubic in one variable, is written here and checked through
+all of its multihomogeneous components.  Failing checks always return the
+lexicographically first witness tuple together with its nonzero defect, so
+reports are reproducible.
 """
 
 from __future__ import annotations

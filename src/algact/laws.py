@@ -29,8 +29,7 @@ two ways:
   turns the matrices into sparse columns once, then gives each law's
   failing (set, basis tuple) pairs in lexicographic order, a defect made a
   dense list only when it is reported.  Without an acting algebra a law is
-  evaluated once per prefix of its arguments, all but the last, and only
-  where some term of some set can be nonzero (:func:`_prefixes`).  It
+  evaluated once at every prefix of its arguments, all but the last.  It
   serves the self-check of a whole operator-space basis after
   construction, the conditions of an action and its acting law, and the
   identities of an algebra.
@@ -81,7 +80,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from operator import itemgetter
 
 from . import linalg
 from .errors import ShapeMismatch
@@ -475,61 +473,6 @@ def _defect(env, law, last=None):
     return defect
 
 
-@lru_cache(maxsize=None)
-def _reach(node):
-    """Where ``node`` can be nonzero, compiled once like :func:`_compile`:
-    (its argument indices in the order read, a function of an :class:`_Env`
-    giving {assignment of basis indices to them: support}), read off the
-    nonzero columns of the operators and the nonzero products alone.  The
-    support, the coordinates that can be nonzero, is exact for an operator
-    or a product applied to arguments and all of them further up."""
-    if isinstance(node, int):
-        return (node,), lambda env: {(a,): (a,) for a in range(env.n)}
-    if node[0] == ON:
-        s, (args, reach) = node[1], _reach(node[2])
-        if isinstance(node[2], int):  # the nonzero columns
-            return args, lambda env: {(k,): col for k, col in env.ops[s].items()}
-
-        def on(env):  # some nonzero column of the operator in the support
-            keys, every = env.ops[s].keys(), range(env.n)
-            return {a: every for a, sup in reach(env).items() if not keys.isdisjoint(sup)}
-
-        return args, on
-    g = 1 if node[0] == BRACKET else 0
-    (vu, ru), (vw, rw) = _reach(node[1]), _reach(node[2])
-    if isinstance(node[1], int) and isinstance(node[2], int):  # the nonzero products
-        return vu + vw, lambda env: env.groups[g]
-
-    def product(env):  # some e_i e_j with i, j in the supports is nonzero
-        if not (keys := env.groups[g].keys()):
-            return {}
-        right, every = rw(env).items(), range(env.n)
-        return {a + b: every for a, su in ru(env).items() for b, sw in right
-                if not keys.isdisjoint(iproduct(su, sw))}
-
-    return vu + vw, product
-
-
-def _prefixes(env, law):
-    """The prefixes, all arguments but the last, of the basis tuples where
-    some term of ``law``, which reads each argument once, can be nonzero, in
-    lexicographic order."""
-    out, arity = set(), _arity(law)
-    for _, node in law:
-        args, reach = _reach(node)
-        where = list(map(args.index, range(arity - 1)))  # each prefix argument in the term
-        if where == list(range(arity - 1)):
-            pick = itemgetter(slice(arity - 1))
-        elif len(where) == 1:
-            pick = itemgetter(slice(where[0], where[0] + 1))
-        else:
-            pick = itemgetter(*where)
-        out.update(map(pick, reach(env)))
-        if len(out) == env.n ** (arity - 1):  # every prefix: the other terms add none
-            return iproduct(range(env.n), repeat=arity - 1)
-    return sorted(out)
-
-
 def _failing(slots, d):
     """(s, {m: y}) for each slot s of the packed defect d where some entry m
     is nonzero in the field, lowest first, y the value of slot s at entry m,
@@ -562,17 +505,16 @@ def failures(A, laws, family=None, B=None):
     into sparse columns once, here.  No family is a family of one empty set.
 
     Without B the T sets are packed into one (:func:`_packed`) and so is the
-    last argument: each law is evaluated once at each prefix of the other
-    arguments where some term of some set can be nonzero
-    (:func:`_prefixes`), the defect being zero at every other one, and that
-    one evaluation holds the defect of set t at (prefix, e_k) in slot
-    k T + t of each entry.  The failing slots are decoded lowest first
-    (:func:`_failing`), so in the order of (args, t), and only as far as
-    they are read: the caller that takes the first failure evaluates the
-    prefixes up to the first failing one.  Over Q the operators and defects
-    are Fractions but the evaluation runs on integers.  With B the tuples
-    are (x, a, b) for a law on two arguments of A, read at each acting
-    element x, and (x, y, a) otherwise, every one of them evaluated.
+    last argument: each law is evaluated once at every prefix of the other
+    arguments, in lexicographic order, and that one evaluation holds the
+    defect of set t at (prefix, e_k) in slot k T + t of each entry.  The
+    failing slots are decoded lowest first (:func:`_failing`), so in the
+    order of (args, t), and only as far as they are read: the caller that
+    takes the first failure evaluates the prefixes up to the first failing
+    one.  Over Q the operators and defects are Fractions but the evaluation
+    runs on integers.  With B the tuples are (x, a, b) for a law on two
+    arguments of A, read at each acting element x, and (x, y, a) otherwise,
+    every one of them evaluated.
     """
     f, n = A.field, A.dim
     family = ({},) if family is None else family
@@ -583,7 +525,7 @@ def failures(A, laws, family=None, B=None):
     def packed(law):
         ons, arity, count = _ons(law), _arity(law), len(family)
         defect = _defect(env, law, arity - 1)
-        for prefix in _prefixes(env, law):
+        for prefix in iproduct(range(n), repeat=arity - 1):
             for s, d in _failing(env.slots, defect(prefix)):
                 k, t = divmod(s, count)
                 if env.scale:  # slot t is lambda_t^on mu^(arity - 1) times the defect

@@ -50,8 +50,8 @@ sends the build to the exact elimination over Q, on the rows already read,
 kept as read, then on the rest; only that route raises the ClosureError.
 Every law is bilinear in the two algebra arguments, so imposing it on all
 basis pairs is equivalent to imposing it everywhere; the self-check
-evaluates only the pairs where some term of some basis tuple can be
-nonzero.  Each law holds one operator per term, so it is linear in the
+evaluates each law once at every first argument e_i, its second every e_j
+at once.  Each law holds one operator per term, so it is linear in the
 tuple, and it is evaluated once for the whole basis
 (:func:`algact.laws.failures`), each operator entry one int whose slot t
 holds tuple t's entry.  The first failing tuple, then its first law, then

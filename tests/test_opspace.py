@@ -983,7 +983,7 @@ def test_packed_self_check_of_a_whole_basis_agrees_with_each_tuple_alone(field):
 
 def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
     # counts of operations, not times: a return to dense vectors or to
-    # evaluating every basis pair or tuple fails here
+    # evaluating every basis pair one at a time fails here
     field = GF(5)
     A = builtin("abelian(5)", field)
     from_products, calls = Algebra.from_products.__func__, {}
@@ -1020,7 +1020,9 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
 
         def counted(args):
             counts["defect"] += 1
-            return fn(args)
+            d = fn(args)
+            counts["entries"] += len(d)
+            return d
 
         return counted
 
@@ -1031,10 +1033,13 @@ def test_sparse_paths_do_no_work_on_the_zeros_of_an_abelian_base(monkeypatch):
             return orig(*args)
 
         monkeypatch.setattr(module, name, counting)
-    # every product of an abelian base is empty, so the self-check evaluates
-    # no law at any argument tuple and combines or composes no vector
+    # the self-check evaluates each of the three biderivation laws once per
+    # prefix e_i, and every product of an abelian base is empty, so every
+    # defect is empty: no slot is tested and no vector composed
     assert next(defining_defects("biderivations", A, space.basis), None) is None
-    assert counts == Counter()
+    assert counts["defect"] == 3 * 5
+    assert counts["entries"] == counts["zero"] == counts["_composed"] == 0
+    counts.clear()
     biderivations(A)
     assert counts["_composed"] == len(calls)  # the counters count, once a product
     # each product is Z-span of unit tuples and its coordinates are read raw,

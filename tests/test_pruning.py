@@ -1,7 +1,8 @@
-"""The evaluation of laws visits only the argument tuples where some term can
-be nonzero.  Here it is checked against an evaluation at every basis tuple,
-written out below, on sparse and mutated inputs: a pruning that skips a
-tuple with a nonzero defect shows up here, where dense inputs would hide it.
+"""The packed evaluation of laws, once per argument prefix with the last
+argument every basis element at once, checked against an evaluation at
+every basis tuple, written out below, on sparse, mutated and dense inputs,
+and the early exit of a failing identity check against the prefixes it
+evaluates.
 """
 
 from fractions import Fraction
@@ -13,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from algact import laws, linalg
 from algact.algebra import _IDENTITIES, IDENTITY_TAGS, Algebra, check_identity
-from algact.catalog import catalog_algebras
+from algact.catalog import builtin, catalog_algebras
 from algact.errors import AlgactError
 from algact.fields import GF, Q
-from algact.opspace import _KINDS, SPACE_KINDS, space_of_kind
+from algact.opspace import _KINDS, SPACE_KINDS, poisson_usga, space_of_kind
 
 FIELDS = (Q, GF(3), GF(2**61 - 1))  # a large p: unreduced sums of residues are big ints
 
@@ -74,6 +75,49 @@ def test_pruned_self_check_equals_evaluation_at_every_tuple(data):
         assert list(fails(law)) == expected, (name, kind, label, tup)
 
 
+def counted_check(A, tag):
+    """``check_identity(A, tag)`` and the (law, prefix) pairs at which it
+    evaluated a law, in the order evaluated."""
+    seen, defect = [], laws._defect
+
+    def counting(env, law, last=None):
+        fn = defect(env, law, last)
+
+        def counted(args):
+            seen.append((law, args))
+            return fn(args)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laws, "_defect", counting)
+        return check_identity(A, tag), seen
+
+
+def assert_identity_check_matches_every_tuple(A, tag, why):
+    # each part's failures are those at every tuple; the check reports the
+    # first of the first failing part, having evaluated each part before it
+    # at every prefix, that part up to its first failing prefix and no later
+    # part
+    parts, first, expected = _IDENTITIES[tag], None, []
+    fails = laws.failures(A, [law for _, law in parts])
+    for part, law in parts:
+        hits = every_tuple(A, law)
+        assert list(fails(law)) == [(0, *hit) for hit in hits], (why, tag, part)
+        if first is None:
+            prefixes = list(iproduct(range(A.dim), repeat=laws._arity(law) - 1))
+            if hits:
+                first = (part, *hits[0])
+                prefixes = prefixes[:prefixes.index(hits[0][0][:-1]) + 1]
+            expected += [(law, prefix) for prefix in prefixes]
+    rep, seen = counted_check(A, tag)
+    assert seen == expected, (why, tag)
+    if first is not None:
+        assert (rep.failed_part, rep.witness, rep.defect) == first, (why, tag)
+    elif tag != "jordan":  # the cubic law is checked apart from the laws
+        assert rep.holds, (why, tag)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_pruned_identity_check_equals_evaluation_at_every_tuple(data):
@@ -82,18 +126,17 @@ def test_pruned_identity_check_equals_evaluation_at_every_tuple(data):
     ops = [data.draw(st.dictionaries(st.tuples(index, index, index), scalars(field), max_size=6))
            for _ in range(data.draw(st.integers(1, 2)))]
     A = Algebra.from_entries(field, dim, ops)
-    tags = [tag for tag in IDENTITY_TAGS if tag != "poisson" or A.num_ops == 2]
-    for tag in tags:
-        parts = _IDENTITIES[tag]
-        fails = laws.failures(A, [law for _, law in parts])
-        for part, law in parts:
-            assert list(fails(law)) == [(0, *hit) for hit in every_tuple(A, law)], (ops, tag, part)
-        first = next(((part, hits[0]) for part, law in parts if (hits := every_tuple(A, law))), None)
-        rep = check_identity(A, tag)
-        if first is not None:
-            assert (rep.failed_part, rep.witness, rep.defect) == (first[0], *first[1]), (ops, tag)
-        elif tag != "jordan":  # the cubic law is checked apart from the laws
-            assert rep.holds, (ops, tag)
+    for tag in IDENTITY_TAGS:
+        if tag != "poisson" or A.num_ops == 2:
+            assert_identity_check_matches_every_tuple(A, tag, ops)
+
+
+@pytest.mark.parametrize("field", (Q, GF(5)), ids=repr)
+def test_the_failing_poisson_check_of_a_usga_stops_at_its_first_failing_prefix(field):
+    # fact (e): the 12-dimensional USGA of poisson_abelian(2) is not Poisson
+    A = poisson_usga(builtin("poisson_abelian(2)", field)).as_algebra()
+    assert A.dim == 12 and not check_identity(A, "poisson").holds
+    assert_identity_check_matches_every_tuple(A, "poisson", "fact (e)")
 
 
 # -- compiled nodes that no law of the table reaches ---------------------------------
